@@ -21,7 +21,6 @@ from .embeddings import (  # noqa: F401
     cosine_distance,
     cosine_similarity,
     infer_doc_vector,
-    most_similar,
     train_doc_embeddings,
     train_word_embeddings,
 )

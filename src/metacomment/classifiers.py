@@ -144,6 +144,7 @@ def _train_svm(X: np.ndarray, y_pm: np.ndarray, hp: SvmHyperparams) -> LinearSvm
     w = np.zeros(d + 1)
     history = []
     converged = False
+    max_pg = math.inf
     C = hp.C
     for _ in range(hp.max_epochs):
         max_pg = 0.0
@@ -167,6 +168,10 @@ def _train_svm(X: np.ndarray, y_pm: np.ndarray, hp: SvmHyperparams) -> LinearSvm
         if max_pg < hp.tolerance:
             converged = True
             break
+    if not converged:
+        logger.warning("linear SVM did not converge: C=%g, max_epochs=%d, "
+                       "last max projected gradient %.3g (tolerance %g)",
+                       C, hp.max_epochs, max_pg, hp.tolerance)
     return LinearSvm(w[:d].copy(), hp.bias_scale * float(w[d]), hp, history, converged)
 
 

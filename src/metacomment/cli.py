@@ -140,7 +140,7 @@ def _embedding_params(args, purpose: str) -> WordTrainingParams:
         dim=args.dim, window=args.window, min_count=args.min_count,
         epochs=args.epochs, method=args.method,
         negative_samples=args.negative, initial_lr=args.lr,
-        seed=derive_seed(args.seed, purpose), workers=args.jobs)
+        seed=derive_seed(args.seed, purpose))
 
 
 def _pipeline_from_args(args, word_model, doc_model, seed, params=None,
@@ -309,7 +309,7 @@ def cmd_evaluate(args) -> int:
     y = binary_labels(ds, args.target)
     result = cross_validate(
         lambda seed: _pipeline_from_args(args, word_model, doc_model, seed),
-        entries, y, k=args.k, seed=args.seed, beta=args.beta, jobs=args.jobs)
+        entries, y, k=args.k, seed=args.seed, beta=args.beta)
     print(f"{args.target}: mean precision {result.mean.precision:.4f} "
           f"recall {result.mean.recall:.4f} F_{args.beta} {result.mean.f_beta:.4f}")
     if args.out:
@@ -347,8 +347,7 @@ def cmd_grid_search(args) -> int:
         return _pipeline_from_args(args, word_model, doc_model, seed,
                                    params=params, select_k=combo["select_k"])
 
-    result = grid_search(factory, grid, entries, y, k=args.k, seed=args.seed,
-                         jobs=args.jobs)
+    result = grid_search(factory, grid, entries, y, k=args.k, seed=args.seed)
     print(f"best configuration: {result.best_params} "
           f"(F_{grid.beta} = {result.best_score:.4f})")
     out = _out_dir(args)
@@ -520,8 +519,9 @@ def cmd_report(args) -> int:
 
 def _add_common(parser, out_required=False):
     parser.add_argument("--seed", type=int, default=0, help="master random seed")
-    parser.add_argument("--jobs", type=int, default=1,
-                        help="worker parallelism (default 1, deterministic)")
+    parser.add_argument("--jobs", type=int, default=1, choices=(1,),
+                        help="runs are serial, so only 1 is accepted; the flag is "
+                             "kept so that existing command lines still parse")
     parser.add_argument("--stopwords", default=None,
                         help="stop-word file overriding the shipped German list")
     if out_required:

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 import logging
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
@@ -42,13 +41,12 @@ class WordTrainingParams:
     initial_lr: float = 0.025
     final_lr: float = 0.0001
     seed: int = 1
-    workers: int = 1
 
     def __post_init__(self):
         if min(self.dim, self.window, self.min_count, self.epochs,
-               self.negative_samples, self.workers) < 1:
-            raise EmbeddingError("dim, window, min_count, epochs, negative_samples, "
-                                 "workers must all be >= 1")
+               self.negative_samples) < 1:
+            raise EmbeddingError("dim, window, min_count, epochs, negative_samples "
+                                 "must all be >= 1")
         if self.method not in ("cbow", "skipgram"):
             raise EmbeddingError(f"unknown training method {self.method!r}")
         if not 0 < self.final_lr <= self.initial_lr:
@@ -232,14 +230,12 @@ class WordEmbeddingModel:
             raise EmbeddingError("input/output vector files disagree on vocabulary")
         with open(prefix.with_suffix(".meta.json"), encoding="utf-8") as fh:
             meta = json.load(fh)
+        # files written while training had a thread pool still carry "workers"
+        meta["params"].pop("workers", None)
         params = WordTrainingParams(**meta["params"])
         counts = np.array([meta["counts"][t] for t in tokens], dtype=np.int64)
         vocab = {t: i for i, t in enumerate(tokens)}
         return cls(vocab, vectors, out_vectors, counts, params, meta.get("epoch_losses"))
-
-
-def most_similar(model: WordEmbeddingModel, word: str, n: int) -> List[Tuple[str, float]]:
-    return model.most_similar(word, n)
 
 
 def _format_float(x: float) -> str:
@@ -380,9 +376,8 @@ def train_word_embeddings(corpus: Iterable[TokenStream],
                           params: WordTrainingParams) -> WordEmbeddingModel:
     """Train a word embedding model with negative sampling.
 
-    Single-worker training is fully deterministic for a fixed seed; with
-    workers > 1 the lock-free concurrent updates make results vary from run
-    to run. The per-epoch training loss is recorded on the model.
+    Training is serial and fully deterministic for a fixed seed. The
+    per-epoch training loss is recorded on the model.
     """
     corpus = list(corpus)
     if not corpus:
@@ -399,35 +394,12 @@ def train_word_embeddings(corpus: Iterable[TokenStream],
 
     epoch_losses = []
     for epoch in range(params.epochs):
-        if params.workers == 1:
-            loss = 0.0
-            for doc in indexed:
-                loss += train_one(w_in, w_out, noise, params, doc, lr_sched, rng)
-        else:
-            loss = _parallel_epoch(train_one, w_in, w_out, noise, params, indexed,
-                                   lr_sched, params.seed + epoch)
+        loss = 0.0
+        for doc in indexed:
+            loss += train_one(w_in, w_out, noise, params, doc, lr_sched, rng)
         epoch_losses.append(loss)
         logger.debug("epoch %d/%d loss %.4f", epoch + 1, params.epochs, loss)
     return WordEmbeddingModel(vocab, w_in, w_out, counts, params, epoch_losses)
-
-
-def _parallel_epoch(train_one, w_in, w_out, noise, params, indexed, lr_sched, seed):
-    # Lock-free concurrent updates on the shared matrices: numerically well
-    # behaved but not reproducible run-to-run.
-    chunks = [indexed[i::params.workers] for i in range(params.workers)]
-    losses = []
-
-    def run(chunk_id):
-        rng = np.random.default_rng((seed, chunk_id))
-        loss = 0.0
-        for doc in chunks[chunk_id]:
-            loss += train_one(w_in, w_out, noise, params, doc, lr_sched, rng)
-        return loss
-
-    with ThreadPoolExecutor(max_workers=params.workers) as pool:
-        for loss in pool.map(run, range(params.workers)):
-            losses.append(loss)
-    return sum(losses)
 
 
 class DocEmbeddingModel:

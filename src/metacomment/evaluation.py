@@ -12,7 +12,6 @@ import csv
 import inspect
 import itertools
 import logging
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -155,8 +154,7 @@ class CvResult:
 
 
 def cross_validate(pipeline_factory: Callable, items: Sequence, y,
-                   k: int = 10, seed: int = 0, beta: float = 0.5,
-                   jobs: int = 1) -> CvResult:
+                   k: int = 10, seed: int = 0, beta: float = 0.5) -> CvResult:
     """Stratified k-fold evaluation of a trainable+predictable pipeline.
 
     A fresh pipeline is built per fold and fit on the train fold only; a
@@ -181,11 +179,7 @@ def cross_validate(pipeline_factory: Callable, items: Sequence, y,
         predictions = np.asarray(pipeline.predict(test_items), dtype=int)
         return Metrics.from_predictions(y[test_idx], predictions, beta)
 
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            fold_metrics = list(pool.map(run_fold, range(k)))
-    else:
-        fold_metrics = [run_fold(i) for i in range(k)]
+    fold_metrics = [run_fold(i) for i in range(k)]
 
     mean = MeanMetrics(
         precision=float(np.mean([m.precision for m in fold_metrics])),
@@ -234,7 +228,7 @@ class GridSearchResult:
 
 
 def grid_search(pipeline_factory: Callable, grid: GridSpec, items: Sequence, y,
-                k: int = 3, seed: int = 0, jobs: int = 1) -> GridSearchResult:
+                k: int = 3, seed: int = 0) -> GridSearchResult:
     """Exhaustive grid evaluation, scored by mean F_beta over k folds.
 
     Ties keep the first configuration in enumeration order. The factory is
@@ -246,21 +240,11 @@ def grid_search(pipeline_factory: Callable, grid: GridSpec, items: Sequence, y,
     rows: List[dict] = []
     best: Optional[Tuple[float, int, dict, CvResult]] = None
 
-    def evaluate(index_combo):
-        index, combo = index_combo
+    for index, combo in enumerate(combos):
         result = cross_validate(
             lambda fold_seed: pipeline_factory(combo, fold_seed),
             items, y, k=k, seed=derive_seed(seed, f"grid:{index}"),
-            beta=grid.beta, jobs=1)
-        return index, combo, result
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            outcomes = list(pool.map(evaluate, enumerate(combos)))
-    else:
-        outcomes = [evaluate(pair) for pair in enumerate(combos)]
-
-    for index, combo, result in outcomes:
+            beta=grid.beta)
         for fold_index, metrics in enumerate(result.fold_metrics):
             rows.append({"config": index, **combo, "fold": fold_index,
                          "precision": metrics.precision, "recall": metrics.recall,

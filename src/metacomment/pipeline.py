@@ -138,6 +138,11 @@ class FeaturePipeline:
             extra_fitted_ids=[c.id for c in comments])
 
     def fit(self, entries: Sequence[Entry], y) -> "FeaturePipeline":
+        self._fit(entries, y)
+        return self
+
+    def _fit(self, entries: Sequence[Entry], y) -> np.ndarray:
+        """Fit as fit() does; returns the training matrix after selection."""
         y = np.asarray(y, dtype=int)
         self.extractor = self._fit_extractor(entries)
         X = self.extractor.matrix(_comments(entries))
@@ -162,7 +167,7 @@ class FeaturePipeline:
                                           self.classifier_params,
                                           registry=self.selected)
         self._fitted_ids = self.extractor.fitted_ids()
-        return self
+        return X
 
     def _matrix(self, entries: Sequence[Entry]) -> np.ndarray:
         if self.model is None:
@@ -249,9 +254,8 @@ class TwoStepClassifier:
     def fit(self, entries: Sequence[Entry]) -> "TwoStepClassifier":
         label_sets = _label_sets(entries)
         y_meta = np.array([1 if ls.is_meta else 0 for ls in label_sets])
-        self.pipeline.fit(entries, y_meta)
+        X = self.pipeline._fit(entries, y_meta)
         self.meta_model = self.pipeline.model
-        X = self.pipeline._matrix(entries)
         for label in ADDRESSEE_LABELS:
             y = np.array([1 if label in ls else 0 for ls in label_sets])
             if len(np.unique(y)) < 2:

@@ -94,6 +94,23 @@ class TestLinearSvm:
         assert model.decision_value(np.array([0.0])) == 0.0
         assert model.predict(np.array([0.0])) == 1
 
+    def test_unconverged_fit_warns(self, caplog):
+        X, y = blob_data(0)
+        with caplog.at_level("WARNING", logger="metacomment.classifiers"):
+            model = train("linear_svm", X, y, SvmHyperparams(max_epochs=1))
+        assert not model.inner.converged
+        [record] = caplog.records
+        assert "C=0.5" in record.message
+        assert "max_epochs=1" in record.message
+        assert "projected gradient" in record.message
+
+    def test_converged_fit_does_not_warn(self, caplog):
+        X, y = blob_data(0)
+        with caplog.at_level("WARNING", logger="metacomment.classifiers"):
+            model = train("linear_svm", X, y, SvmHyperparams(tolerance=1e-3))
+        assert model.inner.converged
+        assert caplog.records == []
+
     def test_invalid_c(self):
         with pytest.raises(TrainingError, match="C must be positive"):
             SvmHyperparams(C=0.0)

@@ -79,6 +79,26 @@ class TestEmbeddingCommands:
         assert "no-embedding" in out
 
 
+class TestJobsFlag:
+    def _train_args(self, workspace, out, jobs):
+        return ["train-embeddings", "--input", str(workspace["dataset"]),
+                "--kind", "word", "--dim", "8", "--min-count", "2", "--epochs", "1",
+                "--jobs", jobs, "--out", str(out)]
+
+    def test_jobs_above_one_is_usage_error(self, workspace, tmp_path, capsys):
+        out = tmp_path / "emb"
+        with pytest.raises(SystemExit) as exc:
+            main(self._train_args(workspace, out, "2"))
+        assert exc.value.code == 2
+        assert "--jobs" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_jobs_one_still_runs(self, workspace, tmp_path):
+        out = tmp_path / "emb"
+        assert main(self._train_args(workspace, out, "1")) == 0
+        assert (out / "model.vec").is_file()
+
+
 class TestFeatureExport:
     def test_export_and_reproducibility(self, workspace, tmp_path):
         args = ["features", "--input", str(workspace["dataset"]),

@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -13,7 +14,6 @@ from metacomment.embeddings import (
     cosine_distance,
     cosine_similarity,
     infer_doc_vector,
-    most_similar,
     negative_sampling_gradients,
     negative_sampling_loss,
     train_doc_embeddings,
@@ -166,7 +166,7 @@ class TestWordTraining:
 
 class TestMostSimilar:
     def test_n_zero(self, toy_model):
-        assert most_similar(toy_model, "kaffee", 0) == []
+        assert toy_model.most_similar("kaffee", 0) == []
 
     def test_planted_synonym_first(self, toy_model):
         assert toy_model.most_similar("kaffee", 3)[0][0] == "tee"
@@ -251,6 +251,17 @@ class TestPersistence:
         assert np.array_equal(loaded.vectors, toy_model.vectors)
         assert np.array_equal(loaded.out_vectors, toy_model.out_vectors)
         assert loaded.params == toy_model.params
+
+    def test_meta_with_workers_key_loads(self, tmp_path, toy_model):
+        prefix = tmp_path / "model"
+        toy_model.save(prefix)
+        meta_path = prefix.with_suffix(".meta.json")
+        meta = json.loads(meta_path.read_text(encoding="utf-8"))
+        meta["params"]["workers"] = 2
+        meta_path.write_text(json.dumps(meta), encoding="utf-8")
+        loaded = WordEmbeddingModel.load(prefix)
+        assert loaded.params == toy_model.params
+        assert np.array_equal(loaded.vectors, toy_model.vectors)
 
     def test_doc_round_trip(self, tmp_path, toy_doc_model):
         prefix = tmp_path / "docmodel"

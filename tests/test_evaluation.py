@@ -210,12 +210,6 @@ class TestCrossValidate:
         with pytest.raises(EvaluationError, match="fold 0"):
             cross_validate(lambda: FailingPipeline(1), list(X), y, k=4)
 
-    def test_parallel_matches_serial(self):
-        X, y = self._items(n=60, gap=1.0, seed=5)
-        serial = cross_validate(lambda: VectorSvmPipeline(), list(X), y, k=4, jobs=1)
-        threaded = cross_validate(lambda: VectorSvmPipeline(), list(X), y, k=4, jobs=4)
-        assert serial.fold_metrics == threaded.fold_metrics
-
 
 class FlippablePipeline:
     """Grid-search probe: flip=True inverts every prediction."""

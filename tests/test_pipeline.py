@@ -4,6 +4,7 @@ import pytest
 from metacomment.corpus import LabeledDataset
 from metacomment.embeddings import WordTrainingParams, train_doc_embeddings, train_word_embeddings
 from metacomment.evaluation import binary_labels, cross_dataset_eval, cross_validate
+from metacomment.features import FeatureExtractor
 from metacomment.neural import CnnConfig
 from metacomment.pipeline import (
     CnnPipeline,
@@ -140,6 +141,23 @@ class TestTwoStepClassifier:
                     assert result.confidences == {}
                     return
         pytest.fail("no gated non-meta comment found")
+
+    def test_fit_assembles_each_entry_once(self, dataset, word_model, monkeypatch):
+        calls = []
+        assemble = FeatureExtractor.assemble
+
+        def spy(self, comment):
+            calls.append(comment.id)
+            return assemble(self, comment)
+
+        monkeypatch.setattr(FeatureExtractor, "assemble", spy)
+        entries = list(dataset)[:120]
+        TwoStepClassifier(
+            feature_pipeline_kwargs=dict(
+                classifier_params={"C": 0.5, "tolerance": 1e-3, "max_epochs": 50},
+                keyword_seeds=CLASS_KEYWORDS, word_model=word_model),
+            seed=0).fit(entries)
+        assert len(calls) == len(entries)
 
     def test_threshold_one_never_assigns(self, dataset, word_model):
         classifier = TwoStepClassifier(
