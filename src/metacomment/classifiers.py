@@ -20,8 +20,6 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .features import FeatureVector
-
 logger = logging.getLogger(__name__)
 
 MODEL_FORMAT = "metacomment-model/1"
@@ -379,6 +377,9 @@ class KNearest:
 class TrainedModel:
     """A classifier with its scaling, optional calibration, and registry tie.
 
+    Inputs are matrices whose columns follow ``registry``; ``registry_hash``
+    names the feature extractor that produced them. Both are stored metadata
+    that load_model and the two-step gate check, not used to build inputs.
     decision_value > 0 predicts the positive class; exactly 0 resolves to
     positive by convention.
     """
@@ -392,19 +393,6 @@ class TrainedModel:
     calibration: Optional[tuple] = None
 
     def _matrix(self, X) -> np.ndarray:
-        if isinstance(X, FeatureVector):
-            X = [X]
-        if isinstance(X, (list, tuple)) and X and isinstance(X[0], FeatureVector):
-            if self.registry is None:
-                raise RegistryMismatch("model has no feature registry")
-            for fv in X:
-                if fv.registry_version and self.registry_hash \
-                        and fv.registry_version != self.registry_hash:
-                    raise RegistryMismatch(
-                        f"feature vector registry {fv.registry_version!r} does not "
-                        f"match model registry {self.registry_hash!r}")
-            from .features import build_matrix
-            X = build_matrix(X, self.registry)
         X = np.atleast_2d(np.asarray(X, dtype=float))
         if self.standardizer is not None:
             X = self.standardizer.transform(X)
@@ -615,8 +603,8 @@ def load_model(path, registry_hash: Optional[str] = None) -> TrainedModel:
         raise TrainingError(f"unsupported model format {data.get('format')!r}")
     if registry_hash is not None and data.get("registry_hash") != registry_hash:
         raise RegistryMismatch(
-            f"model registry hash {data.get('registry_hash')!r} does not match "
-            f"expected {registry_hash!r}")
+            f"{path}: model registry hash {data.get('registry_hash')!r} does not "
+            f"match expected {registry_hash!r}")
     kind = data["kind"]
     hp = _coerce_params(kind, data["hyperparams"])
     scaler = None

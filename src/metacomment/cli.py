@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .classifiers import load_model, save_model
+from .classifiers import save_model
 from .corpus import (
     ADDRESSEE_LABELS,
     CLASS_ORDER,
@@ -41,12 +41,10 @@ from .evaluation import (
     cross_dataset_eval,
     cross_validate,
     grid_search,
-    two_step_classify,
     write_score_table,
 )
 from .features import (
     anova_f_matrix,
-    build_matrix,
     export_sparse_matrix,
     load_keywords,
     select_k_best,
@@ -55,7 +53,6 @@ from .pipeline import (
     FeaturePipeline,
     TwoStepClassifier,
     build_keyword_sets,
-    load_extractor,
     save_extractor,
 )
 from .sampling import (
@@ -281,10 +278,7 @@ def cmd_train(args) -> int:
                 keyword_seeds=_keyword_seeds(args), stopwords=_stopwords(args)),
             threshold=args.threshold, seed=seed)
         classifier.fit(entries)
-        save_extractor(classifier.pipeline.extractor, out / "extractor.json")
-        save_model(classifier.meta_model, out / "meta.json")
-        for label, model in classifier.addressee_models.items():
-            save_model(model, out / f"addressee_{label.lower()}.json")
+        classifier.save(out)
         print(f"trained two-step classifier on {len(entries)} comments")
     else:
         y = binary_labels(ds, args.target)
@@ -386,23 +380,13 @@ def cmd_classify(args) -> int:
     ds = _load_ds(args.input)
     models_dir = Path(args.models)
     doc_model = _load_doc_model(args.doc_model) if args.doc_model else None
-    extractor = load_extractor(models_dir / "extractor.json", doc_model=doc_model)
-    meta_model = load_model(models_dir / "meta.json")
-    addressee_models = {}
-    for label in ADDRESSEE_LABELS:
-        path = models_dir / f"addressee_{label.lower()}.json"
-        if path.is_file():
-            addressee_models[label] = load_model(
-                path, registry_hash=meta_model.registry_hash)
+    classifier = TwoStepClassifier.load(models_dir, doc_model=doc_model,
+                                        threshold=args.threshold)
     out = _out_dir(args)
-    registry = list(extractor.registry)
     results_path = out / "classified.jsonl"
     with open(results_path, "w", encoding="utf-8", newline="\n") as fh:
         for comment in ds.comments():
-            fv = extractor.assemble(comment)
-            x = build_matrix([fv], registry)
-            result = two_step_classify(meta_model, addressee_models, x,
-                                       threshold=args.threshold)
+            result = classifier.classify(comment)
             fh.write(json.dumps({
                 "id": comment.id,
                 "is_meta": result.is_meta,
@@ -424,8 +408,7 @@ def cmd_rank_features(args) -> int:
                                stopwords=_stopwords(args),
                                seed=derive_seed(args.seed, "rank"))
     extractor = pipeline._fit_extractor(list(ds))
-    fvs = [extractor.assemble(c) for c in ds.comments()]
-    X = build_matrix(fvs, extractor.registry)
+    X = extractor.matrix(ds.comments())
     classes = args.classes.split(",") if args.classes else ("Meta",) + ADDRESSEE_LABELS
     ranking = {}
     for cls in classes:

@@ -178,7 +178,8 @@ def tfidf_fit(corpus: Sequence[TokenStream]) -> TfidfModel:
     vocabulary: Dict[str, int] = {}
     df_counts: List[int] = []
     for ts in corpus:
-        for gram in set(ngrams(ts, 2)):
+        # first-occurrence order, so column numbers do not depend on hashing
+        for gram in dict.fromkeys(ngrams(ts, 2)):
             idx = vocabulary.get(gram)
             if idx is None:
                 vocabulary[gram] = len(df_counts)
@@ -418,8 +419,10 @@ class FeatureVector:
 
 
 class FeatureExtractor:
-    """Assembles FeatureVectors from fitted group models.
+    """Turns comments into features from fitted group models.
 
+    matrix() gives the classifiers' input, in registry column order;
+    assemble() gives one comment's named values for export and inspection.
     Construction fails when an enabled group is missing its fitted model;
     assembly itself is a pure function of (comment, fitted models, config).
     """
@@ -458,21 +461,12 @@ class FeatureExtractor:
             label: compile_keyword_pattern(ks.enriched)
             for label, ks in self.keyword_sets.items()
         }
+        # enriched keywords of every addressee class, first occurrence kept
+        self._keyword_tokens = tuple(dict.fromkeys(
+            token for label in ADDRESSEE_LABELS if label in self.keyword_sets
+            for token in self.keyword_sets[label].enriched))
         self._registry = tuple(self._build_registry())
         self._hash = hashlib.sha256("\n".join(self._registry).encode()).hexdigest()[:16]
-
-    def _keyword_tokens(self) -> List[str]:
-        seen = set()
-        tokens = []
-        for label in ADDRESSEE_LABELS:
-            ks = self.keyword_sets.get(label)
-            if ks is None:
-                continue
-            for token in ks.enriched:
-                if token not in seen:
-                    seen.add(token)
-                    tokens.append(token)
-        return tokens
 
     def _build_registry(self) -> List[str]:
         cfg = self.config
@@ -481,7 +475,7 @@ class FeatureExtractor:
             names.extend(f"regex_{CLASS_FEATURE_NAMES[label]}_matches"
                          for label in ADDRESSEE_LABELS if label in self.keyword_sets)
         if cfg.keywords:
-            names.extend(f"keyword_{token}" for token in self._keyword_tokens())
+            names.extend(f"keyword_{token}" for token in self._keyword_tokens)
         if cfg.tfidf:
             names.extend(f"tfidf_{gram}" for gram in self.tfidf.vocabulary)
         if cfg.text:
@@ -532,7 +526,7 @@ class FeatureExtractor:
             counts: Dict[str, int] = {}
             for token in raw_tokens:
                 counts[token] = counts.get(token, 0) + 1
-            for token in self._keyword_tokens():
+            for token in self._keyword_tokens:
                 if counts.get(token):
                     values[f"keyword_{token}"] = float(counts[token])
         if cfg.tfidf:

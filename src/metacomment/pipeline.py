@@ -19,9 +19,11 @@ from .classifiers import (
     TrainedModel,
     calibrate,
     hyperparam_fields,
+    load_model,
+    save_model,
     train as train_classifier,
 )
-from .corpus import ADDRESSEE_LABELS, CLASS_ORDER, Comment, LabelSet
+from .corpus import ADDRESSEE_LABELS, CLASS_ORDER, Comment, LabeledDataset, LabelSet
 from .embeddings import DocEmbeddingModel, WordEmbeddingModel
 from .evaluation import TwoStepResult, stratified_k_fold, two_step_classify
 from .features import (
@@ -31,7 +33,6 @@ from .features import (
     KeywordSet,
     TfidfModel,
     anova_f_matrix,
-    build_matrix,
     class_vectors,
     default_keyword_seeds,
     enrich_keywords,
@@ -109,6 +110,7 @@ class FeaturePipeline:
         self.extractor: Optional[FeatureExtractor] = None
         self.model: Optional[TrainedModel] = None
         self.selected: Optional[tuple] = None
+        self._columns: Optional[np.ndarray] = None  # selected columns; None: all
         self._fitted_ids: Optional[frozenset] = None
 
     def _fit_extractor(self, entries: Sequence[Entry]) -> FeatureExtractor:
@@ -127,7 +129,6 @@ class FeaturePipeline:
         if cfg.semantic:
             present = [cls for cls in CLASS_ORDER
                        if any(cls in ls for ls in _label_sets(entries))]
-            from .corpus import LabeledDataset
             ds = LabeledDataset(tuple(entries), "fold")
             class_vecs = class_vectors(self.doc_model, ds, classes=present,
                                        stopwords=self.stopwords)
@@ -146,44 +147,43 @@ class FeaturePipeline:
         y = np.asarray(y, dtype=int)
         self.extractor = self._fit_extractor(entries)
         X = self.extractor.matrix(_comments(entries))
-        registry = list(self.extractor.registry)
+        registry = self.extractor.registry
         if self.select_k != "all":
             scores = dict(zip(registry, anova_f_matrix(X, y)))
             k = min(self.select_k, len(registry)) \
                 if isinstance(self.select_k, int) else self.select_k
             self.selected = tuple(select_k_best(scores, k))
-            columns = [registry.index(name) for name in self.selected]
-            X = X[:, columns]
+            index = {name: i for i, name in enumerate(registry)}
+            self._columns = np.array([index[name] for name in self.selected],
+                                     dtype=np.intp)
+            X = X[:, self._columns]
         else:
-            self.selected = tuple(registry)
+            self.selected = registry
+            self._columns = None
 
         if self.with_calibration:
             train_idx, holdout_idx = stratified_k_fold(y, 5, self.seed)[0]
-            model = train_classifier(self.classifier, X[train_idx], y[train_idx],
-                                     self.classifier_params, registry=self.selected)
+            model = self._train(X[train_idx], y[train_idx])
             self.model = calibrate(model, X[holdout_idx], y[holdout_idx])
         else:
-            self.model = train_classifier(self.classifier, X, y,
-                                          self.classifier_params,
-                                          registry=self.selected)
+            self.model = self._train(X, y)
         self._fitted_ids = self.extractor.fitted_ids()
         return X
+
+    def _train(self, X: np.ndarray, y: np.ndarray) -> TrainedModel:
+        """One classifier over the selected columns, tied to the extractor."""
+        return train_classifier(self.classifier, X, y, self.classifier_params,
+                                registry=self.selected,
+                                registry_hash=self.extractor.registry_hash)
 
     def _matrix(self, entries: Sequence[Entry]) -> np.ndarray:
         if self.model is None:
             raise RuntimeError("pipeline is not fitted")
-        fvs = [self.extractor.assemble(c) for c in _comments(entries)]
-        X = build_matrix(fvs, self.extractor.registry)
-        if self.selected != self.extractor.registry:
-            registry = list(self.extractor.registry)
-            X = X[:, [registry.index(name) for name in self.selected]]
-        return X
+        X = self.extractor.matrix(_comments(entries))
+        return X if self._columns is None else X[:, self._columns]
 
     def predict(self, entries: Sequence[Entry]) -> np.ndarray:
         return self.model.predict_many(self._matrix(entries))
-
-    def decision_values(self, entries: Sequence[Entry]) -> np.ndarray:
-        return self.model.decision_values(self._matrix(entries))
 
     def confidences(self, entries: Sequence[Entry]) -> np.ndarray:
         return self.model.confidences(self._matrix(entries))
@@ -262,9 +262,7 @@ class TwoStepClassifier:
                 logger.warning("no %s examples; skipping that addressee model", label)
                 continue
             train_idx, holdout_idx = stratified_k_fold(y, 5, self.seed)[0]
-            model = train_classifier(self.pipeline.classifier, X[train_idx],
-                                     y[train_idx], self.pipeline.classifier_params,
-                                     registry=self.pipeline.selected)
+            model = self.pipeline._train(X[train_idx], y[train_idx])
             self.addressee_models[label] = calibrate(model, X[holdout_idx],
                                                      y[holdout_idx])
         return self
@@ -273,6 +271,38 @@ class TwoStepClassifier:
         x = self.pipeline._matrix([entry])
         return two_step_classify(self.meta_model, self.addressee_models, x,
                                  threshold=self.threshold)
+
+    def save(self, directory) -> None:
+        """Write extractor.json, meta.json and addressee_<label>.json."""
+        directory = Path(directory)
+        save_extractor(self.pipeline.extractor, directory / "extractor.json")
+        save_model(self.meta_model, directory / "meta.json")
+        for label, model in self.addressee_models.items():
+            save_model(model, directory / f"addressee_{label.lower()}.json")
+
+    @classmethod
+    def load(cls, directory, doc_model: Optional[DocEmbeddingModel],
+             threshold: float) -> "TwoStepClassifier":
+        """Read a directory written by save().
+
+        Every model must carry the registry hash of the saved extractor;
+        RegistryMismatch otherwise. Absent addressee files are skipped.
+        """
+        directory = Path(directory)
+        classifier = cls(threshold=threshold)
+        extractor = load_extractor(directory / "extractor.json", doc_model=doc_model)
+        meta_model = load_model(directory / "meta.json",
+                                registry_hash=extractor.registry_hash)
+        for label in ADDRESSEE_LABELS:
+            path = directory / f"addressee_{label.lower()}.json"
+            if path.is_file():
+                classifier.addressee_models[label] = load_model(
+                    path, registry_hash=extractor.registry_hash)
+        classifier.pipeline.extractor = extractor
+        classifier.pipeline.model = classifier.meta_model = meta_model
+        classifier.pipeline.selected = extractor.registry
+        classifier.pipeline._fitted_ids = extractor.fitted_ids()
+        return classifier
 
     def fitted_ids(self) -> Optional[frozenset]:
         return self.pipeline.fitted_ids()

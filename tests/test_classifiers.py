@@ -18,7 +18,6 @@ from metacomment.classifiers import (
     save_model,
     train,
 )
-from metacomment.features import FeatureVector
 
 
 def blob_data(seed=0, n=60, gap=2.0):
@@ -298,11 +297,3 @@ class TestPersistence:
         with pytest.raises(RegistryMismatch):
             load_model(path, registry_hash="other")
         assert load_model(path, registry_hash="hash1").registry == ("a", "b", "c")
-
-    def test_feature_vector_registry_checked_at_predict(self):
-        X, y = blob_data(20)
-        model = train("decision_tree", X, y, registry=("a", "b", "c"),
-                      registry_hash="hash1")
-        with pytest.raises(RegistryMismatch):
-            model.predict([FeatureVector({"a": 1.0}, registry_version="other")])
-        assert model.predict([FeatureVector({"a": 1.0}, registry_version="hash1")]) in (0, 1)

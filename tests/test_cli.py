@@ -1,9 +1,16 @@
 import json
+import os
+import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import metacomment
 from metacomment.cli import main
 from metacomment.corpus import load_dataset, save_dataset
+from metacomment.pipeline import TwoStepClassifier
 
 from synthdata import generate_comment_dataset
 
@@ -116,15 +123,17 @@ class TestFeatureExport:
         assert "regex_media_matches" in names
 
 
+def _two_step_args(workspace, out):
+    return ["train", "--input", str(workspace["dataset"]), "--two-step",
+            "--classifier", "linear_svm",
+            "--params", "C=0.5,tolerance=0.001,max_epochs=100",
+            "--word-model", str(workspace["word_model"]), "--out", str(out)]
+
+
 @pytest.fixture(scope="module")
 def models_dir(workspace, tmp_path_factory):
     out = tmp_path_factory.mktemp("models")
-    rc = main(["train", "--input", str(workspace["dataset"]), "--two-step",
-               "--classifier", "linear_svm",
-               "--params", "C=0.5,tolerance=0.001,max_epochs=100",
-               "--word-model", str(workspace["word_model"]),
-               "--out", str(out)])
-    assert rc == 0
+    assert main(_two_step_args(workspace, out)) == 0
     return out
 
 
@@ -151,6 +160,62 @@ class TestTrainAndClassify:
         assert any(r["addressees"] for r in flagged)
         gated = [r for r in records if not r["is_meta"]]
         assert all(r["addressees"] == [] and r["confidences"] == {} for r in gated)
+
+    def test_classify_lines_match_loaded_classifier(self, workspace, models_dir,
+                                                    tmp_path):
+        out = tmp_path / "classified"
+        assert main(["classify", "--input", str(workspace["dataset"]),
+                     "--models", str(models_dir), "--threshold", "0.7",
+                     "--out", str(out)]) == 0
+        classifier = TwoStepClassifier.load(models_dir, None, 0.7)
+        comments = list(load_dataset(workspace["dataset"]).comments())
+        lines = (out / "classified.jsonl").read_text(encoding="utf-8").splitlines()
+        assert len(lines) == len(comments)
+        for line, comment in zip(lines, comments):
+            result = classifier.classify(comment)
+            assert line == json.dumps({
+                "id": comment.id,
+                "is_meta": result.is_meta,
+                "addressees": list(result.addressees),
+                "confidences": {k: round(v, 6)
+                                for k, v in sorted(result.confidences.items())},
+            }, ensure_ascii=False)
+
+    def test_classify_rejects_extractor_of_another_run(self, workspace, models_dir,
+                                                       tmp_path, capsys):
+        keywords = tmp_path / "keywords"
+        keywords.mkdir()
+        for label in ("media", "journalist", "moderator"):
+            (keywords / f"{label}.txt").write_text(f"{label}\n", encoding="utf-8")
+        other = tmp_path / "other"
+        assert main(_two_step_args(workspace, other)
+                    + ["--keywords-dir", str(keywords)]) == 0
+        shutil.copy(models_dir / "extractor.json", other / "extractor.json")
+        out = tmp_path / "classified"
+        rc = main(["classify", "--input", str(workspace["dataset"]),
+                   "--models", str(other), "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "meta.json" in err and "registry hash" in err
+        assert not (out / "classified.jsonl").exists()
+
+    def test_two_step_artifacts_independent_of_hash_seed(self, workspace, tmp_path):
+        env = dict(os.environ,
+                   PYTHONPATH=str(Path(metacomment.__file__).parents[1]))
+        runs = []
+        for hash_seed in ("1", "2"):
+            out = tmp_path / f"hashseed{hash_seed}"
+            runs.append((out, subprocess.Popen(
+                [sys.executable, "-m", "metacomment.cli",
+                 *_two_step_args(workspace, out)],
+                env={**env, "PYTHONHASHSEED": hash_seed})))
+        for _, process in runs:
+            assert process.wait(timeout=600) == 0
+        (a, _), (b, _) = runs
+        names = sorted(p.name for p in a.glob("*.json") if p.name != "manifest.json")
+        assert len(names) == 5
+        for name in names:
+            assert (a / name).read_bytes() == (b / name).read_bytes(), name
 
     def test_single_target_train(self, workspace, tmp_path, capsys):
         out = tmp_path / "single"

@@ -66,7 +66,14 @@ class TestFeaturePipeline:
         pipeline = make_pipeline(word_model, select_k=10).fit(entries, y)
         assert len(pipeline.selected) == 10
         assert len(pipeline.model.registry) == 10
+        assert pipeline.model.registry_hash == pipeline.extractor.registry_hash
         assert (pipeline.predict(entries) == y).mean() >= 0.9
+        # oracle: the stored column index picks the selected names' columns
+        X = pipeline.extractor.matrix(dataset.comments())
+        registry = pipeline.extractor.registry
+        columns = [registry.index(name) for name in pipeline.selected]
+        assert np.array_equal(pipeline.predict(entries),
+                              pipeline.model.predict_many(X[:, columns]))
 
     def test_calibrated_confidences(self, dataset, word_model):
         entries = list(dataset)
@@ -158,6 +165,21 @@ class TestTwoStepClassifier:
                 keyword_seeds=CLASS_KEYWORDS, word_model=word_model),
             seed=0).fit(entries)
         assert len(calls) == len(entries)
+
+    def test_models_carry_extractor_registry_hash(self, fitted):
+        hashes = {m.registry_hash
+                  for m in (fitted.meta_model, *fitted.addressee_models.values())}
+        assert hashes == {fitted.pipeline.extractor.registry_hash}
+
+    def test_save_load_round_trip(self, fitted, dataset, tmp_path):
+        fitted.save(tmp_path)
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "addressee_journalist.json", "addressee_media.json",
+            "addressee_moderator.json", "extractor.json", "meta.json"]
+        loaded = TwoStepClassifier.load(tmp_path, None, fitted.threshold)
+        assert loaded.pipeline.extractor.registry == fitted.pipeline.extractor.registry
+        for entry in dataset:
+            assert loaded.classify(entry) == fitted.classify(entry)
 
     def test_threshold_one_never_assigns(self, dataset, word_model):
         classifier = TwoStepClassifier(
