@@ -20,7 +20,6 @@ from .embeddings import (  # noqa: F401
     WordTrainingParams,
     cosine_distance,
     cosine_similarity,
-    infer_doc_vector,
     train_doc_embeddings,
     train_word_embeddings,
 )
@@ -29,7 +28,6 @@ from .features import (  # noqa: F401
     FeatureExtractor,
     FeatureVector,
     KeywordSet,
-    anova_f_scores,
     class_vectors,
     count_pattern_matches,
     enrich_keywords,

@@ -380,7 +380,7 @@ class TrainedModel:
     Inputs are matrices whose columns follow ``registry``; ``registry_hash``
     names the feature extractor that produced them. Both are stored metadata
     that load_model and the two-step gate check, not used to build inputs.
-    decision_value > 0 predicts the positive class; exactly 0 resolves to
+    A decision value > 0 predicts the positive class; exactly 0 resolves to
     positive by convention.
     """
 
@@ -400,9 +400,6 @@ class TrainedModel:
 
     def decision_values(self, X) -> np.ndarray:
         return self.inner.decision_values(self._matrix(X))
-
-    def decision_value(self, x) -> float:
-        return float(self.decision_values(x)[0])
 
     def predict_many(self, X) -> np.ndarray:
         return (self.decision_values(X) >= 0.0).astype(int)

@@ -3,7 +3,7 @@
 Every subcommand that writes results also writes a manifest (arguments,
 seeds, input hashes, tool version) into the output directory, and all
 randomness flows from --seed via purpose-derived sub-seeds, so reruns with
-the same manifest reproduce byte-identical outputs in single-job mode.
+the same manifest reproduce byte-identical outputs; runs are serial.
 """
 
 from __future__ import annotations
@@ -45,6 +45,7 @@ from .evaluation import (
 )
 from .features import (
     anova_f_matrix,
+    enrich_keywords,
     export_sparse_matrix,
     load_keywords,
     select_k_best,
@@ -100,10 +101,6 @@ def _out_dir(args) -> Path:
     return out
 
 
-def _load_ds(path, tag=None):
-    return load_dataset(path, source_tag=tag)
-
-
 def _stopwords(args):
     return load_stopwords(args.stopwords) if getattr(args, "stopwords", None) else None
 
@@ -122,14 +119,6 @@ def _parse_kv_params(raw: str) -> dict:
         except json.JSONDecodeError:
             params[key.strip()] = value
     return params
-
-
-def _load_word_model(prefix) -> WordEmbeddingModel:
-    return WordEmbeddingModel.load(prefix)
-
-
-def _load_doc_model(prefix) -> DocEmbeddingModel:
-    return DocEmbeddingModel.load(prefix)
 
 
 def _embedding_params(args, purpose: str) -> WordTrainingParams:
@@ -180,7 +169,7 @@ def _write_json(path, payload) -> None:
 # -- subcommands ---------------------------------------------------------------
 
 def cmd_ingest(args) -> int:
-    ds = _load_ds(args.input, args.tag)
+    ds = load_dataset(args.input, args.tag)
     out = _out_dir(args)
     save_dataset(ds, out / "dataset.jsonl")
     _write_json(out / "stats.json", dataset_stats(ds).to_dict())
@@ -190,7 +179,7 @@ def cmd_ingest(args) -> int:
 
 
 def cmd_stats(args) -> int:
-    report = dataset_stats(_load_ds(args.input))
+    report = dataset_stats(load_dataset(args.input))
     print(report.format_text())
     if args.out:
         out = _out_dir(args)
@@ -200,7 +189,7 @@ def cmd_stats(args) -> int:
 
 
 def cmd_train_embeddings(args) -> int:
-    ds = _load_ds(args.input)
+    ds = load_dataset(args.input)
     streams = [preprocess(c, remove_stopwords=True, stopwords=_stopwords(args))
                for c in ds.comments()]
     out = _out_dir(args)
@@ -219,16 +208,15 @@ def cmd_train_embeddings(args) -> int:
 
 
 def cmd_neighbors(args) -> int:
-    model = _load_word_model(args.model)
+    model = WordEmbeddingModel.load(args.model)
     for token, similarity in model.most_similar(args.word, args.top):
         print(f"{token}\t{similarity:.4f}")
     return 0
 
 
 def cmd_enrich_keywords(args) -> int:
-    model = _load_word_model(args.model)
+    model = WordEmbeddingModel.load(args.model)
     seeds = load_keywords(args.seeds)
-    from .features import enrich_keywords
     ks = enrich_keywords(seeds, model, top_n=args.top_n, min_sim=args.min_sim)
     for token in ks.enriched:
         flag = "\t# no-embedding" if token in ks.missing else ""
@@ -243,9 +231,9 @@ def cmd_enrich_keywords(args) -> int:
 
 
 def cmd_features(args) -> int:
-    ds = _load_ds(args.input)
-    word_model = _load_word_model(args.word_model) if args.word_model else None
-    doc_model = _load_doc_model(args.doc_model) if args.doc_model else None
+    ds = load_dataset(args.input)
+    word_model = WordEmbeddingModel.load(args.word_model) if args.word_model else None
+    doc_model = DocEmbeddingModel.load(args.doc_model) if args.doc_model else None
     pipeline = FeaturePipeline(word_model=word_model, doc_model=doc_model,
                                keyword_seeds=_keyword_seeds(args),
                                stopwords=_stopwords(args),
@@ -263,9 +251,9 @@ def cmd_features(args) -> int:
 
 
 def cmd_train(args) -> int:
-    ds = _load_ds(args.input)
-    word_model = _load_word_model(args.word_model) if args.word_model else None
-    doc_model = _load_doc_model(args.doc_model) if args.doc_model else None
+    ds = load_dataset(args.input)
+    word_model = WordEmbeddingModel.load(args.word_model) if args.word_model else None
+    doc_model = DocEmbeddingModel.load(args.doc_model) if args.doc_model else None
     out = _out_dir(args)
     entries = list(ds)
     seed = derive_seed(args.seed, "train")
@@ -296,9 +284,9 @@ def cmd_train(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    ds = _load_ds(args.input)
-    word_model = _load_word_model(args.word_model) if args.word_model else None
-    doc_model = _load_doc_model(args.doc_model) if args.doc_model else None
+    ds = load_dataset(args.input)
+    word_model = WordEmbeddingModel.load(args.word_model) if args.word_model else None
+    doc_model = DocEmbeddingModel.load(args.doc_model) if args.doc_model else None
     entries = list(ds)
     y = binary_labels(ds, args.target)
     result = cross_validate(
@@ -325,9 +313,9 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_grid_search(args) -> int:
-    ds = _load_ds(args.input)
-    word_model = _load_word_model(args.word_model) if args.word_model else None
-    doc_model = _load_doc_model(args.doc_model) if args.doc_model else None
+    ds = load_dataset(args.input)
+    word_model = WordEmbeddingModel.load(args.word_model) if args.word_model else None
+    doc_model = DocEmbeddingModel.load(args.doc_model) if args.doc_model else None
     with open(args.grid, encoding="utf-8") as fh:
         raw = json.load(fh)
     grid = GridSpec(params=raw.get("params", {}),
@@ -353,10 +341,10 @@ def cmd_grid_search(args) -> int:
 
 
 def cmd_cross_eval(args) -> int:
-    train_ds = _load_ds(args.train, "train")
-    test_ds = _load_ds(args.test, "test")
-    word_model = _load_word_model(args.word_model) if args.word_model else None
-    doc_model = _load_doc_model(args.doc_model) if args.doc_model else None
+    train_ds = load_dataset(args.train, "train")
+    test_ds = load_dataset(args.test, "test")
+    word_model = WordEmbeddingModel.load(args.word_model) if args.word_model else None
+    doc_model = DocEmbeddingModel.load(args.doc_model) if args.doc_model else None
     classes = args.classes.split(",") if args.classes else ("Meta",) + ADDRESSEE_LABELS
     results = cross_dataset_eval(
         train_ds, test_ds,
@@ -377,9 +365,9 @@ def cmd_cross_eval(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    ds = _load_ds(args.input)
+    ds = load_dataset(args.input)
     models_dir = Path(args.models)
-    doc_model = _load_doc_model(args.doc_model) if args.doc_model else None
+    doc_model = DocEmbeddingModel.load(args.doc_model) if args.doc_model else None
     classifier = TwoStepClassifier.load(models_dir, doc_model=doc_model,
                                         threshold=args.threshold)
     out = _out_dir(args)
@@ -394,15 +382,19 @@ def cmd_classify(args) -> int:
                 "confidences": {k: round(v, 6)
                                 for k, v in sorted(result.confidences.items())},
             }, ensure_ascii=False) + "\n")
-    _write_manifest(out, args, [args.input, models_dir / "meta.json"])
+    # every file TwoStepClassifier.load reads; absent addressee files are skipped
+    model_files = [models_dir / "extractor.json", models_dir / "meta.json",
+                   *(models_dir / f"addressee_{label.lower()}.json"
+                     for label in ADDRESSEE_LABELS)]
+    _write_manifest(out, args, [args.input, *model_files])
     print(f"classified {len(ds)} comments -> {results_path}")
     return 0
 
 
 def cmd_rank_features(args) -> int:
-    ds = _load_ds(args.input)
-    word_model = _load_word_model(args.word_model) if args.word_model else None
-    doc_model = _load_doc_model(args.doc_model) if args.doc_model else None
+    ds = load_dataset(args.input)
+    word_model = WordEmbeddingModel.load(args.word_model) if args.word_model else None
+    doc_model = DocEmbeddingModel.load(args.doc_model) if args.doc_model else None
     pipeline = FeaturePipeline(word_model=word_model, doc_model=doc_model,
                                keyword_seeds=_keyword_seeds(args),
                                stopwords=_stopwords(args),
@@ -434,8 +426,8 @@ def cmd_rank_features(args) -> int:
 
 
 def cmd_sample(args) -> int:
-    ds = _load_ds(args.input)
-    word_model = _load_word_model(args.word_model) if args.word_model else None
+    ds = load_dataset(args.input)
+    word_model = WordEmbeddingModel.load(args.word_model) if args.word_model else None
     seeds = _keyword_seeds(args) or None
     keyword_sets = build_keyword_sets(word_model, seeds) if args.method != "random" \
         else {}
@@ -443,7 +435,7 @@ def cmd_sample(args) -> int:
         batch = sample_by_pattern(ds, keyword_sets[args.label], args.n,
                                   batch_id=args.batch_id)
     elif args.method == "similarity":
-        doc_model = _load_doc_model(args.doc_model)
+        doc_model = DocEmbeddingModel.load(args.doc_model)
         batch = sample_by_similarity(ds, keyword_sets[args.label], word_model,
                                      doc_model, n=args.n, batch_id=args.batch_id,
                                      stopwords=_stopwords(args))
@@ -458,7 +450,7 @@ def cmd_sample(args) -> int:
 
 
 def cmd_merge(args) -> int:
-    ds = _load_ds(args.input)
+    ds = load_dataset(args.input)
     coded = []
     for path in args.coded:
         coded.extend(load_coded_csv(path))

@@ -128,12 +128,6 @@ class LabeledDataset:
     def comments(self) -> Iterator[Comment]:
         return (c for c, _ in self.entries)
 
-    def by_id(self, comment_id: str) -> tuple:
-        for c, ls in self.entries:
-            if c.id == comment_id:
-                return c, ls
-        raise KeyError(comment_id)
-
     def ids(self) -> set:
         return {c.id for c, _ in self.entries}
 
@@ -147,19 +141,35 @@ class LabeledDataset:
 
 def _parse_timestamp(raw: str) -> datetime:
     try:
-        ts = datetime.fromisoformat(raw)
+        return datetime.fromisoformat(raw)
     except (TypeError, ValueError) as exc:
         raise DatasetError(f"invalid timestamp {raw!r}: {exc}") from None
-    return ts.replace(second=0, microsecond=0)
+
+
+# the type each field's non-null value must have
+_FIELD_TYPES = {
+    "text": str, "title": str, "department": str, "username": str, "forum_id": str,
+    "position": int, "has_quote": bool, "labels": list,
+}
 
 
 def _record_to_entry(record: dict) -> tuple:
+    if not isinstance(record, dict):
+        raise DatasetError(f"expected a JSON object, got {type(record).__name__}")
     for key in ("id", "text", "timestamp"):
-        if key not in record:
+        if record.get(key) is None:
             raise DatasetError(f"missing field {key!r}")
     unknown = set(record) - set(_JSONL_KEYS)
     if unknown:
         raise DatasetError(f"unknown fields: {sorted(unknown)}")
+    for key, expected in _FIELD_TYPES.items():
+        value = record.get(key)
+        # bool is a subclass of int, so isinstance alone would accept true/false
+        if value is not None and (not isinstance(value, expected)
+                                  or (expected is int and isinstance(value, bool))):
+            raise DatasetError(f"field {key!r} must be {expected.__name__}, got {value!r}")
+    if not all(isinstance(label, str) for label in record.get("labels") or ()):
+        raise DatasetError(f"field 'labels' must hold strings, got {record['labels']!r}")
     comment = Comment(
         id=str(record["id"]),
         title=record.get("title", "") or "",
@@ -175,14 +185,13 @@ def _record_to_entry(record: dict) -> tuple:
     return comment, labels
 
 
-def load_dataset(path, format: str = "comments-jsonl", source_tag: Optional[str] = None) -> LabeledDataset:
+def load_dataset(path, source_tag: Optional[str] = None) -> LabeledDataset:
     """Load and validate a comments-jsonl file (one JSON object per line).
 
     Raises DatasetError naming the offending line for any malformed record,
-    duplicate id, or label-invariant violation. An empty file is an error.
+    wrongly typed field, duplicate id, or label-invariant violation. An
+    empty file is an error.
     """
-    if format != "comments-jsonl":
-        raise DatasetError(f"unsupported format {format!r}")
     path = Path(path)
     entries = []
     with open(path, encoding="utf-8") as fh:

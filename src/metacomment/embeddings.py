@@ -181,9 +181,6 @@ class WordEmbeddingModel:
     def __len__(self) -> int:
         return len(self.vocab)
 
-    def token_at(self, index: int) -> str:
-        return self._tokens[index]
-
     def vector(self, token: str) -> np.ndarray:
         if token not in self.vocab:
             raise EmbeddingError(f"word not in vocabulary: {token!r}")
@@ -515,11 +512,3 @@ def train_doc_embeddings(corpus: Iterable[TokenStream], params: WordTrainingPara
                        len(flagged))
     return DocEmbeddingModel(word_model, doc_vectors, flagged,
                              inference_params or DocInferenceParams(seed=params.seed))
-
-
-def infer_doc_vector(model: DocEmbeddingModel, ts: TokenStream) -> np.ndarray:
-    """Vector for an unseen comment; zero vector when no token is known."""
-    vector, all_oov = model.infer(ts)
-    if all_oov:
-        logger.warning("comment %r: all tokens out of vocabulary", ts.source_id)
-    return vector

@@ -73,10 +73,6 @@ class Metrics:
             tn=int(np.sum((y_true == 0) & (y_pred == 0))),
             beta=beta)
 
-    @property
-    def n(self) -> int:
-        return self.tp + self.fp + self.fn + self.tn
-
 
 @dataclass(frozen=True)
 class MeanMetrics:

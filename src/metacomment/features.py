@@ -407,15 +407,11 @@ class FeatureVector:
     """Sparse named feature values; zero entries are omitted."""
 
     values: dict
-    registry_version: str = ""
 
     def __post_init__(self):
         for name, value in self.values.items():
             if not math.isfinite(value):
                 raise FeatureError(f"non-finite value for feature {name!r}")
-
-    def get(self, name: str, default: float = 0.0) -> float:
-        return self.values.get(name, default)
 
 
 class FeatureExtractor:
@@ -544,7 +540,7 @@ class FeatureExtractor:
         if cfg.metadata:
             values.update(metadata_features(comment, self.departments))
         values = {k: v for k, v in values.items() if v != 0.0}
-        return FeatureVector(values=values, registry_version=self._hash)
+        return FeatureVector(values=values)
 
     def matrix(self, comments: Iterable[Comment]) -> np.ndarray:
         return build_matrix([self.assemble(c) for c in comments], self._registry)
@@ -614,22 +610,6 @@ def anova_f_matrix(X: np.ndarray, y: Sequence[int]) -> np.ndarray:
     scores[regular] = msb[regular] / msw[regular]
     scores[separated] = np.inf
     return scores
-
-
-def anova_f_scores(fvs: Sequence[FeatureVector], y: Sequence[int],
-                   registry: Optional[Sequence[str]] = None) -> dict:
-    """F-score per feature name, keyed in registry order."""
-    if registry is None:
-        seen = set()
-        registry = []
-        for fv in fvs:
-            for name in fv.values:
-                if name not in seen:
-                    seen.add(name)
-                    registry.append(name)
-    X = build_matrix(fvs, registry)
-    scores = anova_f_matrix(X, y)
-    return {name: float(score) for name, score in zip(registry, scores)}
 
 
 def select_k_best(scores: dict, k) -> list:

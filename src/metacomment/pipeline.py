@@ -171,9 +171,14 @@ class FeaturePipeline:
         return X
 
     def _train(self, X: np.ndarray, y: np.ndarray) -> TrainedModel:
-        """One classifier over the selected columns, tied to the extractor."""
+        """One classifier over the selected columns, tied to the extractor.
+
+        The model stores its column names only when select-k picked a subset;
+        over all columns, the extractor's registry hash already fixes them.
+        """
+        registry = self.selected if self._columns is not None else None
         return train_classifier(self.classifier, X, y, self.classifier_params,
-                                registry=self.selected,
+                                registry=registry,
                                 registry_hash=self.extractor.registry_hash)
 
     def _matrix(self, entries: Sequence[Entry]) -> np.ndarray:

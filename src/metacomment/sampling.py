@@ -117,26 +117,6 @@ def sample_random(ds: LabeledDataset, n: int, seed: int = 0,
     return AnnotationBatch(batch_id=batch_id, items=items)
 
 
-def merge_batches(batches: Sequence[AnnotationBatch],
-                  batch_id: str = "merged") -> AnnotationBatch:
-    """Deduplicate by comment id; pattern provenance wins on conflict."""
-    rank = {p: i for i, p in enumerate(PROVENANCES)}
-    best: Dict[str, BatchItem] = {}
-    order: List[str] = []
-    for batch in batches:
-        for item in batch.items:
-            cid = item.comment.id
-            if cid not in best:
-                best[cid] = item
-                order.append(cid)
-            elif rank[item.provenance] < rank[best[cid].provenance]:
-                best[cid] = item
-    items = [best[cid] for cid in order]
-    items.sort(key=lambda it: (rank[it.provenance],
-                               -(it.score if it.score is not None else 0.0)))
-    return AnnotationBatch(batch_id=batch_id, items=tuple(items))
-
-
 # -- annotation batch CSV -------------------------------------------------------
 
 _CSV_COLUMNS = ("batch_id", "comment_id", "title", "text", "provenance",

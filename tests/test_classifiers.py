@@ -90,7 +90,7 @@ class TestLinearSvm:
         model = TrainedModel(kind="linear_svm",
                              inner=LinearSvm(np.array([1.0]), 0.0, SvmHyperparams()),
                              hyperparams=SvmHyperparams())
-        assert model.decision_value(np.array([0.0])) == 0.0
+        assert model.decision_values(np.array([0.0]))[0] == 0.0
         assert model.predict(np.array([0.0])) == 1
 
     def test_unconverged_fit_warns(self, caplog):

@@ -52,6 +52,15 @@ class TestIngestAndStats:
         assert rc == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("field", ['"text": 5', '"text": "x.", "position": "3"'])
+    def test_stats_rejects_wrong_field_type(self, tmp_path, capsys, field):
+        bad = tmp_path / "types.jsonl"
+        bad.write_text('{"id": "a", "text": "ok.", "timestamp": "2020-01-01T00:00"}\n'
+                       f'{{"id": "b", {field}, "timestamp": "2020-01-01T00:00"}}\n')
+        assert main(["stats", "--input", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert "line 2" in err and "Traceback" not in err
+
     def test_stats_prints_counts(self, workspace, capsys):
         rc = main(["stats", "--input", str(workspace["dataset"])])
         assert rc == 0
@@ -160,6 +169,16 @@ class TestTrainAndClassify:
         assert any(r["addressees"] for r in flagged)
         gated = [r for r in records if not r["is_meta"]]
         assert all(r["addressees"] == [] and r["confidences"] == {} for r in gated)
+
+    def test_classify_manifest_hashes_every_model_file(self, workspace, models_dir,
+                                                       tmp_path):
+        out = tmp_path / "classified"
+        assert main(["classify", "--input", str(workspace["dataset"]),
+                     "--models", str(models_dir), "--out", str(out)]) == 0
+        hashes = json.loads((out / "manifest.json").read_text())["input_hashes"]
+        assert sorted(Path(p).name for p in hashes) == [
+            "addressee_journalist.json", "addressee_media.json",
+            "addressee_moderator.json", "dataset.jsonl", "extractor.json", "meta.json"]
 
     def test_classify_lines_match_loaded_classifier(self, workspace, models_dir,
                                                     tmp_path):

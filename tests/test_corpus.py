@@ -79,7 +79,7 @@ class TestLoadDataset:
         # hand count of the fixture records above
         assert counts == {"Media": 1, "Journalist": 0, "Moderator": 0,
                           "Meta": 1, "NonMeta": 1}
-        c, ls = ds.by_id("3")
+        c, ls = {c.id: (c, ls) for c, ls in ds}["3"]
         assert not ls
         assert c.department is None
 
@@ -107,6 +107,44 @@ class TestLoadDataset:
         path = tmp_path / "ts.jsonl"
         write_jsonl(path, [{"id": "1", "text": "ok.", "timestamp": "gestern"}])
         with pytest.raises(DatasetError, match="line 1.*timestamp"):
+            load_dataset(path)
+
+    @pytest.mark.parametrize("key, value, expected", [
+        ("text", 5, "be str"), ("position", "3", "be int"), ("position", True, "be int"),
+        ("title", 7, "be str"), ("has_quote", 1, "be bool"), ("department", 2, "be str"),
+        ("username", [], "be str"), ("forum_id", 4, "be str"),
+        ("labels", "Meta", "be list"), ("labels", [1, "Meta"], "hold strings"),
+        ("labels", [["Meta"]], "hold strings"),
+    ])
+    def test_wrong_field_type_names_line(self, tmp_path, key, value, expected):
+        path = tmp_path / "types.jsonl"
+        write_jsonl(path, [GOOD_RECORDS[0], {"id": "9", "text": "ok.",
+                                             "timestamp": "2020-01-01T00:00",
+                                             key: value}])
+        with pytest.raises(DatasetError, match=f"line 2: field '{key}' must {expected}"):
+            load_dataset(path)
+
+    def test_non_object_line_names_line(self, tmp_path):
+        path = tmp_path / "array.jsonl"
+        write_jsonl(path, [GOOD_RECORDS[0], ["9", "ok.", "2020-01-01T00:00"]])
+        with pytest.raises(DatasetError, match="line 2: expected a JSON object"):
+            load_dataset(path)
+
+    def test_null_optional_fields_accepted(self, tmp_path):
+        path = tmp_path / "nulls.jsonl"
+        write_jsonl(path, [{"id": "1", "text": "ok.", "timestamp": "2020-01-01T00:00",
+                            **{key: None for key in ("title", "position", "has_quote",
+                                                     "department", "username",
+                                                     "forum_id", "labels")}}])
+        c, ls = next(iter(load_dataset(path)))
+        assert (c.title, c.position, c.has_quote, ls) == ("", None, None, LabelSet())
+
+    @pytest.mark.parametrize("key", ["id", "text", "timestamp"])
+    def test_null_required_field_is_missing(self, tmp_path, key):
+        record = {"id": "9", "text": "ok.", "timestamp": "2020-01-01T00:00", key: None}
+        path = tmp_path / "null.jsonl"
+        write_jsonl(path, [record])
+        with pytest.raises(DatasetError, match=f"line 1: missing field '{key}'"):
             load_dataset(path)
 
     def test_missing_field_reported(self, tmp_path):

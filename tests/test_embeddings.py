@@ -13,7 +13,6 @@ from metacomment.embeddings import (
     WordTrainingParams,
     cosine_distance,
     cosine_similarity,
-    infer_doc_vector,
     negative_sampling_gradients,
     negative_sampling_loss,
     train_doc_embeddings,
@@ -216,15 +215,15 @@ class TestDocEmbeddings:
 class TestInference:
     def test_deterministic(self, toy_doc_model):
         ts = TokenStream(("kaffee", "tasse", "bohne", "milch"), "q")
-        v1 = infer_doc_vector(toy_doc_model, ts)
-        v2 = infer_doc_vector(toy_doc_model, ts)
+        v1 = toy_doc_model.infer(ts)[0]
+        v2 = toy_doc_model.infer(ts)[0]
         assert np.array_equal(v1, v2)
 
     def test_word_matrices_frozen(self, toy_doc_model):
         wm = toy_doc_model.word_model
         before = (hashlib.sha256(wm.vectors.tobytes()).hexdigest(),
                   hashlib.sha256(wm.out_vectors.tobytes()).hexdigest())
-        infer_doc_vector(toy_doc_model, TokenStream(("kaffee", "espresso", "milch"), "q"))
+        toy_doc_model.infer(TokenStream(("kaffee", "espresso", "milch"), "q"))
         after = (hashlib.sha256(wm.vectors.tobytes()).hexdigest(),
                  hashlib.sha256(wm.out_vectors.tobytes()).hexdigest())
         assert before == after
@@ -232,7 +231,7 @@ class TestInference:
     def test_inferring_training_comment_lands_near_trained_vector(self, toy_doc_model):
         streams, _ = doc_cluster_corpus(3)
         ts = streams[0]
-        inferred = infer_doc_vector(toy_doc_model, TokenStream(ts.tokens, "fresh"))
+        inferred = toy_doc_model.infer(TokenStream(ts.tokens, "fresh"))[0]
         trained = toy_doc_model.doc_vectors[ts.source_id]
         assert cosine_similarity(inferred, trained) > 0.5
 

@@ -19,7 +19,6 @@ from metacomment.features import (
     FeatureVector,
     KeywordSet,
     anova_f_matrix,
-    anova_f_scores,
     build_matrix,
     class_vectors,
     compile_keyword_pattern,
@@ -388,7 +387,6 @@ class TestAssemble:
                          department="politik", position=3, has_quote=False)
         fv = extractor.assemble(c)
         assert set(fv.values) <= set(extractor.registry)
-        assert fv.registry_version == extractor.registry_hash
         assert fv.values["regex_journalist_matches"] == 2.0
 
     def test_assemble_is_pure(self):
@@ -430,9 +428,11 @@ class TestAnova:
         assert np.allclose(scaled, base, rtol=1e-9)
 
     def test_named_scores(self):
+        # the named path of rank-features: feature vectors -> matrix -> scores
         fvs = [FeatureVector({"a": 1.0}), FeatureVector({"a": 2.0}),
                FeatureVector({"a": 3.0}), FeatureVector({"a": 4.0})]
-        scores = anova_f_scores(fvs, [0, 0, 1, 1])
+        X = build_matrix(fvs, ("a",))
+        scores = dict(zip(("a",), anova_f_matrix(X, [0, 0, 1, 1])))
         assert scores["a"] == 8.0
 
 

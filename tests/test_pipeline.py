@@ -1,6 +1,10 @@
+import json
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from metacomment.classifiers import load_model, save_model
 from metacomment.corpus import LabeledDataset
 from metacomment.embeddings import WordTrainingParams, train_doc_embeddings, train_word_embeddings
 from metacomment.evaluation import binary_labels, cross_dataset_eval, cross_validate
@@ -60,13 +64,18 @@ class TestFeaturePipeline:
                                 entries, y, k=4, seed=1)
         assert result.mean.f_beta >= 0.9
 
-    def test_select_k_limits_model_registry(self, dataset, word_model):
+    def test_select_k_limits_model_registry(self, dataset, word_model, tmp_path):
         entries = list(dataset)
         y = binary_labels(dataset, "Meta")
         pipeline = make_pipeline(word_model, select_k=10).fit(entries, y)
         assert len(pipeline.selected) == 10
         assert len(pipeline.model.registry) == 10
         assert pipeline.model.registry_hash == pipeline.extractor.registry_hash
+        # a column subset is the one case where a saved model keeps its names
+        save_model(pipeline.model, tmp_path / "model.json")
+        loaded = load_model(tmp_path / "model.json",
+                            registry_hash=pipeline.extractor.registry_hash)
+        assert loaded.registry == pipeline.selected
         assert (pipeline.predict(entries) == y).mean() >= 0.9
         # oracle: the stored column index picks the selected names' columns
         X = pipeline.extractor.matrix(dataset.comments())
@@ -74,6 +83,8 @@ class TestFeaturePipeline:
         columns = [registry.index(name) for name in pipeline.selected]
         assert np.array_equal(pipeline.predict(entries),
                               pipeline.model.predict_many(X[:, columns]))
+        assert np.array_equal(loaded.predict_many(X[:, columns]),
+                              pipeline.predict(entries))
 
     def test_calibrated_confidences(self, dataset, word_model):
         entries = list(dataset)
@@ -178,6 +189,30 @@ class TestTwoStepClassifier:
             "addressee_moderator.json", "extractor.json", "meta.json"]
         loaded = TwoStepClassifier.load(tmp_path, None, fitted.threshold)
         assert loaded.pipeline.extractor.registry == fitted.pipeline.extractor.registry
+        for entry in dataset:
+            assert loaded.classify(entry) == fitted.classify(entry)
+
+    def test_saved_models_store_registry_hash_only(self, fitted, tmp_path):
+        fitted.save(tmp_path)
+        names = ["meta.json", *(p.name for p in tmp_path.glob("addressee_*.json"))]
+        assert len(names) == 4
+        for name in names:
+            data = json.loads((tmp_path / name).read_text(encoding="utf-8"))
+            assert data["registry"] is None, name
+            assert data["registry_hash"] == fitted.pipeline.extractor.registry_hash
+
+    def test_models_with_full_registry_still_load(self, fitted, dataset, tmp_path):
+        # model files that repeat the extractor's registry, as older saves did
+        fitted.save(tmp_path)
+        registry = tuple(fitted.pipeline.extractor.registry)
+        models = {"meta.json": fitted.meta_model,
+                  **{f"addressee_{label.lower()}.json": model
+                     for label, model in fitted.addressee_models.items()}}
+        for name, model in models.items():
+            save_model(replace(model, registry=registry), tmp_path / name)
+            stored = json.loads((tmp_path / name).read_text(encoding="utf-8"))
+            assert len(stored["registry"]) == len(registry)
+        loaded = TwoStepClassifier.load(tmp_path, None, fitted.threshold)
         for entry in dataset:
             assert loaded.classify(entry) == fitted.classify(entry)
 

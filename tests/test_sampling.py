@@ -19,7 +19,6 @@ from metacomment.sampling import (
     keyword_average_vector,
     load_coded_csv,
     merge_annotations,
-    merge_batches,
     sample_by_pattern,
     sample_by_similarity,
     sample_random,
@@ -126,14 +125,6 @@ class TestRandomAndMerge:
         b = sample_random(ds, 3, seed=5)
         assert a.ids() == b.ids()
 
-    def test_merge_dedupes_with_pattern_priority(self):
-        c = make_comment("x1", text="sysop Zensur.")
-        batch_a = AnnotationBatch("a", (BatchItem(c, "similarity", 0.9),))
-        batch_b = AnnotationBatch("b", (BatchItem(c, "pattern"),))
-        merged = merge_batches([batch_a, batch_b])
-        assert len(merged) == 1
-        assert merged.items[0].provenance == "pattern"
-
     def test_batch_rejects_duplicates(self):
         c = make_comment("x1", text="a b.")
         with pytest.raises(SamplingError, match="duplicate"):
@@ -157,7 +148,7 @@ class TestMergeAnnotations:
         coded = [("m0", LabelSet.of("Meta")), ("m0", LabelSet.of("Meta")),
                  ("m0", LabelSet.of("NonMeta"))]
         merged, flagged = merge_annotations(ds, coded)
-        assert merged.by_id("m0")[1] == LabelSet.of("Meta")
+        assert {c.id: ls for c, ls in merged}["m0"] == LabelSet.of("Meta")
         assert flagged == ()
 
     def test_three_way_disagreement_flagged(self):
@@ -167,7 +158,7 @@ class TestMergeAnnotations:
                  ("m1", LabelSet())]
         merged, flagged = merge_annotations(ds, coded)
         assert flagged == ("m1",)
-        assert merged.by_id("m1")[1] == LabelSet()
+        assert {c.id: ls for c, ls in merged}["m1"] == LabelSet()
 
     def test_five_comment_hand_tally(self):
         ds = self._ds()
