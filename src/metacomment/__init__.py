@@ -24,7 +24,6 @@ from .embeddings import (  # noqa: F401
     train_word_embeddings,
 )
 from .features import (  # noqa: F401
-    FeatureConfig,
     FeatureExtractor,
     FeatureVector,
     KeywordSet,

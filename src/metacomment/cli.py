@@ -138,7 +138,8 @@ def _pipeline_from_args(args, word_model, doc_model, seed, params=None,
         word_model=word_model, doc_model=doc_model,
         keyword_seeds=_keyword_seeds(args),
         select_k=select_k if select_k is not None else _select_k(args),
-        stopwords=_stopwords(args), seed=seed)
+        stopwords=_stopwords(args),
+        with_calibration=getattr(args, "calibrate", False), seed=seed)
 
 
 def _keyword_seeds(args):
@@ -236,8 +237,7 @@ def cmd_features(args) -> int:
     doc_model = DocEmbeddingModel.load(args.doc_model) if args.doc_model else None
     pipeline = FeaturePipeline(word_model=word_model, doc_model=doc_model,
                                keyword_seeds=_keyword_seeds(args),
-                               stopwords=_stopwords(args),
-                               seed=derive_seed(args.seed, "features"))
+                               stopwords=_stopwords(args))
     extractor = pipeline._fit_extractor(list(ds))
     fvs = [extractor.assemble(c) for c in ds.comments()]
     out = _out_dir(args)
@@ -254,25 +254,19 @@ def cmd_train(args) -> int:
     ds = load_dataset(args.input)
     word_model = WordEmbeddingModel.load(args.word_model) if args.word_model else None
     doc_model = DocEmbeddingModel.load(args.doc_model) if args.doc_model else None
-    out = _out_dir(args)
     entries = list(ds)
-    seed = derive_seed(args.seed, "train")
+    pipeline = _pipeline_from_args(args, word_model, doc_model,
+                                   derive_seed(args.seed, "train"))
     if args.two_step:
-        classifier = TwoStepClassifier(
-            feature_pipeline_kwargs=dict(
-                classifier=args.classifier,
-                classifier_params=_parse_kv_params(args.params),
-                word_model=word_model, doc_model=doc_model,
-                keyword_seeds=_keyword_seeds(args), stopwords=_stopwords(args)),
-            threshold=args.threshold, seed=seed)
+        # rejects --select-k and --calibrate before anything is written
+        classifier = TwoStepClassifier(pipeline, threshold=args.threshold)
+        out = _out_dir(args)
         classifier.fit(entries)
         classifier.save(out)
         print(f"trained two-step classifier on {len(entries)} comments")
     else:
+        out = _out_dir(args)
         y = binary_labels(ds, args.target)
-        pipeline = _pipeline_from_args(args, word_model, doc_model, seed,
-                                       params=_parse_kv_params(args.params))
-        pipeline.with_calibration = args.calibrate
         pipeline.fit(entries, y)
         save_extractor(pipeline.extractor, out / "extractor.json")
         save_model(pipeline.model, out / "model.json")
@@ -397,8 +391,7 @@ def cmd_rank_features(args) -> int:
     doc_model = DocEmbeddingModel.load(args.doc_model) if args.doc_model else None
     pipeline = FeaturePipeline(word_model=word_model, doc_model=doc_model,
                                keyword_seeds=_keyword_seeds(args),
-                               stopwords=_stopwords(args),
-                               seed=derive_seed(args.seed, "rank"))
+                               stopwords=_stopwords(args))
     extractor = pipeline._fit_extractor(list(ds))
     X = extractor.matrix(ds.comments())
     classes = args.classes.split(",") if args.classes else ("Meta",) + ADDRESSEE_LABELS
@@ -585,7 +578,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="train the meta gate plus all addressee models")
     p.add_argument("--threshold", type=float, default=0.8)
     p.add_argument("--calibrate", action="store_true",
-                   help="fit a confidence sigmoid on an internal holdout")
+                   help="fit a confidence sigmoid on an internal holdout "
+                        "(single-target training; --two-step rejects it)")
     _add_classifier_flags(p)
     _add_model_flags(p)
     _add_common(p, out_required=True)

@@ -146,10 +146,11 @@ def _parse_timestamp(raw: str) -> datetime:
         raise DatasetError(f"invalid timestamp {raw!r}: {exc}") from None
 
 
-# the type each field's non-null value must have
+# the types each field's non-null value may have
 _FIELD_TYPES = {
-    "text": str, "title": str, "department": str, "username": str, "forum_id": str,
-    "position": int, "has_quote": bool, "labels": list,
+    "id": (str, int), "text": (str,), "title": (str,), "department": (str,),
+    "username": (str,), "forum_id": (str,), "position": (int,), "has_quote": (bool,),
+    "labels": (list,),
 }
 
 
@@ -166,8 +167,9 @@ def _record_to_entry(record: dict) -> tuple:
         value = record.get(key)
         # bool is a subclass of int, so isinstance alone would accept true/false
         if value is not None and (not isinstance(value, expected)
-                                  or (expected is int and isinstance(value, bool))):
-            raise DatasetError(f"field {key!r} must be {expected.__name__}, got {value!r}")
+                                  or (isinstance(value, bool) and bool not in expected)):
+            names = " or ".join(t.__name__ for t in expected)
+            raise DatasetError(f"field {key!r} must be {names}, got {value!r}")
     if not all(isinstance(label, str) for label in record.get("labels") or ()):
         raise DatasetError(f"field 'labels' must hold strings, got {record['labels']!r}")
     comment = Comment(

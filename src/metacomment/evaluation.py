@@ -9,7 +9,6 @@ positives than about missed ones.
 from __future__ import annotations
 
 import csv
-import inspect
 import itertools
 import logging
 from dataclasses import dataclass
@@ -132,14 +131,6 @@ def _check_no_leak(pipeline, train_items, test_items) -> None:
                         f"{sorted(leaked)[:5]}")
 
 
-def _make_pipeline(factory: Callable, seed: int):
-    try:
-        accepts_seed = len(inspect.signature(factory).parameters) >= 1
-    except (TypeError, ValueError):
-        accepts_seed = False
-    return factory(seed) if accepts_seed else factory()
-
-
 @dataclass(frozen=True)
 class CvResult:
     fold_metrics: tuple
@@ -153,8 +144,9 @@ def cross_validate(pipeline_factory: Callable, items: Sequence, y,
                    k: int = 10, seed: int = 0, beta: float = 0.5) -> CvResult:
     """Stratified k-fold evaluation of a trainable+predictable pipeline.
 
-    A fresh pipeline is built per fold and fit on the train fold only; a
-    pipeline exposing fitted_ids() is checked against test-fold leakage.
+    A fresh pipeline, pipeline_factory(fold_seed), is built per fold and fit
+    on the train fold only; a pipeline exposing fitted_ids() is checked
+    against test-fold leakage.
     """
     y = np.asarray(y, dtype=int)
     if len(items) != len(y):
@@ -165,8 +157,7 @@ def cross_validate(pipeline_factory: Callable, items: Sequence, y,
         train_idx, test_idx = folds[fold_index]
         train_items = [items[i] for i in train_idx]
         test_items = [items[i] for i in test_idx]
-        pipeline = _make_pipeline(pipeline_factory,
-                                  derive_seed(seed, f"fold:{fold_index}"))
+        pipeline = pipeline_factory(derive_seed(seed, f"fold:{fold_index}"))
         try:
             pipeline.fit(train_items, y[train_idx])
         except Exception as exc:
@@ -323,7 +314,7 @@ def cross_dataset_eval(train_ds: LabeledDataset, test_ds: LabeledDataset,
         y_test = binary_labels(test_ds, cls)
         if len(np.unique(y_train)) < 2:
             raise EvaluationError(f"class {cls!r} missing from training dataset")
-        pipeline = _make_pipeline(pipeline_factory, derive_seed(seed, f"class:{index}"))
+        pipeline = pipeline_factory(derive_seed(seed, f"class:{index}"))
         pipeline.fit(train_items, y_train)
         _check_no_leak(pipeline, train_items, test_items)
         predictions = np.asarray(pipeline.predict(test_items), dtype=int)

@@ -11,10 +11,10 @@ from __future__ import annotations
 import hashlib
 import math
 import re
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Union
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence
 
 import numpy as np
 
@@ -122,34 +122,19 @@ def default_keyword_seeds() -> dict:
     }
 
 
-def compile_keyword_pattern(keywords: Sequence[str],
-                            extra_patterns: Sequence[str] = ()) -> re.Pattern:
-    """Case-insensitive whole-word alternation with inflection suffixes.
-
-    Raises FeatureError for an invalid user-supplied extra pattern.
-    """
-    parts = []
+def compile_keyword_pattern(keywords: Sequence[str]) -> re.Pattern:
+    """Case-insensitive whole-word alternation with inflection suffixes."""
     alternation = sorted({k.lower() for k in keywords if k}, key=lambda k: (-len(k), k))
-    if alternation:
-        suffixes = "|".join(INFLECTION_SUFFIXES)
-        parts.append(r"\b(?:%s)(?:%s)?\b" % ("|".join(re.escape(k) for k in alternation),
-                                             suffixes))
-    for extra in extra_patterns:
-        try:
-            re.compile(extra)
-        except re.error as exc:
-            raise FeatureError(f"invalid extra pattern {extra!r}: {exc}") from None
-        parts.append("(?:%s)" % extra)
-    if not parts:
-        parts.append(r"(?!)")  # matches nothing
-    return re.compile("|".join(parts), re.IGNORECASE)
+    if not alternation:
+        return re.compile(r"(?!)")  # matches nothing
+    return re.compile(r"\b(?:%s)(?:%s)?\b" % ("|".join(re.escape(k) for k in alternation),
+                                              "|".join(INFLECTION_SUFFIXES)),
+                      re.IGNORECASE)
 
 
-def count_pattern_matches(comment: Comment, ks: Union[KeywordSet, re.Pattern],
-                          extra_patterns: Sequence[str] = ()) -> int:
-    """Number of keyword-pattern matches over the comment title and text."""
-    pattern = ks if isinstance(ks, re.Pattern) \
-        else compile_keyword_pattern(ks.enriched, extra_patterns)
+def count_pattern_matches(comment: Comment, pattern: re.Pattern) -> int:
+    """Number of matches of a compile_keyword_pattern() pattern over the
+    comment title and text."""
     return len(pattern.findall(_scan_text(comment)))
 
 
@@ -179,7 +164,7 @@ def tfidf_fit(corpus: Sequence[TokenStream]) -> TfidfModel:
     df_counts: List[int] = []
     for ts in corpus:
         # first-occurrence order, so column numbers do not depend on hashing
-        for gram in dict.fromkeys(ngrams(ts, 2)):
+        for gram in dict.fromkeys(ngrams(ts)):
             idx = vocabulary.get(gram)
             if idx is None:
                 vocabulary[gram] = len(df_counts)
@@ -198,7 +183,7 @@ def tfidf_transform(model: TfidfModel, ts: TokenStream) -> dict:
     if model is None:
         raise FeatureError("tf-idf transform called before fit")
     counts: Dict[str, int] = {}
-    for gram in ngrams(ts, 2):
+    for gram in ngrams(ts):
         if gram in model.vocabulary:
             counts[gram] = counts.get(gram, 0) + 1
     if not counts:
@@ -324,12 +309,11 @@ def class_vectors(dm: DocEmbeddingModel, ds: LabeledDataset,
 
 
 def semantic_features(dm: DocEmbeddingModel, cvs: Sequence[ClassVector],
-                      comment: Comment, include_dims: bool = False,
+                      comment: Comment,
                       stopwords: Optional[FrozenSet[str]] = None) -> dict:
     """Cosine distance to each class vector plus a one-hot nearest class.
 
-    Ties go to the first class in the fixed class order; with include_dims
-    the raw comment-vector components are added as semantic_sem_<i>.
+    Ties go to the first class in the fixed class order.
     """
     if not cvs:
         raise FeatureError("no class vectors given")
@@ -345,9 +329,6 @@ def semantic_features(dm: DocEmbeddingModel, cvs: Sequence[ClassVector],
     for cv in ordered:
         values[f"semantic_min_dist_{CLASS_FEATURE_NAMES[cv.label]}"] = \
             1.0 if cv.label == best_label else 0.0
-    if include_dims:
-        for i, x in enumerate(vec):
-            values[f"semantic_sem_{i}"] = float(x)
     return values
 
 
@@ -381,28 +362,6 @@ def metadata_features(comment: Comment, known_departments: Sequence[str]) -> dic
 # -- assembly ----------------------------------------------------------------
 
 @dataclass(frozen=True)
-class FeatureConfig:
-    """Feature-group toggles; semantic_dims adds the raw vector components."""
-
-    regex: bool = True
-    keywords: bool = True
-    tfidf: bool = True
-    text: bool = True
-    semantic: bool = True
-    semantic_dims: bool = False
-    metadata: bool = True
-
-    @classmethod
-    def only(cls, *groups: str) -> "FeatureConfig":
-        flags = {f.name: False for f in fields(cls)}
-        for group in groups:
-            if group not in flags:
-                raise FeatureError(f"unknown feature group {group!r}")
-            flags[group] = True
-        return cls(**flags)
-
-
-@dataclass(frozen=True)
 class FeatureVector:
     """Sparse named feature values; zero entries are omitted."""
 
@@ -419,12 +378,14 @@ class FeatureExtractor:
 
     matrix() gives the classifiers' input, in registry column order;
     assemble() gives one comment's named values for export and inspection.
-    Construction fails when an enabled group is missing its fitted model;
-    assembly itself is a pure function of (comment, fitted models, config).
+    Each group is on when its fitted model is given: keyword sets give the
+    regex and keyword groups, a tf-idf model the tf-idf group, and class
+    vectors (with the doc model that embeds comments) the semantic group.
+    Text statistics and metadata are always on. Assembly is a pure function
+    of (comment, fitted models).
     """
 
-    def __init__(self, config: FeatureConfig,
-                 keyword_sets: Optional[Dict[str, KeywordSet]] = None,
+    def __init__(self, keyword_sets: Optional[Dict[str, KeywordSet]] = None,
                  tfidf: Optional[TfidfModel] = None,
                  doc_model: Optional[DocEmbeddingModel] = None,
                  class_vecs: Optional[Sequence[ClassVector]] = None,
@@ -432,16 +393,9 @@ class FeatureExtractor:
                  sentiment_lexicon: Optional[dict] = None,
                  stopwords: Optional[FrozenSet[str]] = None,
                  extra_fitted_ids: Iterable[str] = ()):
-        self.config = config
-        if (config.regex or config.keywords) and not keyword_sets:
-            raise FeatureError("regex/keyword groups enabled but no keyword sets fitted")
-        if config.tfidf and tfidf is None:
-            raise FeatureError("tfidf group enabled but no fitted tf-idf model")
-        if config.semantic and (doc_model is None or not class_vecs):
-            raise FeatureError("semantic group enabled but embedding model or "
-                               "class vectors missing")
-        if config.semantic_dims and doc_model is None:
-            raise FeatureError("semantic_dims enabled but embedding model missing")
+        if class_vecs and doc_model is None:
+            raise FeatureError("class vectors given without the comment embedding "
+                               "model (doc model) they were computed with")
         self.keyword_sets = dict(keyword_sets or {})
         self.tfidf = tfidf
         self.doc_model = doc_model
@@ -465,31 +419,22 @@ class FeatureExtractor:
         self._hash = hashlib.sha256("\n".join(self._registry).encode()).hexdigest()[:16]
 
     def _build_registry(self) -> List[str]:
-        cfg = self.config
-        names: List[str] = []
-        if cfg.regex:
-            names.extend(f"regex_{CLASS_FEATURE_NAMES[label]}_matches"
-                         for label in ADDRESSEE_LABELS if label in self.keyword_sets)
-        if cfg.keywords:
-            names.extend(f"keyword_{token}" for token in self._keyword_tokens)
-        if cfg.tfidf:
+        names = [f"regex_{CLASS_FEATURE_NAMES[label]}_matches"
+                 for label in ADDRESSEE_LABELS if label in self.keyword_sets]
+        names.extend(f"keyword_{token}" for token in self._keyword_tokens)
+        if self.tfidf is not None:
             names.extend(f"tfidf_{gram}" for gram in self.tfidf.vocabulary)
-        if cfg.text:
-            names.extend(TEXT_STAT_NAMES)
-        if cfg.semantic:
-            names.extend(f"semantic_dist_{CLASS_FEATURE_NAMES[cv.label]}"
-                         for cv in self.class_vecs)
-            names.extend(f"semantic_min_dist_{CLASS_FEATURE_NAMES[cv.label]}"
-                         for cv in self.class_vecs)
-        if cfg.semantic_dims:
-            names.extend(f"semantic_sem_{i}" for i in range(self.doc_model.dim))
-        if cfg.metadata:
-            names.extend(f"department_{d}" for d in self.departments)
-            names.append("department_other")
-            names.append("position")
-            names.append("has_quote")
-            names.extend(f"dow_{i}" for i in range(7))
-            names.extend(f"hour_{i}" for i in range(24))
+        names.extend(TEXT_STAT_NAMES)
+        names.extend(f"semantic_dist_{CLASS_FEATURE_NAMES[cv.label]}"
+                     for cv in self.class_vecs)
+        names.extend(f"semantic_min_dist_{CLASS_FEATURE_NAMES[cv.label]}"
+                     for cv in self.class_vecs)
+        names.extend(f"department_{d}" for d in self.departments)
+        names.append("department_other")
+        names.append("position")
+        names.append("has_quote")
+        names.extend(f"dow_{i}" for i in range(7))
+        names.extend(f"hour_{i}" for i in range(24))
         return names
 
     @property
@@ -507,38 +452,28 @@ class FeatureExtractor:
         return frozenset(ids)
 
     def assemble(self, comment: Comment) -> FeatureVector:
-        cfg = self.config
         values: Dict[str, float] = {}
-        if cfg.regex:
-            for label in ADDRESSEE_LABELS:
-                if label in self._patterns:
-                    count = len(self._patterns[label].findall(_scan_text(comment)))
-                    if count:
-                        values[f"regex_{CLASS_FEATURE_NAMES[label]}_matches"] = float(count)
-        if cfg.keywords or cfg.tfidf:
-            ts = preprocess(comment, remove_stopwords=True, stopwords=self.stopwords)
-        if cfg.keywords:
-            raw_tokens = preprocess(comment).tokens
+        for label in ADDRESSEE_LABELS:
+            if label in self._patterns:
+                count = count_pattern_matches(comment, self._patterns[label])
+                if count:
+                    values[f"regex_{CLASS_FEATURE_NAMES[label]}_matches"] = float(count)
+        if self._keyword_tokens:
             counts: Dict[str, int] = {}
-            for token in raw_tokens:
+            for token in preprocess(comment).tokens:
                 counts[token] = counts.get(token, 0) + 1
             for token in self._keyword_tokens:
                 if counts.get(token):
                     values[f"keyword_{token}"] = float(counts[token])
-        if cfg.tfidf:
+        if self.tfidf is not None:
+            ts = preprocess(comment, remove_stopwords=True, stopwords=self.stopwords)
             for gram, weight in tfidf_transform(self.tfidf, ts).items():
                 values[f"tfidf_{gram}"] = weight
-        if cfg.text:
-            values.update(text_stats_features(comment, self.sentiment_lexicon))
-        if cfg.semantic or cfg.semantic_dims:
-            sem = semantic_features(self.doc_model, self.class_vecs, comment,
-                                    include_dims=cfg.semantic_dims,
-                                    stopwords=self.stopwords)
-            if not cfg.semantic:
-                sem = {k: v for k, v in sem.items() if k.startswith("semantic_sem_")}
-            values.update(sem)
-        if cfg.metadata:
-            values.update(metadata_features(comment, self.departments))
+        values.update(text_stats_features(comment, self.sentiment_lexicon))
+        if self.class_vecs:
+            values.update(semantic_features(self.doc_model, self.class_vecs, comment,
+                                            stopwords=self.stopwords))
+        values.update(metadata_features(comment, self.departments))
         values = {k: v for k, v in values.items() if v != 0.0}
         return FeatureVector(values=values)
 

@@ -28,7 +28,6 @@ from .embeddings import DocEmbeddingModel, WordEmbeddingModel
 from .evaluation import TwoStepResult, stratified_k_fold, two_step_classify
 from .features import (
     ClassVector,
-    FeatureConfig,
     FeatureExtractor,
     KeywordSet,
     TfidfModel,
@@ -56,18 +55,19 @@ def _label_sets(entries: Sequence) -> List[LabelSet]:
 
 
 def build_keyword_sets(word_model: Optional[WordEmbeddingModel],
-                       seeds: Optional[Dict[str, Sequence[str]]] = None,
-                       top_n: int = 10, min_sim: float = 0.6) -> Dict[str, KeywordSet]:
+                       seeds: Optional[Dict[str, Sequence[str]]] = None
+                       ) -> Dict[str, KeywordSet]:
     """Enriched keyword sets per addressee class.
 
-    Enrichment uses only the unlabeled word embeddings; without a word model
+    Enrichment uses only the unlabeled word embeddings: each seed's 10
+    nearest neighbours with cosine similarity >= 0.6. Without a word model
     the seed lists are used as-is.
     """
     seeds = seeds if seeds is not None else default_keyword_seeds()
     sets = {}
     for label, seed_tokens in seeds.items():
         if word_model is not None:
-            sets[label] = enrich_keywords(seed_tokens, word_model, top_n, min_sim,
+            sets[label] = enrich_keywords(seed_tokens, word_model, top_n=10, min_sim=0.6,
                                           label=label)
         else:
             tokens = tuple(dict.fromkeys(t.lower() for t in seed_tokens))
@@ -76,34 +76,27 @@ def build_keyword_sets(word_model: Optional[WordEmbeddingModel],
 
 
 class FeaturePipeline:
-    """Hand-crafted-feature route: fit transformers, select, classify."""
+    """Hand-crafted-feature route: fit transformers, select, classify.
+
+    Fitting builds the keyword sets and the tf-idf model always, and the
+    class vectors of the semantic group when doc_model is given.
+    """
 
     def __init__(self, classifier: str = "linear_svm",
                  classifier_params: Optional[dict] = None,
-                 feature_config: Optional[FeatureConfig] = None,
                  word_model: Optional[WordEmbeddingModel] = None,
                  doc_model: Optional[DocEmbeddingModel] = None,
                  keyword_seeds: Optional[Dict[str, Sequence[str]]] = None,
-                 enrich_top_n: int = 10, enrich_min_sim: float = 0.6,
-                 select_k="all", departments: Optional[Sequence[str]] = None,
-                 sentiment_lexicon: Optional[dict] = None,
-                 stopwords=None, with_calibration: bool = False, seed: int = 0):
-        if feature_config is None:
-            feature_config = FeatureConfig(semantic=doc_model is not None,
-                                           semantic_dims=False)
+                 select_k="all", stopwords=None, with_calibration: bool = False,
+                 seed: int = 0):
         self.classifier = classifier
         self.classifier_params = dict(classifier_params or {})
         if "seed" in hyperparam_fields(classifier):
             self.classifier_params.setdefault("seed", seed)
-        self.feature_config = feature_config
         self.word_model = word_model
         self.doc_model = doc_model
         self.keyword_seeds = keyword_seeds
-        self.enrich_top_n = enrich_top_n
-        self.enrich_min_sim = enrich_min_sim
         self.select_k = select_k
-        self.departments = departments
-        self.sentiment_lexicon = sentiment_lexicon
         self.stopwords = stopwords
         self.with_calibration = with_calibration
         self.seed = seed
@@ -114,28 +107,21 @@ class FeaturePipeline:
         self._fitted_ids: Optional[frozenset] = None
 
     def _fit_extractor(self, entries: Sequence[Entry]) -> FeatureExtractor:
-        cfg = self.feature_config
         comments = _comments(entries)
-        keyword_sets = None
-        if cfg.regex or cfg.keywords:
-            keyword_sets = build_keyword_sets(self.word_model, self.keyword_seeds,
-                                              self.enrich_top_n, self.enrich_min_sim)
-        tfidf = None
-        if cfg.tfidf:
-            streams = [preprocess(c, remove_stopwords=True, stopwords=self.stopwords)
-                       for c in comments]
-            tfidf = tfidf_fit(streams)
+        keyword_sets = build_keyword_sets(self.word_model, self.keyword_seeds)
+        streams = [preprocess(c, remove_stopwords=True, stopwords=self.stopwords)
+                   for c in comments]
+        tfidf = tfidf_fit(streams)
         class_vecs = None
-        if cfg.semantic:
+        if self.doc_model is not None:
             present = [cls for cls in CLASS_ORDER
                        if any(cls in ls for ls in _label_sets(entries))]
             ds = LabeledDataset(tuple(entries), "fold")
             class_vecs = class_vectors(self.doc_model, ds, classes=present,
                                        stopwords=self.stopwords)
         return FeatureExtractor(
-            cfg, keyword_sets=keyword_sets, tfidf=tfidf, doc_model=self.doc_model,
-            class_vecs=class_vecs, departments=self.departments,
-            sentiment_lexicon=self.sentiment_lexicon, stopwords=self.stopwords,
+            keyword_sets=keyword_sets, tfidf=tfidf, doc_model=self.doc_model,
+            class_vecs=class_vecs, stopwords=self.stopwords,
             extra_fitted_ids=[c.id for c in comments])
 
     def fit(self, entries: Sequence[Entry], y) -> "FeaturePipeline":
@@ -240,19 +226,23 @@ class CnnPipeline:
 class TwoStepClassifier:
     """Meta gate plus calibrated one-vs-all addressee models.
 
-    All four models share one feature extractor fit on the training entries,
-    which keeps them on the same feature registry as the two-step contract
-    requires (feature selection is therefore not applied here).
+    All four models share the extractor that `pipeline` fits on the training
+    entries, which keeps them on the same feature registry as the two-step
+    contract requires. The pipeline must therefore keep every column, and
+    it must not calibrate: the gate is uncalibrated and the addressee models
+    are calibrated here. The pipeline's seed also draws the addressee
+    models' calibration holdouts.
     """
 
-    def __init__(self, feature_pipeline_kwargs: Optional[dict] = None,
-                 threshold: float = 0.8, seed: int = 0):
-        kwargs = dict(feature_pipeline_kwargs or {})
-        kwargs.pop("with_calibration", None)
-        kwargs.pop("select_k", None)
-        self.pipeline = FeaturePipeline(with_calibration=False, seed=seed, **kwargs)
+    def __init__(self, pipeline: FeaturePipeline, threshold: float = 0.8):
+        if pipeline.select_k != "all":
+            raise ValueError("two-step models use every feature column; "
+                             f"select_k must be 'all', got {pipeline.select_k!r}")
+        if pipeline.with_calibration:
+            raise ValueError("two-step training calibrates the addressee models "
+                             "itself; the feature pipeline must not calibrate")
+        self.pipeline = pipeline
         self.threshold = threshold
-        self.seed = seed
         self.meta_model: Optional[TrainedModel] = None
         self.addressee_models: Dict[str, TrainedModel] = {}
 
@@ -266,7 +256,7 @@ class TwoStepClassifier:
             if len(np.unique(y)) < 2:
                 logger.warning("no %s examples; skipping that addressee model", label)
                 continue
-            train_idx, holdout_idx = stratified_k_fold(y, 5, self.seed)[0]
+            train_idx, holdout_idx = stratified_k_fold(y, 5, self.pipeline.seed)[0]
             model = self.pipeline._train(X[train_idx], y[train_idx])
             self.addressee_models[label] = calibrate(model, X[holdout_idx],
                                                      y[holdout_idx])
@@ -294,7 +284,7 @@ class TwoStepClassifier:
         RegistryMismatch otherwise. Absent addressee files are skipped.
         """
         directory = Path(directory)
-        classifier = cls(threshold=threshold)
+        classifier = cls(FeaturePipeline(), threshold=threshold)
         extractor = load_extractor(directory / "extractor.json", doc_model=doc_model)
         meta_model = load_model(directory / "meta.json",
                                 registry_hash=extractor.registry_hash)
@@ -319,7 +309,6 @@ def save_extractor(extractor: FeatureExtractor, path) -> None:
     """Serialize every fitted piece except the embedding model itself."""
     data = {
         "format": "metacomment-extractor/1",
-        "config": extractor.config.__dict__,
         "keyword_sets": {
             label: {"seeds": list(ks.seeds), "enriched": list(ks.enriched),
                     "missing": list(ks.missing)}
@@ -342,11 +331,18 @@ def save_extractor(extractor: FeatureExtractor, path) -> None:
 
 
 def load_extractor(path, doc_model: Optional[DocEmbeddingModel] = None) -> FeatureExtractor:
+    """Read a file written by save_extractor().
+
+    The feature groups follow from the stored fitted pieces. The "config"
+    object of group toggles that older files carry is not read. Where it
+    had turned a stored group off, the registry differs from the one the
+    models were trained on, and TwoStepClassifier.load rejects them by
+    registry hash.
+    """
     with open(Path(path), encoding="utf-8") as fh:
         data = json.load(fh)
     if data.get("format") != "metacomment-extractor/1":
         raise ValueError(f"unsupported extractor format {data.get('format')!r}")
-    config = FeatureConfig(**data["config"])
     keyword_sets = {
         label: KeywordSet(label=label, seeds=tuple(ks["seeds"]),
                           enriched=tuple(ks["enriched"]), missing=tuple(ks["missing"]))
@@ -363,7 +359,7 @@ def load_extractor(path, doc_model: Optional[DocEmbeddingModel] = None) -> Featu
     class_vecs = [ClassVector(cv["label"], np.array(cv["vector"]))
                   for cv in data["class_vectors"]] or None
     return FeatureExtractor(
-        config, keyword_sets=keyword_sets, tfidf=tfidf, doc_model=doc_model,
+        keyword_sets=keyword_sets, tfidf=tfidf, doc_model=doc_model,
         class_vecs=class_vecs, departments=data["departments"],
         sentiment_lexicon=data["sentiment_lexicon"],
         stopwords=frozenset(data["stopwords"]) if data["stopwords"] else None,

@@ -72,15 +72,10 @@ def preprocess(comment: Comment, remove_stopwords: bool = False,
     return TokenStream(tokenize(raw, remove_stopwords, stopwords), source_id=comment.id)
 
 
-def ngrams(ts: TokenStream, n_max: int = 2) -> list:
+def ngrams(ts: TokenStream) -> list:
     """Unigrams followed by adjacent-pair bigrams joined with an underscore."""
-    if n_max not in (1, 2):
-        raise ValueError(f"n_max must be 1 or 2, got {n_max}")
     tokens = list(ts.tokens)
-    grams = list(tokens)
-    if n_max == 2:
-        grams.extend(a + BIGRAM_SEPARATOR + b for a, b in zip(tokens, tokens[1:]))
-    return grams
+    return tokens + [a + BIGRAM_SEPARATOR + b for a, b in zip(tokens, tokens[1:])]
 
 
 def load_stopwords(path) -> frozenset:

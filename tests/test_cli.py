@@ -218,6 +218,30 @@ class TestTrainAndClassify:
         assert "meta.json" in err and "registry hash" in err
         assert not (out / "classified.jsonl").exists()
 
+    @pytest.mark.parametrize("flags", [["--select-k", "10"], ["--calibrate"]])
+    def test_two_step_rejects_selection_and_calibration(self, workspace, tmp_path,
+                                                        capsys, flags):
+        out = tmp_path / "models"
+        assert main(_two_step_args(workspace, out) + flags) == 2
+        assert "two-step" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_classify_needs_doc_model_for_class_vectors(self, workspace, models_dir,
+                                                        tmp_path, capsys):
+        models = tmp_path / "models"
+        shutil.copytree(models_dir, models)
+        path = models / "extractor.json"
+        data = json.loads(path.read_text(encoding="utf-8"))
+        data["class_vectors"] = [{"label": "Meta", "vector": [1.0, 0.0]}]
+        path.write_text(json.dumps(data), encoding="utf-8")
+        out = tmp_path / "classified"
+        rc = main(["classify", "--input", str(workspace["dataset"]),
+                   "--models", str(models), "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "class vectors" in err and "Traceback" not in err
+        assert not (out / "classified.jsonl").exists()
+
     def test_two_step_artifacts_independent_of_hash_seed(self, workspace, tmp_path):
         env = dict(os.environ,
                    PYTHONPATH=str(Path(metacomment.__file__).parents[1]))

@@ -115,6 +115,8 @@ class TestLoadDataset:
         ("username", [], "be str"), ("forum_id", 4, "be str"),
         ("labels", "Meta", "be list"), ("labels", [1, "Meta"], "hold strings"),
         ("labels", [["Meta"]], "hold strings"),
+        ("id", True, "be str or int"), ("id", 1.5, "be str or int"),
+        ("id", {"x": 1}, "be str or int"), ("id", ["9"], "be str or int"),
     ])
     def test_wrong_field_type_names_line(self, tmp_path, key, value, expected):
         path = tmp_path / "types.jsonl"
@@ -138,6 +140,12 @@ class TestLoadDataset:
                                                      "forum_id", "labels")}}])
         c, ls = next(iter(load_dataset(path)))
         assert (c.title, c.position, c.has_quote, ls) == ("", None, None, LabelSet())
+
+    def test_integer_id_loads_as_string(self, tmp_path):
+        path = tmp_path / "int_id.jsonl"
+        write_jsonl(path, [{"id": 7, "text": "ok.", "timestamp": "2020-01-01T00:00"}])
+        c, _ = next(iter(load_dataset(path)))
+        assert c.id == "7"
 
     @pytest.mark.parametrize("key", ["id", "text", "timestamp"])
     def test_null_required_field_is_missing(self, tmp_path, key):

@@ -137,24 +137,24 @@ class TestCrossValidate:
 
     def test_constant_positive_pipeline_has_recall_one(self):
         X, y = self._items()
-        result = cross_validate(lambda: ConstantPipeline(1), list(X), y, k=4)
+        result = cross_validate(lambda seed: ConstantPipeline(1), list(X), y, k=4)
         for m in result.fold_metrics:
             assert m.recall == 1.0
 
     def test_constant_negative_pipeline_has_recall_zero(self):
         X, y = self._items()
-        result = cross_validate(lambda: ConstantPipeline(0), list(X), y, k=4)
+        result = cross_validate(lambda seed: ConstantPipeline(0), list(X), y, k=4)
         for m in result.fold_metrics:
             assert m.recall == 0.0
 
     def test_separable_svm_perfect_f(self):
         X, y = self._items(n=60, gap=6.0)
-        result = cross_validate(lambda: VectorSvmPipeline(), list(X), y, k=10)
+        result = cross_validate(lambda seed: VectorSvmPipeline(), list(X), y, k=10)
         assert result.mean.f_beta == pytest.approx(1.0)
 
     def test_aggregate_is_mean_of_folds(self):
         X, y = self._items(n=40, gap=1.0, seed=3)
-        result = cross_validate(lambda: VectorSvmPipeline(), list(X), y, k=4)
+        result = cross_validate(lambda seed: VectorSvmPipeline(), list(X), y, k=4)
         assert result.mean.precision == pytest.approx(
             np.mean([m.precision for m in result.fold_metrics]))
         assert result.mean.f_beta == pytest.approx(
@@ -162,7 +162,7 @@ class TestCrossValidate:
 
     def test_fold_assignment_partitions(self):
         X, y = self._items()
-        result = cross_validate(lambda: ConstantPipeline(1), list(X), y, k=4)
+        result = cross_validate(lambda seed: ConstantPipeline(1), list(X), y, k=4)
         assignment = np.array(result.fold_assignment)
         assert len(assignment) == len(y)
         assert set(assignment) == set(range(4))
@@ -180,7 +180,7 @@ class TestCrossValidate:
                 return all_ids  # pretends to have seen the whole dataset
 
         with pytest.raises(LeakError, match="test-fold"):
-            cross_validate(lambda: LeakyPipeline(), items, y, k=4)
+            cross_validate(lambda seed: LeakyPipeline(), items, y, k=4)
 
     def test_honest_fitted_ids_accepted(self):
         items = [SimpleNamespace(id=f"c{i}") for i in range(20)]
@@ -198,7 +198,7 @@ class TestCrossValidate:
             def fitted_ids(self):
                 return self._seen
 
-        result = cross_validate(lambda: HonestPipeline(), items, y, k=4)
+        result = cross_validate(lambda seed: HonestPipeline(), items, y, k=4)
         assert len(result.fold_metrics) == 4
 
     def test_pipeline_error_names_fold(self):
@@ -208,7 +208,7 @@ class TestCrossValidate:
 
         X, y = self._items()
         with pytest.raises(EvaluationError, match="fold 0"):
-            cross_validate(lambda: FailingPipeline(1), list(X), y, k=4)
+            cross_validate(lambda seed: FailingPipeline(1), list(X), y, k=4)
 
 
 class FlippablePipeline:
@@ -338,7 +338,7 @@ class TestCrossDatasetEval:
                 super().__init__(1)
 
         results = cross_dataset_eval(small_dataset, small_dataset,
-                                     lambda: MajorityPipeline(), classes=("Meta",))
+                                     lambda seed: MajorityPipeline(), classes=("Meta",))
         in_sample = MajorityPipeline().fit(list(small_dataset), None) \
             .predict(list(small_dataset))
         y = np.array([1 if "Meta" in ls else 0 for _, ls in small_dataset])
@@ -351,5 +351,5 @@ class TestCrossDatasetEval:
             tuple(e for e in small_dataset if "Moderator" not in e[1]), "sub")
         with pytest.raises(EvaluationError, match="missing"):
             cross_dataset_eval(no_moderator, small_dataset,
-                               lambda: ConstantPipeline(1),
+                               lambda seed: ConstantPipeline(1),
                                classes=("Meta", "Moderator"))

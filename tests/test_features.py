@@ -13,11 +13,11 @@ from metacomment.embeddings import (
 )
 from metacomment.features import (
     ClassVector,
-    FeatureConfig,
     FeatureError,
     FeatureExtractor,
     FeatureVector,
     KeywordSet,
+    TEXT_STAT_NAMES,
     anova_f_matrix,
     build_matrix,
     class_vectors,
@@ -87,36 +87,27 @@ class TestEnrichKeywords:
 
 
 class TestPatternMatching:
-    KS = KeywordSet("Journalist", ("autor",), ("autor",))
+    PATTERN = compile_keyword_pattern(("autor",))
 
     def test_single_match(self):
         c = make_comment(text="Der Autor schreibt.")
-        assert count_pattern_matches(c, self.KS) == 1
+        assert count_pattern_matches(c, self.PATTERN) == 1
 
     def test_no_match(self):
         c = make_comment(text="…")
-        assert count_pattern_matches(c, self.KS) == 0
+        assert count_pattern_matches(c, self.PATTERN) == 0
 
     def test_inflection_suffixes(self):
         c = make_comment(text="Autorin und Autoren")
-        assert count_pattern_matches(c, self.KS) == 2
+        assert count_pattern_matches(c, self.PATTERN) == 2
 
     def test_whole_word_only(self):
         c = make_comment(text="Der Koautorenvertrag gilt.")
-        assert count_pattern_matches(c, self.KS) == 0
+        assert count_pattern_matches(c, self.PATTERN) == 0
 
     def test_title_included(self):
         c = make_comment(title="Lieber Autor", text="bitte lesen.")
-        assert count_pattern_matches(c, self.KS) == 1
-
-    def test_invalid_extra_pattern_fails_at_compile(self):
-        with pytest.raises(FeatureError, match="invalid extra pattern"):
-            compile_keyword_pattern(("autor",), extra_patterns=("([",))
-
-    def test_extra_pattern_matches(self):
-        pattern = compile_keyword_pattern((), extra_patterns=(r"@\w+",))
-        c = make_comment(text="Hallo @sysop bitte melden.")
-        assert count_pattern_matches(c, pattern) == 1
+        assert count_pattern_matches(c, self.PATTERN) == 1
 
     def test_default_seed_files_load(self):
         seeds = default_keyword_seeds()
@@ -314,14 +305,6 @@ class TestSemanticFeatures:
             hot = [v for k, v in values.items() if k.startswith("semantic_min_dist_")]
             assert sum(hot) == 1.0
 
-    def test_dims_included_on_request(self):
-        dm = fake_doc_model({"a": [0.25, -0.5]})
-        cvs = [ClassVector("Media", np.array([1.0, 0.0]))]
-        values = semantic_features(dm, cvs, make_comment("a", text="x."),
-                                   include_dims=True)
-        assert values["semantic_sem_0"] == 0.25
-        assert values["semantic_sem_1"] == -0.5
-
 
 class TestMetadataFeatures:
     DEPARTMENTS = ("politik", "wirtschaft")
@@ -357,22 +340,34 @@ class TestAssemble:
         "Moderator": KeywordSet("Moderator", ("sysop",), ("sysop",)),
     }
 
+    METADATA = ("department_politik", "department_other", "position", "has_quote",
+                *(f"dow_{i}" for i in range(7)), *(f"hour_{i}" for i in range(24)))
+
     def test_text_only_config_has_six_features(self):
-        extractor = FeatureExtractor(FeatureConfig.only("text"))
-        assert len(extractor.registry) == 6
-        fv = extractor.assemble(make_comment(text="Warum GUT?"))
+        # no fitted models: the six text statistics, then metadata
+        extractor = FeatureExtractor(departments=("politik",))
+        assert extractor.registry == TEXT_STAT_NAMES + self.METADATA
+        fv = extractor.assemble(make_comment(text="Warum GUT?", department="politik"))
         assert set(fv.values) <= set(extractor.registry)
+        assert fv.values["text_num_questions"] == 1.0
+        assert fv.values["department_politik"] == 1.0
 
     def test_regex_only_config_has_three_features(self):
-        extractor = FeatureExtractor(FeatureConfig.only("regex"), keyword_sets=self.KS)
-        assert len(extractor.registry) == 3
-        assert extractor.registry == ("regex_media_matches",
-                                      "regex_journalist_matches",
-                                      "regex_moderator_matches")
+        # keyword sets alone: three regex columns first, then each enriched
+        # keyword, then text statistics and metadata
+        extractor = FeatureExtractor(keyword_sets=self.KS, departments=("politik",))
+        assert extractor.registry == (
+            "regex_media_matches", "regex_journalist_matches", "regex_moderator_matches",
+            "keyword_spiegel", "keyword_spon", "keyword_autor", "keyword_sysop",
+            *TEXT_STAT_NAMES, *self.METADATA)
+        fv = extractor.assemble(make_comment(text="Der Autor im SPON."))
+        assert fv.values["regex_journalist_matches"] == 1.0
+        assert fv.values["keyword_spon"] == 1.0
 
     def test_missing_fitted_model_is_error(self):
-        with pytest.raises(FeatureError, match="tf-idf"):
-            FeatureExtractor(FeatureConfig.only("tfidf"))
+        cvs = [ClassVector("Meta", np.array([1.0, 0.0]))]
+        with pytest.raises(FeatureError, match="class vectors"):
+            FeatureExtractor(class_vecs=cvs)
 
     def test_assembled_names_within_registry(self):
         tfidf = tfidf_fit([TokenStream(("autor", "artikel"), "d1"),
@@ -381,8 +376,8 @@ class TestAssemble:
         cvs = [ClassVector("Meta", np.array([1.0, 0.0])),
                ClassVector("NonMeta", np.array([0.0, 1.0]))]
         extractor = FeatureExtractor(
-            FeatureConfig(semantic_dims=True), keyword_sets=self.KS, tfidf=tfidf,
-            doc_model=dm, class_vecs=cvs, departments=("politik",))
+            keyword_sets=self.KS, tfidf=tfidf, doc_model=dm, class_vecs=cvs,
+            departments=("politik",))
         c = make_comment("a", title="Autor", text="Der Autor im SPIEGEL? Sehr gut!",
                          department="politik", position=3, has_quote=False)
         fv = extractor.assemble(c)
@@ -390,8 +385,7 @@ class TestAssemble:
         assert fv.values["regex_journalist_matches"] == 2.0
 
     def test_assemble_is_pure(self):
-        extractor = FeatureExtractor(FeatureConfig.only("text", "regex"),
-                                     keyword_sets=self.KS)
+        extractor = FeatureExtractor(keyword_sets=self.KS)
         c = make_comment(text="Der Autor! Warum?")
         assert extractor.assemble(c) == extractor.assemble(c)
 

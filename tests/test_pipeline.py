@@ -129,11 +129,7 @@ class TestCnnPipeline:
 
 @pytest.fixture(scope="module")
 def fitted(dataset, word_model):
-    classifier = TwoStepClassifier(
-        feature_pipeline_kwargs=dict(
-            classifier_params={"C": 0.5, "tolerance": 1e-4, "max_epochs": 200},
-            keyword_seeds=CLASS_KEYWORDS, word_model=word_model),
-        threshold=0.8, seed=0)
+    classifier = TwoStepClassifier(make_pipeline(word_model), threshold=0.8)
     return classifier.fit(list(dataset))
 
 
@@ -170,12 +166,15 @@ class TestTwoStepClassifier:
 
         monkeypatch.setattr(FeatureExtractor, "assemble", spy)
         entries = list(dataset)[:120]
-        TwoStepClassifier(
-            feature_pipeline_kwargs=dict(
-                classifier_params={"C": 0.5, "tolerance": 1e-3, "max_epochs": 50},
-                keyword_seeds=CLASS_KEYWORDS, word_model=word_model),
-            seed=0).fit(entries)
+        pipeline = make_pipeline(word_model, classifier_params={
+            "C": 0.5, "tolerance": 1e-3, "max_epochs": 50})
+        TwoStepClassifier(pipeline).fit(entries)
         assert len(calls) == len(entries)
+
+    @pytest.mark.parametrize("setting", [{"select_k": 10}, {"with_calibration": True}])
+    def test_rejects_selecting_or_calibrating_pipeline(self, word_model, setting):
+        with pytest.raises(ValueError, match="two-step"):
+            TwoStepClassifier(make_pipeline(word_model, **setting))
 
     def test_models_carry_extractor_registry_hash(self, fitted):
         hashes = {m.registry_hash
@@ -216,12 +215,26 @@ class TestTwoStepClassifier:
         for entry in dataset:
             assert loaded.classify(entry) == fitted.classify(entry)
 
+    def test_extractor_with_config_object_still_loads(self, fitted, dataset, tmp_path):
+        # extractor.json as earlier versions wrote it: with a "config" object
+        # of feature-group toggles, here the one that fit without a doc model
+        fitted.save(tmp_path)
+        path = tmp_path / "extractor.json"
+        data = json.loads(path.read_text(encoding="utf-8"))
+        assert "config" not in data
+        data["config"] = {"regex": True, "keywords": True, "tfidf": True, "text": True,
+                          "semantic": False, "semantic_dims": False, "metadata": True}
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            json.dump(data, fh, ensure_ascii=False, sort_keys=True)
+            fh.write("\n")
+        loaded = TwoStepClassifier.load(tmp_path, None, fitted.threshold)
+        assert loaded.pipeline.extractor.registry_hash \
+            == fitted.pipeline.extractor.registry_hash
+        for entry in dataset:
+            assert loaded.classify(entry) == fitted.classify(entry)
+
     def test_threshold_one_never_assigns(self, dataset, word_model):
-        classifier = TwoStepClassifier(
-            feature_pipeline_kwargs=dict(
-                classifier_params={"C": 0.5, "tolerance": 1e-4, "max_epochs": 200},
-                keyword_seeds=CLASS_KEYWORDS, word_model=word_model),
-            threshold=1.0, seed=0)
+        classifier = TwoStepClassifier(make_pipeline(word_model), threshold=1.0)
         classifier.fit(list(dataset)[:150])
         for entry in list(dataset)[150:170]:
             assert classifier.classify(entry).addressees == ()

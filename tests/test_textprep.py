@@ -1,5 +1,3 @@
-import pytest
-
 from metacomment.textprep import (
     TokenStream,
     default_stopwords,
@@ -51,20 +49,13 @@ class TestPreprocess:
 class TestNgrams:
     def test_unigrams_and_bigrams(self):
         ts = TokenStream(("a", "b", "c"))
-        assert ngrams(ts, 2) == ["a", "b", "c", "a_b", "b_c"]
+        assert ngrams(ts) == ["a", "b", "c", "a_b", "b_c"]
 
     def test_empty(self):
         assert ngrams(TokenStream(())) == []
 
     def test_single_token(self):
         assert ngrams(TokenStream(("x",))) == ["x"]
-
-    def test_unigrams_only(self):
-        assert ngrams(TokenStream(("a", "b")), 1) == ["a", "b"]
-
-    def test_invalid_n(self):
-        with pytest.raises(ValueError):
-            ngrams(TokenStream(("a",)), 3)
 
 
 class TestStopwords:
