@@ -71,6 +71,10 @@ logger = logging.getLogger("metacomment")
 
 KNOWN_ERRORS = (DatasetError, ValueError, OSError)
 
+# comments per feature matrix in `classify`: memory stays at this many rows
+# of registry columns however long the input is
+CLASSIFY_CHUNK = 256
+
 
 def _hash_file(path) -> str:
     digest = hashlib.sha256()
@@ -239,7 +243,7 @@ def cmd_features(args) -> int:
                                keyword_seeds=_keyword_seeds(args),
                                stopwords=_stopwords(args))
     extractor = pipeline._fit_extractor(list(ds))
-    fvs = [extractor.assemble(c) for c in ds.comments()]
+    fvs = extractor.assemble_many(ds.comments())
     out = _out_dir(args)
     export_sparse_matrix(fvs, extractor.registry, out / "features.txt")
     save_extractor(extractor, out / "extractor.json")
@@ -366,16 +370,18 @@ def cmd_classify(args) -> int:
                                         threshold=args.threshold)
     out = _out_dir(args)
     results_path = out / "classified.jsonl"
+    comments = list(ds.comments())
     with open(results_path, "w", encoding="utf-8", newline="\n") as fh:
-        for comment in ds.comments():
-            result = classifier.classify(comment)
-            fh.write(json.dumps({
-                "id": comment.id,
-                "is_meta": result.is_meta,
-                "addressees": list(result.addressees),
-                "confidences": {k: round(v, 6)
-                                for k, v in sorted(result.confidences.items())},
-            }, ensure_ascii=False) + "\n")
+        for start in range(0, len(comments), CLASSIFY_CHUNK):
+            chunk = comments[start:start + CLASSIFY_CHUNK]
+            for comment, result in zip(chunk, classifier.classify_many(chunk)):
+                fh.write(json.dumps({
+                    "id": comment.id,
+                    "is_meta": result.is_meta,
+                    "addressees": list(result.addressees),
+                    "confidences": {k: round(v, 6)
+                                    for k, v in sorted(result.confidences.items())},
+                }, ensure_ascii=False) + "\n")
     # every file TwoStepClassifier.load reads; absent addressee files are skipped
     model_files = [models_dir / "extractor.json", models_dir / "meta.json",
                    *(models_dir / f"addressee_{label.lower()}.json"

@@ -9,9 +9,10 @@ comment vector while the word matrices stay frozen.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import logging
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -22,6 +23,8 @@ from .textprep import TokenStream
 logger = logging.getLogger(__name__)
 
 NOISE_EXPONENT = 0.75
+# comments per inference slice: bounds infer_many's memory on long inputs
+INFER_BATCH = 256
 
 
 class EmbeddingError(ValueError):
@@ -302,12 +305,11 @@ class _LrSchedule:
 
 
 def _train_doc_positions(w_in, w_out, noise, params, doc_indices, lr_sched, rng,
-                         doc_vec=None, update_words=True):
+                         doc_vec=None):
     """One pass over one document; returns the accumulated loss.
 
     With doc_vec given, the document vector joins the context average
-    (distributed-memory style). update_words=False freezes both word
-    matrices and trains the document vector alone (inference mode).
+    (distributed-memory style) and is trained along with the word matrices.
     """
     total_loss = 0.0
     k = params.negative_samples
@@ -332,10 +334,9 @@ def _train_doc_positions(w_in, w_out, noise, params, doc_indices, lr_sched, rng,
         total_loss += float(np.logaddexp(0.0, -scores[0])
                             + np.logaddexp(0.0, scores[1:]).sum())
         grad_h = g @ w_out[targets]
-        if update_words:
-            np.add.at(w_out, targets, (-lr) * g[:, None] * h[None, :])
-            if len(rows):
-                np.add.at(w_in, rows, (-lr / m) * grad_h)
+        np.add.at(w_out, targets, (-lr) * g[:, None] * h[None, :])
+        if len(rows):
+            np.add.at(w_in, rows, (-lr / m) * grad_h)
         if doc_vec is not None:
             doc_vec -= (lr / m) * grad_h
     return total_loss
@@ -399,49 +400,139 @@ def train_word_embeddings(corpus: Iterable[TokenStream],
     return WordEmbeddingModel(vocab, w_in, w_out, counts, params, epoch_losses)
 
 
+def _token_digest(tokens: Sequence[str]) -> str:
+    """Digest of a token stream that is the same in every process."""
+    payload = json.dumps(list(tokens), ensure_ascii=False).encode()
+    return hashlib.sha256(payload).hexdigest()[:16]
+
+
 class DocEmbeddingModel:
-    """Word model plus one trained vector per training comment."""
+    """Word model plus one trained vector per training comment.
+
+    token_digests maps each training id to a digest of the token stream
+    its vector was trained on; models saved without digests have None.
+    """
 
     def __init__(self, word_model: WordEmbeddingModel,
                  doc_vectors: Dict[str, np.ndarray],
                  flagged_ids: frozenset,
-                 inference_params: DocInferenceParams):
+                 inference_params: DocInferenceParams,
+                 token_digests: Optional[Dict[str, str]] = None):
         self.word_model = word_model
         self.doc_vectors = doc_vectors
         self.flagged_ids = frozenset(flagged_ids)
         self.inference_params = inference_params
+        self.token_digests = token_digests
 
     @property
     def dim(self) -> int:
         return self.word_model.dim
 
     def infer(self, ts: TokenStream) -> Tuple[np.ndarray, bool]:
-        """Infer a vector for unseen tokens; returns (vector, all_oov flag).
+        """infer_many on one comment: (vector, all_oov flag)."""
+        vectors, all_oov = self.infer_many([ts])
+        return vectors[0], bool(all_oov[0])
 
-        Only the fresh comment vector is updated; the word matrices are
-        never touched. All-OOV input yields a zero vector and the flag.
+    def infer_many(self, streams: Sequence[TokenStream]) -> Tuple[np.ndarray, np.ndarray]:
+        """Infer vectors for unseen comments; returns (vectors, all_oov flags).
+
+        Per comment: a fresh vector from an rng seeded with the inference
+        seed, then `steps` passes over its in-vocabulary positions. Each
+        position draws k negatives from that rng, drops those equal to its
+        centre token and takes one gradient step on the comment vector alone,
+        at a learning rate decaying linearly over the comment's own positions
+        x steps. The word matrices stay frozen.
+
+        Comments run longest first, in slices of INFER_BATCH comments, so
+        memory stays at one slice's positions x dim however many comments
+        are given. No row's arithmetic depends on another row, so a comment
+        gets the same vector in any batch and any slice. All-OOV comments get
+        a zero vector and the flag.
+        """
+        indexed = _index_corpus(streams, self.word_model.vocab)
+        lengths = np.array([len(d) for d in indexed], dtype=np.int64)
+        vectors = np.zeros((len(streams), self.dim))
+        order = np.argsort(-lengths, kind="stable")[:np.count_nonzero(lengths)]
+        for start in range(0, len(order), INFER_BATCH):
+            rows = order[start:start + INFER_BATCH]
+            vectors[rows] = self._infer_sorted([indexed[i] for i in rows])
+        return vectors, lengths == 0
+
+    def _infer_sorted(self, indexed: List[List[int]]) -> np.ndarray:
+        """infer_many's kernel on non-empty index lists, longest first.
+
+        Because every comment reseeds, one pre-drawn stream serves the whole
+        slice: at global step t each comment still running reads the same k
+        negatives. Sorting makes the running comments a prefix of the slice.
         """
         wm = self.word_model
-        indices = [wm.vocab[t] for t in ts.tokens if t in wm.vocab]
-        if not indices:
-            return np.zeros(self.dim), True
         p = self.inference_params
+        k, window, dim = wm.params.negative_samples, wm.params.window, self.dim
+        # one row per position, comment by comment
+        n = np.array([len(d) for d in indexed], dtype=np.int64)
+        starts = np.cumsum(n) - n
+        centres = np.array([t for d in indexed for t in d], dtype=np.intp)
+        pos = np.arange(len(centres)) - np.repeat(starts, n)
+        n_at = np.repeat(n, n)
+        # context sums (left then right window, in order) and context sizes
+        # incl. the comment vector; fixed, since the word matrices are frozen
+        context = np.zeros((len(centres), dim))
+        m = np.ones(len(centres), dtype=np.int64)
+        for offset in (*range(-window, 0), *range(1, window + 1)):
+            valid = np.flatnonzero((pos + offset >= 0) & (pos + offset < n_at))
+            context[valid] += wm.vectors[centres[valid + offset]]
+            m[valid] += 1
+        total = n * p.steps
         rng = np.random.default_rng(p.seed)
-        doc_vec = (rng.random(self.dim) - 0.5) / self.dim
-        lr_sched = _LrSchedule(p.learning_rate, p.min_learning_rate,
-                               len(indices) * p.steps)
-        train_params = replace(wm.params, method="cbow")
-        for _ in range(p.steps):
-            _train_doc_positions(wm.vectors, wm.out_vectors, wm._noise, train_params,
-                                 indices, lr_sched, rng, doc_vec=doc_vec,
-                                 update_words=False)
-        return doc_vec, False
+        draws = rng.random(dim + int(total[0]) * k)
+        negatives = np.searchsorted(wm._noise.cum, draws[dim:], side="right").reshape(-1, k)
+        docs = np.tile((draws[:dim] - 0.5) / dim, (len(indexed), 1))
+        targets = np.empty((len(indexed), k + 1), dtype=np.intp)  # centre, negatives
+        active = len(indexed)
+        for t in range(int(total[0])):
+            while total[active - 1] <= t:
+                active -= 1
+            rows = starts[:active] + t % n[:active]
+            m_t = m[rows]
+            h = (context[rows] + docs[:active]) / m_t[:, None]
+            tg = targets[:active]
+            tg[:, 0] = centres[rows]
+            tg[:, 1:] = negatives[t]
+            w = wm.out_vectors[tg]
+            g = _sigmoid((w * h[:, None, :]).sum(axis=2))
+            g[:, 0] -= 1.0
+            g[:, 1:] *= tg[:, 1:] != tg[:, :1]
+            lr = np.maximum(p.learning_rate - (p.learning_rate - p.min_learning_rate)
+                            * (t / total[:active]), p.min_learning_rate)
+            docs[:active] -= (lr / m_t)[:, None] * (g[:, :, None] * w).sum(axis=1)
+        return docs
 
-    def vector_for(self, ts: TokenStream) -> np.ndarray:
-        """Trained vector when the comment id was in training, else inferred."""
-        if ts.source_id in self.doc_vectors:
-            return self.doc_vectors[ts.source_id]
-        return self.infer(ts)[0]
+    def vectors_for(self, streams: Sequence[TokenStream]) -> np.ndarray:
+        """One row per stream: the trained vector of a training comment, else
+        an inferred one; all inferred rows come from one infer_many call.
+
+        A stream is a training comment when its id has a trained vector and,
+        where the model stores token digests, its tokens have that id's
+        digest; so an unseen comment that reuses a training id is inferred.
+        """
+        vectors = np.empty((len(streams), self.dim))
+        unseen = []
+        mismatched = 0
+        for row, ts in enumerate(streams):
+            trained = self.doc_vectors.get(ts.source_id)
+            if trained is not None and (
+                    self.token_digests is None
+                    or self.token_digests.get(ts.source_id) == _token_digest(ts.tokens)):
+                vectors[row] = trained
+            else:
+                unseen.append(row)
+                mismatched += trained is not None
+        if mismatched:
+            logger.warning("%d comment(s) reuse a training id with other tokens and are "
+                           "inferred; were the doc model and the features built with "
+                           "the same stop words?", mismatched)
+        vectors[unseen] = self.infer_many([streams[row] for row in unseen])[0]
+        return vectors
 
     def save(self, prefix) -> None:
         prefix = Path(prefix)
@@ -450,10 +541,11 @@ class DocEmbeddingModel:
         matrix = np.array([self.doc_vectors[i] for i in ids]) if ids \
             else np.zeros((0, self.dim))
         _write_vector_file(prefix.with_suffix(".docs"), ids, matrix)
-        _write_json(prefix.with_suffix(".docs.meta.json"), {
-            "flagged_ids": sorted(self.flagged_ids),
-            "inference_params": self.inference_params.__dict__,
-        })
+        meta = {"flagged_ids": sorted(self.flagged_ids),
+                "inference_params": self.inference_params.__dict__}
+        if self.token_digests is not None:
+            meta["token_digests"] = self.token_digests
+        _write_json(prefix.with_suffix(".docs.meta.json"), meta)
 
     @classmethod
     def load(cls, prefix) -> "DocEmbeddingModel":
@@ -464,7 +556,8 @@ class DocEmbeddingModel:
             meta = json.load(fh)
         doc_vectors = {i: matrix[k] for k, i in enumerate(ids)}
         return cls(word_model, doc_vectors, frozenset(meta["flagged_ids"]),
-                   DocInferenceParams(**meta["inference_params"]))
+                   DocInferenceParams(**meta["inference_params"]),
+                   meta.get("token_digests"))
 
 
 def train_doc_embeddings(corpus: Iterable[TokenStream], params: WordTrainingParams,
@@ -506,9 +599,11 @@ def train_doc_embeddings(corpus: Iterable[TokenStream], params: WordTrainingPara
 
     word_model = WordEmbeddingModel(vocab, w_in, w_out, counts, params, epoch_losses)
     doc_vectors = {doc_id: doc_matrix[i] for i, doc_id in enumerate(doc_ids)}
+    digests = {ts.source_id: _token_digest(ts.tokens) for ts in corpus}
     flagged = frozenset(doc_id for i, doc_id in enumerate(doc_ids) if not trainable[i])
     if flagged:
         logger.warning("%d comments had no in-vocabulary tokens; zero vectors assigned",
                        len(flagged))
     return DocEmbeddingModel(word_model, doc_vectors, flagged,
-                             inference_params or DocInferenceParams(seed=params.seed))
+                             inference_params or DocInferenceParams(seed=params.seed),
+                             digests)

@@ -282,42 +282,38 @@ class ClassVector:
     vector: np.ndarray
 
 
-def comment_vector(dm: DocEmbeddingModel, comment: Comment,
-                   stopwords: Optional[FrozenSet[str]] = None) -> np.ndarray:
-    """Trained vector when the comment was in training, else inferred."""
-    return dm.vector_for(preprocess(comment, remove_stopwords=True, stopwords=stopwords))
+def comment_vectors(dm: DocEmbeddingModel, comments: Sequence[Comment],
+                    stopwords: Optional[FrozenSet[str]] = None) -> np.ndarray:
+    """One row per comment: the trained vector of a training comment, else
+    inferred; all inferred rows come from one batched inference."""
+    return dm.vectors_for([preprocess(c, remove_stopwords=True, stopwords=stopwords)
+                           for c in comments])
 
 
 def class_vectors(dm: DocEmbeddingModel, ds: LabeledDataset,
                   classes: Sequence[str] = CLASS_ORDER,
                   stopwords: Optional[FrozenSet[str]] = None) -> List[ClassVector]:
     """Per-class mean of the member comments' embedding vectors."""
-    members: Dict[str, List[np.ndarray]] = {c: [] for c in classes}
-    for comment, labels in ds:
-        vec = None
-        for cls in classes:
-            if cls in labels:
-                if vec is None:
-                    vec = comment_vector(dm, comment, stopwords)
-                members[cls].append(vec)
+    members = [(comment, labels) for comment, labels in ds
+               if any(cls in labels for cls in classes)]
+    vectors = comment_vectors(dm, [comment for comment, _ in members], stopwords)
     result = []
     for cls in classes:
-        if not members[cls]:
+        rows = [vec for vec, (_, labels) in zip(vectors, members) if cls in labels]
+        if not rows:
             raise FeatureError(f"class {cls!r} has no members")
-        result.append(ClassVector(cls, np.mean(members[cls], axis=0)))
+        result.append(ClassVector(cls, np.mean(rows, axis=0)))
     return result
 
 
-def semantic_features(dm: DocEmbeddingModel, cvs: Sequence[ClassVector],
-                      comment: Comment,
-                      stopwords: Optional[FrozenSet[str]] = None) -> dict:
-    """Cosine distance to each class vector plus a one-hot nearest class.
+def semantic_features(cvs: Sequence[ClassVector], vec: np.ndarray) -> dict:
+    """Cosine distance from a comment vector to each class vector plus a
+    one-hot nearest class.
 
     Ties go to the first class in the fixed class order.
     """
     if not cvs:
         raise FeatureError("no class vectors given")
-    vec = comment_vector(dm, comment, stopwords)
     ordered = sorted(cvs, key=lambda cv: CLASS_ORDER.index(cv.label))
     values = {}
     best_label, best_dist = None, None
@@ -377,7 +373,7 @@ class FeatureExtractor:
     """Turns comments into features from fitted group models.
 
     matrix() gives the classifiers' input, in registry column order;
-    assemble() gives one comment's named values for export and inspection.
+    assemble_many() gives the comments' named values for export.
     Each group is on when its fitted model is given: keyword sets give the
     regex and keyword groups, a tf-idf model the tf-idf group, and class
     vectors (with the doc model that embeds comments) the semantic group.
@@ -451,7 +447,10 @@ class FeatureExtractor:
             ids |= self.tfidf.fitted_ids
         return frozenset(ids)
 
-    def assemble(self, comment: Comment) -> FeatureVector:
+    def assemble(self, comment: Comment,
+                 vector: Optional[np.ndarray] = None) -> FeatureVector:
+        """Named non-zero values of one comment. vector is the comment's
+        embedding (its row of comment_vectors); the semantic group needs it."""
         values: Dict[str, float] = {}
         for label in ADDRESSEE_LABELS:
             if label in self._patterns:
@@ -471,14 +470,25 @@ class FeatureExtractor:
                 values[f"tfidf_{gram}"] = weight
         values.update(text_stats_features(comment, self.sentiment_lexicon))
         if self.class_vecs:
-            values.update(semantic_features(self.doc_model, self.class_vecs, comment,
-                                            stopwords=self.stopwords))
+            if vector is None:
+                raise FeatureError(f"comment {comment.id}: the semantic features "
+                                   "need the comment's vector")
+            values.update(semantic_features(self.class_vecs, vector))
         values.update(metadata_features(comment, self.departments))
         values = {k: v for k, v in values.items() if v != 0.0}
         return FeatureVector(values=values)
 
+    def assemble_many(self, comments: Iterable[Comment]) -> List[FeatureVector]:
+        """assemble per comment; the comment vectors of the semantic group
+        come from one batched lookup-or-infer call."""
+        comments = list(comments)
+        vectors = comment_vectors(self.doc_model, comments, self.stopwords) \
+            if self.class_vecs else [None] * len(comments)
+        return [self.assemble(c, v) for c, v in zip(comments, vectors)]
+
     def matrix(self, comments: Iterable[Comment]) -> np.ndarray:
-        return build_matrix([self.assemble(c) for c in comments], self._registry)
+        """Rows in registry column order."""
+        return build_matrix(self.assemble_many(comments), self._registry)
 
 
 def build_matrix(fvs: Sequence[FeatureVector], registry: Sequence[str]) -> np.ndarray:

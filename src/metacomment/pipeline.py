@@ -263,9 +263,18 @@ class TwoStepClassifier:
         return self
 
     def classify(self, entry) -> TwoStepResult:
-        x = self.pipeline._matrix([entry])
-        return two_step_classify(self.meta_model, self.addressee_models, x,
-                                 threshold=self.threshold)
+        return self.classify_many([entry])[0]
+
+    def classify_many(self, entries: Sequence) -> List[TwoStepResult]:
+        """One result per entry, from one feature matrix for all of them.
+
+        Each row is decided on its own 1 x n slice, so a result does not
+        depend on which other entries share the batch.
+        """
+        X = self.pipeline._matrix(entries)
+        return [two_step_classify(self.meta_model, self.addressee_models, X[i:i + 1],
+                                  threshold=self.threshold)
+                for i in range(len(X))]
 
     def save(self, directory) -> None:
         """Write extractor.json, meta.json and addressee_<label>.json."""
@@ -337,30 +346,35 @@ def load_extractor(path, doc_model: Optional[DocEmbeddingModel] = None) -> Featu
     object of group toggles that older files carry is not read. Where it
     had turned a stored group off, the registry differs from the one the
     models were trained on, and TwoStepClassifier.load rejects them by
-    registry hash.
+    registry hash. A missing key raises ValueError naming the file and key.
     """
     with open(Path(path), encoding="utf-8") as fh:
         data = json.load(fh)
     if data.get("format") != "metacomment-extractor/1":
         raise ValueError(f"unsupported extractor format {data.get('format')!r}")
-    keyword_sets = {
-        label: KeywordSet(label=label, seeds=tuple(ks["seeds"]),
-                          enriched=tuple(ks["enriched"]), missing=tuple(ks["missing"]))
-        for label, ks in data["keyword_sets"].items()} or None
-    tfidf = None
-    if data["tfidf"] is not None:
-        raw = data["tfidf"]
-        df = np.array(raw["document_frequencies"], dtype=np.int64)
-        tfidf = TfidfModel(
-            vocabulary={gram: i for i, gram in enumerate(raw["vocabulary"])},
-            document_frequencies=df, n_docs=raw["n_docs"],
-            idf=np.log((1.0 + raw["n_docs"]) / (1.0 + df)) + 1.0,
-            fitted_ids=frozenset(raw["fitted_ids"]))
-    class_vecs = [ClassVector(cv["label"], np.array(cv["vector"]))
-                  for cv in data["class_vectors"]] or None
+    try:
+        keyword_sets = {
+            label: KeywordSet(label=label, seeds=tuple(ks["seeds"]),
+                              enriched=tuple(ks["enriched"]), missing=tuple(ks["missing"]))
+            for label, ks in data["keyword_sets"].items()} or None
+        tfidf = None
+        if data["tfidf"] is not None:
+            raw = data["tfidf"]
+            df = np.array(raw["document_frequencies"], dtype=np.int64)
+            tfidf = TfidfModel(
+                vocabulary={gram: i for i, gram in enumerate(raw["vocabulary"])},
+                document_frequencies=df, n_docs=raw["n_docs"],
+                idf=np.log((1.0 + raw["n_docs"]) / (1.0 + df)) + 1.0,
+                fitted_ids=frozenset(raw["fitted_ids"]))
+        class_vecs = [ClassVector(cv["label"], np.array(cv["vector"]))
+                      for cv in data["class_vectors"]] or None
+        departments, lexicon, stopwords, fitted_ids = (
+            data["departments"], data["sentiment_lexicon"], data["stopwords"],
+            data["fitted_ids"])
+    except KeyError as exc:
+        raise ValueError(f"{path}: missing key {exc.args[0]!r}") from None
     return FeatureExtractor(
         keyword_sets=keyword_sets, tfidf=tfidf, doc_model=doc_model,
-        class_vecs=class_vecs, departments=data["departments"],
-        sentiment_lexicon=data["sentiment_lexicon"],
-        stopwords=frozenset(data["stopwords"]) if data["stopwords"] else None,
-        extra_fitted_ids=data["fitted_ids"])
+        class_vecs=class_vecs, departments=departments, sentiment_lexicon=lexicon,
+        stopwords=frozenset(stopwords) if stopwords else None,
+        extra_fitted_ids=fitted_ids)

@@ -17,8 +17,12 @@ import numpy as np
 
 from .corpus import CLASS_ORDER, Comment, DatasetError, LabeledDataset, LabelSet
 from .embeddings import DocEmbeddingModel, WordEmbeddingModel, cosine_similarity
-from .features import KeywordSet, compile_keyword_pattern, count_pattern_matches
-from .textprep import preprocess
+from .features import (
+    KeywordSet,
+    comment_vectors,
+    compile_keyword_pattern,
+    count_pattern_matches,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -94,11 +98,10 @@ def sample_by_similarity(ds: LabeledDataset, ks: KeywordSet,
     if n < 0:
         raise SamplingError("n must be >= 0")
     anchor = keyword_average_vector(ks, word_model)
-    scored = []
-    for position, (comment, _) in enumerate(ds):
-        vec = dm.vector_for(preprocess(comment, remove_stopwords=True,
-                                       stopwords=stopwords))
-        scored.append((cosine_similarity(vec, anchor), position, comment))
+    comments = list(ds.comments())
+    vectors = comment_vectors(dm, comments, stopwords)
+    scored = [(cosine_similarity(vec, anchor), position, comment)
+              for position, (vec, comment) in enumerate(zip(vectors, comments))]
     scored.sort(key=lambda entry: (-entry[0], entry[1]))
     items = tuple(BatchItem(comment, "similarity", score)
                   for score, _, comment in scored[:n])

@@ -8,8 +8,10 @@ from pathlib import Path
 import pytest
 
 import metacomment
+from metacomment import cli
 from metacomment.cli import main
 from metacomment.corpus import load_dataset, save_dataset
+from metacomment.embeddings import DocEmbeddingModel
 from metacomment.pipeline import TwoStepClassifier
 
 from synthdata import generate_comment_dataset
@@ -241,6 +243,55 @@ class TestTrainAndClassify:
         err = capsys.readouterr().err
         assert "class vectors" in err and "Traceback" not in err
         assert not (out / "classified.jsonl").exists()
+
+    def test_classify_rejects_extractor_missing_a_key(self, workspace, models_dir,
+                                                      tmp_path, capsys):
+        models = tmp_path / "models"
+        shutil.copytree(models_dir, models)
+        path = models / "extractor.json"
+        data = json.loads(path.read_text(encoding="utf-8"))
+        del data["departments"]
+        path.write_text(json.dumps(data), encoding="utf-8")
+        out = tmp_path / "classified"
+        rc = main(["classify", "--input", str(workspace["dataset"]),
+                   "--models", str(models), "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "extractor.json" in err and "'departments'" in err
+        assert "Traceback" not in err
+        assert not (out / "classified.jsonl").exists()
+
+    def test_classify_infers_once_per_chunk(self, workspace, tmp_path, monkeypatch):
+        # a two-step directory with the semantic group, and unseen comments
+        doc_model = tmp_path / "doc"
+        assert main(["train-embeddings", "--input", str(workspace["dataset"]),
+                     "--kind", "doc", "--dim", "8", "--window", "3", "--min-count", "2",
+                     "--epochs", "3", "--out", str(doc_model)]) == 0
+        models = tmp_path / "models"
+        assert main(_two_step_args(workspace, models)
+                    + ["--doc-model", str(doc_model / "model")]) == 0
+        unseen = tmp_path / "unseen.jsonl"
+        save_dataset(generate_comment_dataset(1, n_per_class=3, n_nonmeta=4,
+                                              source_tag="unseen"), unseen)
+        calls = {"infer_many": [], "infer": 0}
+        infer_many = DocEmbeddingModel.infer_many
+
+        def spy_many(self, streams):
+            calls["infer_many"].append(len(streams))
+            return infer_many(self, streams)
+
+        def spy_one(self, ts):
+            calls["infer"] += 1
+            return infer_many(self, [ts])
+
+        monkeypatch.setattr(DocEmbeddingModel, "infer_many", spy_many)
+        monkeypatch.setattr(DocEmbeddingModel, "infer", spy_one)
+        monkeypatch.setattr(cli, "CLASSIFY_CHUNK", 5)
+        out = tmp_path / "classified"
+        assert main(["classify", "--input", str(unseen), "--models", str(models),
+                     "--doc-model", str(doc_model / "model"), "--out", str(out)]) == 0
+        assert len((out / "classified.jsonl").read_text().splitlines()) == 13
+        assert calls == {"infer_many": [5, 5, 3], "infer": 0}
 
     def test_two_step_artifacts_independent_of_hash_seed(self, workspace, tmp_path):
         env = dict(os.environ,

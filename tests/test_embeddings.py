@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from metacomment import embeddings
 from metacomment.embeddings import (
     DocEmbeddingModel,
     DocInferenceParams,
@@ -12,6 +13,7 @@ from metacomment.embeddings import (
     WordEmbeddingModel,
     WordTrainingParams,
     cosine_distance,
+    _LrSchedule,
     cosine_similarity,
     negative_sampling_gradients,
     negative_sampling_loss,
@@ -241,6 +243,141 @@ class TestInference:
         assert np.array_equal(vector, np.zeros(16))
 
 
+def reference_infer(dm, ts):
+    """One comment's inference, position by position, on the reference
+    gradients: the comment vector is one more w_in row in the context.
+
+    Returns (vector, all_oov, number of negatives dropped as the centre).
+    """
+    wm = dm.word_model
+    p = dm.inference_params
+    indices = [wm.vocab[t] for t in ts.tokens if t in wm.vocab]
+    if not indices:
+        return np.zeros(dm.dim), True, 0
+    k, window = wm.params.negative_samples, wm.params.window
+    rng = np.random.default_rng(p.seed)
+    doc_row = len(wm.vocab)
+    w_in = np.vstack([wm.vectors, (rng.random(dm.dim) - 0.5) / dm.dim])
+    lr_sched = _LrSchedule(p.learning_rate, p.min_learning_rate, len(indices) * p.steps)
+    dropped = 0
+    for _ in range(p.steps):
+        for pos, centre in enumerate(indices):
+            lr = lr_sched.next()
+            context = indices[max(0, pos - window):pos] + indices[pos + 1:pos + 1 + window]
+            negatives = wm._noise.draw(rng, k, exclude=centre)
+            dropped += k - len(negatives)
+            _, grad_in, _ = negative_sampling_gradients(
+                w_in, wm.out_vectors, context + [doc_row], centre, negatives)
+            w_in[doc_row] -= lr * grad_in[doc_row]
+    return w_in[doc_row], False, dropped
+
+
+@pytest.fixture(scope="module")
+def short_schedule_model(toy_doc_model):
+    """The toy doc model with a 2-step inference schedule, so the reference
+    loop stays fast on long comments."""
+    return DocEmbeddingModel(toy_doc_model.word_model, toy_doc_model.doc_vectors,
+                             toy_doc_model.flagged_ids, DocInferenceParams(steps=2, seed=3),
+                             toy_doc_model.token_digests)
+
+
+class TestBatchedInference:
+    def _batch(self, model):
+        vocab = sorted(model.word_model.vocab)
+        rng = np.random.default_rng(4)
+        streams = [TokenStream(tuple(rng.choice(vocab, size=n)), f"len{n}")
+                   for n in range(1, 151)]
+        streams[10:10] = [
+            TokenStream(("kaffee",), "one-token"),
+            TokenStream(("kaffee",) * 6 + ("tasse", "kaffee"), "repeated"),
+            TokenStream(("xyz", "qqq"), "all-oov"),
+            TokenStream((), "empty"),
+            TokenStream(("xyz", "kaffee", "qqq"), "oov-around"),
+        ]
+        return streams
+
+    def test_matches_reference_loop(self, short_schedule_model):
+        streams = self._batch(short_schedule_model)
+        vectors, all_oov = short_schedule_model.infer_many(streams)
+        assert vectors.shape == (len(streams), 16)
+        dropped = 0
+        for ts, vec, flag in zip(streams, vectors, all_oov):
+            ref, ref_flag, ref_dropped = reference_infer(short_schedule_model, ts)
+            assert flag == ref_flag, ts.source_id
+            assert np.abs(vec - ref).max() <= 1e-12, ts.source_id
+            dropped += ref_dropped
+        # some drawn negative was the centre token, so the exclusion was exercised
+        assert dropped > 0
+        assert list(all_oov).count(True) == 2
+
+    def test_rows_do_not_depend_on_the_batch(self, short_schedule_model):
+        streams = self._batch(short_schedule_model)[:40]
+        vectors, _ = short_schedule_model.infer_many(streams)
+        reordered, _ = short_schedule_model.infer_many(streams[::-1])
+        assert np.array_equal(reordered[::-1], vectors)
+        for ts, vec in zip(streams, vectors):
+            assert np.array_equal(short_schedule_model.infer(ts)[0], vec)
+
+    def test_slices_bound_the_kernel_and_keep_results(self, short_schedule_model,
+                                                      monkeypatch):
+        streams = self._batch(short_schedule_model)[:40]
+        whole, _ = short_schedule_model.infer_many(streams)
+        sizes = []
+        kernel = DocEmbeddingModel._infer_sorted
+
+        def spy(self, indexed):
+            sizes.append(len(indexed))
+            return kernel(self, indexed)
+
+        monkeypatch.setattr(embeddings, "INFER_BATCH", 7)
+        monkeypatch.setattr(DocEmbeddingModel, "_infer_sorted", spy)
+        sliced, all_oov = short_schedule_model.infer_many(streams)
+        assert sizes == [7, 7, 7, 7, 7, 3]
+        assert sum(sizes) == len(streams) - all_oov.sum()
+        assert np.array_equal(sliced, whole)
+
+    def test_empty_batch(self, toy_doc_model):
+        vectors, all_oov = toy_doc_model.infer_many([])
+        assert vectors.shape == (0, 16)
+        assert all_oov.shape == (0,)
+
+
+class TestTrainedLookup:
+    def test_training_comment_gets_trained_vector(self, toy_doc_model):
+        streams, _ = doc_cluster_corpus(3)
+        vectors = toy_doc_model.vectors_for(streams[:3])
+        for ts, vec in zip(streams[:3], vectors):
+            assert np.array_equal(vec, toy_doc_model.doc_vectors[ts.source_id])
+
+    def test_reused_id_with_other_text_is_inferred(self, toy_doc_model, caplog):
+        streams, _ = doc_cluster_corpus(3)
+        reused = TokenStream(("kaffee", "tasse", "milch"), streams[0].source_id)
+        fresh = TokenStream(streams[1].tokens, "fresh")
+        with caplog.at_level("WARNING", logger="metacomment.embeddings"):
+            vectors = toy_doc_model.vectors_for([streams[0], reused, fresh])
+        # one warning, counting the reused id only
+        assert [r.getMessage()[:45] for r in caplog.records] == [
+            "1 comment(s) reuse a training id with other t"]
+        inferred, _ = toy_doc_model.infer_many([reused, fresh])
+        assert np.array_equal(vectors[0], toy_doc_model.doc_vectors[streams[0].source_id])
+        assert np.array_equal(vectors[1:], inferred)
+        assert not np.array_equal(vectors[1], vectors[0])
+
+    def test_model_without_digests_looks_up_by_id(self, tmp_path, toy_doc_model):
+        prefix = tmp_path / "docmodel"
+        toy_doc_model.save(prefix)
+        meta_path = prefix.with_suffix(".docs.meta.json")
+        meta = json.loads(meta_path.read_text(encoding="utf-8"))
+        del meta["token_digests"]
+        meta_path.write_text(json.dumps(meta), encoding="utf-8")
+        loaded = DocEmbeddingModel.load(prefix)
+        assert loaded.token_digests is None
+        streams, _ = doc_cluster_corpus(3)
+        reused = TokenStream(("kaffee", "tasse", "milch"), streams[0].source_id)
+        assert np.array_equal(loaded.vectors_for([reused])[0],
+                              toy_doc_model.doc_vectors[streams[0].source_id])
+
+
 class TestPersistence:
     def test_round_trip(self, tmp_path, toy_model):
         prefix = tmp_path / "model"
@@ -270,6 +407,8 @@ class TestPersistence:
         for key, vec in toy_doc_model.doc_vectors.items():
             assert np.array_equal(vec, loaded.doc_vectors[key])
         assert loaded.inference_params == toy_doc_model.inference_params
+        assert loaded.token_digests == toy_doc_model.token_digests
+        assert set(loaded.token_digests) == set(toy_doc_model.doc_vectors)
 
     def test_byte_identical_saves_across_runs(self, tmp_path):
         corpus = synonym_word_corpus(4, n_sentences=60)

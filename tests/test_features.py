@@ -21,6 +21,7 @@ from metacomment.features import (
     anova_f_matrix,
     build_matrix,
     class_vectors,
+    comment_vectors,
     compile_keyword_pattern,
     count_pattern_matches,
     default_keyword_seeds,
@@ -270,27 +271,24 @@ class TestClassVectors:
 
 class TestSemanticFeatures:
     def test_member_of_class_vector_has_distance_zero(self):
-        dm = fake_doc_model({"a": [1.0, 0.0]})
         cvs = [ClassVector("Media", np.array([1.0, 0.0])),
                ClassVector("NonMeta", np.array([0.0, 1.0]))]
-        values = semantic_features(dm, cvs, make_comment("a", text="x."))
+        values = semantic_features(cvs, np.array([1.0, 0.0]))
         assert values["semantic_dist_media"] == pytest.approx(0.0, abs=1e-12)
         assert values["semantic_min_dist_media"] == 1.0
         assert values["semantic_min_dist_non-meta"] == 0.0
 
     def test_argmin_on_clear_case(self):
-        dm = fake_doc_model({"a": [1.0, 0.0]})
         cvs = [ClassVector("Media", np.array([1.0, 0.0])),
                ClassVector("Journalist", np.array([0.0, 1.0]))]
-        values = semantic_features(dm, cvs, make_comment("a", text="x."))
+        values = semantic_features(cvs, np.array([1.0, 0.0]))
         assert values["semantic_dist_journalist"] == pytest.approx(1.0)
         assert values["semantic_min_dist_media"] == 1.0
 
     def test_tie_broken_by_class_order(self):
-        dm = fake_doc_model({"a": [1.0, 1.0]})
         cvs = [ClassVector("Moderator", np.array([1.0, 0.0])),
                ClassVector("Media", np.array([0.0, 1.0]))]
-        values = semantic_features(dm, cvs, make_comment("a", text="x."))
+        values = semantic_features(cvs, np.array([1.0, 1.0]))
         # equidistant: Media wins because it precedes Moderator in class order
         assert values["semantic_min_dist_media"] == 1.0
         assert values["semantic_min_dist_moderator"] == 0.0
@@ -298,10 +296,10 @@ class TestSemanticFeatures:
     def test_exactly_one_hot_bit(self):
         rng = np.random.default_rng(0)
         for trial in range(25):
-            dm = fake_doc_model({"a": rng.normal(size=4)})
+            vec = rng.normal(size=4)
             cvs = [ClassVector(cls, rng.normal(size=4))
                    for cls in ("Media", "Journalist", "Moderator")]
-            values = semantic_features(dm, cvs, make_comment("a", text="x."))
+            values = semantic_features(cvs, vec)
             hot = [v for k, v in values.items() if k.startswith("semantic_min_dist_")]
             assert sum(hot) == 1.0
 
@@ -380,9 +378,15 @@ class TestAssemble:
             departments=("politik",))
         c = make_comment("a", title="Autor", text="Der Autor im SPIEGEL? Sehr gut!",
                          department="politik", position=3, has_quote=False)
-        fv = extractor.assemble(c)
+        fv = extractor.assemble(c, comment_vectors(dm, [c])[0])
         assert set(fv.values) <= set(extractor.registry)
         assert fv.values["regex_journalist_matches"] == 2.0
+        # comment "a" has the trained vector [1, 0]: nearest to Meta
+        assert fv.values["semantic_dist_non-meta"] == pytest.approx(1.0)
+        assert fv.values["semantic_min_dist_meta"] == 1.0
+        assert extractor.assemble_many([c]) == [fv]
+        with pytest.raises(FeatureError, match="comment a: .*vector"):
+            extractor.assemble(c)
 
     def test_assemble_is_pure(self):
         extractor = FeatureExtractor(keyword_sets=self.KS)

@@ -3,10 +3,16 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from metacomment.classifiers import load_model, save_model
 from metacomment.corpus import LabeledDataset
-from metacomment.embeddings import WordTrainingParams, train_doc_embeddings, train_word_embeddings
+from metacomment.embeddings import (
+    DocInferenceParams,
+    WordTrainingParams,
+    train_doc_embeddings,
+    train_word_embeddings,
+)
 from metacomment.evaluation import binary_labels, cross_dataset_eval, cross_validate
 from metacomment.features import FeatureExtractor
 from metacomment.neural import CnnConfig
@@ -160,9 +166,9 @@ class TestTwoStepClassifier:
         calls = []
         assemble = FeatureExtractor.assemble
 
-        def spy(self, comment):
+        def spy(self, comment, *args):
             calls.append(comment.id)
-            return assemble(self, comment)
+            return assemble(self, comment, *args)
 
         monkeypatch.setattr(FeatureExtractor, "assemble", spy)
         entries = list(dataset)[:120]
@@ -238,6 +244,47 @@ class TestTwoStepClassifier:
         classifier.fit(list(dataset)[:150])
         for entry in list(dataset)[150:170]:
             assert classifier.classify(entry).addressees == ()
+
+
+N_UNSEEN = 12
+
+
+@pytest.fixture(scope="module")
+def semantic_two_step(word_model):
+    """Two-step classifier with the semantic group, unseen entries and each
+    entry's classify() result on its own."""
+    ds = generate_comment_dataset(5, n_per_class=12, n_nonmeta=36)
+    streams = [preprocess(c, remove_stopwords=True) for c in ds.comments()]
+    dm = train_doc_embeddings(
+        streams, WordTrainingParams(dim=16, window=5, min_count=2, epochs=10, seed=3),
+        DocInferenceParams(steps=10, seed=3))
+    classifier = TwoStepClassifier(make_pipeline(word_model, doc_model=dm)).fit(list(ds))
+    unseen = list(generate_comment_dataset(6, n_per_class=3, n_nonmeta=3,
+                                           source_tag="unseen"))
+    assert len(unseen) == N_UNSEEN
+    return classifier, unseen, [classifier.classify(entry) for entry in unseen]
+
+
+class TestClassifyMany:
+    def test_semantic_group_in_use(self, semantic_two_step):
+        classifier, _, singles = semantic_two_step
+        assert any(n.startswith("semantic_") for n in classifier.pipeline.extractor.registry)
+        assert any(r.is_meta for r in singles) and any(not r.is_meta for r in singles)
+
+    def test_empty_batch(self, semantic_two_step):
+        assert semantic_two_step[0].classify_many([]) == []
+
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(order=st.permutations(range(N_UNSEEN)),
+           cuts=st.sets(st.integers(1, N_UNSEEN - 1)))
+    def test_equals_classify_for_any_chunks_and_order(self, semantic_two_step,
+                                                      order, cuts):
+        classifier, unseen, singles = semantic_two_step
+        ordered = [unseen[i] for i in order]
+        bounds = [0, *sorted(cuts), N_UNSEEN]
+        results = [result for start, end in zip(bounds, bounds[1:])
+                   for result in classifier.classify_many(ordered[start:end])]
+        assert results == [singles[i] for i in order]
 
 
 class TestCrossDataset:

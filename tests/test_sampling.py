@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from metacomment import embeddings
 from metacomment.corpus import LabeledDataset, LabelSet
 from metacomment.embeddings import (
     DocEmbeddingModel,
@@ -91,6 +92,26 @@ class TestSampleBySimilarity:
         batch = sample_by_similarity(ds, ks, planted.word_model, planted, n=3)
         assert batch.ids()[0] == "planted"
         assert batch.items[0].score == pytest.approx(1.0, abs=1e-9)
+
+    def test_unseen_comments_inferred_in_bounded_slices(self, doc_model, monkeypatch):
+        words = ("kaffee", "espresso", "tasse")
+        entries = tuple((make_comment(f"u{i}", text=" ".join(words[:1 + i % 3] * (i + 1))),
+                         LabelSet()) for i in range(10))
+        ds = LabeledDataset(entries, "unseen")
+        ks = KeywordSet("Media", ("kaffee",), ("kaffee",))
+        whole = sample_by_similarity(ds, ks, doc_model.word_model, doc_model, n=10)
+        sizes = []
+        kernel = DocEmbeddingModel._infer_sorted
+
+        def spy(self, indexed):
+            sizes.append(len(indexed))
+            return kernel(self, indexed)
+
+        monkeypatch.setattr(embeddings, "INFER_BATCH", 4)
+        monkeypatch.setattr(DocEmbeddingModel, "_infer_sorted", spy)
+        sliced = sample_by_similarity(ds, ks, doc_model.word_model, doc_model, n=10)
+        assert sizes == [4, 4, 2]
+        assert sliced.items == whole.items
 
     def test_all_keywords_oov_is_error(self, doc_model):
         ks = KeywordSet("Media", ("fehltoken",), ("fehltoken",))
