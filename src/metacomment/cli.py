@@ -84,6 +84,12 @@ def _hash_file(path) -> str:
     return digest.hexdigest()
 
 
+def _write_json(path, payload) -> None:
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        json.dump(payload, fh, ensure_ascii=False, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
 def _write_manifest(out_dir: Path, args: argparse.Namespace, inputs) -> None:
     manifest = {
         "tool": "metacomment",
@@ -94,9 +100,7 @@ def _write_manifest(out_dir: Path, args: argparse.Namespace, inputs) -> None:
         "input_hashes": {str(p): _hash_file(p) for p in inputs if Path(p).is_file()},
     }
     out_dir.mkdir(parents=True, exist_ok=True)
-    with open(out_dir / "manifest.json", "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(manifest, fh, ensure_ascii=False, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(out_dir / "manifest.json", manifest)
 
 
 def _out_dir(args) -> Path:
@@ -106,7 +110,24 @@ def _out_dir(args) -> Path:
 
 
 def _stopwords(args):
-    return load_stopwords(args.stopwords) if getattr(args, "stopwords", None) else None
+    return load_stopwords(args.stopwords) if args.stopwords else None
+
+
+def _embedding_models(args):
+    """(word model, doc model) from --word-model and --doc-model; None where absent."""
+    word_model = WordEmbeddingModel.load(args.word_model) if args.word_model else None
+    doc_model = DocEmbeddingModel.load(args.doc_model) if args.doc_model else None
+    return word_model, doc_model
+
+
+def _fitted_extractor(args, ds):
+    """The feature extractor of the command's models, keywords and stop words,
+    fitted on ds without a classifier."""
+    word_model, doc_model = _embedding_models(args)
+    pipeline = FeaturePipeline(word_model=word_model, doc_model=doc_model,
+                               keyword_seeds=_keyword_seeds(args),
+                               stopwords=_stopwords(args))
+    return pipeline._fit_extractor(list(ds))
 
 
 def _parse_kv_params(raw: str) -> dict:
@@ -147,7 +168,7 @@ def _pipeline_from_args(args, word_model, doc_model, seed, params=None,
 
 
 def _keyword_seeds(args):
-    if getattr(args, "keywords_dir", None):
+    if args.keywords_dir:
         base = Path(args.keywords_dir)
         return {label: load_keywords(base / f"{label.lower()}.txt")
                 for label in ADDRESSEE_LABELS}
@@ -163,12 +184,6 @@ def _metrics_dict(metrics: Metrics) -> dict:
     return {"precision": metrics.precision, "recall": metrics.recall,
             "f_beta": metrics.f_beta, "beta": metrics.beta,
             "tp": metrics.tp, "fp": metrics.fp, "fn": metrics.fn, "tn": metrics.tn}
-
-
-def _write_json(path, payload) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(payload, fh, ensure_ascii=False, indent=2, sort_keys=True)
-        fh.write("\n")
 
 
 # -- subcommands ---------------------------------------------------------------
@@ -237,12 +252,7 @@ def cmd_enrich_keywords(args) -> int:
 
 def cmd_features(args) -> int:
     ds = load_dataset(args.input)
-    word_model = WordEmbeddingModel.load(args.word_model) if args.word_model else None
-    doc_model = DocEmbeddingModel.load(args.doc_model) if args.doc_model else None
-    pipeline = FeaturePipeline(word_model=word_model, doc_model=doc_model,
-                               keyword_seeds=_keyword_seeds(args),
-                               stopwords=_stopwords(args))
-    extractor = pipeline._fit_extractor(list(ds))
+    extractor = _fitted_extractor(args, ds)
     fvs = extractor.assemble_many(ds.comments())
     out = _out_dir(args)
     export_sparse_matrix(fvs, extractor.registry, out / "features.txt")
@@ -256,8 +266,7 @@ def cmd_features(args) -> int:
 
 def cmd_train(args) -> int:
     ds = load_dataset(args.input)
-    word_model = WordEmbeddingModel.load(args.word_model) if args.word_model else None
-    doc_model = DocEmbeddingModel.load(args.doc_model) if args.doc_model else None
+    word_model, doc_model = _embedding_models(args)
     entries = list(ds)
     pipeline = _pipeline_from_args(args, word_model, doc_model,
                                    derive_seed(args.seed, "train"))
@@ -283,8 +292,7 @@ def cmd_train(args) -> int:
 
 def cmd_evaluate(args) -> int:
     ds = load_dataset(args.input)
-    word_model = WordEmbeddingModel.load(args.word_model) if args.word_model else None
-    doc_model = DocEmbeddingModel.load(args.doc_model) if args.doc_model else None
+    word_model, doc_model = _embedding_models(args)
     entries = list(ds)
     y = binary_labels(ds, args.target)
     result = cross_validate(
@@ -312,8 +320,7 @@ def cmd_evaluate(args) -> int:
 
 def cmd_grid_search(args) -> int:
     ds = load_dataset(args.input)
-    word_model = WordEmbeddingModel.load(args.word_model) if args.word_model else None
-    doc_model = DocEmbeddingModel.load(args.doc_model) if args.doc_model else None
+    word_model, doc_model = _embedding_models(args)
     with open(args.grid, encoding="utf-8") as fh:
         raw = json.load(fh)
     grid = GridSpec(params=raw.get("params", {}),
@@ -341,8 +348,7 @@ def cmd_grid_search(args) -> int:
 def cmd_cross_eval(args) -> int:
     train_ds = load_dataset(args.train, "train")
     test_ds = load_dataset(args.test, "test")
-    word_model = WordEmbeddingModel.load(args.word_model) if args.word_model else None
-    doc_model = DocEmbeddingModel.load(args.doc_model) if args.doc_model else None
+    word_model, doc_model = _embedding_models(args)
     classes = args.classes.split(",") if args.classes else ("Meta",) + ADDRESSEE_LABELS
     results = cross_dataset_eval(
         train_ds, test_ds,
@@ -393,12 +399,7 @@ def cmd_classify(args) -> int:
 
 def cmd_rank_features(args) -> int:
     ds = load_dataset(args.input)
-    word_model = WordEmbeddingModel.load(args.word_model) if args.word_model else None
-    doc_model = DocEmbeddingModel.load(args.doc_model) if args.doc_model else None
-    pipeline = FeaturePipeline(word_model=word_model, doc_model=doc_model,
-                               keyword_seeds=_keyword_seeds(args),
-                               stopwords=_stopwords(args))
-    extractor = pipeline._fit_extractor(list(ds))
+    extractor = _fitted_extractor(args, ds)
     X = extractor.matrix(ds.comments())
     classes = args.classes.split(",") if args.classes else ("Meta",) + ADDRESSEE_LABELS
     ranking = {}
@@ -492,19 +493,23 @@ def cmd_report(args) -> int:
 # -- parser ----------------------------------------------------------------------
 
 def _add_common(parser, out_required=False):
-    parser.add_argument("--seed", type=int, default=0, help="master random seed")
     parser.add_argument("--jobs", type=int, default=1, choices=(1,),
                         help="runs are serial, so only 1 is accepted; the flag is "
                              "kept so that existing command lines still parse")
+    parser.add_argument("--out", required=out_required, help="output directory")
+
+
+def _add_seed(parser):
+    parser.add_argument("--seed", type=int, default=0, help="master random seed")
+
+
+def _add_stopwords(parser):
     parser.add_argument("--stopwords", default=None,
                         help="stop-word file overriding the shipped German list")
-    if out_required:
-        parser.add_argument("--out", required=True, help="output directory")
-    else:
-        parser.add_argument("--out", default=None, help="output directory")
 
 
 def _add_model_flags(parser):
+    _add_stopwords(parser)
     parser.add_argument("--word-model", default=None,
                         help="word embedding model prefix")
     parser.add_argument("--doc-model", default=None,
@@ -554,6 +559,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", choices=("cbow", "skipgram"), default="cbow")
     p.add_argument("--negative", type=int, default=5)
     p.add_argument("--lr", type=float, default=0.025)
+    _add_stopwords(p)
+    _add_seed(p)
     _add_common(p, out_required=True)
     p.set_defaults(func=cmd_train_embeddings)
 
@@ -588,6 +595,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "(single-target training; --two-step rejects it)")
     _add_classifier_flags(p)
     _add_model_flags(p)
+    _add_seed(p)
     _add_common(p, out_required=True)
     p.set_defaults(func=cmd_train)
 
@@ -597,6 +605,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-k", type=int, default=10)
     _add_classifier_flags(p)
     _add_model_flags(p)
+    _add_seed(p)
     _add_common(p)
     p.set_defaults(func=cmd_evaluate)
 
@@ -607,6 +616,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-k", type=int, default=3)
     _add_classifier_flags(p)
     _add_model_flags(p)
+    _add_seed(p)
     _add_common(p, out_required=True)
     p.set_defaults(func=cmd_grid_search)
 
@@ -616,6 +626,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--classes", default=None, help="comma-separated label list")
     _add_classifier_flags(p)
     _add_model_flags(p)
+    _add_seed(p)
     _add_common(p)
     p.set_defaults(func=cmd_cross_eval)
 
@@ -624,6 +635,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--models", required=True, help="directory from train --two-step")
     p.add_argument("--threshold", type=float, default=0.8)
     p.add_argument("--doc-model", default=None)
+    _add_seed(p)
     _add_common(p, out_required=True)
     p.set_defaults(func=cmd_classify)
 
@@ -644,6 +656,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-n", type=int, default=100)
     p.add_argument("--batch-id", default="batch")
     _add_model_flags(p)
+    _add_seed(p)
     _add_common(p, out_required=True)
     p.set_defaults(func=cmd_sample)
 

@@ -102,8 +102,9 @@ def cosine_distance(u: np.ndarray, v: np.ndarray) -> float:
 #
 # For one (context, center) pair with mean input vector h and negative draws
 # n_1..n_K the loss is  -log s(u_c . h) - sum_k log s(-u_{n_k} . h)  where s
-# is the logistic function. These two functions are the reference definition;
-# the training loops apply exactly these gradients in fused form.
+# is the logistic function. These two functions are the reference definition.
+# Training applies exactly these gradients through _output_step, and
+# test_embeddings.py's TestTrainingStep ties one pass of each mode to them.
 
 def negative_sampling_loss(w_in: np.ndarray, w_out: np.ndarray,
                            context: Sequence[int], center: int,
@@ -283,12 +284,6 @@ def _build_vocab(corpus: Sequence[TokenStream], min_count: int):
     return vocab, np.array([c for _, c in kept], dtype=np.int64)
 
 
-def _init_matrices(rng: np.random.Generator, n_rows: int, dim: int):
-    w_in = (rng.random((n_rows, dim)) - 0.5) / dim
-    w_out = np.zeros((n_rows, dim))
-    return w_in, w_out
-
-
 class _LrSchedule:
     """Linear decay over the total number of training positions."""
 
@@ -304,37 +299,52 @@ class _LrSchedule:
         return max(lr, self.final)
 
 
-def _train_doc_positions(w_in, w_out, noise, params, doc_indices, lr_sched, rng,
-                         doc_vec=None):
+def _output_step(w_out, h, centre, negatives, lr):
+    """Output side of one negative-sampling step on input vector h: scores the
+    centre and its negatives, applies their w_out update in place and returns
+    (loss, gradient with respect to h)."""
+    targets = np.concatenate(([centre], negatives))
+    w = w_out[targets]
+    scores = w @ h
+    g = _sigmoid(scores)
+    g[0] -= 1.0
+    loss = float(np.logaddexp(0.0, -scores[0]) + np.logaddexp(0.0, scores[1:]).sum())
+    np.add.at(w_out, targets, (-lr) * g[:, None] * h[None, :])
+    return loss, g @ w
+
+
+def _train_doc(w_in, w_out, noise, params, doc, lr_sched, rng, doc_vec):
     """One pass over one document; returns the accumulated loss.
 
-    With doc_vec given, the document vector joins the context average
-    (distributed-memory style) and is trained along with the word matrices.
+    CBOW predicts each centre from the mean of its window; with doc_vec given
+    (DM), the document vector is one more context row and is trained along
+    with the word matrices. Skip-gram predicts each window token from the
+    centre row alone.
     """
     total_loss = 0.0
-    k = params.negative_samples
-    n = len(doc_indices)
-    for pos in range(n):
+    k, window = params.negative_samples, params.window
+    skipgram = params.method == "skipgram"
+    for pos, centre in enumerate(doc):
         lr = lr_sched.next()
-        context = doc_indices[max(0, pos - params.window):pos] \
-            + doc_indices[pos + 1:pos + 1 + params.window]
-        negatives = noise.draw(rng, k, exclude=doc_indices[pos])
+        context = doc[max(0, pos - window):pos] + doc[pos + 1:pos + 1 + window]
+        if skipgram:
+            for target in context:
+                loss, grad_h = _output_step(w_out, w_in[centre], target,
+                                            noise.draw(rng, k, exclude=target), lr)
+                total_loss += loss
+                w_in[centre] -= lr * grad_h
+            continue
+        negatives = noise.draw(rng, k, exclude=centre)
         if not context and doc_vec is None:
             continue
         rows = np.asarray(context, dtype=int)
-        m = len(context) + (1 if doc_vec is not None else 0)
+        m = len(context) + (doc_vec is not None)
+        h = w_in[rows].sum(axis=0)
         if doc_vec is not None:
-            h = (w_in[rows].sum(axis=0) + doc_vec) / m if len(rows) else doc_vec.copy()
-        else:
-            h = w_in[rows].mean(axis=0)
-        targets = np.concatenate(([doc_indices[pos]], negatives))
-        scores = w_out[targets] @ h
-        g = _sigmoid(scores)
-        g[0] -= 1.0
-        total_loss += float(np.logaddexp(0.0, -scores[0])
-                            + np.logaddexp(0.0, scores[1:]).sum())
-        grad_h = g @ w_out[targets]
-        np.add.at(w_out, targets, (-lr) * g[:, None] * h[None, :])
+            h += doc_vec
+        h /= m
+        loss, grad_h = _output_step(w_out, h, centre, negatives, lr)
+        total_loss += loss
         if len(rows):
             np.add.at(w_in, rows, (-lr / m) * grad_h)
         if doc_vec is not None:
@@ -342,32 +352,35 @@ def _train_doc_positions(w_in, w_out, noise, params, doc_indices, lr_sched, rng,
     return total_loss
 
 
-def _train_skipgram_doc(w_in, w_out, noise, params, doc_indices, lr_sched, rng):
-    total_loss = 0.0
-    k = params.negative_samples
-    n = len(doc_indices)
-    for pos in range(n):
-        lr = lr_sched.next()
-        center = doc_indices[pos]
-        context = doc_indices[max(0, pos - params.window):pos] \
-            + doc_indices[pos + 1:pos + 1 + params.window]
-        for target in context:
-            negatives = noise.draw(rng, k, exclude=target)
-            h = w_in[center]
-            targets = np.concatenate(([target], negatives))
-            scores = w_out[targets] @ h
-            g = _sigmoid(scores)
-            g[0] -= 1.0
-            total_loss += float(np.logaddexp(0.0, -scores[0])
-                                + np.logaddexp(0.0, scores[1:]).sum())
-            grad_h = g @ w_out[targets]
-            np.add.at(w_out, targets, (-lr) * g[:, None] * h[None, :])
-            w_in[center] -= lr * grad_h
-    return total_loss
-
-
 def _index_corpus(corpus: Sequence[TokenStream], vocab: Dict[str, int]) -> List[List[int]]:
     return [[vocab[t] for t in ts.tokens if t in vocab] for ts in corpus]
+
+
+def _train(corpus: List[TokenStream], params: WordTrainingParams, with_docs: bool):
+    """The driver of both trainers: vocabulary, initial matrices, noise table,
+    learning-rate schedule and epochs. Returns (word model, comment rows):
+    with_docs, one DM-trained row per comment, drawn from the rng right after
+    the word rows; else None."""
+    if not corpus:
+        raise EmbeddingError("training corpus is empty")
+    vocab, counts = _build_vocab(corpus, params.min_count)
+    rng = np.random.default_rng(params.seed)
+    w_in = (rng.random((len(vocab), params.dim)) - 0.5) / params.dim
+    w_out = np.zeros((len(vocab), params.dim))
+    docs = (rng.random((len(corpus), params.dim)) - 0.5) / params.dim if with_docs else None
+    noise = _NoiseTable(counts)
+    indexed = _index_corpus(corpus, vocab)
+    total_positions = sum(len(d) for d in indexed) * params.epochs
+    lr_sched = _LrSchedule(params.initial_lr, params.final_lr, total_positions)
+    epoch_losses = []
+    for epoch in range(params.epochs):
+        loss = 0.0
+        for i, doc in enumerate(indexed):
+            loss += _train_doc(w_in, w_out, noise, params, doc, lr_sched, rng,
+                               None if docs is None else docs[i])
+        epoch_losses.append(loss)
+        logger.debug("epoch %d/%d loss %.4f", epoch + 1, params.epochs, loss)
+    return WordEmbeddingModel(vocab, w_in, w_out, counts, params, epoch_losses), docs
 
 
 def train_word_embeddings(corpus: Iterable[TokenStream],
@@ -377,27 +390,7 @@ def train_word_embeddings(corpus: Iterable[TokenStream],
     Training is serial and fully deterministic for a fixed seed. The
     per-epoch training loss is recorded on the model.
     """
-    corpus = list(corpus)
-    if not corpus:
-        raise EmbeddingError("training corpus is empty")
-    vocab, counts = _build_vocab(corpus, params.min_count)
-    rng = np.random.default_rng(params.seed)
-    w_in, w_out = _init_matrices(rng, len(vocab), params.dim)
-    noise = _NoiseTable(counts)
-    indexed = _index_corpus(corpus, vocab)
-    total_positions = sum(len(d) for d in indexed) * params.epochs
-    lr_sched = _LrSchedule(params.initial_lr, params.final_lr, total_positions)
-
-    train_one = _train_skipgram_doc if params.method == "skipgram" else _train_doc_positions
-
-    epoch_losses = []
-    for epoch in range(params.epochs):
-        loss = 0.0
-        for doc in indexed:
-            loss += train_one(w_in, w_out, noise, params, doc, lr_sched, rng)
-        epoch_losses.append(loss)
-        logger.debug("epoch %d/%d loss %.4f", epoch + 1, params.epochs, loss)
-    return WordEmbeddingModel(vocab, w_in, w_out, counts, params, epoch_losses)
+    return _train(list(corpus), params, with_docs=False)[0]
 
 
 def _token_digest(tokens: Sequence[str]) -> str:
@@ -567,43 +560,19 @@ def train_doc_embeddings(corpus: Iterable[TokenStream], params: WordTrainingPara
     Comments with no in-vocabulary tokens get a zero vector and are flagged.
     """
     corpus = list(corpus)
-    if not corpus:
-        raise EmbeddingError("training corpus is empty")
     if params.method != "cbow":
         raise EmbeddingError("comment embeddings require the cbow method")
-    vocab, counts = _build_vocab(corpus, params.min_count)
-    rng = np.random.default_rng(params.seed)
-    w_in, w_out = _init_matrices(rng, len(vocab), params.dim)
-    noise = _NoiseTable(counts)
-    indexed = _index_corpus(corpus, vocab)
-
-    doc_ids = [ts.source_id for ts in corpus]
-    trainable = [bool(d) for d in indexed]
-    doc_matrix = (rng.random((len(corpus), params.dim)) - 0.5) / params.dim
-    for i, ok in enumerate(trainable):
-        if not ok:
+    word_model, doc_matrix = _train(corpus, params, with_docs=True)
+    flagged = set()
+    for i, ts in enumerate(corpus):
+        if not any(t in word_model.vocab for t in ts.tokens):
             doc_matrix[i] = 0.0
-
-    total_positions = sum(len(d) for d in indexed) * params.epochs
-    lr_sched = _LrSchedule(params.initial_lr, params.final_lr, total_positions)
-    epoch_losses = []
-    for epoch in range(params.epochs):
-        loss = 0.0
-        for i, doc in enumerate(indexed):
-            if not trainable[i]:
-                continue
-            loss += _train_doc_positions(w_in, w_out, noise, params, doc, lr_sched,
-                                         rng, doc_vec=doc_matrix[i])
-        epoch_losses.append(loss)
-        logger.debug("doc epoch %d/%d loss %.4f", epoch + 1, params.epochs, loss)
-
-    word_model = WordEmbeddingModel(vocab, w_in, w_out, counts, params, epoch_losses)
-    doc_vectors = {doc_id: doc_matrix[i] for i, doc_id in enumerate(doc_ids)}
+            flagged.add(ts.source_id)
+    doc_vectors = {ts.source_id: doc_matrix[i] for i, ts in enumerate(corpus)}
     digests = {ts.source_id: _token_digest(ts.tokens) for ts in corpus}
-    flagged = frozenset(doc_id for i, doc_id in enumerate(doc_ids) if not trainable[i])
     if flagged:
         logger.warning("%d comments had no in-vocabulary tokens; zero vectors assigned",
                        len(flagged))
-    return DocEmbeddingModel(word_model, doc_vectors, flagged,
+    return DocEmbeddingModel(word_model, doc_vectors, frozenset(flagged),
                              inference_params or DocInferenceParams(seed=params.seed),
                              digests)

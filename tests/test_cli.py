@@ -117,6 +117,37 @@ class TestJobsFlag:
         assert (out / "model.vec").is_file()
 
 
+class TestUnreadFlags:
+    """Commands accept only the flags they read."""
+
+    def test_classify_stopwords_is_usage_error(self, workspace, models_dir, tmp_path,
+                                               capsys):
+        # classify takes its stop words from the model directory's extractor.json
+        out = tmp_path / "classified"
+        stopwords = tmp_path / "stop.txt"
+        stopwords.write_text("der\n", encoding="utf-8")
+        with pytest.raises(SystemExit) as exc:
+            main(["classify", "--input", str(workspace["dataset"]),
+                  "--models", str(models_dir), "--stopwords", str(stopwords),
+                  "--out", str(out)])
+        assert exc.value.code == 2
+        assert "--stopwords" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv,unread", [
+        (["ingest", "--input", "d", "--out", "o"], ("seed", "stopwords")),
+        (["stats", "--input", "d"], ("seed", "stopwords")),
+        (["enrich-keywords", "--model", "m", "--seeds", "s"], ("seed", "stopwords")),
+        (["features", "--input", "d", "--out", "o"], ("seed",)),
+        (["rank-features", "--input", "d"], ("seed",)),
+        (["merge", "--input", "d", "--coded", "c", "--out", "o"], ("seed", "stopwords")),
+        (["report", "--metrics", "m"], ("seed", "stopwords")),
+    ])
+    def test_unread_flags_are_not_defined(self, argv, unread):
+        args = cli.build_parser().parse_args(argv)
+        assert not any(hasattr(args, name) for name in unread)
+
+
 class TestFeatureExport:
     def test_export_and_reproducibility(self, workspace, tmp_path):
         args = ["features", "--input", str(workspace["dataset"]),

@@ -165,6 +165,82 @@ class TestWordTraining:
         assert not np.array_equal(sg.vectors, cb.vectors)
 
 
+def reference_training(corpus, params, vocab, counts, with_docs):
+    """Plain SGD on the reference gradients, with the trainers' draw order:
+    word rows, then (DM) one row per comment, then per position the learning
+    rate and the negatives. In DM the comment vector is one more w_in row.
+
+    Returns (w_in, w_out, epoch losses, number of negatives dropped because
+    they equal the predicted token).
+    """
+    rng = np.random.default_rng(params.seed)
+    dim, k, window = params.dim, params.negative_samples, params.window
+    w_in = (rng.random((len(vocab), dim)) - 0.5) / dim
+    if with_docs:
+        w_in = np.vstack([w_in, (rng.random((len(corpus), dim)) - 0.5) / dim])
+    w_out = np.zeros((len(vocab), dim))
+    noise = embeddings._NoiseTable(counts)
+    docs = [[vocab[t] for t in ts.tokens if t in vocab] for ts in corpus]
+    lr_sched = _LrSchedule(params.initial_lr, params.final_lr,
+                           sum(map(len, docs)) * params.epochs)
+    losses, dropped = [], 0
+
+    def step(context, target, lr):
+        nonlocal w_in, w_out, dropped
+        negatives = noise.draw(rng, k, exclude=target)
+        dropped += k - len(negatives)
+        if not context:
+            return 0.0
+        loss, grad_in, grad_out = negative_sampling_gradients(
+            w_in, w_out, context, target, negatives)
+        w_in -= lr * grad_in
+        w_out -= lr * grad_out
+        return loss
+
+    for _ in range(params.epochs):
+        total = 0.0
+        for d, doc in enumerate(docs):
+            for pos, centre in enumerate(doc):
+                lr = lr_sched.next()
+                window_rows = doc[max(0, pos - window):pos] + doc[pos + 1:pos + 1 + window]
+                if params.method == "skipgram":
+                    total += sum(step([centre], target, lr) for target in window_rows)
+                else:
+                    doc_row = [len(vocab) + d] if with_docs else []
+                    total += step(window_rows + doc_row, centre, lr)
+        losses.append(total)
+    return w_in, w_out, losses, dropped
+
+
+class TestTrainingStep:
+    """The trainers against reference_training: a document with repeated
+    tokens and a one-token document, over a vocabulary small enough that
+    drawn negatives hit the predicted token."""
+
+    CORPUS = [TokenStream(("a", "b", "a", "c", "a", "b", "d", "a", "c"), "long"),
+              TokenStream(("b",), "single")]
+
+    @pytest.mark.parametrize("method,with_docs", [("cbow", False), ("skipgram", False),
+                                                  ("cbow", True)])
+    def test_matches_reference_gradients(self, method, with_docs):
+        params = WordTrainingParams(dim=6, window=2, min_count=1, epochs=2, method=method,
+                                    negative_samples=5, initial_lr=0.2, seed=3)
+        if with_docs:
+            dm = train_doc_embeddings(self.CORPUS, params)
+            model = dm.word_model
+        else:
+            model = train_word_embeddings(self.CORPUS, params)
+        w_in, w_out, losses, dropped = reference_training(
+            self.CORPUS, params, model.vocab, model.counts, with_docs)
+        assert dropped > 0
+        assert np.abs(model.vectors - w_in[:len(model.vocab)]).max() <= 1e-12
+        assert np.abs(model.out_vectors - w_out).max() <= 1e-12
+        assert np.allclose(model.epoch_losses, losses, rtol=0, atol=1e-12)
+        if with_docs:
+            trained = np.array([dm.doc_vectors[ts.source_id] for ts in self.CORPUS])
+            assert np.abs(trained - w_in[len(model.vocab):]).max() <= 1e-12
+
+
 class TestMostSimilar:
     def test_n_zero(self, toy_model):
         assert toy_model.most_similar("kaffee", 0) == []

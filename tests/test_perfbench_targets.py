@@ -1,13 +1,21 @@
-"""The traced benchmark run looks up package names by attribute: every
-(module, owner, attribute) in perfbench/spans.py's TARGETS, and the keyword
-pattern compiler it wraps, must exist. Renaming one breaks only the traced
-run, so check the names here."""
+"""The benchmark is coupled to the package by name. The traced run looks up
+package names by attribute: every (module, owner, attribute) in
+perfbench/spans.py's TARGETS, and the keyword pattern compiler it wraps, must
+exist. perfbench/run.py calls subcommands with fixed flags, which the
+parser must accept. Breaking either shows only in a benchmark run, so check
+them here."""
 
+import argparse
+import ast
 import importlib
 import types
 from pathlib import Path
 
-SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+from metacomment.cli import build_parser
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+SPANS = PERFBENCH / "spans.py"
+RUN = PERFBENCH / "run.py"
 
 
 def _load_spans():
@@ -31,3 +39,51 @@ def test_every_traced_target_resolves():
     assert not missing
     features = importlib.import_module("metacomment.features")
     assert callable(features.compile_keyword_pattern)
+
+
+def _benchmark_command_lines():
+    """{subcommand: flags} over every runner.cli call in perfbench/run.py,
+    read from its syntax tree without running it. Flags count whether given
+    in the call, through module-level argument lists, or through the *args of
+    a helper function that makes the call."""
+    tree = ast.parse(RUN.read_text(encoding="utf-8"))
+    sources = {target.id: [node.value] for node in tree.body
+               if isinstance(node, ast.Assign)
+               for target in node.targets if isinstance(target, ast.Name)}
+    calls = [node for node in ast.walk(tree) if isinstance(node, ast.Call)]
+    cli_calls = [c for c in calls
+                 if isinstance(c.func, ast.Attribute) and c.func.attr == "cli"]
+    for fn in ast.walk(tree):
+        if isinstance(fn, ast.FunctionDef) and fn.args.vararg \
+                and any(c in cli_calls for c in ast.walk(fn)):
+            sources[fn.args.vararg.arg] = [
+                arg for c in calls if isinstance(c.func, ast.Name) and c.func.id == fn.name
+                for arg in c.args]
+
+    def flags(nodes, seen=()):
+        found = set()
+        for node in nodes:
+            for sub in ast.walk(node):
+                if isinstance(sub, ast.Constant) and isinstance(sub.value, str) \
+                        and sub.value.startswith("-"):
+                    found.add(sub.value)
+                elif isinstance(sub, ast.Name) and sub.id in sources and sub.id not in seen:
+                    found |= flags(sources[sub.id], (*seen, sub.id))
+        return found
+
+    lines = {}
+    for call in cli_calls:
+        lines.setdefault(call.args[0].value, set()).update(flags(call.args[1:]))
+    return lines
+
+
+def test_benchmark_command_lines_parse():
+    lines = _benchmark_command_lines()
+    # the flags of the embed workload's helper and argument lists were followed
+    assert {"--kind", "--method", "--dim", "--epochs", "--seed"} <= lines["train-embeddings"]
+    subparsers = next(a for a in build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    assert set(lines) <= set(subparsers.choices)
+    rejected = {command: sorted(flags - set(subparsers.choices[command]._option_string_actions))
+                for command, flags in lines.items()}
+    assert not any(rejected.values()), rejected
