@@ -9,6 +9,7 @@ the same manifest reproduce byte-identical outputs; runs are serial.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import logging
@@ -122,12 +123,13 @@ def _embedding_models(args):
 
 def _fitted_extractor(args, ds):
     """The feature extractor of the command's models, keywords and stop words,
-    fitted on ds without a classifier."""
+    fitted on ds without a classifier, and the FeatureCache of ds it filled."""
     word_model, doc_model = _embedding_models(args)
     pipeline = FeaturePipeline(word_model=word_model, doc_model=doc_model,
                                keyword_seeds=_keyword_seeds(args),
                                stopwords=_stopwords(args))
-    return pipeline._fit_extractor(list(ds))
+    cache = pipeline._feature_cache()
+    return pipeline._fit_extractor(list(ds), cache), cache
 
 
 def _parse_kv_params(raw: str) -> dict:
@@ -252,8 +254,8 @@ def cmd_enrich_keywords(args) -> int:
 
 def cmd_features(args) -> int:
     ds = load_dataset(args.input)
-    extractor = _fitted_extractor(args, ds)
-    fvs = extractor.assemble_many(ds.comments())
+    extractor, cache = _fitted_extractor(args, ds)
+    fvs = extractor.assemble_many(ds.comments(), cache)
     out = _out_dir(args)
     export_sparse_matrix(fvs, extractor.registry, out / "features.txt")
     save_extractor(extractor, out / "extractor.json")
@@ -280,6 +282,7 @@ def cmd_train(args) -> int:
     else:
         out = _out_dir(args)
         y = binary_labels(ds, args.target)
+        pipeline.use_cache({})  # the accuracy pass below reuses the fit's columns
         pipeline.fit(entries, y)
         save_extractor(pipeline.extractor, out / "extractor.json")
         save_model(pipeline.model, out / "model.json")
@@ -399,8 +402,8 @@ def cmd_classify(args) -> int:
 
 def cmd_rank_features(args) -> int:
     ds = load_dataset(args.input)
-    extractor = _fitted_extractor(args, ds)
-    X = extractor.matrix(ds.comments())
+    extractor, cache = _fitted_extractor(args, ds)
+    X = extractor.matrix(ds.comments(), cache)
     classes = args.classes.split(",") if args.classes else ("Meta",) + ADDRESSEE_LABELS
     ranking = {}
     for cls in classes:
@@ -531,25 +534,28 @@ def _add_classifier_flags(parser):
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # no prefix matching anywhere: "--seed" must not be read as "--seeds"
     parser = argparse.ArgumentParser(
         prog="metacomment",
-        description="Identify and classify meta-comments in news-site user comments.")
+        description="Identify and classify meta-comments in news-site user comments.",
+        allow_abbrev=False)
     parser.add_argument("--version", action="version", version=__version__)
     parser.add_argument("--verbose", action="store_true", help="debug logging")
     sub = parser.add_subparsers(dest="command", required=True)
+    add_parser = functools.partial(sub.add_parser, allow_abbrev=False)
 
-    p = sub.add_parser("ingest", help="validate and canonicalize a dataset")
+    p = add_parser("ingest", help="validate and canonicalize a dataset")
     p.add_argument("--input", required=True)
     p.add_argument("--tag", default=None)
     _add_common(p, out_required=True)
     p.set_defaults(func=cmd_ingest)
 
-    p = sub.add_parser("stats", help="corpus statistics report")
+    p = add_parser("stats", help="corpus statistics report")
     p.add_argument("--input", required=True)
     _add_common(p)
     p.set_defaults(func=cmd_stats)
 
-    p = sub.add_parser("train-embeddings", help="train word or comment embeddings")
+    p = add_parser("train-embeddings", help="train word or comment embeddings")
     p.add_argument("--input", required=True)
     p.add_argument("--kind", choices=("word", "doc"), default="word")
     p.add_argument("--dim", type=int, default=300)
@@ -564,13 +570,13 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p, out_required=True)
     p.set_defaults(func=cmd_train_embeddings)
 
-    p = sub.add_parser("neighbors", help="nearest neighbors of a word")
+    p = add_parser("neighbors", help="nearest neighbors of a word")
     p.add_argument("--model", required=True)
     p.add_argument("--word", required=True)
     p.add_argument("--top", type=int, default=10)
     p.set_defaults(func=cmd_neighbors)
 
-    p = sub.add_parser("enrich-keywords", help="extend seed keywords via embeddings")
+    p = add_parser("enrich-keywords", help="extend seed keywords via embeddings")
     p.add_argument("--model", required=True)
     p.add_argument("--seeds", required=True, help="seed keyword file")
     p.add_argument("--top-n", type=int, default=10)
@@ -578,13 +584,13 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.set_defaults(func=cmd_enrich_keywords)
 
-    p = sub.add_parser("features", help="export the feature matrix")
+    p = add_parser("features", help="export the feature matrix")
     p.add_argument("--input", required=True)
     _add_model_flags(p)
     _add_common(p, out_required=True)
     p.set_defaults(func=cmd_features)
 
-    p = sub.add_parser("train", help="train classifiers")
+    p = add_parser("train", help="train classifiers")
     p.add_argument("--input", required=True)
     p.add_argument("--target", default="Meta", help="positive label for one-vs-all")
     p.add_argument("--two-step", action="store_true",
@@ -599,7 +605,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p, out_required=True)
     p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("evaluate", help="stratified k-fold cross-validation")
+    p = add_parser("evaluate", help="stratified k-fold cross-validation")
     p.add_argument("--input", required=True)
     p.add_argument("--target", default="Meta")
     p.add_argument("-k", type=int, default=10)
@@ -609,7 +615,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.set_defaults(func=cmd_evaluate)
 
-    p = sub.add_parser("grid-search", help="hyperparameter grid search")
+    p = add_parser("grid-search", help="hyperparameter grid search")
     p.add_argument("--input", required=True)
     p.add_argument("--target", default="Meta")
     p.add_argument("--grid", required=True, help="JSON grid specification")
@@ -620,7 +626,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p, out_required=True)
     p.set_defaults(func=cmd_grid_search)
 
-    p = sub.add_parser("cross-eval", help="train on one dataset, test on another")
+    p = add_parser("cross-eval", help="train on one dataset, test on another")
     p.add_argument("--train", required=True)
     p.add_argument("--test", required=True)
     p.add_argument("--classes", default=None, help="comma-separated label list")
@@ -630,7 +636,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.set_defaults(func=cmd_cross_eval)
 
-    p = sub.add_parser("classify", help="two-step classification of comments")
+    p = add_parser("classify", help="two-step classification of comments")
     p.add_argument("--input", required=True)
     p.add_argument("--models", required=True, help="directory from train --two-step")
     p.add_argument("--threshold", type=float, default=0.8)
@@ -639,7 +645,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p, out_required=True)
     p.set_defaults(func=cmd_classify)
 
-    p = sub.add_parser("rank-features", help="ANOVA F-value feature ranking")
+    p = add_parser("rank-features", help="ANOVA F-value feature ranking")
     p.add_argument("--input", required=True)
     p.add_argument("--top", type=int, default=10)
     p.add_argument("--classes", default=None)
@@ -647,7 +653,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.set_defaults(func=cmd_rank_features)
 
-    p = sub.add_parser("sample", help="sample annotation candidates")
+    p = add_parser("sample", help="sample annotation candidates")
     p.add_argument("--input", required=True)
     p.add_argument("--method", choices=("pattern", "similarity", "random"),
                    required=True)
@@ -660,7 +666,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p, out_required=True)
     p.set_defaults(func=cmd_sample)
 
-    p = sub.add_parser("merge", help="merge coded annotation batches")
+    p = add_parser("merge", help="merge coded annotation batches")
     p.add_argument("--input", required=True)
     p.add_argument("--coded", nargs="+", required=True)
     p.add_argument("--policy", choices=("majority-with-third-coder", "strict"),
@@ -668,7 +674,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p, out_required=True)
     p.set_defaults(func=cmd_merge)
 
-    p = sub.add_parser("report", help="summary table over metrics.json files")
+    p = add_parser("report", help="summary table over metrics.json files")
     p.add_argument("--metrics", nargs="+", required=True)
     _add_common(p)
     p.set_defaults(func=cmd_report)

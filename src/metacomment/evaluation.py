@@ -140,14 +140,27 @@ class CvResult:
     seed: int
 
 
+def _use_cache(pipeline, shared: dict) -> None:
+    use_cache = getattr(pipeline, "use_cache", None)
+    if use_cache is not None:
+        use_cache(shared)
+
+
 def cross_validate(pipeline_factory: Callable, items: Sequence, y,
                    k: int = 10, seed: int = 0, beta: float = 0.5) -> CvResult:
     """Stratified k-fold evaluation of a trainable+predictable pipeline.
 
     A fresh pipeline, pipeline_factory(fold_seed), is built per fold and fit
     on the train fold only; a pipeline exposing fitted_ids() is checked
-    against test-fold leakage.
+    against test-fold leakage. A pipeline exposing use_cache(dict) is handed
+    one dict for the whole call, where it may keep work that no label
+    changes (the feature route's fold-invariant columns); the dict is
+    dropped when the call returns.
     """
+    return _cross_validate(pipeline_factory, items, y, k, seed, beta, {})
+
+
+def _cross_validate(pipeline_factory, items, y, k, seed, beta, shared) -> CvResult:
     y = np.asarray(y, dtype=int)
     if len(items) != len(y):
         raise EvaluationError("items and labels length mismatch")
@@ -158,6 +171,7 @@ def cross_validate(pipeline_factory: Callable, items: Sequence, y,
         train_items = [items[i] for i in train_idx]
         test_items = [items[i] for i in test_idx]
         pipeline = pipeline_factory(derive_seed(seed, f"fold:{fold_index}"))
+        _use_cache(pipeline, shared)
         try:
             pipeline.fit(train_items, y[train_idx])
         except Exception as exc:
@@ -219,19 +233,20 @@ def grid_search(pipeline_factory: Callable, grid: GridSpec, items: Sequence, y,
     """Exhaustive grid evaluation, scored by mean F_beta over k folds.
 
     Ties keep the first configuration in enumeration order. The factory is
-    called as factory(params_dict, seed).
+    called as factory(params_dict, seed). Every configuration's pipelines
+    share one use_cache dict, as the folds of cross_validate do.
     """
     combos = grid.combinations()
     if not combos:
         raise EvaluationError("empty grid")
     rows: List[dict] = []
     best: Optional[Tuple[float, int, dict, CvResult]] = None
+    shared: dict = {}
 
     for index, combo in enumerate(combos):
-        result = cross_validate(
+        result = _cross_validate(
             lambda fold_seed: pipeline_factory(combo, fold_seed),
-            items, y, k=k, seed=derive_seed(seed, f"grid:{index}"),
-            beta=grid.beta)
+            items, y, k, derive_seed(seed, f"grid:{index}"), grid.beta, shared)
         for fold_index, metrics in enumerate(result.fold_metrics):
             rows.append({"config": index, **combo, "fold": fold_index,
                          "precision": metrics.precision, "recall": metrics.recall,
@@ -304,9 +319,11 @@ def cross_dataset_eval(train_ds: LabeledDataset, test_ds: LabeledDataset,
     """Train per-class pipelines on one dataset, evaluate on the other.
 
     All transformers are fit on the training dataset only; swapping the
-    dataset arguments swaps the roles exactly.
+    dataset arguments swaps the roles exactly. The per-class pipelines share
+    one use_cache dict.
     """
     results = {}
+    shared: dict = {}
     train_items = list(train_ds)
     test_items = list(test_ds)
     for index, cls in enumerate(classes):
@@ -315,6 +332,7 @@ def cross_dataset_eval(train_ds: LabeledDataset, test_ds: LabeledDataset,
         if len(np.unique(y_train)) < 2:
             raise EvaluationError(f"class {cls!r} missing from training dataset")
         pipeline = pipeline_factory(derive_seed(seed, f"class:{index}"))
+        _use_cache(pipeline, shared)
         pipeline.fit(train_items, y_train)
         _check_no_leak(pipeline, train_items, test_items)
         predictions = np.asarray(pipeline.predict(test_items), dtype=int)

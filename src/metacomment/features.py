@@ -182,16 +182,25 @@ def tfidf_transform(model: TfidfModel, ts: TokenStream) -> dict:
     """L2-normalized tf*idf weights; unseen ngrams contribute nothing."""
     if model is None:
         raise FeatureError("tf-idf transform called before fit")
+    return _tfidf_weights(model.vocabulary, model.idf, _gram_counts(ts))
+
+
+def _gram_counts(ts: TokenStream) -> dict:
+    """Count per ngram of ts, in first-occurrence order."""
     counts: Dict[str, int] = {}
     for gram in ngrams(ts):
-        if gram in model.vocabulary:
-            counts[gram] = counts.get(gram, 0) + 1
-    if not counts:
+        counts[gram] = counts.get(gram, 0) + 1
+    return counts
+
+
+def _tfidf_weights(vocabulary: dict, idf: Sequence[float], counts: dict) -> dict:
+    # idf as an array or as a list of the same floats: the same products
+    weights = {gram: tf * idf[vocabulary[gram]]
+               for gram, tf in counts.items() if gram in vocabulary}
+    if not weights:
         return {}
-    weights = {gram: tf * model.idf[model.vocabulary[gram]]
-               for gram, tf in counts.items()}
     norm = math.sqrt(sum(w * w for w in weights.values()))
-    return {gram: w / norm for gram, w in weights.items()}
+    return {gram: float(w / norm) for gram, w in weights.items()}
 
 
 # -- text statistics ---------------------------------------------------------
@@ -297,9 +306,15 @@ def class_vectors(dm: DocEmbeddingModel, ds: LabeledDataset,
     members = [(comment, labels) for comment, labels in ds
                if any(cls in labels for cls in classes)]
     vectors = comment_vectors(dm, [comment for comment, _ in members], stopwords)
+    return class_means(vectors, [labels for _, labels in members], classes)
+
+
+def class_means(vectors: np.ndarray, label_sets: Sequence,
+                classes: Sequence[str]) -> List[ClassVector]:
+    """Per-class mean of the rows of vectors whose label set has the class."""
     result = []
     for cls in classes:
-        rows = [vec for vec, (_, labels) in zip(vectors, members) if cls in labels]
+        rows = [vec for vec, labels in zip(vectors, label_sets) if cls in labels]
         if not rows:
             raise FeatureError(f"class {cls!r} has no members")
         result.append(ClassVector(cls, np.mean(rows, axis=0)))
@@ -373,12 +388,16 @@ class FeatureExtractor:
     """Turns comments into features from fitted group models.
 
     matrix() gives the classifiers' input, in registry column order;
-    assemble_many() gives the comments' named values for export.
+    assemble_many() gives the same rows as named values for export.
     Each group is on when its fitted model is given: keyword sets give the
     regex and keyword groups, a tf-idf model the tf-idf group, and class
     vectors (with the doc model that embeds comments) the semantic group.
-    Text statistics and metadata are always on. Assembly is a pure function
+    Text statistics and metadata are always on. A row is a pure function
     of (comment, fitted models).
+
+    Only the tf-idf and semantic columns depend on labeled data. The
+    others, with each comment's token stream and vector, come from a
+    FeatureCache (see new_cache), which one dataset's folds can share.
     """
 
     def __init__(self, keyword_sets: Optional[Dict[str, KeywordSet]] = None,
@@ -403,35 +422,27 @@ class FeatureExtractor:
             if sentiment_lexicon is not None else default_sentiment_lexicon()
         self.stopwords = stopwords
         self._extra_fitted_ids = frozenset(extra_fitted_ids)
-        self._patterns = {
-            label: compile_keyword_pattern(ks.enriched)
-            for label, ks in self.keyword_sets.items()
-        }
         # enriched keywords of every addressee class, first occurrence kept
         self._keyword_tokens = tuple(dict.fromkeys(
             token for label in ADDRESSEE_LABELS if label in self.keyword_sets
             for token in self.keyword_sets[label].enriched))
-        self._registry = tuple(self._build_registry())
+        # registry: head, tf-idf, text statistics, semantic, tail
+        self._head = [f"regex_{CLASS_FEATURE_NAMES[label]}_matches"
+                      for label in ADDRESSEE_LABELS if label in self.keyword_sets]
+        self._head.extend(f"keyword_{token}" for token in self._keyword_tokens)
+        self._tail = [f"department_{d}" for d in self.departments]
+        self._tail.extend(["department_other", "position", "has_quote"])
+        self._tail.extend(f"dow_{i}" for i in range(7))
+        self._tail.extend(f"hour_{i}" for i in range(24))
+        tfidf_names = [f"tfidf_{gram}" for gram in tfidf.vocabulary] if tfidf else []
+        semantic_names = [f"semantic_dist_{CLASS_FEATURE_NAMES[cv.label]}"
+                          for cv in self.class_vecs]
+        semantic_names.extend(f"semantic_min_dist_{CLASS_FEATURE_NAMES[cv.label]}"
+                              for cv in self.class_vecs)
+        self._stats_at = len(self._head) + len(tfidf_names)
+        self._registry = (*self._head, *tfidf_names, *TEXT_STAT_NAMES, *semantic_names,
+                          *self._tail)
         self._hash = hashlib.sha256("\n".join(self._registry).encode()).hexdigest()[:16]
-
-    def _build_registry(self) -> List[str]:
-        names = [f"regex_{CLASS_FEATURE_NAMES[label]}_matches"
-                 for label in ADDRESSEE_LABELS if label in self.keyword_sets]
-        names.extend(f"keyword_{token}" for token in self._keyword_tokens)
-        if self.tfidf is not None:
-            names.extend(f"tfidf_{gram}" for gram in self.tfidf.vocabulary)
-        names.extend(TEXT_STAT_NAMES)
-        names.extend(f"semantic_dist_{CLASS_FEATURE_NAMES[cv.label]}"
-                     for cv in self.class_vecs)
-        names.extend(f"semantic_min_dist_{CLASS_FEATURE_NAMES[cv.label]}"
-                     for cv in self.class_vecs)
-        names.extend(f"department_{d}" for d in self.departments)
-        names.append("department_other")
-        names.append("position")
-        names.append("has_quote")
-        names.extend(f"dow_{i}" for i in range(7))
-        names.extend(f"hour_{i}" for i in range(24))
-        return names
 
     @property
     def registry(self) -> tuple:
@@ -447,48 +458,152 @@ class FeatureExtractor:
             ids |= self.tfidf.fitted_ids
         return frozenset(ids)
 
+    def _unlabeled_inputs(self) -> tuple:
+        """What the fold-invariant columns depend on besides the comment."""
+        return (self.keyword_sets, self.doc_model, self.departments,
+                self.sentiment_lexicon, self.stopwords)
+
+    def new_cache(self) -> "FeatureCache":
+        """An empty cache for this extractor's unlabeled inputs."""
+        return FeatureCache(self)
+
+    def matrix(self, comments: Iterable[Comment],
+               cache: Optional["FeatureCache"] = None) -> np.ndarray:
+        """Rows in registry column order.
+
+        cache holds the fold-invariant values of the comments' dataset and
+        must have been made for the same unlabeled inputs; without it, a new
+        cache serves this call alone.
+        """
+        comments = list(comments)
+        if cache is None:
+            cache = self.new_cache()
+        elif cache.inputs != self._unlabeled_inputs():
+            raise FeatureError("the feature cache was made for other keyword sets, "
+                               "doc model, departments, lexicon or stop words")
+        vectors = cache.vectors(comments) if self.class_vecs else None
+        entries = cache.entries(comments)
+        n, h, s, t = len(entries), len(self._head), len(TEXT_STAT_NAMES), len(self._tail)
+        fixed = np.array([entry.row for entry in entries]).reshape(n, h + s + t)
+        X = np.zeros((n, len(self._registry)))
+        X[:, :h] = fixed[:, :h]
+        X[:, self._stats_at:self._stats_at + s] = fixed[:, h:h + s]
+        X[:, len(self._registry) - t:] = fixed[:, h + s:]
+        if self.tfidf is not None:
+            vocabulary, idf = self.tfidf.vocabulary, self.tfidf.idf.tolist()
+            for row, entry in enumerate(entries):
+                for gram, weight in _tfidf_weights(vocabulary, idf, entry.grams).items():
+                    X[row, h + vocabulary[gram]] = weight
+        if self.class_vecs:
+            at = self._stats_at + s
+            for row, vector in enumerate(vectors):
+                values = semantic_features(self.class_vecs, vector)
+                X[row, at:at + len(values)] = list(values.values())
+        bad = np.argwhere(~np.isfinite(X))
+        if len(bad):
+            row, col = bad[0]
+            raise FeatureError(f"comment {comments[row].id}: non-finite value for "
+                               f"feature {self._registry[col]!r}")
+        return X
+
     def assemble(self, comment: Comment,
                  vector: Optional[np.ndarray] = None) -> FeatureVector:
-        """Named non-zero values of one comment. vector is the comment's
-        embedding (its row of comment_vectors); the semantic group needs it."""
-        values: Dict[str, float] = {}
-        for label in ADDRESSEE_LABELS:
-            if label in self._patterns:
-                count = count_pattern_matches(comment, self._patterns[label])
-                if count:
-                    values[f"regex_{CLASS_FEATURE_NAMES[label]}_matches"] = float(count)
-        if self._keyword_tokens:
-            counts: Dict[str, int] = {}
+        """Named non-zero values of one comment's row. vector is the
+        comment's embedding (its row of comment_vectors); the semantic group
+        needs it."""
+        if self.class_vecs and vector is None:
+            raise FeatureError(f"comment {comment.id}: the semantic features "
+                               "need the comment's vector")
+        cache = self.new_cache()
+        cache.entries([comment])[0].vector = vector
+        return self._named(self.matrix([comment], cache))[0]
+
+    def assemble_many(self, comments: Iterable[Comment],
+                      cache: Optional["FeatureCache"] = None) -> List[FeatureVector]:
+        """Named non-zero values of each row of matrix(comments, cache)."""
+        return self._named(self.matrix(comments, cache))
+
+    def _named(self, X: np.ndarray) -> List[FeatureVector]:
+        return [FeatureVector({self._registry[col]: float(row[col])
+                               for col in np.flatnonzero(row)}) for row in X]
+
+
+class _Entry:
+    """One comment's fold-invariant values: its head, text-statistics and
+    tail columns in registry order, its stop-word-filtered token stream with
+    ngram counts, and its comment vector once asked for."""
+
+    __slots__ = ("row", "stream", "grams", "vector")
+
+    def __init__(self, row, stream, grams):
+        self.row, self.stream, self.grams, self.vector = row, stream, grams, None
+
+
+class FeatureCache:
+    """The fold-invariant feature values of one dataset's comments.
+
+    They depend on the comment and on the unlabeled inputs of the extractor
+    the cache was made for, never on a label, so one cache serves every
+    fold and grid configuration over a dataset. Each comment's values are
+    computed when first asked for and kept while the cache lives, keyed by
+    the comment's value, so a comment that reuses another's id with other
+    text gets its own entry. The caller that owns the dataset (one
+    cross_validate, grid_search or matrix call) drops the cache with it.
+    """
+
+    def __init__(self, extractor: FeatureExtractor):
+        self.inputs = extractor._unlabeled_inputs()
+        keyword_sets, self.doc_model, self.departments, self.lexicon, self.stopwords = \
+            self.inputs
+        self._patterns = [compile_keyword_pattern(keyword_sets[label].enriched)
+                          for label in ADDRESSEE_LABELS if label in keyword_sets]
+        fixed = [*extractor._head, *TEXT_STAT_NAMES, *extractor._tail]
+        self._column = {name: i for i, name in enumerate(fixed)}
+        self._keyword_column = {token: self._column[f"keyword_{token}"]
+                                for token in extractor._keyword_tokens}
+        self._stats_at = len(extractor._head)
+        self._entries: Dict[Comment, _Entry] = {}
+
+    def entries(self, comments: Sequence[Comment]) -> List[_Entry]:
+        entries = []
+        for comment in comments:
+            entry = self._entries.get(comment)
+            if entry is None:
+                entry = self._entries[comment] = self._entry(comment)
+            entries.append(entry)
+        return entries
+
+    def _entry(self, comment: Comment) -> _Entry:
+        row = np.zeros(len(self._column))
+        for col, pattern in enumerate(self._patterns):
+            row[col] = count_pattern_matches(comment, pattern)
+        if self._keyword_column:
             for token in preprocess(comment).tokens:
-                counts[token] = counts.get(token, 0) + 1
-            for token in self._keyword_tokens:
-                if counts.get(token):
-                    values[f"keyword_{token}"] = float(counts[token])
-        if self.tfidf is not None:
-            ts = preprocess(comment, remove_stopwords=True, stopwords=self.stopwords)
-            for gram, weight in tfidf_transform(self.tfidf, ts).items():
-                values[f"tfidf_{gram}"] = weight
-        values.update(text_stats_features(comment, self.sentiment_lexicon))
-        if self.class_vecs:
-            if vector is None:
-                raise FeatureError(f"comment {comment.id}: the semantic features "
-                                   "need the comment's vector")
-            values.update(semantic_features(self.class_vecs, vector))
-        values.update(metadata_features(comment, self.departments))
-        values = {k: v for k, v in values.items() if v != 0.0}
-        return FeatureVector(values=values)
+                col = self._keyword_column.get(token)
+                if col is not None:
+                    row[col] += 1.0
+        stats = text_stats_features(comment, self.lexicon)
+        row[self._stats_at:self._stats_at + len(stats)] = list(stats.values())
+        for name, value in metadata_features(comment, self.departments).items():
+            row[self._column[name]] = value
+        stream = preprocess(comment, remove_stopwords=True, stopwords=self.stopwords)
+        return _Entry(row, stream, _gram_counts(stream))
 
-    def assemble_many(self, comments: Iterable[Comment]) -> List[FeatureVector]:
-        """assemble per comment; the comment vectors of the semantic group
-        come from one batched lookup-or-infer call."""
-        comments = list(comments)
-        vectors = comment_vectors(self.doc_model, comments, self.stopwords) \
-            if self.class_vecs else [None] * len(comments)
-        return [self.assemble(c, v) for c, v in zip(comments, vectors)]
+    def streams(self, comments: Sequence[Comment]) -> List[TokenStream]:
+        """Stop-word-filtered token streams, as the tf-idf and doc models read."""
+        return [entry.stream for entry in self.entries(comments)]
 
-    def matrix(self, comments: Iterable[Comment]) -> np.ndarray:
-        """Rows in registry column order."""
-        return build_matrix(self.assemble_many(comments), self._registry)
+    def vectors(self, comments: Sequence[Comment]) -> np.ndarray:
+        """The comments' rows of comment_vectors; those not yet known come
+        from one batched lookup-or-infer call."""
+        entries = self.entries(comments)
+        todo = list({id(e): e for e in entries if e.vector is None}.values())
+        if todo:
+            for entry, vector in zip(todo, self.doc_model.vectors_for(
+                    [entry.stream for entry in todo])):
+                entry.vector = vector
+        return np.array([entry.vector for entry in entries]).reshape(
+            len(entries), self.doc_model.dim)
 
 
 def build_matrix(fvs: Sequence[FeatureVector], registry: Sequence[str]) -> np.ndarray:

@@ -23,16 +23,17 @@ from .classifiers import (
     save_model,
     train as train_classifier,
 )
-from .corpus import ADDRESSEE_LABELS, CLASS_ORDER, Comment, LabeledDataset, LabelSet
+from .corpus import ADDRESSEE_LABELS, CLASS_ORDER, Comment, LabelSet
 from .embeddings import DocEmbeddingModel, WordEmbeddingModel
 from .evaluation import TwoStepResult, stratified_k_fold, two_step_classify
 from .features import (
     ClassVector,
+    FeatureCache,
     FeatureExtractor,
     KeywordSet,
     TfidfModel,
     anova_f_matrix,
-    class_vectors,
+    class_means,
     default_keyword_seeds,
     enrich_keywords,
     select_k_best,
@@ -105,24 +106,46 @@ class FeaturePipeline:
         self.selected: Optional[tuple] = None
         self._columns: Optional[np.ndarray] = None  # selected columns; None: all
         self._fitted_ids: Optional[frozenset] = None
+        self._shared: Optional[dict] = None
 
-    def _fit_extractor(self, entries: Sequence[Entry]) -> FeatureExtractor:
+    def use_cache(self, shared: dict) -> None:
+        """Keep fold-invariant feature values in shared, the dict that one
+        cross_validate, grid_search or cross_dataset_eval call hands to each
+        of its pipelines, so every comment is preprocessed, scanned and
+        embedded once per call rather than once per fold."""
+        self._shared = shared
+
+    def _feature_cache(self) -> FeatureCache:
+        """The FeatureCache of this pipeline's unlabeled inputs: the one in
+        the shared dict when there is one, else a new one. The enriched
+        keyword sets are built along with it."""
+        seeds = self.keyword_seeds
+        key = (FeatureCache, self.word_model, self.doc_model,
+               None if self.stopwords is None else frozenset(self.stopwords),
+               None if seeds is None else tuple((k, tuple(v)) for k, v in seeds.items()))
+        shared = self._shared if self._shared is not None else {}
+        if key not in shared:
+            shared[key] = FeatureExtractor(
+                keyword_sets=build_keyword_sets(self.word_model, seeds),
+                doc_model=self.doc_model, stopwords=self.stopwords).new_cache()
+        return shared[key]
+
+    def _fit_extractor(self, entries: Sequence[Entry],
+                       cache: Optional[FeatureCache] = None) -> FeatureExtractor:
         comments = _comments(entries)
-        keyword_sets = build_keyword_sets(self.word_model, self.keyword_seeds)
-        streams = [preprocess(c, remove_stopwords=True, stopwords=self.stopwords)
-                   for c in comments]
-        tfidf = tfidf_fit(streams)
+        if cache is None:
+            cache = self._feature_cache()
+        tfidf = tfidf_fit(cache.streams(comments))
         class_vecs = None
         if self.doc_model is not None:
-            present = [cls for cls in CLASS_ORDER
-                       if any(cls in ls for ls in _label_sets(entries))]
-            ds = LabeledDataset(tuple(entries), "fold")
-            class_vecs = class_vectors(self.doc_model, ds, classes=present,
-                                       stopwords=self.stopwords)
+            label_sets = _label_sets(entries)
+            present = [cls for cls in CLASS_ORDER if any(cls in ls for ls in label_sets)]
+            class_vecs = class_means(cache.vectors(comments), label_sets, present)
+        keyword_sets, doc_model, departments, lexicon, stopwords = cache.inputs
         return FeatureExtractor(
-            keyword_sets=keyword_sets, tfidf=tfidf, doc_model=self.doc_model,
-            class_vecs=class_vecs, stopwords=self.stopwords,
-            extra_fitted_ids=[c.id for c in comments])
+            keyword_sets=keyword_sets, tfidf=tfidf, doc_model=doc_model,
+            class_vecs=class_vecs, departments=departments, sentiment_lexicon=lexicon,
+            stopwords=stopwords, extra_fitted_ids=[c.id for c in comments])
 
     def fit(self, entries: Sequence[Entry], y) -> "FeaturePipeline":
         self._fit(entries, y)
@@ -131,8 +154,9 @@ class FeaturePipeline:
     def _fit(self, entries: Sequence[Entry], y) -> np.ndarray:
         """Fit as fit() does; returns the training matrix after selection."""
         y = np.asarray(y, dtype=int)
-        self.extractor = self._fit_extractor(entries)
-        X = self.extractor.matrix(_comments(entries))
+        cache = self._feature_cache()
+        self.extractor = self._fit_extractor(entries, cache)
+        X = self.extractor.matrix(_comments(entries), cache)
         registry = self.extractor.registry
         if self.select_k != "all":
             scores = dict(zip(registry, anova_f_matrix(X, y)))
@@ -170,7 +194,9 @@ class FeaturePipeline:
     def _matrix(self, entries: Sequence[Entry]) -> np.ndarray:
         if self.model is None:
             raise RuntimeError("pipeline is not fitted")
-        X = self.extractor.matrix(_comments(entries))
+        # a lone pipeline builds a cache per call, so memory stays at one batch
+        cache = self._feature_cache() if self._shared is not None else None
+        X = self.extractor.matrix(_comments(entries), cache)
         return X if self._columns is None else X[:, self._columns]
 
     def predict(self, entries: Sequence[Entry]) -> np.ndarray:

@@ -45,9 +45,22 @@ class TokenStream:
         return iter(self.tokens)
 
 
+class _PunctTable(dict):
+    """str.translate table: code point -> " " for punctuation, else the
+    character itself, filled in the first time a code point is seen."""
+
+    def __missing__(self, cp: int) -> str:
+        ch = chr(cp)
+        self[cp] = value = " " if _is_punct(ch) else ch
+        return value
+
+
+_PUNCT_TABLE = _PunctTable()
+
+
 def strip_punctuation(text: str) -> str:
     """Replace every punctuation character by a space."""
-    return "".join(" " if _is_punct(ch) else ch for ch in text)
+    return text.translate(_PUNCT_TABLE)
 
 
 def tokenize(text: str, remove_stopwords: bool = False,

@@ -147,6 +147,18 @@ class TestUnreadFlags:
         args = cli.build_parser().parse_args(argv)
         assert not any(hasattr(args, name) for name in unread)
 
+    @pytest.mark.parametrize("argv,flag", [
+        # an old command line's --seed is not read as --seeds
+        (["enrich-keywords", "--model", "m", "--seeds", "s.txt", "--seed", "3"], "--seed"),
+        (["enrich-keywords", "--model", "m", "--seeds", "s.txt", "--top", "3"], "--top"),
+        (["--verb", "stats", "--input", "d"], "--verb"),
+    ])
+    def test_flag_prefixes_are_usage_errors(self, argv, flag, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.build_parser().parse_args(argv)
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
 
 class TestFeatureExport:
     def test_export_and_reproducibility(self, workspace, tmp_path):
@@ -163,6 +175,11 @@ class TestFeatureExport:
         assert n_rows == 150
         assert n_cols == len(names)
         assert "regex_media_matches" in names
+        # every other line is a 'row col value' triplet of plain numbers
+        for line in (out_a / "features.txt").read_text().splitlines()[1:]:
+            row, col, value = line.split()
+            assert 0 <= int(row) < n_rows and 0 <= int(col) < n_cols
+            assert float(value) != 0.0
 
 
 def _two_step_args(workspace, out):

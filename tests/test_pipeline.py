@@ -14,7 +14,7 @@ from metacomment.embeddings import (
     train_word_embeddings,
 )
 from metacomment.evaluation import binary_labels, cross_dataset_eval, cross_validate
-from metacomment.features import FeatureExtractor
+from metacomment import features
 from metacomment.neural import CnnConfig
 from metacomment.pipeline import (
     CnnPipeline,
@@ -163,14 +163,16 @@ class TestTwoStepClassifier:
         pytest.fail("no gated non-meta comment found")
 
     def test_fit_assembles_each_entry_once(self, dataset, word_model, monkeypatch):
+        # the meta gate and the addressee models share one feature matrix,
+        # whose fold-invariant part is computed once per entry
         calls = []
-        assemble = FeatureExtractor.assemble
+        text_stats_features = features.text_stats_features
 
-        def spy(self, comment, *args):
+        def spy(comment, *args):
             calls.append(comment.id)
-            return assemble(self, comment, *args)
+            return text_stats_features(comment, *args)
 
-        monkeypatch.setattr(FeatureExtractor, "assemble", spy)
+        monkeypatch.setattr(features, "text_stats_features", spy)
         entries = list(dataset)[:120]
         pipeline = make_pipeline(word_model, classifier_params={
             "C": 0.5, "tolerance": 1e-3, "max_epochs": 50})

@@ -1,13 +1,44 @@
+import random
+import unicodedata
+
 from metacomment.textprep import (
     TokenStream,
     default_stopwords,
     load_stopwords,
     ngrams,
     preprocess,
+    strip_punctuation,
     tokenize,
 )
 
 from conftest import make_comment
+
+
+def _rule(ch):
+    """The per-character reference: P* categories and the extra German marks
+    become a space, everything else stays."""
+    punct = ch in "«»„“”‚‘’–—…" or unicodedata.category(ch).startswith("P")
+    return " " if punct else ch
+
+
+class TestStripPunctuation:
+    def test_every_bmp_code_point(self):
+        for cp in [*range(0xD800), *range(0xE000, 0x10000)]:
+            ch = chr(cp)
+            assert strip_punctuation(ch) == _rule(ch), hex(cp)
+
+    def test_astral_sample(self):
+        rng = random.Random(0)
+        cps = [0x10000, 0x1F600, 0x10FFFF, *(rng.randrange(0x10000, 0x110000)
+                                            for _ in range(5000))]
+        for cp in cps:
+            ch = chr(cp)
+            assert strip_punctuation(ch) == _rule(ch), hex(cp)
+
+    def test_mixed_text_keeps_length_and_other_characters(self):
+        text = "Die „Zensur“ – wirklich?! 😀 Ende…"
+        assert strip_punctuation(text) == "".join(_rule(ch) for ch in text)
+        assert len(strip_punctuation(text)) == len(text)
 
 
 class TestPreprocess:
