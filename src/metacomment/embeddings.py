@@ -87,8 +87,11 @@ def cosine_similarity(u: np.ndarray, v: np.ndarray) -> float:
     v = np.asarray(v, dtype=float)
     if u.shape != v.shape:
         raise EmbeddingError(f"dimension mismatch: {u.shape} vs {v.shape}")
-    nu = np.linalg.norm(u)
-    nv = np.linalg.norm(v)
+    return cosine_from_norms(u, v, np.linalg.norm(u), np.linalg.norm(v))
+
+
+def cosine_from_norms(u: np.ndarray, v: np.ndarray, nu: float, nv: float) -> float:
+    """cosine_similarity of u and v, given their norms nu and nv."""
     if nu == 0.0 or nv == 0.0:
         return 0.0
     # builtin min/max: the same bits as a scalar np.clip at a fraction of

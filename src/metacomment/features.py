@@ -12,14 +12,14 @@ import hashlib
 import math
 import re
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from pathlib import Path
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence
 
 import numpy as np
 
 from .corpus import ADDRESSEE_LABELS, CLASS_ORDER, Comment, LabeledDataset
-from .embeddings import DocEmbeddingModel, WordEmbeddingModel, cosine_distance
+from .embeddings import DocEmbeddingModel, WordEmbeddingModel, cosine_from_norms
 from .textprep import TokenStream, _is_punct, ngrams, preprocess, tokenize
 
 _DATA_DIR = Path(__file__).parent / "data"
@@ -32,6 +32,7 @@ CLASS_FEATURE_NAMES = {
     "Meta": "meta",
     "NonMeta": "non-meta",
 }
+_CLASS_RANK = {label: rank for rank, label in enumerate(CLASS_ORDER)}
 
 # optional German inflection endings matched after a keyword, longest first
 INFLECTION_SUFFIXES = ("innen", "in", "es", "en", "n", "s")
@@ -80,13 +81,8 @@ def enrich_keywords(seeds: Sequence[str], model: WordEmbeddingModel,
         raise FeatureError("top_n must be >= 0")
     if not 0.0 <= min_sim <= 1.0:
         raise FeatureError("min_sim must be in [0, 1]")
-    seen = set()
-    seed_list = []
-    for seed in seeds:
-        token = seed.lower()
-        if token not in seen:
-            seen.add(token)
-            seed_list.append(token)
+    seed_list = list(dict.fromkeys(seed.lower() for seed in seeds))
+    seen = set(seed_list)
     missing = tuple(s for s in seed_list if s not in model)
     best: Dict[str, float] = {}
     for seed in seed_list:
@@ -290,6 +286,10 @@ class ClassVector:
     label: str
     vector: np.ndarray
 
+    @cached_property
+    def norm(self) -> float:
+        return np.linalg.norm(self.vector)
+
 
 def comment_vectors(dm: DocEmbeddingModel, comments: Sequence[Comment],
                     stopwords: Optional[FrozenSet[str]] = None) -> np.ndarray:
@@ -329,17 +329,18 @@ def semantic_features(cvs: Sequence[ClassVector], vec: np.ndarray) -> dict:
     """
     if not cvs:
         raise FeatureError("no class vectors given")
-    ordered = sorted(cvs, key=lambda cv: CLASS_ORDER.index(cv.label))
+    if any(_CLASS_RANK[a.label] > _CLASS_RANK[b.label] for a, b in zip(cvs, cvs[1:])):
+        cvs = sorted(cvs, key=lambda cv: _CLASS_RANK[cv.label])
+    nv = np.linalg.norm(vec)
     values = {}
     best_label, best_dist = None, None
-    for cv in ordered:
-        dist = cosine_distance(vec, cv.vector)
+    for cv in cvs:
+        dist = 1.0 - cosine_from_norms(vec, cv.vector, nv, cv.norm)
         values[f"semantic_dist_{CLASS_FEATURE_NAMES[cv.label]}"] = dist
         if best_dist is None or dist < best_dist:
             best_label, best_dist = cv.label, dist
-    for cv in ordered:
-        values[f"semantic_min_dist_{CLASS_FEATURE_NAMES[cv.label]}"] = \
-            1.0 if cv.label == best_label else 0.0
+    values.update((f"semantic_min_dist_{CLASS_FEATURE_NAMES[cv.label]}",
+                   1.0 if cv.label == best_label else 0.0) for cv in cvs)
     return values
 
 
@@ -414,8 +415,7 @@ class FeatureExtractor:
         self.keyword_sets = dict(keyword_sets or {})
         self.tfidf = tfidf
         self.doc_model = doc_model
-        self.class_vecs = sorted(class_vecs, key=lambda cv: CLASS_ORDER.index(cv.label)) \
-            if class_vecs else []
+        self.class_vecs = sorted(class_vecs or [], key=lambda cv: _CLASS_RANK[cv.label])
         self.departments = tuple(departments) if departments is not None \
             else default_departments()
         self.sentiment_lexicon = sentiment_lexicon \

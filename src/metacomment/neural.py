@@ -4,6 +4,10 @@ Architecture: embedding lookup (pre-initialized from a trained word model,
 never updated), valid 1D convolution with tanh, global max pooling over
 time, a tanh dense layer, and a softmax output. Forward and backward passes
 are explicit; training uses Adam on everything except the embedding.
+
+The backward pass routes each (comment, filter) gradient through the pooled
+argmax alone: the first maximal step at a tie, so step 0 for a comment of
+padding only, whose steps all tie.
 """
 
 from __future__ import annotations
@@ -141,37 +145,34 @@ def _forward_batch(model: CnnModel, idx: np.ndarray) -> Tuple[np.ndarray, dict]:
     pooled = np.take_along_axis(a1, pool_at[:, None, :], axis=1)[:, 0, :]
     a2 = np.tanh(pooled @ model.dense_w.T + model.dense_b)
     probs = _softmax(a2 @ model.out_w.T + model.out_b)
-    cache = {"E": E, "a1": a1, "pool_at": pool_at, "pooled": pooled, "a2": a2,
-             "t_out": t_out}
-    return probs, cache
+    return probs, {"E": E, "pool_at": pool_at, "pooled": pooled, "a2": a2}
 
 
 def _backward_batch(model: CnnModel, probs: np.ndarray, labels: np.ndarray,
                     cache: dict) -> Dict[str, np.ndarray]:
-    """Gradients of the mean cross-entropy over the batch (embedding frozen)."""
+    """Gradients of the mean cross-entropy over the batch (embedding frozen).
+
+    The conv gradient is routed through the pooled argmax: at kernel offset
+    j, filter f sums the embedding rows at pool_at[:, f] + j, weighted by its
+    pre-activation gradient. At a tie only the step argmax picked gets it.
+    """
     batch = len(labels)
     one_hot = np.zeros_like(probs)
     one_hot[np.arange(batch), labels] = 1.0
     d_z3 = (probs - one_hot) / batch
-    grads = {
-        "out_w": d_z3.T @ cache["a2"],
-        "out_b": d_z3.sum(axis=0),
-    }
-    d_a2 = d_z3 @ model.out_w
-    d_z2 = d_a2 * (1.0 - cache["a2"] ** 2)
+    grads = {"out_w": d_z3.T @ cache["a2"], "out_b": d_z3.sum(axis=0)}
+    d_z2 = (d_z3 @ model.out_w) * (1.0 - cache["a2"] ** 2)
     grads["dense_w"] = d_z2.T @ cache["pooled"]
     grads["dense_b"] = d_z2.sum(axis=0)
     d_pool = d_z2 @ model.dense_w  # (B, F)
-    d_a1 = np.zeros_like(cache["a1"])
-    np.put_along_axis(d_a1, cache["pool_at"][:, None, :], d_pool[:, None, :], axis=1)
-    d_z1 = d_a1 * (1.0 - cache["a1"] ** 2)
-    k = model.config.kernel_size
-    t_out = cache["t_out"]
+    d_zp = d_pool * (1.0 - cache["pooled"] ** 2)
+    rows = np.arange(batch)[:, None]
     conv_w_grad = np.empty_like(model.conv_w)
-    for j in range(k):
-        conv_w_grad[:, j, :] = np.einsum("btf,btd->fd", d_z1, cache["E"][:, j:j + t_out, :])
+    for j in range(model.config.kernel_size):
+        conv_w_grad[:, j, :] = np.einsum("bf,bfd->fd", d_zp,
+                                         cache["E"][rows, cache["pool_at"] + j])
     grads["conv_w"] = conv_w_grad
-    grads["conv_b"] = d_z1.sum(axis=(0, 1))
+    grads["conv_b"] = d_zp.sum(axis=0)
     return grads
 
 
@@ -298,10 +299,6 @@ def load_cnn(path) -> CnnModel:
         data = json.load(fh)
     if data.get("format") != "metacomment-cnn/1":
         raise NeuralError(f"unsupported model format {data.get('format')!r}")
-    matrices = {name: np.array(values)
-                for name, values in data["matrices"].items()}
     return CnnModel(CnnConfig(**data["config"]), dict(data["vocab"]),
-                    embedding=matrices["embedding"], conv_w=matrices["conv_w"],
-                    conv_b=matrices["conv_b"], dense_w=matrices["dense_w"],
-                    dense_b=matrices["dense_b"], out_w=matrices["out_w"],
-                    out_b=matrices["out_b"])
+                    **{name: np.array(data["matrices"][name])
+                       for name in TRAINABLE_BLOCKS + ("embedding",)})

@@ -168,6 +168,25 @@ class TestMatrixOracle:
         with pytest.raises(FeatureError, match="feature cache"):
             pipeline.extractor.matrix(dataset.comments(), other.new_cache())
 
+    def test_matrix_calls_semantic_features_once_per_comment(self, dataset, models,
+                                                             monkeypatch):
+        # the benchmark's trace times the semantic group by rebinding
+        # features.semantic_features, one call per comment row
+        pipeline = make_pipeline(models).fit(list(dataset), binary_labels(dataset, "Meta"))
+        comments = list(dataset.comments())
+        expected = pipeline.extractor.matrix(comments)
+        calls = []
+        original = features.semantic_features
+
+        def spy(cvs, vec):
+            calls.append(cvs)
+            return original(cvs, vec)
+
+        monkeypatch.setattr(features, "semantic_features", spy)
+        assert np.array_equal(pipeline.extractor.matrix(comments), expected)
+        assert len(calls) == len(comments)
+        assert all(cvs is pipeline.extractor.class_vecs for cvs in calls)
+
 
 class TestCacheScope:
     """Each comment's fold-invariant work runs once per cross_validate call,

@@ -3,15 +3,17 @@ import math
 import numpy as np
 import pytest
 
-from metacomment.corpus import LabelSet, LabeledDataset
+from metacomment.corpus import CLASS_ORDER, LabelSet, LabeledDataset
 from metacomment.embeddings import (
     DocEmbeddingModel,
     DocInferenceParams,
     WordEmbeddingModel,
     WordTrainingParams,
+    cosine_distance,
     train_word_embeddings,
 )
 from metacomment.features import (
+    CLASS_FEATURE_NAMES,
     ClassVector,
     FeatureError,
     FeatureExtractor,
@@ -302,6 +304,81 @@ class TestSemanticFeatures:
             values = semantic_features(cvs, vec)
             hot = [v for k, v in values.items() if k.startswith("semantic_min_dist_")]
             assert sum(hot) == 1.0
+
+
+def reference_semantic(cvs, vec):
+    """semantic_features from cosine_distance: names and values in class
+    order, the one-hot on the first class at the smallest distance."""
+    ordered = sorted(cvs, key=lambda cv: CLASS_ORDER.index(cv.label))
+    dists = [cosine_distance(vec, cv.vector) for cv in ordered]
+    nearest = min(range(len(dists)), key=lambda i: (dists[i], i))
+    names = [f"semantic_{kind}_{CLASS_FEATURE_NAMES[cv.label]}"
+             for kind in ("dist", "min_dist") for cv in ordered]
+    return names, np.array(dists + [float(i == nearest) for i in range(len(dists))])
+
+
+class TestSemanticOracle:
+    """semantic_features against the cosine_distance loop, bit for bit."""
+
+    def assert_matches(self, cvs, vec):
+        values = semantic_features(cvs, vec)
+        names, expected = reference_semantic(cvs, vec)
+        assert list(values) == names
+        assert np.array_equal(np.array(list(values.values())), expected)
+
+    def test_random_vectors(self):
+        rng = np.random.default_rng(0)
+        for trial in range(200):
+            dim = int(rng.integers(1, 40))
+            classes = [c for c in CLASS_ORDER if rng.random() < 0.7] or ["Meta"]
+            cvs = [ClassVector(c, rng.normal(size=dim)) for c in classes]
+            self.assert_matches(cvs, rng.normal(scale=rng.uniform(0.01, 10), size=dim))
+
+    def test_parallel_vectors_clamp(self):
+        # cosines of parallel vectors can round just past 1 before the clamp
+        rng = np.random.default_rng(1)
+        for _ in range(50):
+            base = rng.normal(size=16)
+            cvs = [ClassVector(c, base * rng.uniform(0.1, 10)) for c in CLASS_ORDER]
+            self.assert_matches(cvs, base * rng.uniform(0.1, 10))
+            self.assert_matches(cvs, -base)
+
+    def test_zero_comment_vector(self):
+        # an all-OOV comment: distance 1 to every class, the first class nearest
+        cvs = [ClassVector(c, np.arange(1.0, 4.0) + i) for i, c in enumerate(CLASS_ORDER)]
+        self.assert_matches(cvs, np.zeros(3))
+        values = semantic_features(cvs, np.zeros(3))
+        assert values["semantic_dist_meta"] == 1.0
+        assert values["semantic_min_dist_media"] == 1.0
+
+    def test_zero_class_vector(self):
+        cvs = [ClassVector("Media", np.zeros(3)),
+               ClassVector("Journalist", np.array([1.0, 2.0, 3.0]))]
+        vec = np.array([-1.0, -2.0, -2.5])
+        self.assert_matches(cvs, vec)
+        assert semantic_features(cvs, vec)["semantic_dist_media"] == 1.0
+
+    def test_class_vectors_out_of_order(self):
+        rng = np.random.default_rng(2)
+        cvs = [ClassVector(c, rng.normal(size=8)) for c in CLASS_ORDER]
+        vec = rng.normal(size=8)
+        in_order = semantic_features(cvs, vec)
+        for _ in range(10):
+            shuffled = [cvs[i] for i in rng.permutation(len(cvs))]
+            self.assert_matches(shuffled, vec)
+            assert semantic_features(shuffled, vec) == in_order
+
+    def test_tie_goes_to_first_class_in_order(self):
+        # Journalist and NonMeta share a direction, so their distances are equal
+        direction = np.array([0.5, -1.0, 2.0])
+        cvs = [ClassVector("NonMeta", direction), ClassVector("Media", -direction),
+               ClassVector("Journalist", direction.copy())]
+        vec = direction * 2.0
+        self.assert_matches(cvs, vec)
+        values = semantic_features(cvs, vec)
+        assert values["semantic_dist_journalist"] == values["semantic_dist_non-meta"]
+        assert values["semantic_min_dist_journalist"] == 1.0
+        assert values["semantic_min_dist_non-meta"] == 0.0
 
 
 class TestMetadataFeatures:

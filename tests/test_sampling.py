@@ -8,6 +8,7 @@ from metacomment.embeddings import (
     DocInferenceParams,
     WordEmbeddingModel,
     WordTrainingParams,
+    cosine_similarity,
     train_doc_embeddings,
     train_word_embeddings,
 )
@@ -58,11 +59,40 @@ class TestSampleByPattern:
 
 
 @pytest.fixture(scope="module")
-def doc_model():
-    streams, _ = doc_cluster_corpus(3)
+def doc_streams():
+    return doc_cluster_corpus(3)[0]
+
+
+@pytest.fixture(scope="module")
+def doc_model(doc_streams):
     params = WordTrainingParams(dim=16, window=3, min_count=1, epochs=40,
                                 initial_lr=0.05, seed=11)
-    return train_doc_embeddings(streams, params)
+    return train_doc_embeddings(doc_streams, params)
+
+
+def stream_dataset(streams, reverse=False):
+    """One comment per training stream, under its id and with its text, so
+    the doc model looks up the stream's trained vector."""
+    entries = tuple((make_comment(ts.source_id, text=" ".join(ts.tokens)), LabelSet())
+                    for ts in streams)
+    return LabeledDataset(entries[::-1] if reverse else entries, "sim")
+
+
+CLUSTER_KEYWORDS = KeywordSet("Media", ("kaffee", "espresso"), ("kaffee", "espresso"))
+
+
+def cluster_ranks_first(streams, cluster_ids, dm, reverse):
+    """Whether the cluster documents take the top places of the ranking."""
+    batch = sample_by_similarity(stream_dataset(streams, reverse), CLUSTER_KEYWORDS,
+                                 dm.word_model, dm, n=len(streams))
+    return set(batch.ids()[:len(cluster_ids)]) == set(cluster_ids)
+
+
+def cluster_model(seed):
+    streams, cluster_ids = doc_cluster_corpus(seed, n_cluster=5, n_other=8)
+    params = WordTrainingParams(dim=16, window=3, min_count=1, epochs=40,
+                                initial_lr=0.05, seed=seed)
+    return streams, cluster_ids, train_doc_embeddings(streams, params)
 
 
 class TestSampleBySimilarity:
@@ -72,13 +102,18 @@ class TestSampleBySimilarity:
             for doc_id in dm.doc_vectors)
         return LabeledDataset(entries, "sim")
 
-    def test_whole_corpus_when_n_large(self, doc_model):
-        ds = self._dataset(doc_model)
+    def test_whole_corpus_when_n_large(self, doc_model, doc_streams):
         ks = KeywordSet("Media", ("kaffee",), ("kaffee",))
-        batch = sample_by_similarity(ds, ks, doc_model.word_model, doc_model, n=1000)
-        assert len(batch) == len(ds)
-        scores = [item.score for item in batch.items]
-        assert all(a >= b for a, b in zip(scores, scores[1:]))
+        anchor = doc_model.word_model.vector("kaffee")
+        for reverse in (False, True):
+            ds = stream_dataset(doc_streams, reverse)
+            batch = sample_by_similarity(ds, ks, doc_model.word_model, doc_model, n=1000)
+            assert len(batch) == len(ds)
+            scores = [item.score for item in batch.items]
+            # every comment is scored with its trained vector, and no two tie
+            assert scores == sorted((cosine_similarity(doc_model.doc_vectors[c.id], anchor)
+                                     for c in ds.comments()), reverse=True)
+            assert len(set(scores)) == len(scores)
 
     def test_planted_exact_match_ranks_first(self, doc_model):
         ks = KeywordSet("Media", ("kaffee",), ("kaffee",))
@@ -121,22 +156,27 @@ class TestSampleBySimilarity:
 
     def test_cluster_members_precede_off_cluster(self):
         # topical documents must outrank every filler document for >= 95
-        # of 100 training seeds
-        hits = 0
-        ks = KeywordSet("Media", ("kaffee", "espresso"), ("kaffee", "espresso"))
+        # of 100 training seeds, in the corpus order and reversed
+        hits = {False: 0, True: 0}
         for seed in range(100):
-            streams, cluster_ids = doc_cluster_corpus(seed, n_cluster=5, n_other=8)
-            params = WordTrainingParams(dim=16, window=3, min_count=1, epochs=40,
-                                        initial_lr=0.05, seed=seed)
-            dm = train_doc_embeddings(streams, params)
-            entries = tuple((make_comment(ts.source_id, text="x."), LabelSet())
-                            for ts in streams)
-            ds = LabeledDataset(entries, "sim")
-            batch = sample_by_similarity(ds, ks, dm.word_model, dm, n=len(streams))
-            top = batch.ids()[:len(cluster_ids)]
-            if set(top) == set(cluster_ids):
-                hits += 1
-        assert hits >= 95
+            streams, cluster_ids, dm = cluster_model(seed)
+            for reverse in hits:
+                hits[reverse] += cluster_ranks_first(streams, cluster_ids, dm, reverse)
+        assert min(hits.values()) >= 95
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_cluster_gate_fails_on_shuffled_doc_vectors(self, seed):
+        # mutation check: the same vectors under the wrong ids, each cluster
+        # document given a filler document's vector, must fail the gate
+        streams, cluster_ids, dm = cluster_model(seed)
+        assert cluster_ranks_first(streams, cluster_ids, dm, reverse=False)
+        ids = list(dm.doc_vectors)
+        vectors = [dm.doc_vectors[i] for i in ids]
+        shifted = vectors[len(cluster_ids):] + vectors[:len(cluster_ids)]
+        shuffled = DocEmbeddingModel(dm.word_model, dict(zip(ids, shifted)), dm.flagged_ids,
+                                     dm.inference_params, dm.token_digests)
+        for reverse in (False, True):
+            assert not cluster_ranks_first(streams, cluster_ids, shuffled, reverse)
 
 
 class TestRandomAndMerge:
