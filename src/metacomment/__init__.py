@@ -25,14 +25,13 @@ from .embeddings import (  # noqa: F401
 )
 from .features import (  # noqa: F401
     FeatureExtractor,
-    FeatureVector,
     KeywordSet,
     class_vectors,
     count_pattern_matches,
     enrich_keywords,
     select_k_best,
     semantic_features,
-    text_stats,
+    text_stats_features,
     tfidf_fit,
     tfidf_transform,
 )

@@ -14,6 +14,7 @@ import hashlib
 import json
 import logging
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -194,7 +195,7 @@ def cmd_ingest(args) -> int:
     ds = load_dataset(args.input, args.tag)
     out = _out_dir(args)
     save_dataset(ds, out / "dataset.jsonl")
-    _write_json(out / "stats.json", dataset_stats(ds).to_dict())
+    _write_json(out / "stats.json", asdict(dataset_stats(ds)))
     _write_manifest(out, args, [args.input])
     print(f"ingested {len(ds)} comments from {args.input}")
     return 0
@@ -205,7 +206,7 @@ def cmd_stats(args) -> int:
     print(report.format_text())
     if args.out:
         out = _out_dir(args)
-        _write_json(out / "stats.json", report.to_dict())
+        _write_json(out / "stats.json", asdict(report))
         _write_manifest(out, args, [args.input])
     return 0
 
@@ -255,14 +256,14 @@ def cmd_enrich_keywords(args) -> int:
 def cmd_features(args) -> int:
     ds = load_dataset(args.input)
     extractor, cache = _fitted_extractor(args, ds)
-    fvs = extractor.assemble_many(ds.comments(), cache)
+    X = extractor.matrix(ds.comments(), cache)
     out = _out_dir(args)
-    export_sparse_matrix(fvs, extractor.registry, out / "features.txt")
+    export_sparse_matrix(X, extractor.registry, out / "features.txt")
     save_extractor(extractor, out / "extractor.json")
     labels = {c.id: sorted(ls.labels, key=CLASS_ORDER.index) for c, ls in ds}
     _write_json(out / "labels.json", labels)
     _write_manifest(out, args, [args.input])
-    print(f"exported {len(fvs)} feature vectors over {len(extractor.registry)} features")
+    print(f"exported {len(X)} feature vectors over {len(extractor.registry)} features")
     return 0
 
 

@@ -254,17 +254,6 @@ class StatsReport:
     quote_share: Optional[float]
     department_counts: dict = field(default_factory=dict)
 
-    def to_dict(self) -> dict:
-        return {
-            "source_tag": self.source_tag,
-            "n_comments": self.n_comments,
-            "label_counts": dict(self.label_counts),
-            "mean_title_words": self.mean_title_words,
-            "mean_text_words": self.mean_text_words,
-            "quote_share": self.quote_share,
-            "department_counts": dict(self.department_counts),
-        }
-
     def format_text(self) -> str:
         lines = [f"dataset: {self.source_tag}", f"comments: {self.n_comments}"]
         for label in CLASS_ORDER:

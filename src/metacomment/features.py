@@ -3,6 +3,9 @@
 Five groups feed the classifiers: keyword-pattern counts, tf-idf over
 unigrams/bigrams, simple text statistics, semantic features from comment
 embeddings (distances to per-class mean vectors), and site metadata.
+FeatureExtractor.matrix turns comments into numeric rows, which feed the
+classifiers and the triplet export alike; named values appear only in
+FeatureExtractor.assemble, an inspection view of one row.
 ANOVA F-scores rank features; select_k_best picks the significant subset.
 """
 
@@ -20,7 +23,7 @@ import numpy as np
 
 from .corpus import ADDRESSEE_LABELS, CLASS_ORDER, Comment, LabeledDataset
 from .embeddings import DocEmbeddingModel, WordEmbeddingModel, cosine_from_norms
-from .textprep import TokenStream, _is_punct, ngrams, preprocess, tokenize
+from .textprep import TokenStream, _is_punct, ngrams, preprocess, scan_text, tokenize
 
 _DATA_DIR = Path(__file__).parent / "data"
 
@@ -131,28 +134,28 @@ def compile_keyword_pattern(keywords: Sequence[str]) -> re.Pattern:
 def count_pattern_matches(comment: Comment, pattern: re.Pattern) -> int:
     """Number of matches of a compile_keyword_pattern() pattern over the
     comment title and text."""
-    return len(pattern.findall(_scan_text(comment)))
-
-
-def _scan_text(comment: Comment) -> str:
-    return comment.title + " " + comment.text if comment.title else comment.text
+    return len(pattern.findall(scan_text(comment)))
 
 
 # -- tf-idf ------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class TfidfModel:
-    """Vocabulary, document frequencies, and smoothed idf weights."""
+    """Vocabulary and document frequencies, from which the idf weights follow."""
 
     vocabulary: dict  # ngram -> column index
     document_frequencies: np.ndarray
     n_docs: int
-    idf: np.ndarray
     fitted_ids: frozenset = frozenset()
+
+    @cached_property
+    def idf(self) -> np.ndarray:
+        """Smoothed idf per column: idf(t) = ln((1+N)/(1+df(t))) + 1."""
+        return np.log((1.0 + self.n_docs) / (1.0 + self.document_frequencies)) + 1.0
 
 
 def tfidf_fit(corpus: Sequence[TokenStream]) -> TfidfModel:
-    """Fit on unigrams+bigrams; idf(t) = ln((1+N)/(1+df(t))) + 1."""
+    """Fit on unigrams+bigrams, numbering columns in first-occurrence order."""
     corpus = list(corpus)
     if not corpus:
         raise FeatureError("tf-idf fit requires a non-empty corpus")
@@ -167,11 +170,10 @@ def tfidf_fit(corpus: Sequence[TokenStream]) -> TfidfModel:
                 df_counts.append(1)
             else:
                 df_counts[idx] += 1
-    n = len(corpus)
-    df = np.array(df_counts, dtype=np.int64)
-    idf = np.log((1.0 + n) / (1.0 + df)) + 1.0
-    return TfidfModel(vocabulary=vocabulary, document_frequencies=df, n_docs=n,
-                      idf=idf, fitted_ids=frozenset(ts.source_id for ts in corpus))
+    return TfidfModel(vocabulary=vocabulary,
+                      document_frequencies=np.array(df_counts, dtype=np.int64),
+                      n_docs=len(corpus),
+                      fitted_ids=frozenset(ts.source_id for ts in corpus))
 
 
 def tfidf_transform(model: TfidfModel, ts: TokenStream) -> dict:
@@ -200,16 +202,6 @@ def _tfidf_weights(vocabulary: dict, idf: Sequence[float], counts: dict) -> dict
 
 
 # -- text statistics ---------------------------------------------------------
-
-@dataclass(frozen=True)
-class TextStats:
-    length: int
-    avg_word_length: float
-    capital_letters: int
-    sie_count: int
-    question_count: int
-    sentiment: float
-
 
 def load_sentiment_lexicon(path) -> dict:
     """Polarity lexicon file: token<TAB>polarity, one entry per line."""
@@ -241,8 +233,9 @@ def _strip_edge_punct(token: str) -> str:
     return token[start:end]
 
 
-def text_stats(comment: Comment, lexicon: Optional[dict] = None) -> TextStats:
-    """Character/word statistics, 'Sie' address count, questions, sentiment.
+def text_stats_features(comment: Comment, lexicon: Optional[dict] = None) -> dict:
+    """Character/word statistics, 'Sie' address count, questions, sentiment,
+    named by TEXT_STAT_NAMES in that order.
 
     The 'Sie' count applies the pattern [^\\.!?]\\s+Sie verbatim, which
     excludes sentence-initial occurrences; questions are maximal runs of '?'.
@@ -251,30 +244,18 @@ def text_stats(comment: Comment, lexicon: Optional[dict] = None) -> TextStats:
     """
     if lexicon is None:
         lexicon = default_sentiment_lexicon()
-    scan = _scan_text(comment)
+    scan = scan_text(comment)
     words = [w for w in (_strip_edge_punct(t) for t in scan.split()) if w]
     tokens = tokenize(scan)
     hits = [lexicon[t] for t in tokens if t in lexicon]
-    return TextStats(
-        length=len(comment.title) + len(comment.text),
-        avg_word_length=sum(len(w) for w in words) / len(words) if words else 0.0,
-        capital_letters=sum(1 for ch in scan if ch.isupper()),
-        sie_count=len(_SIE_PATTERN.findall(scan)),
-        question_count=len(_QUESTION_RUN.findall(scan)),
-        sentiment=sum(hits) / len(hits) if hits else 0.0,
-    )
-
-
-def text_stats_features(comment: Comment, lexicon: Optional[dict] = None) -> dict:
-    stats = text_stats(comment, lexicon)
-    return {
-        "text_length": float(stats.length),
-        "text_avgwordlength": stats.avg_word_length,
-        "text_capitalletters": float(stats.capital_letters),
-        "text_num_sie": float(stats.sie_count),
-        "text_num_questions": float(stats.question_count),
-        "text_sentiment": stats.sentiment,
-    }
+    return dict(zip(TEXT_STAT_NAMES, (
+        float(len(comment.title) + len(comment.text)),
+        sum(len(w) for w in words) / len(words) if words else 0.0,
+        float(sum(1 for ch in scan if ch.isupper())),
+        float(len(_SIE_PATTERN.findall(scan))),
+        float(len(_QUESTION_RUN.findall(scan))),
+        sum(hits) / len(hits) if hits else 0.0,
+    )))
 
 
 # -- semantic features -------------------------------------------------------
@@ -321,6 +302,15 @@ def class_means(vectors: np.ndarray, label_sets: Sequence,
     return result
 
 
+def _semantic_names(cvs: Sequence[ClassVector]) -> list:
+    """Names of the semantic columns, in the order semantic_features gives
+    their values: each class's distance, then each class's nearest-class
+    indicator."""
+    names = [CLASS_FEATURE_NAMES[cv.label] for cv in cvs]
+    return ([f"semantic_dist_{n}" for n in names]
+            + [f"semantic_min_dist_{n}" for n in names])
+
+
 def semantic_features(cvs: Sequence[ClassVector], vec: np.ndarray) -> dict:
     """Cosine distance from a comment vector to each class vector plus a
     one-hot nearest class.
@@ -332,16 +322,10 @@ def semantic_features(cvs: Sequence[ClassVector], vec: np.ndarray) -> dict:
     if any(_CLASS_RANK[a.label] > _CLASS_RANK[b.label] for a, b in zip(cvs, cvs[1:])):
         cvs = sorted(cvs, key=lambda cv: _CLASS_RANK[cv.label])
     nv = np.linalg.norm(vec)
-    values = {}
-    best_label, best_dist = None, None
-    for cv in cvs:
-        dist = 1.0 - cosine_from_norms(vec, cv.vector, nv, cv.norm)
-        values[f"semantic_dist_{CLASS_FEATURE_NAMES[cv.label]}"] = dist
-        if best_dist is None or dist < best_dist:
-            best_label, best_dist = cv.label, dist
-    values.update((f"semantic_min_dist_{CLASS_FEATURE_NAMES[cv.label]}",
-                   1.0 if cv.label == best_label else 0.0) for cv in cvs)
-    return values
+    dists = [1.0 - cosine_from_norms(vec, cv.vector, nv, cv.norm) for cv in cvs]
+    nearest = dists.index(min(dists))  # the first of tied classes
+    return dict(zip(_semantic_names(cvs),
+                    dists + [1.0 if i == nearest else 0.0 for i in range(len(cvs))]))
 
 
 # -- metadata ----------------------------------------------------------------
@@ -373,23 +357,12 @@ def metadata_features(comment: Comment, known_departments: Sequence[str]) -> dic
 
 # -- assembly ----------------------------------------------------------------
 
-@dataclass(frozen=True)
-class FeatureVector:
-    """Sparse named feature values; zero entries are omitted."""
-
-    values: dict
-
-    def __post_init__(self):
-        for name, value in self.values.items():
-            if not math.isfinite(value):
-                raise FeatureError(f"non-finite value for feature {name!r}")
-
-
 class FeatureExtractor:
     """Turns comments into features from fitted group models.
 
-    matrix() gives the classifiers' input, in registry column order;
-    assemble_many() gives the same rows as named values for export.
+    matrix() gives the classifiers' input and the features export, in
+    registry column order; assemble() names one comment's non-zero values
+    for inspection.
     Each group is on when its fitted model is given: keyword sets give the
     regex and keyword groups, a tf-idf model the tf-idf group, and class
     vectors (with the doc model that embeds comments) the semantic group.
@@ -435,13 +408,9 @@ class FeatureExtractor:
         self._tail.extend(f"dow_{i}" for i in range(7))
         self._tail.extend(f"hour_{i}" for i in range(24))
         tfidf_names = [f"tfidf_{gram}" for gram in tfidf.vocabulary] if tfidf else []
-        semantic_names = [f"semantic_dist_{CLASS_FEATURE_NAMES[cv.label]}"
-                          for cv in self.class_vecs]
-        semantic_names.extend(f"semantic_min_dist_{CLASS_FEATURE_NAMES[cv.label]}"
-                              for cv in self.class_vecs)
         self._stats_at = len(self._head) + len(tfidf_names)
-        self._registry = (*self._head, *tfidf_names, *TEXT_STAT_NAMES, *semantic_names,
-                          *self._tail)
+        self._registry = (*self._head, *tfidf_names, *TEXT_STAT_NAMES,
+                          *_semantic_names(self.class_vecs), *self._tail)
         self._hash = hashlib.sha256("\n".join(self._registry).encode()).hexdigest()[:16]
 
     @property
@@ -506,8 +475,7 @@ class FeatureExtractor:
                                f"feature {self._registry[col]!r}")
         return X
 
-    def assemble(self, comment: Comment,
-                 vector: Optional[np.ndarray] = None) -> FeatureVector:
+    def assemble(self, comment: Comment, vector: Optional[np.ndarray] = None) -> dict:
         """Named non-zero values of one comment's row. vector is the
         comment's embedding (its row of comment_vectors); the semantic group
         needs it."""
@@ -516,16 +484,8 @@ class FeatureExtractor:
                                "need the comment's vector")
         cache = self.new_cache()
         cache.entries([comment])[0].vector = vector
-        return self._named(self.matrix([comment], cache))[0]
-
-    def assemble_many(self, comments: Iterable[Comment],
-                      cache: Optional["FeatureCache"] = None) -> List[FeatureVector]:
-        """Named non-zero values of each row of matrix(comments, cache)."""
-        return self._named(self.matrix(comments, cache))
-
-    def _named(self, X: np.ndarray) -> List[FeatureVector]:
-        return [FeatureVector({self._registry[col]: float(row[col])
-                               for col in np.flatnonzero(row)}) for row in X]
+        row = self.matrix([comment], cache)[0]
+        return {self._registry[col]: float(row[col]) for col in np.flatnonzero(row)}
 
 
 class _Entry:
@@ -606,12 +566,13 @@ class FeatureCache:
             len(entries), self.doc_model.dim)
 
 
-def build_matrix(fvs: Sequence[FeatureVector], registry: Sequence[str]) -> np.ndarray:
-    """Dense (n_samples, n_features) matrix in registry column order."""
+def build_matrix(rows: Sequence[dict], registry: Sequence[str]) -> np.ndarray:
+    """Dense (n_samples, n_features) matrix of named rows, in registry
+    column order."""
     index = {name: i for i, name in enumerate(registry)}
-    X = np.zeros((len(fvs), len(registry)))
-    for row, fv in enumerate(fvs):
-        for name, value in fv.values.items():
+    X = np.zeros((len(rows), len(registry)))
+    for row, values in enumerate(rows):
+        for name, value in values.items():
             col = index.get(name)
             if col is None:
                 raise FeatureError(f"feature {name!r} not in registry")
@@ -619,16 +580,15 @@ def build_matrix(fvs: Sequence[FeatureVector], registry: Sequence[str]) -> np.nd
     return X
 
 
-def export_sparse_matrix(fvs: Sequence[FeatureVector], registry: Sequence[str],
-                         path) -> None:
-    """Triplet text export ('row col value') with a sidecar name registry."""
+def export_sparse_matrix(X: np.ndarray, registry: Sequence[str], path) -> None:
+    """Triplet text export ('row col value') of the non-zero cells of X,
+    whose columns are the registry's, with a sidecar name registry."""
     path = Path(path)
-    index = {name: i for i, name in enumerate(registry)}
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(f"{len(fvs)} {len(registry)}\n")
-        for row, fv in enumerate(fvs):
-            for name in sorted(fv.values, key=index.__getitem__):
-                fh.write(f"{row} {index[name]} {fv.values[name]!r}\n")
+        fh.write(f"{len(X)} {len(registry)}\n")
+        for row, values in enumerate(X):
+            for col in np.flatnonzero(values):
+                fh.write(f"{row} {col} {float(values[col])!r}\n")
     names_path = path.with_suffix(path.suffix + ".names")
     with open(names_path, "w", encoding="utf-8", newline="\n") as fh:
         for name in registry:

@@ -217,15 +217,16 @@ class _Adam:
                 np.sqrt(v / correction2) + ADAM_EPS)
 
 
-def train(model: CnnModel, sequences: Sequence[np.ndarray], labels: Sequence[int],
-          config: Optional[CnnConfig] = None) -> List[float]:
-    """Mini-batch training; returns the per-epoch mean loss history.
+def train(model: CnnModel, sequences: Sequence[np.ndarray],
+          labels: Sequence[int]) -> List[float]:
+    """Mini-batch training on model.config's schedule; returns the
+    per-epoch mean loss history.
 
     The embedding matrix is left bit-identical; only conv/dense/output
     parameters receive Adam updates. Deterministic for a fixed seed and
     data order.
     """
-    cfg = config or model.config
+    cfg = model.config
     idx = np.asarray(sequences, dtype=np.int64)
     y = np.asarray(labels, dtype=np.int64)
     if len(idx) == 0:

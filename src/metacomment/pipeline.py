@@ -386,12 +386,10 @@ def load_extractor(path, doc_model: Optional[DocEmbeddingModel] = None) -> Featu
         tfidf = None
         if data["tfidf"] is not None:
             raw = data["tfidf"]
-            df = np.array(raw["document_frequencies"], dtype=np.int64)
             tfidf = TfidfModel(
                 vocabulary={gram: i for i, gram in enumerate(raw["vocabulary"])},
-                document_frequencies=df, n_docs=raw["n_docs"],
-                idf=np.log((1.0 + raw["n_docs"]) / (1.0 + df)) + 1.0,
-                fitted_ids=frozenset(raw["fitted_ids"]))
+                document_frequencies=np.array(raw["document_frequencies"], dtype=np.int64),
+                n_docs=raw["n_docs"], fitted_ids=frozenset(raw["fitted_ids"]))
         class_vecs = [ClassVector(cv["label"], np.array(cv["vector"]))
                       for cv in data["class_vectors"]] or None
         departments, lexicon, stopwords, fitted_ids = (

@@ -81,8 +81,14 @@ def preprocess(comment: Comment, remove_stopwords: bool = False,
     punctuation, lowercase, split on whitespace, then (optionally) drop stop
     words. An empty result is allowed.
     """
-    raw = comment.title + " " + comment.text if comment.title else comment.text
-    return TokenStream(tokenize(raw, remove_stopwords, stopwords), source_id=comment.id)
+    return TokenStream(tokenize(scan_text(comment), remove_stopwords, stopwords),
+                       source_id=comment.id)
+
+
+def scan_text(comment: Comment) -> str:
+    """The text a comment is read as: title + " " + text, or the text alone
+    when there is no title."""
+    return comment.title + " " + comment.text if comment.title else comment.text
 
 
 def ngrams(ts: TokenStream) -> list:

@@ -5,6 +5,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import metacomment
@@ -12,7 +13,7 @@ from metacomment import cli
 from metacomment.cli import main
 from metacomment.corpus import load_dataset, save_dataset
 from metacomment.embeddings import DocEmbeddingModel
-from metacomment.pipeline import TwoStepClassifier
+from metacomment.pipeline import TwoStepClassifier, load_extractor
 
 from synthdata import generate_comment_dataset
 
@@ -180,6 +181,23 @@ class TestFeatureExport:
             row, col, value = line.split()
             assert 0 <= int(row) < n_rows and 0 <= int(col) < n_cols
             assert float(value) != 0.0
+
+    def test_triplets_read_back_to_the_matrix(self, workspace, tmp_path):
+        out = tmp_path / "features"
+        assert main(["features", "--input", str(workspace["dataset"]),
+                     "--word-model", str(workspace["word_model"]),
+                     "--out", str(out)]) == 0
+        lines = (out / "features.txt").read_text().splitlines()
+        n_rows, n_cols = map(int, lines[0].split())
+        X = np.zeros((n_rows, n_cols))
+        for line in lines[1:]:
+            row, col, value = line.split()
+            X[int(row), int(col)] = float(value)
+        extractor = load_extractor(out / "extractor.json")
+        names = (out / "features.txt.names").read_text().splitlines()
+        assert tuple(names) == extractor.registry
+        comments = load_dataset(workspace["dataset"]).comments()
+        assert np.array_equal(X, extractor.matrix(comments))
 
 
 def _two_step_args(workspace, out):

@@ -23,7 +23,6 @@ from metacomment.features import (
     CLASS_FEATURE_NAMES,
     FeatureError,
     FeatureExtractor,
-    FeatureVector,
     build_matrix,
     class_vectors,
     compile_keyword_pattern,
@@ -81,7 +80,7 @@ def reference_matrix(extractor, comments):
     keyword_tokens = list(dict.fromkeys(
         token for label in ADDRESSEE_LABELS
         for token in extractor.keyword_sets[label].enriched))
-    fvs = []
+    rows = []
     for comment in comments:
         values = {}
         for label in ADDRESSEE_LABELS:
@@ -97,8 +96,8 @@ def reference_matrix(extractor, comments):
         vector = extractor.doc_model.vectors_for([ts])[0]
         values.update(semantic_features(extractor.class_vecs, vector))
         values.update(metadata_features(comment, extractor.departments))
-        fvs.append(FeatureVector({k: v for k, v in values.items() if v != 0.0}))
-    return build_matrix(fvs, extractor.registry)
+        rows.append({k: v for k, v in values.items() if v != 0.0})
+    return build_matrix(rows, extractor.registry)
 
 
 def assert_fold_matches_reference(models, entries, train_idx, test_idx, shared):
@@ -155,12 +154,12 @@ class TestMatrixOracle:
         pipeline = make_pipeline(models).fit(list(dataset), binary_labels(dataset, "Meta"))
         extractor = pipeline.extractor
         comments = list(dataset.comments())[:10]
-        fvs = extractor.assemble_many(comments)
-        assert np.array_equal(build_matrix(fvs, extractor.registry),
-                              extractor.matrix(comments))
         vectors = extractor.doc_model.vectors_for(
             [preprocess(c, remove_stopwords=True) for c in comments])
-        assert [extractor.assemble(c, v) for c, v in zip(comments, vectors)] == fvs
+        rows = [extractor.assemble(c, v) for c, v in zip(comments, vectors)]
+        assert all(0.0 not in row.values() for row in rows)
+        assert np.array_equal(build_matrix(rows, extractor.registry),
+                              extractor.matrix(comments))
 
     def test_cache_of_other_inputs_is_rejected(self, dataset, models):
         pipeline = make_pipeline(models).fit(list(dataset), binary_labels(dataset, "Meta"))

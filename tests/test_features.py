@@ -17,7 +17,6 @@ from metacomment.features import (
     ClassVector,
     FeatureError,
     FeatureExtractor,
-    FeatureVector,
     KeywordSet,
     TEXT_STAT_NAMES,
     anova_f_matrix,
@@ -31,7 +30,7 @@ from metacomment.features import (
     metadata_features,
     select_k_best,
     semantic_features,
-    text_stats,
+    text_stats_features,
     tfidf_fit,
     tfidf_transform,
 )
@@ -193,50 +192,50 @@ class TestTfidf:
 
 class TestTextStats:
     def test_sentence_initial_sie_not_counted(self):
-        stats = text_stats(make_comment(text="Sie haben recht."))
-        assert stats.sie_count == 0
+        stats = text_stats_features(make_comment(text="Sie haben recht."))
+        assert stats["text_num_sie"] == 0.0
 
     def test_sie_after_question_mark_excluded(self):
-        stats = text_stats(make_comment(text="Haben Sie das gelesen? Sie schon wieder."))
-        assert stats.sie_count == 1
-        assert stats.question_count == 1
+        stats = text_stats_features(
+            make_comment(text="Haben Sie das gelesen? Sie schon wieder."))
+        assert stats["text_num_sie"] == 1.0
+        assert stats["text_num_questions"] == 1.0
 
     def test_question_runs(self):
-        stats = text_stats(make_comment(text="Warum? Wieso??"))
-        assert stats.question_count == 2
+        stats = text_stats_features(make_comment(text="Warum? Wieso??"))
+        assert stats["text_num_questions"] == 2.0
 
     def test_degenerate_comment_all_zero(self):
         # the data model forbids empty text, so a lone period is the
         # smallest legal comment: no words, no capitals, no hits
-        stats = text_stats(make_comment(text="."))
-        assert stats.length == 1
-        assert stats.avg_word_length == 0.0
-        assert stats.capital_letters == 0
-        assert stats.sie_count == 0
-        assert stats.question_count == 0
-        assert stats.sentiment == 0.0
+        stats = text_stats_features(make_comment(text="."))
+        assert tuple(stats) == TEXT_STAT_NAMES
+        assert stats == {"text_length": 1.0, "text_avgwordlength": 0.0,
+                         "text_capitalletters": 0.0, "text_num_sie": 0.0,
+                         "text_num_questions": 0.0, "text_sentiment": 0.0}
 
     def test_length_is_title_plus_text_characters(self):
-        stats = text_stats(make_comment(title="Ab", text="cde."))
-        assert stats.length == 6
+        stats = text_stats_features(make_comment(title="Ab", text="cde."))
+        assert stats["text_length"] == 6.0
 
     def test_capital_letters(self):
-        stats = text_stats(make_comment(text="SPIEGEL Online macht das GUT"))
-        assert stats.capital_letters == 11
+        stats = text_stats_features(make_comment(text="SPIEGEL Online macht das GUT"))
+        assert stats["text_capitalletters"] == 11.0
 
     def test_avg_word_length_strips_punctuation(self):
-        stats = text_stats(make_comment(text="Ja, gut!"))
-        assert stats.avg_word_length == pytest.approx(2.5)
+        stats = text_stats_features(make_comment(text="Ja, gut!"))
+        assert stats["text_avgwordlength"] == pytest.approx(2.5)
 
     def test_sentiment_mean_over_hits(self):
         lexicon = {"gut": 0.5, "schlecht": -0.9}
-        stats = text_stats(make_comment(text="Gut gemacht, nicht schlecht!"),
-                           lexicon=lexicon)
-        assert stats.sentiment == pytest.approx((0.5 - 0.9) / 2)
+        stats = text_stats_features(make_comment(text="Gut gemacht, nicht schlecht!"),
+                                    lexicon=lexicon)
+        assert stats["text_sentiment"] == pytest.approx((0.5 - 0.9) / 2)
 
     def test_sentiment_zero_without_hits(self):
-        stats = text_stats(make_comment(text="Neutraler Satz."), lexicon={"gut": 0.5})
-        assert stats.sentiment == 0.0
+        stats = text_stats_features(make_comment(text="Neutraler Satz."),
+                                    lexicon={"gut": 0.5})
+        assert stats["text_sentiment"] == 0.0
 
 
 class TestClassVectors:
@@ -423,9 +422,9 @@ class TestAssemble:
         extractor = FeatureExtractor(departments=("politik",))
         assert extractor.registry == TEXT_STAT_NAMES + self.METADATA
         fv = extractor.assemble(make_comment(text="Warum GUT?", department="politik"))
-        assert set(fv.values) <= set(extractor.registry)
-        assert fv.values["text_num_questions"] == 1.0
-        assert fv.values["department_politik"] == 1.0
+        assert set(fv) <= set(extractor.registry)
+        assert fv["text_num_questions"] == 1.0
+        assert fv["department_politik"] == 1.0
 
     def test_regex_only_config_has_three_features(self):
         # keyword sets alone: three regex columns first, then each enriched
@@ -436,8 +435,8 @@ class TestAssemble:
             "keyword_spiegel", "keyword_spon", "keyword_autor", "keyword_sysop",
             *TEXT_STAT_NAMES, *self.METADATA)
         fv = extractor.assemble(make_comment(text="Der Autor im SPON."))
-        assert fv.values["regex_journalist_matches"] == 1.0
-        assert fv.values["keyword_spon"] == 1.0
+        assert fv["regex_journalist_matches"] == 1.0
+        assert fv["keyword_spon"] == 1.0
 
     def test_missing_fitted_model_is_error(self):
         cvs = [ClassVector("Meta", np.array([1.0, 0.0]))]
@@ -456,12 +455,13 @@ class TestAssemble:
         c = make_comment("a", title="Autor", text="Der Autor im SPIEGEL? Sehr gut!",
                          department="politik", position=3, has_quote=False)
         fv = extractor.assemble(c, comment_vectors(dm, [c])[0])
-        assert set(fv.values) <= set(extractor.registry)
-        assert fv.values["regex_journalist_matches"] == 2.0
+        assert set(fv) <= set(extractor.registry)
+        assert fv["regex_journalist_matches"] == 2.0
         # comment "a" has the trained vector [1, 0]: nearest to Meta
-        assert fv.values["semantic_dist_non-meta"] == pytest.approx(1.0)
-        assert fv.values["semantic_min_dist_meta"] == 1.0
-        assert extractor.assemble_many([c]) == [fv]
+        assert fv["semantic_dist_non-meta"] == pytest.approx(1.0)
+        assert fv["semantic_min_dist_meta"] == 1.0
+        X = extractor.matrix([c])
+        assert {extractor.registry[col]: X[0, col] for col in np.flatnonzero(X[0])} == fv
         with pytest.raises(FeatureError, match="comment a: .*vector"):
             extractor.assemble(c)
 
@@ -471,8 +471,15 @@ class TestAssemble:
         assert extractor.assemble(c) == extractor.assemble(c)
 
     def test_rejects_nonfinite_feature(self):
-        with pytest.raises(FeatureError, match="non-finite"):
-            FeatureVector({"x": float("nan")})
+        # comment "a" has a trained vector holding a NaN, so its semantic
+        # distances come out NaN; matrix names the comment and the first column
+        dm = fake_doc_model({"a": [float("nan"), 0.0]})
+        cvs = [ClassVector("Meta", np.array([1.0, 0.0])),
+               ClassVector("NonMeta", np.array([0.0, 1.0]))]
+        extractor = FeatureExtractor(doc_model=dm, class_vecs=cvs)
+        with pytest.raises(FeatureError, match="comment a: non-finite value for "
+                                               "feature 'semantic_dist_meta'"):
+            extractor.matrix([make_comment("a", text="Warum?")])
 
 
 class TestAnova:
@@ -503,10 +510,8 @@ class TestAnova:
         assert np.allclose(scaled, base, rtol=1e-9)
 
     def test_named_scores(self):
-        # the named path of rank-features: feature vectors -> matrix -> scores
-        fvs = [FeatureVector({"a": 1.0}), FeatureVector({"a": 2.0}),
-               FeatureVector({"a": 3.0}), FeatureVector({"a": 4.0})]
-        X = build_matrix(fvs, ("a",))
+        # named rows -> matrix -> scores
+        X = build_matrix([{"a": 1.0}, {"a": 2.0}, {"a": 3.0}, {"a": 4.0}], ("a",))
         scores = dict(zip(("a",), anova_f_matrix(X, [0, 0, 1, 1])))
         assert scores["a"] == 8.0
 
