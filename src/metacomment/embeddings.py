@@ -5,6 +5,12 @@ context vectors) or skip-gram-style; comment vectors use the
 distributed-memory variant where the comment vector is averaged into the
 context. Inference for unseen comments runs gradient steps on a fresh
 comment vector while the word matrices stay frozen.
+
+Training steps minibatches of TRAIN_BATCH examples across comments, as
+word2vec does: updates inside a batch read the same matrices and are summed
+at its end. It is serial and deterministic: a seed gives byte-identical
+models. They differ from those of earlier versions, which stepped one
+example at a time; models those versions saved load unchanged.
 """
 
 from __future__ import annotations
@@ -25,6 +31,9 @@ logger = logging.getLogger(__name__)
 NOISE_EXPONENT = 0.75
 # comments per inference slice: bounds infer_many's memory on long inputs
 INFER_BATCH = 256
+# training examples per minibatch step; larger batches run faster but read
+# staler rows (DM's comment vectors lose the most)
+TRAIN_BATCH = 64
 
 
 class EmbeddingError(ValueError):
@@ -108,8 +117,9 @@ def cosine_distance(u: np.ndarray, v: np.ndarray) -> float:
 # For one (context, center) pair with mean input vector h and negative draws
 # n_1..n_K the loss is  -log s(u_c . h) - sum_k log s(-u_{n_k} . h)  where s
 # is the logistic function. These two functions are the reference definition.
-# Training applies exactly these gradients through _output_step, and
-# test_embeddings.py's TestTrainingStep ties one pass of each mode to them.
+# Training applies exactly these gradients through _batch_step, and
+# test_embeddings.py's TestTrainingStep ties each mode to them, one example
+# per batch and in larger batches.
 
 def negative_sampling_loss(w_in: np.ndarray, w_out: np.ndarray,
                            context: Sequence[int], center: int,
@@ -146,17 +156,13 @@ def negative_sampling_gradients(w_in: np.ndarray, w_out: np.ndarray,
     return loss, grad_in, grad_out
 
 
-class _NoiseTable:
-    """Unigram^0.75 noise distribution with deterministic inverse-CDF draws."""
-
-    def __init__(self, counts: np.ndarray):
-        weights = counts.astype(float) ** NOISE_EXPONENT
-        self.cum = np.cumsum(weights / weights.sum())
-        self.cum[-1] = 1.0
-
-    def draw(self, rng: np.random.Generator, k: int, exclude: int) -> np.ndarray:
-        idx = np.searchsorted(self.cum, rng.random(k), side="right")
-        return idx[idx != exclude]
+def _noise_cdf(counts: np.ndarray) -> np.ndarray:
+    """Cumulative unigram^0.75 noise distribution; np.searchsorted(cdf, u,
+    side="right") turns uniform draws u into negatives (inverse CDF)."""
+    weights = counts.astype(float) ** NOISE_EXPONENT
+    cdf = np.cumsum(weights / weights.sum())
+    cdf[-1] = 1.0
+    return cdf
 
 
 class WordEmbeddingModel:
@@ -178,7 +184,7 @@ class WordEmbeddingModel:
         self._tokens = [None] * len(vocab)
         for token, idx in vocab.items():
             self._tokens[idx] = token
-        self._noise = _NoiseTable(counts) if len(vocab) else None
+        self._noise_cdf = _noise_cdf(counts) if len(vocab) else None
 
     @property
     def dim(self) -> int:
@@ -289,110 +295,121 @@ def _build_vocab(corpus: Sequence[TokenStream], min_count: int):
     return vocab, np.array([c for _, c in kept], dtype=np.int64)
 
 
-class _LrSchedule:
-    """Linear decay over the total number of training positions."""
-
-    def __init__(self, initial: float, final: float, total: int):
-        self.initial = initial
-        self.final = final
-        self.total = max(total, 1)
-        self.done = 0
-
-    def next(self) -> float:
-        lr = self.initial - (self.initial - self.final) * (self.done / self.total)
-        self.done += 1
-        return max(lr, self.final)
-
-
-def _output_step(w_out, h, centre, negatives, lr):
-    """Output side of one negative-sampling step on input vector h: scores the
-    centre and its negatives, applies their w_out update in place and returns
-    (loss, gradient with respect to h)."""
-    targets = np.concatenate(([centre], negatives))
-    w = w_out[targets]
-    scores = w @ h
-    g = _sigmoid(scores)
-    g[0] -= 1.0
-    loss = float(np.logaddexp(0.0, -scores[0]) + np.logaddexp(0.0, scores[1:]).sum())
-    np.add.at(w_out, targets, (-lr) * g[:, None] * h[None, :])
-    return loss, g @ w
-
-
-def _train_doc(w_in, w_out, noise, params, doc, lr_sched, rng, doc_vec):
-    """One pass over one document; returns the accumulated loss.
-
-    CBOW predicts each centre from the mean of its window; with doc_vec given
-    (DM), the document vector is one more context row and is trained along
-    with the word matrices. Skip-gram predicts each window token from the
-    centre row alone.
-    """
-    total_loss = 0.0
-    k, window = params.negative_samples, params.window
-    skipgram = params.method == "skipgram"
-    for pos, centre in enumerate(doc):
-        lr = lr_sched.next()
-        context = doc[max(0, pos - window):pos] + doc[pos + 1:pos + 1 + window]
-        if skipgram:
-            for target in context:
-                loss, grad_h = _output_step(w_out, w_in[centre], target,
-                                            noise.draw(rng, k, exclude=target), lr)
-                total_loss += loss
-                w_in[centre] -= lr * grad_h
-            continue
-        negatives = noise.draw(rng, k, exclude=centre)
-        if not context and doc_vec is None:
-            continue
-        rows = np.asarray(context, dtype=int)
-        m = len(context) + (doc_vec is not None)
-        h = w_in[rows].sum(axis=0)
-        if doc_vec is not None:
-            h += doc_vec
-        h /= m
-        loss, grad_h = _output_step(w_out, h, centre, negatives, lr)
-        total_loss += loss
-        if len(rows):
-            np.add.at(w_in, rows, (-lr / m) * grad_h)
-        if doc_vec is not None:
-            doc_vec -= (lr / m) * grad_h
-    return total_loss
-
-
 def _index_corpus(corpus: Sequence[TokenStream], vocab: Dict[str, int]) -> List[List[int]]:
     return [[vocab[t] for t in ts.tokens if t in vocab] for ts in corpus]
 
 
+def _examples(indexed: List[List[int]], window: int, skipgram: bool = False,
+              doc_rows: Optional[int] = None):
+    """One epoch's examples in corpus order: (inputs, targets, position), with
+    inputs the w_in rows each reads, padded with -1, and position the index
+    of the token position each belongs to. CBOW: one per position, its window
+    (left then right) predicting its token; with doc_rows (DM), the w_in row
+    of the first comment's vector, plus the comment's row. Skip-gram: one per
+    (centre, window token) pair, the centre row predicting the token."""
+    # window -1s around every comment keep each window inside it; int32 halves
+    # the example arrays, the largest allocation of training
+    pad = [-1] * window
+    padded = np.array(pad + [t for d in indexed for t in d + pad], dtype=np.int32)
+    at = np.flatnonzero(padded >= 0)
+    centres, context = padded[at], padded[at[:, None] + np.r_[-window:0, 1:window + 1]]
+    if skipgram:
+        pairs = np.flatnonzero(context >= 0)
+        position = pairs // (2 * window)
+        return centres[position, None], context.ravel()[pairs], position
+    if doc_rows is not None:
+        comment = np.repeat(np.arange(len(indexed), dtype=np.int32) + doc_rows,
+                            [len(d) for d in indexed])
+        context = np.hstack([context, comment[:, None]])
+    return context, centres, np.arange(len(centres))
+
+
+def _batch_step(w_in, w_out, inputs, targets, negatives, lr) -> float:
+    """One minibatch of negative-sampling steps; returns its summed loss.
+
+    Example i takes the negative_sampling_gradients step, at rate lr[i], of
+    predicting targets[i] against negatives[i] from the mean of its w_in rows
+    inputs[i] (padded with -1). All examples read the matrices as they are
+    at the batch's start; their summed updates are then applied in place.
+    A negative equal to its target gets no gradient or loss, as if it had
+    not been drawn; an example without input rows changes nothing.
+    """
+    valid = inputs >= 0
+    m = valid.sum(axis=1)
+    weights = valid / np.maximum(m, 1)[:, None]
+    h = np.einsum("bc,bcd->bd", weights, w_in[inputs])
+    tg = np.concatenate((targets[:, None], negatives), axis=1)
+    live = (m > 0)[:, None]
+    keep = np.concatenate((live, negatives != targets[:, None]), axis=1) & live
+    w = w_out[tg]
+    scores = np.einsum("bkd,bd->bk", w, h)
+    g = _sigmoid(scores)
+    g[:, 0] -= 1.0
+    g *= keep
+    scores[:, 0] = -scores[:, 0]
+    loss = float((np.logaddexp(0.0, scores) * keep).sum())
+    grad_h = np.einsum("bk,bkd->bd", g, w)
+    _scatter_add(w_out, tg, (-lr[:, None] * g)[:, :, None] * h[:, None, :])
+    _scatter_add(w_in, inputs[valid], np.repeat(-lr[:, None] * grad_h, m, axis=0)
+                 * weights[valid][:, None])
+    return loss
+
+
+def _scatter_add(matrix: np.ndarray, rows: np.ndarray, values: np.ndarray) -> None:
+    """matrix[rows] += values, summing over repeated rows. np.add.at runs on
+    the flat view, where numpy has a fast path that 2-D indexing lacks."""
+    dim = matrix.shape[1]
+    np.add.at(matrix.reshape(-1), (rows[..., None] * dim + np.arange(dim)).ravel(),
+              values.ravel())
+
+
 def _train(corpus: List[TokenStream], params: WordTrainingParams, with_docs: bool):
-    """The driver of both trainers: vocabulary, initial matrices, noise table,
-    learning-rate schedule and epochs. Returns (word model, comment rows):
-    with_docs, one DM-trained row per comment, drawn from the rng right after
-    the word rows; else None."""
+    """The driver of both trainers. Returns (word model, comment rows, index
+    lists); with_docs, one DM-trained row per comment, drawn from the rng
+    right after the word rows and trained as extra w_in rows, else None.
+
+    Each epoch's examples go to _batch_step in slices of TRAIN_BATCH. A slice
+    draws all its negatives in one rng call: the stream that drawing k per
+    example gives. The learning rate decays linearly over all epochs'
+    positions; a skip-gram position's pairs share its rate."""
     if not corpus:
         raise EmbeddingError("training corpus is empty")
     vocab, counts = _build_vocab(corpus, params.min_count)
     rng = np.random.default_rng(params.seed)
     w_in = (rng.random((len(vocab), params.dim)) - 0.5) / params.dim
+    if with_docs:
+        w_in = np.vstack([w_in, (rng.random((len(corpus), params.dim)) - 0.5) / params.dim])
     w_out = np.zeros((len(vocab), params.dim))
-    docs = (rng.random((len(corpus), params.dim)) - 0.5) / params.dim if with_docs else None
-    noise = _NoiseTable(counts)
+    noise_cdf = _noise_cdf(counts)
     indexed = _index_corpus(corpus, vocab)
-    total_positions = sum(len(d) for d in indexed) * params.epochs
-    lr_sched = _LrSchedule(params.initial_lr, params.final_lr, total_positions)
+    inputs, targets, position = _examples(indexed, params.window, params.method == "skipgram",
+                                          len(vocab) if with_docs else None)
+    per_epoch = sum(len(d) for d in indexed)
+    total = max(per_epoch * params.epochs, 1)
+    k, lr0, lr1 = params.negative_samples, params.initial_lr, params.final_lr
     epoch_losses = []
     for epoch in range(params.epochs):
         loss = 0.0
-        for i, doc in enumerate(indexed):
-            loss += _train_doc(w_in, w_out, noise, params, doc, lr_sched, rng,
-                               None if docs is None else docs[i])
+        for start in range(0, len(targets), TRAIN_BATCH):
+            batch = slice(start, start + TRAIN_BATCH)
+            draws = rng.random(len(targets[batch]) * k)
+            negatives = np.searchsorted(noise_cdf, draws, side="right").reshape(-1, k)
+            lr = np.maximum(lr0 - (lr0 - lr1) * ((epoch * per_epoch + position[batch]) / total),
+                            lr1)
+            loss += _batch_step(w_in, w_out, inputs[batch], targets[batch], negatives, lr)
         epoch_losses.append(loss)
         logger.debug("epoch %d/%d loss %.4f", epoch + 1, params.epochs, loss)
-    return WordEmbeddingModel(vocab, w_in, w_out, counts, params, epoch_losses), docs
+    model = WordEmbeddingModel(vocab, w_in[:len(vocab)], w_out, counts, params, epoch_losses)
+    return model, (w_in[len(vocab):] if with_docs else None), indexed
 
 
 def train_word_embeddings(corpus: Iterable[TokenStream],
                           params: WordTrainingParams) -> WordEmbeddingModel:
     """Train a word embedding model with negative sampling.
 
-    Training is serial and fully deterministic for a fixed seed. The
+    Examples are stepped in minibatches of TRAIN_BATCH whose updates all
+    read the matrices as they were at the batch's start. Training is serial
+    and fully deterministic: a fixed seed gives byte-identical models. The
     per-epoch training loss is recorded on the model.
     """
     return _train(list(corpus), params, with_docs=False)[0]
@@ -469,21 +486,17 @@ class DocEmbeddingModel:
         # one row per position, comment by comment
         n = np.array([len(d) for d in indexed], dtype=np.int64)
         starts = np.cumsum(n) - n
-        centres = np.array([t for d in indexed for t in d], dtype=np.intp)
-        pos = np.arange(len(centres)) - np.repeat(starts, n)
-        n_at = np.repeat(n, n)
+        windows, centres, _ = _examples(indexed, window)
         # context sums (left then right window, in order) and context sizes
         # incl. the comment vector; fixed, since the word matrices are frozen
         context = np.zeros((len(centres), dim))
-        m = np.ones(len(centres), dtype=np.int64)
-        for offset in (*range(-window, 0), *range(1, window + 1)):
-            valid = np.flatnonzero((pos + offset >= 0) & (pos + offset < n_at))
-            context[valid] += wm.vectors[centres[valid + offset]]
-            m[valid] += 1
+        for col in windows.T:
+            context[col >= 0] += wm.vectors[col[col >= 0]]
+        m = 1 + (windows >= 0).sum(axis=1)
         total = n * p.steps
         rng = np.random.default_rng(p.seed)
         draws = rng.random(dim + int(total[0]) * k)
-        negatives = np.searchsorted(wm._noise.cum, draws[dim:], side="right").reshape(-1, k)
+        negatives = np.searchsorted(wm._noise_cdf, draws[dim:], side="right").reshape(-1, k)
         docs = np.tile((draws[:dim] - 0.5) / dim, (len(indexed), 1))
         targets = np.empty((len(indexed), k + 1), dtype=np.intp)  # centre, negatives
         active = len(indexed)
@@ -567,12 +580,10 @@ def train_doc_embeddings(corpus: Iterable[TokenStream], params: WordTrainingPara
     corpus = list(corpus)
     if params.method != "cbow":
         raise EmbeddingError("comment embeddings require the cbow method")
-    word_model, doc_matrix = _train(corpus, params, with_docs=True)
-    flagged = set()
-    for i, ts in enumerate(corpus):
-        if not any(t in word_model.vocab for t in ts.tokens):
-            doc_matrix[i] = 0.0
-            flagged.add(ts.source_id)
+    word_model, doc_matrix, indexed = _train(corpus, params, with_docs=True)
+    empty = [i for i, doc in enumerate(indexed) if not doc]
+    doc_matrix[empty] = 0.0
+    flagged = {corpus[i].source_id for i in empty}
     doc_vectors = {ts.source_id: doc_matrix[i] for i, ts in enumerate(corpus)}
     digests = {ts.source_id: _token_digest(ts.tokens) for ts in corpus}
     if flagged:

@@ -1,6 +1,8 @@
+import collections
 import hashlib
 import itertools
 import json
+import math
 
 import numpy as np
 import pytest
@@ -13,7 +15,6 @@ from metacomment.embeddings import (
     WordEmbeddingModel,
     WordTrainingParams,
     cosine_distance,
-    _LrSchedule,
     cosine_similarity,
     negative_sampling_gradients,
     negative_sampling_loss,
@@ -165,13 +166,39 @@ class TestWordTraining:
         assert not np.array_equal(sg.vectors, cb.vectors)
 
 
-def reference_training(corpus, params, vocab, counts, with_docs):
-    """Plain SGD on the reference gradients, with the trainers' draw order:
-    word rows, then (DM) one row per comment, then per position the learning
-    rate and the negatives. In DM the comment vector is one more w_in row.
+class LrSchedule:
+    """Linear decay over the total number of training positions."""
+
+    def __init__(self, initial: float, final: float, total: int):
+        self.initial = initial
+        self.final = final
+        self.total = max(total, 1)
+        self.done = 0
+
+    def next(self) -> float:
+        lr = self.initial - (self.initial - self.final) * (self.done / self.total)
+        self.done += 1
+        return max(lr, self.final)
+
+
+def draw_negatives(cdf, rng, k, exclude):
+    """k inverse-CDF draws from the noise distribution, minus those equal to
+    the predicted token."""
+    idx = np.searchsorted(cdf, rng.random(k), side="right")
+    return idx[idx != exclude]
+
+
+def reference_training(corpus, params, vocab, counts, with_docs, batch=1):
+    """SGD on the reference gradients in minibatches of `batch` examples, with
+    the trainers' draw order: word rows, then (DM) one row per comment, then
+    per example its negatives. In DM the comment vector is one more w_in row.
+    Every example of a batch takes its gradients at the matrices as they were
+    at the batch's start; the summed steps are applied at its end. Batches
+    run across comments and end with the epoch.
 
     Returns (w_in, w_out, epoch losses, number of negatives dropped because
-    they equal the predicted token).
+    they equal the predicted token, the w_in rows that more than one example
+    of a batch read).
     """
     rng = np.random.default_rng(params.seed)
     dim, k, window = params.dim, params.negative_samples, params.window
@@ -179,23 +206,24 @@ def reference_training(corpus, params, vocab, counts, with_docs):
     if with_docs:
         w_in = np.vstack([w_in, (rng.random((len(corpus), dim)) - 0.5) / dim])
     w_out = np.zeros((len(vocab), dim))
-    noise = embeddings._NoiseTable(counts)
+    cdf = embeddings._noise_cdf(counts)
     docs = [[vocab[t] for t in ts.tokens if t in vocab] for ts in corpus]
-    lr_sched = _LrSchedule(params.initial_lr, params.final_lr,
-                           sum(map(len, docs)) * params.epochs)
-    losses, dropped = [], 0
+    lr_sched = LrSchedule(params.initial_lr, params.final_lr,
+                          sum(map(len, docs)) * params.epochs)
+    losses, dropped, shared = [], 0, set()
+    pending = []
 
-    def step(context, target, lr):
-        nonlocal w_in, w_out, dropped
-        negatives = noise.draw(rng, k, exclude=target)
-        dropped += k - len(negatives)
-        if not context:
-            return 0.0
-        loss, grad_in, grad_out = negative_sampling_gradients(
-            w_in, w_out, context, target, negatives)
-        w_in -= lr * grad_in
-        w_out -= lr * grad_out
-        return loss
+    def flush():
+        nonlocal w_in, w_out
+        reads = collections.Counter(row for context, *_ in pending for row in set(context))
+        shared.update(row for row, n in reads.items() if n > 1)
+        steps = [(lr, negative_sampling_gradients(w_in, w_out, context, target, negatives))
+                 for context, target, negatives, lr in pending if context]
+        pending.clear()
+        for lr, (_, grad_in, grad_out) in steps:
+            w_in = w_in - lr * grad_in
+            w_out = w_out - lr * grad_out
+        return sum(loss for _, (loss, _, _) in steps)
 
     for _ in range(params.epochs):
         total = 0.0
@@ -204,41 +232,129 @@ def reference_training(corpus, params, vocab, counts, with_docs):
                 lr = lr_sched.next()
                 window_rows = doc[max(0, pos - window):pos] + doc[pos + 1:pos + 1 + window]
                 if params.method == "skipgram":
-                    total += sum(step([centre], target, lr) for target in window_rows)
+                    examples = [([centre], target) for target in window_rows]
                 else:
-                    doc_row = [len(vocab) + d] if with_docs else []
-                    total += step(window_rows + doc_row, centre, lr)
+                    examples = [(window_rows + ([len(vocab) + d] if with_docs else []), centre)]
+                for context, target in examples:
+                    negatives = draw_negatives(cdf, rng, k, exclude=target)
+                    dropped += k - len(negatives)
+                    pending.append((context, target, negatives, lr))
+                    if len(pending) == batch:
+                        total += flush()
+        total += flush()
         losses.append(total)
-    return w_in, w_out, losses, dropped
+    return w_in, w_out, losses, dropped, shared
+
+
+MODES = pytest.mark.parametrize("method,with_docs", [("cbow", False), ("skipgram", False),
+                                                     ("cbow", True)])
 
 
 class TestTrainingStep:
     """The trainers against reference_training: a document with repeated
     tokens and a one-token document, over a vocabulary small enough that
-    drawn negatives hit the predicted token."""
+    drawn negatives hit the predicted token. At one example per batch this
+    is plain SGD; in larger batches one batch reads a token row, and in DM
+    the comment row, for several examples."""
 
     CORPUS = [TokenStream(("a", "b", "a", "c", "a", "b", "d", "a", "c"), "long"),
               TokenStream(("b",), "single")]
 
-    @pytest.mark.parametrize("method,with_docs", [("cbow", False), ("skipgram", False),
-                                                  ("cbow", True)])
-    def test_matches_reference_gradients(self, method, with_docs):
-        params = WordTrainingParams(dim=6, window=2, min_count=1, epochs=2, method=method,
-                                    negative_samples=5, initial_lr=0.2, seed=3)
+    @staticmethod
+    def _params(method):
+        return WordTrainingParams(dim=6, window=2, min_count=1, epochs=2, method=method,
+                                  negative_samples=5, initial_lr=0.2, seed=3)
+
+    def _train(self, params, with_docs):
         if with_docs:
             dm = train_doc_embeddings(self.CORPUS, params)
-            model = dm.word_model
-        else:
-            model = train_word_embeddings(self.CORPUS, params)
-        w_in, w_out, losses, dropped = reference_training(
-            self.CORPUS, params, model.vocab, model.counts, with_docs)
+            trained = np.array([dm.doc_vectors[ts.source_id] for ts in self.CORPUS])
+            return dm.word_model, trained
+        return train_word_embeddings(self.CORPUS, params), None
+
+    def _check(self, method, with_docs, batch):
+        """Trains at TRAIN_BATCH = batch and requires the reference's matrices
+        and losses; returns the reference's w_in rows read by several examples
+        of one batch."""
+        params = self._params(method)
+        model, trained = self._train(params, with_docs)
+        w_in, w_out, losses, dropped, shared = reference_training(
+            self.CORPUS, params, model.vocab, model.counts, with_docs, batch)
         assert dropped > 0
         assert np.abs(model.vectors - w_in[:len(model.vocab)]).max() <= 1e-12
         assert np.abs(model.out_vectors - w_out).max() <= 1e-12
         assert np.allclose(model.epoch_losses, losses, rtol=0, atol=1e-12)
         if with_docs:
-            trained = np.array([dm.doc_vectors[ts.source_id] for ts in self.CORPUS])
             assert np.abs(trained - w_in[len(model.vocab):]).max() <= 1e-12
+        return shared, len(model.vocab)
+
+    @MODES
+    def test_matches_reference_gradients(self, method, with_docs, monkeypatch):
+        monkeypatch.setattr(embeddings, "TRAIN_BATCH", 1)
+        self._check(method, with_docs, 1)
+
+    @MODES
+    @pytest.mark.parametrize("batch", [4, None])
+    def test_matches_reference_in_minibatches(self, method, with_docs, batch, monkeypatch):
+        if batch is None:
+            batch = embeddings.TRAIN_BATCH
+        else:
+            monkeypatch.setattr(embeddings, "TRAIN_BATCH", batch)
+        shared, n_words = self._check(method, with_docs, batch)
+        assert any(row < n_words for row in shared)
+        assert not with_docs or any(row >= n_words for row in shared)
+
+    @MODES
+    def test_one_kernel_call_per_batch(self, method, with_docs, monkeypatch):
+        params = self._params(method)
+        window = params.window
+        if method == "skipgram":
+            examples = sum(min(pos, window) + min(len(ts.tokens) - 1 - pos, window)
+                           for ts in self.CORPUS for pos in range(len(ts.tokens)))
+        else:
+            examples = sum(len(ts.tokens) for ts in self.CORPUS)
+        calls = []
+        kernel = embeddings._batch_step
+
+        def spy(w_in, w_out, inputs, targets, negatives, lr):
+            calls.append(len(targets))
+            return kernel(w_in, w_out, inputs, targets, negatives, lr)
+
+        monkeypatch.setattr(embeddings, "TRAIN_BATCH", 4)
+        monkeypatch.setattr(embeddings, "_batch_step", spy)
+        self._train(params, with_docs)
+        assert len(calls) == math.ceil(examples / 4) * params.epochs
+        assert sum(calls) == examples * params.epochs
+
+    @MODES
+    def test_negatives_drawn_per_batch(self, method, with_docs, monkeypatch):
+        """After the initial matrices, no draw is larger than one batch's
+        negatives, so memory does not grow with the corpus."""
+        sizes = []
+        default_rng = np.random.default_rng
+
+        class Recording:
+            def __init__(self, seed):
+                self._rng = default_rng(seed)
+
+            def random(self, size=None):
+                sizes.append(int(np.prod(size)))
+                return self._rng.random(size)
+
+        params = WordTrainingParams(dim=4, window=2, min_count=1, epochs=2, method=method,
+                                    negative_samples=3, seed=1)
+        corpus = synonym_word_corpus(1, n_sentences=30)
+        monkeypatch.setattr(np.random, "default_rng", Recording)
+        if with_docs:
+            model = train_doc_embeddings(corpus, params).word_model
+        else:
+            model = train_word_embeddings(corpus, params)
+        initial = [len(model.vocab) * params.dim] + ([len(corpus) * params.dim]
+                                                     if with_docs else [])
+        assert sizes[:len(initial)] == initial
+        draws = sizes[len(initial):]
+        assert max(draws) == embeddings.TRAIN_BATCH * params.negative_samples
+        assert len(draws) > params.epochs
 
 
 class TestMostSimilar:
@@ -283,11 +399,15 @@ class TestDocEmbeddings:
 
     def test_empty_comment_zero_vector_flagged(self):
         streams, _ = doc_cluster_corpus(9)
-        corpus = streams + [TokenStream((), source_id="empty")]
-        params = WordTrainingParams(dim=8, window=2, min_count=1, epochs=2, seed=5)
+        corpus = streams + [TokenStream((), source_id="empty"),
+                            TokenStream(("zzz-once", "zzz-twice"), source_id="oov")]
+        params = WordTrainingParams(dim=8, window=2, min_count=2, epochs=2, seed=5)
         model = train_doc_embeddings(corpus, params)
-        assert "empty" in model.flagged_ids
-        assert np.array_equal(model.doc_vectors["empty"], np.zeros(8))
+        assert {"empty", "oov"} <= model.flagged_ids
+        assert all(ts.source_id not in model.flagged_ids for ts in streams
+                   if any(t in model.word_model.vocab for t in ts.tokens))
+        for cid in model.flagged_ids:
+            assert np.array_equal(model.doc_vectors[cid], np.zeros(8))
 
 
 class TestInference:
@@ -334,13 +454,13 @@ def reference_infer(dm, ts):
     rng = np.random.default_rng(p.seed)
     doc_row = len(wm.vocab)
     w_in = np.vstack([wm.vectors, (rng.random(dm.dim) - 0.5) / dm.dim])
-    lr_sched = _LrSchedule(p.learning_rate, p.min_learning_rate, len(indices) * p.steps)
+    lr_sched = LrSchedule(p.learning_rate, p.min_learning_rate, len(indices) * p.steps)
     dropped = 0
     for _ in range(p.steps):
         for pos, centre in enumerate(indices):
             lr = lr_sched.next()
             context = indices[max(0, pos - window):pos] + indices[pos + 1:pos + 1 + window]
-            negatives = wm._noise.draw(rng, k, exclude=centre)
+            negatives = draw_negatives(wm._noise_cdf, rng, k, exclude=centre)
             dropped += k - len(negatives)
             _, grad_in, _ = negative_sampling_gradients(
                 w_in, wm.out_vectors, context + [doc_row], centre, negatives)
