@@ -587,9 +587,14 @@ def save_model(model: TrainedModel, path) -> None:
         "calibration": list(model.calibration) if model.calibration else None,
         "payload": _payload(model),
     }
+    write_json(path, data)
+
+
+def write_json(path, data) -> None:
+    """data as one line of sorted JSON, then a newline. json.dumps without
+    indent takes the C encoder; json.dump writes the same bytes in Python."""
     with open(Path(path), "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(data, fh, ensure_ascii=False, sort_keys=True)
-        fh.write("\n")
+        fh.write(json.dumps(data, ensure_ascii=False, sort_keys=True) + "\n")
 
 
 def load_model(path, registry_hash: Optional[str] = None) -> TrainedModel:

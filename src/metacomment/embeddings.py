@@ -3,14 +3,17 @@
 Word vectors are trained CBOW-style (predict a token from the mean of its
 context vectors) or skip-gram-style; comment vectors use the
 distributed-memory variant where the comment vector is averaged into the
-context. Inference for unseen comments runs gradient steps on a fresh
+context. Inference for unseen comments runs the same DM steps on a fresh
 comment vector while the word matrices stay frozen.
 
-Training steps minibatches of TRAIN_BATCH examples across comments, as
+One kernel, _batch_step, steps minibatches of TRAIN_BATCH examples, as
 word2vec does: updates inside a batch read the same matrices and are summed
-at its end. It is serial and deterministic: a seed gives byte-identical
-models. They differ from those of earlier versions, which stepped one
-example at a time; models those versions saved load unchanged.
+at its end. Training's batches run across comments; inference cuts each
+comment's own examples into batches, so a comment's vector does not depend
+on the other comments inferred with it. Both are serial and deterministic:
+a seed gives byte-identical models. Models and inferred vectors differ from
+those of earlier versions, which stepped one example at a time; models
+those versions saved load unchanged.
 """
 
 from __future__ import annotations
@@ -29,8 +32,9 @@ from .textprep import TokenStream
 logger = logging.getLogger(__name__)
 
 NOISE_EXPONENT = 0.75
-# comments per inference slice: bounds infer_many's memory on long inputs
-INFER_BATCH = 256
+# comments per inference slice: one inference kernel call holds at most
+# INFER_BATCH x TRAIN_BATCH examples
+INFER_BATCH = 64
 # training examples per minibatch step; larger batches run faster but read
 # staler rows (DM's comment vectors lose the most)
 TRAIN_BATCH = 64
@@ -117,9 +121,9 @@ def cosine_distance(u: np.ndarray, v: np.ndarray) -> float:
 # For one (context, center) pair with mean input vector h and negative draws
 # n_1..n_K the loss is  -log s(u_c . h) - sum_k log s(-u_{n_k} . h)  where s
 # is the logistic function. These two functions are the reference definition.
-# Training applies exactly these gradients through _batch_step, and
-# test_embeddings.py's TestTrainingStep ties each mode to them, one example
-# per batch and in larger batches.
+# Training and inference apply exactly these gradients through _batch_step;
+# test_embeddings.py's TestTrainingStep and TestBatchedInference tie each
+# mode to them, one example per batch and in larger batches.
 
 def negative_sampling_loss(w_in: np.ndarray, w_out: np.ndarray,
                            context: Sequence[int], center: int,
@@ -250,17 +254,13 @@ class WordEmbeddingModel:
         return cls(vocab, vectors, out_vectors, counts, params, meta.get("epoch_losses"))
 
 
-def _format_float(x: float) -> str:
-    return repr(float(x))
-
-
 def _write_vector_file(path: Path, keys: Sequence[str], matrix: np.ndarray) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(f"{matrix.shape[0]} {matrix.shape[1]}\n")
-        for key, row in zip(keys, matrix):
+        for key, row in zip(keys, matrix.tolist()):
             if any(ch.isspace() for ch in key):
                 raise EmbeddingError(f"key {key!r} contains whitespace, cannot serialize")
-            fh.write(key + " " + " ".join(_format_float(x) for x in row) + "\n")
+            fh.write(key + " " + " ".join(map(repr, row)) + "\n")
 
 
 def _read_vector_file(path: Path) -> Tuple[List[str], np.ndarray]:
@@ -324,7 +324,8 @@ def _examples(indexed: List[List[int]], window: int, skipgram: bool = False,
     return context, centres, np.arange(len(centres))
 
 
-def _batch_step(w_in, w_out, inputs, targets, negatives, lr) -> float:
+def _batch_step(w_in, w_out, inputs, targets, negatives, lr,
+                frozen: Optional[int] = None) -> float:
     """One minibatch of negative-sampling steps; returns its summed loss.
 
     Example i takes the negative_sampling_gradients step, at rate lr[i], of
@@ -332,7 +333,8 @@ def _batch_step(w_in, w_out, inputs, targets, negatives, lr) -> float:
     inputs[i] (padded with -1). All examples read the matrices as they are
     at the batch's start; their summed updates are then applied in place.
     A negative equal to its target gets no gradient or loss, as if it had
-    not been drawn; an example without input rows changes nothing.
+    not been drawn; an example without input rows changes nothing. With
+    frozen (inference), w_out and the w_in rows below frozen stay unwritten.
     """
     valid = inputs >= 0
     m = valid.sum(axis=1)
@@ -349,7 +351,11 @@ def _batch_step(w_in, w_out, inputs, targets, negatives, lr) -> float:
     scores[:, 0] = -scores[:, 0]
     loss = float((np.logaddexp(0.0, scores) * keep).sum())
     grad_h = np.einsum("bk,bkd->bd", g, w)
-    _scatter_add(w_out, tg, (-lr[:, None] * g)[:, :, None] * h[:, None, :])
+    if frozen is None:
+        _scatter_add(w_out, tg, (-lr[:, None] * g)[:, :, None] * h[:, None, :])
+    else:  # from here on, valid and m count only the rows to write
+        valid = inputs >= frozen
+        m = valid.sum(axis=1)
     _scatter_add(w_in, inputs[valid], np.repeat(-lr[:, None] * grad_h, m, axis=0)
                  * weights[valid][:, None])
     return loss
@@ -452,17 +458,21 @@ class DocEmbeddingModel:
         """Infer vectors for unseen comments; returns (vectors, all_oov flags).
 
         Per comment: a fresh vector from an rng seeded with the inference
-        seed, then `steps` passes over its in-vocabulary positions. Each
-        position draws k negatives from that rng, drops those equal to its
-        centre token and takes one gradient step on the comment vector alone,
-        at a learning rate decaying linearly over the comment's own positions
-        x steps. The word matrices stay frozen.
+        seed, then `steps` passes over its in-vocabulary positions, the DM
+        training examples with the word matrices frozen. The comment's own
+        positions x steps examples are cut into minibatches of TRAIN_BATCH,
+        each stepped by _batch_step from the vector as it was at the batch's
+        start. Example t reads the t-th k negatives of the rng's stream
+        (those equal to its centre get no gradient) and steps at a learning
+        rate decaying linearly over the comment's own positions x steps.
 
-        Comments run longest first, in slices of INFER_BATCH comments, so
-        memory stays at one slice's positions x dim however many comments
-        are given. No row's arithmetic depends on another row, so a comment
-        gets the same vector in any batch and any slice. All-OOV comments get
-        a zero vector and the flag.
+        Comments run longest first, in slices of INFER_BATCH, and the comments
+        of a slice step in lockstep, so a kernel call holds at most
+        INFER_BATCH x TRAIN_BATCH = 4,096 examples however many comments are
+        given: its peak is 11.5 MB at dim 32 with window 2 and 118 MB at dim
+        300 with window 5 (k = 5). A comment's updates touch only its own
+        row, so it gets the vector that inferring it alone gives, in any
+        batch and any slice. All-OOV comments get a zero vector and the flag.
         """
         indexed = _index_corpus(streams, self.word_model.vocab)
         lengths = np.array([len(d) for d in indexed], dtype=np.int64)
@@ -474,49 +484,36 @@ class DocEmbeddingModel:
         return vectors, lengths == 0
 
     def _infer_sorted(self, indexed: List[List[int]]) -> np.ndarray:
-        """infer_many's kernel on non-empty index lists, longest first.
+        """infer_many's slice on non-empty index lists, longest first.
 
-        Because every comment reseeds, one pre-drawn stream serves the whole
-        slice: at global step t each comment still running reads the same k
-        negatives. Sorting makes the running comments a prefix of the slice.
+        w_in stacks the comment vectors under the word rows the slice reads,
+        not the whole vocabulary. Because every comment reseeds, one stream,
+        drawn for the longest comment, serves them all.
         """
         wm = self.word_model
         p = self.inference_params
-        k, window, dim = wm.params.negative_samples, wm.params.window, self.dim
-        # one row per position, comment by comment
+        k, dim = wm.params.negative_samples, self.dim
         n = np.array([len(d) for d in indexed], dtype=np.int64)
         starts = np.cumsum(n) - n
-        windows, centres, _ = _examples(indexed, window)
-        # context sums (left then right window, in order) and context sizes
-        # incl. the comment vector; fixed, since the word matrices are frozen
-        context = np.zeros((len(centres), dim))
-        for col in windows.T:
-            context[col >= 0] += wm.vectors[col[col >= 0]]
-        m = 1 + (windows >= 0).sum(axis=1)
+        inputs, centres, _ = _examples(indexed, wm.params.window, doc_rows=len(wm.vocab))
+        # renumber the rows read: the slice's words, then its comments; padding stays -1
+        read, inputs = np.unique(inputs, return_inverse=True)
+        inputs = inputs.reshape(len(centres), -1) - (read[0] < 0)
+        words = read[(read >= 0) & (read < len(wm.vocab))]
         total = n * p.steps
         rng = np.random.default_rng(p.seed)
         draws = rng.random(dim + int(total[0]) * k)
         negatives = np.searchsorted(wm._noise_cdf, draws[dim:], side="right").reshape(-1, k)
-        docs = np.tile((draws[:dim] - 0.5) / dim, (len(indexed), 1))
-        targets = np.empty((len(indexed), k + 1), dtype=np.intp)  # centre, negatives
-        active = len(indexed)
-        for t in range(int(total[0])):
-            while total[active - 1] <= t:
-                active -= 1
-            rows = starts[:active] + t % n[:active]
-            m_t = m[rows]
-            h = (context[rows] + docs[:active]) / m_t[:, None]
-            tg = targets[:active]
-            tg[:, 0] = centres[rows]
-            tg[:, 1:] = negatives[t]
-            w = wm.out_vectors[tg]
-            g = _sigmoid((w * h[:, None, :]).sum(axis=2))
-            g[:, 0] -= 1.0
-            g[:, 1:] *= tg[:, 1:] != tg[:, :1]
-            lr = np.maximum(p.learning_rate - (p.learning_rate - p.min_learning_rate)
-                            * (t / total[:active]), p.min_learning_rate)
-            docs[:active] -= (lr / m_t)[:, None] * (g[:, :, None] * w).sum(axis=1)
-        return docs
+        w_in = np.vstack([wm.vectors[words], np.tile((draws[:dim] - 0.5) / dim, (len(n), 1))])
+        lr0, lr1 = p.learning_rate, p.min_learning_rate
+        for start in range(0, int(total[0]), TRAIN_BATCH):
+            comment, t = np.nonzero(start + np.arange(TRAIN_BATCH) < total[:, None])
+            t += start
+            rows = starts[comment] + t % n[comment]
+            lr = np.maximum(lr0 - (lr0 - lr1) * (t / total[comment]), lr1)
+            _batch_step(w_in, wm.out_vectors, inputs[rows], centres[rows], negatives[t], lr,
+                        frozen=len(words))
+        return w_in[len(words):]
 
     def vectors_for(self, streams: Sequence[TokenStream]) -> np.ndarray:
         """One row per stream: the trained vector of a training comment, else

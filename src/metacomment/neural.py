@@ -20,6 +20,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from .classifiers import write_json
 from .embeddings import WordEmbeddingModel
 
 logger = logging.getLogger(__name__)
@@ -290,9 +291,7 @@ def save_cnn(model: CnnModel, path) -> None:
         "matrices": {name: getattr(model, name).tolist()
                      for name in TRAINABLE_BLOCKS + ("embedding",)},
     }
-    with open(Path(path), "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(data, fh, ensure_ascii=False, sort_keys=True)
-        fh.write("\n")
+    write_json(path, data)
 
 
 def load_cnn(path) -> CnnModel:

@@ -22,6 +22,7 @@ from .classifiers import (
     load_model,
     save_model,
     train as train_classifier,
+    write_json,
 )
 from .corpus import ADDRESSEE_LABELS, CLASS_ORDER, Comment, LabelSet
 from .embeddings import DocEmbeddingModel, WordEmbeddingModel
@@ -360,9 +361,7 @@ def save_extractor(extractor: FeatureExtractor, path) -> None:
         "stopwords": sorted(extractor.stopwords) if extractor.stopwords else None,
         "fitted_ids": sorted(extractor.fitted_ids()),
     }
-    with open(Path(path), "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(data, fh, ensure_ascii=False, sort_keys=True)
-        fh.write("\n")
+    write_json(path, data)
 
 
 def load_extractor(path, doc_model: Optional[DocEmbeddingModel] = None) -> FeatureExtractor:

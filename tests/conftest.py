@@ -1,8 +1,18 @@
+import io
+import json
 from datetime import datetime
 
 import pytest
 
 from metacomment.corpus import Comment, LabeledDataset, LabelSet
+
+
+def json_dump_bytes(data) -> bytes:
+    """What json.dump(data, ensure_ascii=False, sort_keys=True) and a newline
+    write to a UTF-8 file: the bytes every model file must have."""
+    buffer = io.StringIO()
+    json.dump(data, buffer, ensure_ascii=False, sort_keys=True)
+    return (buffer.getvalue() + "\n").encode("utf-8")
 
 
 def make_comment(cid="c1", title="", text="Hallo Welt.", **kwargs):

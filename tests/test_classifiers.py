@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -17,7 +19,10 @@ from metacomment.classifiers import (
     load_model,
     save_model,
     train,
+    write_json,
 )
+
+from conftest import json_dump_bytes
 
 
 def blob_data(seed=0, n=60, gap=2.0):
@@ -284,10 +289,19 @@ class TestPersistence:
         model = calibrate(model, X, y)
         path = tmp_path / f"{kind}.json"
         save_model(model, path)
+        assert path.read_bytes() == json_dump_bytes(json.loads(path.read_text("utf-8")))
         loaded = load_model(path)
         probe = np.random.default_rng(1).normal(size=(30, 3))
         assert np.array_equal(model.predict_many(probe), loaded.predict_many(probe))
         assert np.allclose(model.confidences(probe), loaded.confidences(probe))
+
+    def test_write_json_bytes_equal_json_dump(self, tmp_path):
+        data = {"z": [0.1, -0.0, 1e-300, 2.5e17, 1 / 3, np.float64(0.7)],
+                "ä": {"ß": "naïve „zitiert“ \\ \"x\"\n", "a": None},
+                "b": (True, False, 3, -7, 2 ** 70), "registry": ["f0", "é"], "": []}
+        path = tmp_path / "data.json"
+        write_json(path, data)
+        assert path.read_bytes() == json_dump_bytes(data)
 
     def test_registry_hash_mismatch_rejected(self, tmp_path):
         X, y = blob_data(19)

@@ -417,14 +417,32 @@ class TestInference:
         v2 = toy_doc_model.infer(ts)[0]
         assert np.array_equal(v1, v2)
 
-    def test_word_matrices_frozen(self, toy_doc_model):
+    def test_word_matrices_frozen(self, toy_doc_model, monkeypatch):
+        """Inference writes neither the model's matrices nor, in any kernel
+        call, w_out or the word rows of the w_in it steps; the comment row
+        moves in every call."""
         wm = toy_doc_model.word_model
-        before = (hashlib.sha256(wm.vectors.tobytes()).hexdigest(),
-                  hashlib.sha256(wm.out_vectors.tobytes()).hexdigest())
-        toy_doc_model.infer(TokenStream(("kaffee", "espresso", "milch"), "q"))
-        after = (hashlib.sha256(wm.vectors.tobytes()).hexdigest(),
-                 hashlib.sha256(wm.out_vectors.tobytes()).hexdigest())
-        assert before == after
+
+        def digests():
+            return (hashlib.sha256(wm.vectors.tobytes()).hexdigest(),
+                    hashlib.sha256(wm.out_vectors.tobytes()).hexdigest())
+
+        before = digests()
+        moved = []
+        kernel = embeddings._batch_step
+
+        def spy(w_in, w_out, *args, frozen):
+            word_rows, out, comment = w_in[:frozen].copy(), w_out.copy(), w_in[frozen:].copy()
+            loss = kernel(w_in, w_out, *args, frozen=frozen)
+            assert np.array_equal(w_in[:frozen], word_rows)
+            assert np.array_equal(w_out, out)
+            moved.append(not np.array_equal(w_in[frozen:], comment))
+            return loss
+
+        monkeypatch.setattr(embeddings, "_batch_step", spy)
+        toy_doc_model.infer(TokenStream(("kaffee", "espresso", "milch") * 30, "q"))
+        assert len(moved) > 1 and all(moved)
+        assert digests() == before
 
     def test_inferring_training_comment_lands_near_trained_vector(self, toy_doc_model):
         streams, _ = doc_cluster_corpus(3)
@@ -439,9 +457,12 @@ class TestInference:
         assert np.array_equal(vector, np.zeros(16))
 
 
-def reference_infer(dm, ts):
-    """One comment's inference, position by position, on the reference
-    gradients: the comment vector is one more w_in row in the context.
+def reference_infer(dm, ts, batch=1):
+    """One comment's inference on the reference gradients: the comment vector
+    is one more w_in row in the context. The comment's positions x steps
+    examples run in minibatches of `batch`: each example takes its gradient
+    at the vector as it was at the batch's start, and the summed steps go in
+    at the batch's end. At batch 1 this is plain SGD, position by position.
 
     Returns (vector, all_oov, number of negatives dropped as the centre).
     """
@@ -456,15 +477,26 @@ def reference_infer(dm, ts):
     w_in = np.vstack([wm.vectors, (rng.random(dm.dim) - 0.5) / dm.dim])
     lr_sched = LrSchedule(p.learning_rate, p.min_learning_rate, len(indices) * p.steps)
     dropped = 0
+    pending = []
+
+    def flush():
+        steps = [lr * negative_sampling_gradients(w_in, wm.out_vectors, context, centre,
+                                                  negatives)[1][doc_row]
+                 for context, centre, negatives, lr in pending]
+        pending.clear()
+        for step in steps:
+            w_in[doc_row] -= step
+
     for _ in range(p.steps):
         for pos, centre in enumerate(indices):
             lr = lr_sched.next()
             context = indices[max(0, pos - window):pos] + indices[pos + 1:pos + 1 + window]
             negatives = draw_negatives(wm._noise_cdf, rng, k, exclude=centre)
             dropped += k - len(negatives)
-            _, grad_in, _ = negative_sampling_gradients(
-                w_in, wm.out_vectors, context + [doc_row], centre, negatives)
-            w_in[doc_row] -= lr * grad_in[doc_row]
+            pending.append((context + [doc_row], centre, negatives, lr))
+            if len(pending) == batch:
+                flush()
+    flush()
     return w_in[doc_row], False, dropped
 
 
@@ -492,19 +524,36 @@ class TestBatchedInference:
         ]
         return streams
 
-    def test_matches_reference_loop(self, short_schedule_model):
-        streams = self._batch(short_schedule_model)
-        vectors, all_oov = short_schedule_model.infer_many(streams)
+    def _check(self, model, batch):
+        """infer_many against reference_infer at `batch` examples per minibatch;
+        requires a comment longer than one batch and a negative equal to its
+        centre."""
+        streams = self._batch(model)
+        vectors, all_oov = model.infer_many(streams)
         assert vectors.shape == (len(streams), 16)
         dropped = 0
         for ts, vec, flag in zip(streams, vectors, all_oov):
-            ref, ref_flag, ref_dropped = reference_infer(short_schedule_model, ts)
+            ref, ref_flag, ref_dropped = reference_infer(model, ts, batch)
             assert flag == ref_flag, ts.source_id
             assert np.abs(vec - ref).max() <= 1e-12, ts.source_id
             dropped += ref_dropped
         # some drawn negative was the centre token, so the exclusion was exercised
         assert dropped > 0
         assert list(all_oov).count(True) == 2
+        longest = max(sum(t in model.word_model.vocab for t in ts.tokens) for ts in streams)
+        assert longest * model.inference_params.steps > batch
+
+    def test_matches_reference_loop(self, short_schedule_model, monkeypatch):
+        monkeypatch.setattr(embeddings, "TRAIN_BATCH", 1)
+        self._check(short_schedule_model, 1)
+
+    @pytest.mark.parametrize("batch", [4, None])
+    def test_matches_reference_in_minibatches(self, short_schedule_model, batch, monkeypatch):
+        if batch is None:
+            batch = embeddings.TRAIN_BATCH
+        else:
+            monkeypatch.setattr(embeddings, "TRAIN_BATCH", batch)
+        self._check(short_schedule_model, batch)
 
     def test_rows_do_not_depend_on_the_batch(self, short_schedule_model):
         streams = self._batch(short_schedule_model)[:40]
@@ -531,6 +580,31 @@ class TestBatchedInference:
         assert sizes == [7, 7, 7, 7, 7, 3]
         assert sum(sizes) == len(streams) - all_oov.sum()
         assert np.array_equal(sliced, whole)
+
+    def test_one_kernel_call_per_batch_of_each_slice(self, short_schedule_model,
+                                                     monkeypatch):
+        """A slice takes ceil(its longest comment's positions x steps / TRAIN_BATCH)
+        _batch_step calls, each with at most TRAIN_BATCH examples per comment."""
+        model = short_schedule_model
+        streams = self._batch(model)[:40]
+        steps = model.inference_params.steps
+        lengths = sorted((n for n in (sum(t in model.word_model.vocab for t in ts.tokens)
+                                      for ts in streams) if n), reverse=True)
+        calls = []
+        kernel = embeddings._batch_step
+
+        def spy(*args, **kwargs):
+            calls.append(len(args[3]))
+            return kernel(*args, **kwargs)
+
+        monkeypatch.setattr(embeddings, "INFER_BATCH", 7)
+        monkeypatch.setattr(embeddings, "TRAIN_BATCH", 4)
+        monkeypatch.setattr(embeddings, "_batch_step", spy)
+        model.infer_many(streams)
+        assert len(calls) == sum(math.ceil(lengths[i] * steps / 4)
+                                 for i in range(0, len(lengths), 7))
+        assert sum(calls) == sum(lengths) * steps
+        assert max(calls) == 7 * 4
 
     def test_empty_batch(self, toy_doc_model):
         vectors, all_oov = toy_doc_model.infer_many([])
@@ -617,3 +691,9 @@ class TestPersistence:
                           prefix.with_suffix(".out").read_bytes(),
                           prefix.with_suffix(".meta.json").read_bytes()))
         assert files[0] == files[1]
+        # the vector files hold what formatting each numpy float on its own gives
+        for matrix, data in ((model.vectors, files[0][0]), (model.out_vectors, files[0][1])):
+            lines = [f"{matrix.shape[0]} {matrix.shape[1]}"] + [
+                token + " " + " ".join(repr(float(x)) for x in row)
+                for token, row in zip(model._tokens, matrix)]
+            assert data == ("\n".join(lines) + "\n").encode("utf-8")

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from metacomment.corpus import CLASS_ORDER, LabelSet, LabeledDataset
 from metacomment.embeddings import (
@@ -34,7 +35,7 @@ from metacomment.features import (
     tfidf_fit,
     tfidf_transform,
 )
-from metacomment.textprep import TokenStream
+from metacomment.textprep import TokenStream, ngrams
 
 from conftest import make_comment
 from synthdata import synonym_word_corpus
@@ -159,6 +160,19 @@ class TestTfidf:
         model = tfidf_fit([ts])
         weights = tfidf_transform(model, ts)
         assert math.sqrt(sum(w * w for w in weights.values())) == pytest.approx(1.0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(corpus=st.lists(st.lists(st.sampled_from("abcdef"), max_size=6),
+                           min_size=1, max_size=5),
+           query=st.lists(st.sampled_from("abcdefgh"), max_size=8))
+    def test_every_row_unit_norm_or_empty(self, corpus, query):
+        model = tfidf_fit([TokenStream(d, f"d{i}") for i, d in enumerate(corpus)])
+        for tokens in corpus + [query]:
+            weights = tfidf_transform(model, TokenStream(tokens, "q"))
+            if weights:
+                assert abs(math.sqrt(sum(w * w for w in weights.values())) - 1.0) <= 1e-12
+            else:
+                assert not any(g in model.vocabulary for g in ngrams(TokenStream(tokens)))
 
     def test_empty_corpus_error(self):
         with pytest.raises(FeatureError, match="non-empty"):

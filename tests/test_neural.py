@@ -1,4 +1,5 @@
 import hashlib
+import json
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ from metacomment.neural import (
 )
 from metacomment.textprep import TokenStream
 
-from conftest import make_comment
+from conftest import json_dump_bytes, make_comment
 
 MARKERS = ("alpha", "beta", "gamma")
 FILLERS = tuple(f"f{i}" for i in range(20))
@@ -334,6 +335,7 @@ class TestPersistence:
         train(model, idx, labels)
         path = tmp_path / "cnn.json"
         save_cnn(model, path)
+        assert path.read_bytes() == json_dump_bytes(json.loads(path.read_text("utf-8")))
         loaded = load_cnn(path)
         assert np.array_equal(forward(model, idx), forward(loaded, idx))
         assert loaded.config == model.config

@@ -26,6 +26,7 @@ from metacomment.pipeline import (
 )
 from metacomment.textprep import preprocess
 
+from conftest import json_dump_bytes
 from synthdata import CLASS_KEYWORDS, generate_comment_dataset
 
 
@@ -341,6 +342,7 @@ class TestExtractorPersistence:
         pipeline = make_pipeline(word_model).fit(entries, y)
         path = tmp_path / "extractor.json"
         save_extractor(pipeline.extractor, path)
+        assert path.read_bytes() == json_dump_bytes(json.loads(path.read_text("utf-8")))
         loaded = load_extractor(path)
         assert loaded.registry == pipeline.extractor.registry
         assert loaded.registry_hash == pipeline.extractor.registry_hash

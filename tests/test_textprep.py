@@ -1,6 +1,8 @@
 import random
 import unicodedata
 
+from hypothesis import example, given, settings, strategies as st
+
 from metacomment.textprep import (
     TokenStream,
     default_stopwords,
@@ -66,11 +68,15 @@ class TestPreprocess:
         ts = preprocess(make_comment(cid="c42"))
         assert ts.source_id == "c42"
 
-    def test_idempotence(self):
-        c = make_comment(title="Der „Artikel“", text="ist SEHR gut!!! Oder? nicht…")
-        ts = preprocess(c)
-        again = tokenize(" ".join(ts.tokens))
-        assert again == ts.tokens
+    @settings(max_examples=300, deadline=None)
+    @given(title=st.text(), text=st.text().filter(str.strip), remove_stopwords=st.booleans())
+    @example(title="Der „Artikel“", text="ist SEHR gut!!! Oder? nicht…",
+             remove_stopwords=False)
+    @example(title="İSTANBUL", text="ǅ ß ﬁ Σ", remove_stopwords=True)
+    def test_idempotence(self, title, text, remove_stopwords):
+        # tokenizing the joined tokens again gives the same tokens
+        ts = preprocess(make_comment(title=title, text=text), remove_stopwords)
+        assert tokenize(" ".join(ts.tokens), remove_stopwords) == ts.tokens
 
     def test_determinism(self):
         c = make_comment(text="Ümläute und ß bleiben: FUSS!")
