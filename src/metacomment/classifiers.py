@@ -10,15 +10,15 @@ available for the two-step classification.
 
 from __future__ import annotations
 
-import json
 import logging
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, fields
-from pathlib import Path
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
+
+from .files import read_fields, read_json, write_json
 
 logger = logging.getLogger(__name__)
 
@@ -590,32 +590,20 @@ def save_model(model: TrainedModel, path) -> None:
     write_json(path, data)
 
 
-def write_json(path, data) -> None:
-    """data as one line of sorted JSON, then a newline. json.dumps without
-    indent takes the C encoder; json.dump writes the same bytes in Python."""
-    with open(Path(path), "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(json.dumps(data, ensure_ascii=False, sort_keys=True) + "\n")
-
-
 def load_model(path, registry_hash: Optional[str] = None) -> TrainedModel:
     """Load a model container; rejects a registry-hash mismatch when given."""
-    with open(Path(path), encoding="utf-8") as fh:
-        data = json.load(fh)
-    if data.get("format") != MODEL_FORMAT:
-        raise TrainingError(f"unsupported model format {data.get('format')!r}")
-    if registry_hash is not None and data.get("registry_hash") != registry_hash:
+    data = read_json(path, MODEL_FORMAT)
+    if registry_hash is not None and data["registry_hash"] != registry_hash:
         raise RegistryMismatch(
-            f"{path}: model registry hash {data.get('registry_hash')!r} does not "
+            f"{path}: model registry hash {data['registry_hash']!r} does not "
             f"match expected {registry_hash!r}")
     kind = data["kind"]
-    hp = _coerce_params(kind, data["hyperparams"])
-    scaler = None
-    if data.get("standardizer"):
-        scaler = Standardizer(np.array(data["standardizer"]["mean"]),
-                              np.array(data["standardizer"]["std"]))
+    hp = read_fields(_PARAM_TYPES[kind], data["hyperparams"])
+    std = data["standardizer"]
+    scaler = Standardizer(np.array(std["mean"]), np.array(std["std"])) if std else None
     return TrainedModel(
         kind=kind, inner=_restore(kind, data["payload"], hp), hyperparams=hp,
         standardizer=scaler,
-        registry=tuple(data["registry"]) if data.get("registry") else None,
-        registry_hash=data.get("registry_hash"),
-        calibration=tuple(data["calibration"]) if data.get("calibration") else None)
+        registry=tuple(data["registry"]) if data["registry"] else None,
+        registry_hash=data["registry_hash"],
+        calibration=tuple(data["calibration"]) if data["calibration"] else None)

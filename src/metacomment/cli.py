@@ -52,6 +52,7 @@ from .features import (
     load_keywords,
     select_k_best,
 )
+from .files import read_json, write_json
 from .pipeline import (
     FeaturePipeline,
     TwoStepClassifier,
@@ -86,12 +87,6 @@ def _hash_file(path) -> str:
     return digest.hexdigest()
 
 
-def _write_json(path, payload) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(payload, fh, ensure_ascii=False, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
 def _write_manifest(out_dir: Path, args: argparse.Namespace, inputs) -> None:
     manifest = {
         "tool": "metacomment",
@@ -101,8 +96,7 @@ def _write_manifest(out_dir: Path, args: argparse.Namespace, inputs) -> None:
                       for k, v in sorted(vars(args).items()) if k != "func"},
         "input_hashes": {str(p): _hash_file(p) for p in inputs if Path(p).is_file()},
     }
-    out_dir.mkdir(parents=True, exist_ok=True)
-    _write_json(out_dir / "manifest.json", manifest)
+    write_json(out_dir / "manifest.json", manifest, indent=2)
 
 
 def _out_dir(args) -> Path:
@@ -195,7 +189,7 @@ def cmd_ingest(args) -> int:
     ds = load_dataset(args.input, args.tag)
     out = _out_dir(args)
     save_dataset(ds, out / "dataset.jsonl")
-    _write_json(out / "stats.json", asdict(dataset_stats(ds)))
+    write_json(out / "stats.json", asdict(dataset_stats(ds)), indent=2)
     _write_manifest(out, args, [args.input])
     print(f"ingested {len(ds)} comments from {args.input}")
     return 0
@@ -206,7 +200,7 @@ def cmd_stats(args) -> int:
     print(report.format_text())
     if args.out:
         out = _out_dir(args)
-        _write_json(out / "stats.json", asdict(report))
+        write_json(out / "stats.json", asdict(report), indent=2)
         _write_manifest(out, args, [args.input])
     return 0
 
@@ -261,7 +255,7 @@ def cmd_features(args) -> int:
     export_sparse_matrix(X, extractor.registry, out / "features.txt")
     save_extractor(extractor, out / "extractor.json")
     labels = {c.id: sorted(ls.labels, key=CLASS_ORDER.index) for c, ls in ds}
-    _write_json(out / "labels.json", labels)
+    write_json(out / "labels.json", labels, indent=2)
     _write_manifest(out, args, [args.input])
     print(f"exported {len(X)} feature vectors over {len(extractor.registry)} features")
     return 0
@@ -313,11 +307,11 @@ def cmd_evaluate(args) -> int:
                      "beta": args.beta})
         rows.append({"fold": "pooled", **_metrics_dict(result.pooled)})
         write_score_table(rows, out / "scores.csv")
-        _write_json(out / "metrics.json", {
+        write_json(out / "metrics.json", {
             "dataset": str(args.input), "target": args.target,
             "mean": {"precision": result.mean.precision, "recall": result.mean.recall,
                      "f_beta": result.mean.f_beta, "beta": args.beta},
-            "pooled": _metrics_dict(result.pooled)})
+            "pooled": _metrics_dict(result.pooled)}, indent=2)
         _write_manifest(out, args, [args.input])
     return 0
 
@@ -325,8 +319,7 @@ def cmd_evaluate(args) -> int:
 def cmd_grid_search(args) -> int:
     ds = load_dataset(args.input)
     word_model, doc_model = _embedding_models(args)
-    with open(args.grid, encoding="utf-8") as fh:
-        raw = json.load(fh)
+    raw = read_json(args.grid)
     grid = GridSpec(params=raw.get("params", {}),
                     feature_counts=tuple(raw.get("feature_counts", ["all"])),
                     beta=raw.get("beta", args.beta))
@@ -343,8 +336,9 @@ def cmd_grid_search(args) -> int:
           f"(F_{grid.beta} = {result.best_score:.4f})")
     out = _out_dir(args)
     write_score_table(result.rows, out / "scores.csv")
-    _write_json(out / "best.json", {"params": result.best_params,
-                                    "score": result.best_score, "beta": grid.beta})
+    write_json(out / "best.json", {"params": result.best_params,
+                                   "score": result.best_score, "beta": grid.beta},
+               indent=2)
     _write_manifest(out, args, [args.input, args.grid])
     return 0
 
@@ -363,9 +357,9 @@ def cmd_cross_eval(args) -> int:
               f"F_{args.beta} {metrics.f_beta:.4f}")
     if args.out:
         out = _out_dir(args)
-        _write_json(out / "metrics.json", {
+        write_json(out / "metrics.json", {
             "train": str(args.train), "test": str(args.test),
-            "classes": {cls: _metrics_dict(m) for cls, m in results.items()}})
+            "classes": {cls: _metrics_dict(m) for cls, m in results.items()}}, indent=2)
         rows = [{"class": cls, **_metrics_dict(m)} for cls, m in results.items()]
         write_score_table(rows, out / "scores.csv")
         _write_manifest(out, args, [args.train, args.test])
@@ -392,11 +386,8 @@ def cmd_classify(args) -> int:
                     "confidences": {k: round(v, 6)
                                     for k, v in sorted(result.confidences.items())},
                 }, ensure_ascii=False) + "\n")
-    # every file TwoStepClassifier.load reads; absent addressee files are skipped
-    model_files = [models_dir / "extractor.json", models_dir / "meta.json",
-                   *(models_dir / f"addressee_{label.lower()}.json"
-                     for label in ADDRESSEE_LABELS)]
-    _write_manifest(out, args, [args.input, *model_files])
+    _write_manifest(out, args,
+                    [args.input, *TwoStepClassifier.files(models_dir).values()])
     print(f"classified {len(ds)} comments -> {results_path}")
     return 0
 
@@ -421,10 +412,10 @@ def cmd_rank_features(args) -> int:
             print(f"{name}\t{shown}")
     if args.out:
         out = _out_dir(args)
-        _write_json(out / "ranking.json", {
+        write_json(out / "ranking.json", {
             cls: [{"feature": n, "f_value": (None if np.isinf(s) else s)}
                   for n, s in rows]
-            for cls, rows in ranking.items()})
+            for cls, rows in ranking.items()}, indent=2)
         _write_manifest(out, args, [args.input])
     return 0
 
@@ -461,7 +452,7 @@ def cmd_merge(args) -> int:
     merged, flagged = merge_annotations(ds, coded, policy=args.policy)
     out = _out_dir(args)
     save_dataset(merged, out / "dataset.jsonl")
-    _write_json(out / "flagged.json", list(flagged))
+    write_json(out / "flagged.json", list(flagged), indent=2)
     _write_manifest(out, args, [args.input, *args.coded])
     print(f"merged {len(coded)} coder entries; {len(flagged)} flagged")
     return 0
@@ -473,8 +464,7 @@ def cmd_report(args) -> int:
     lines.append(header)
     lines.append("-" * len(header))
     for path in args.metrics:
-        with open(path, encoding="utf-8") as fh:
-            data = json.load(fh)
+        data = read_json(path)
         run = Path(path).parent.name or str(path)
         if "classes" in data:
             for cls, metrics in data["classes"].items():
@@ -530,8 +520,15 @@ def _add_classifier_flags(parser):
                         help="classifier hyperparameters, e.g. C=0.5,max_epochs=200")
     parser.add_argument("--select-k", default="all",
                         help="keep only the k best features by ANOVA F ('all' or int)")
+
+
+def _add_scoring_flags(parser, out_required=False):
+    _add_classifier_flags(parser)
     parser.add_argument("--beta", type=float, default=0.5,
                         help="F_beta weighting (default 0.5, precision-heavy)")
+    _add_model_flags(parser)
+    _add_seed(parser)
+    _add_common(parser, out_required=out_required)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -610,10 +607,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True)
     p.add_argument("--target", default="Meta")
     p.add_argument("-k", type=int, default=10)
-    _add_classifier_flags(p)
-    _add_model_flags(p)
-    _add_seed(p)
-    _add_common(p)
+    _add_scoring_flags(p)
     p.set_defaults(func=cmd_evaluate)
 
     p = add_parser("grid-search", help="hyperparameter grid search")
@@ -621,20 +615,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--target", default="Meta")
     p.add_argument("--grid", required=True, help="JSON grid specification")
     p.add_argument("-k", type=int, default=3)
-    _add_classifier_flags(p)
-    _add_model_flags(p)
-    _add_seed(p)
-    _add_common(p, out_required=True)
+    _add_scoring_flags(p, out_required=True)
     p.set_defaults(func=cmd_grid_search)
 
     p = add_parser("cross-eval", help="train on one dataset, test on another")
     p.add_argument("--train", required=True)
     p.add_argument("--test", required=True)
     p.add_argument("--classes", default=None, help="comma-separated label list")
-    _add_classifier_flags(p)
-    _add_model_flags(p)
-    _add_seed(p)
-    _add_common(p)
+    _add_scoring_flags(p)
     p.set_defaults(func=cmd_cross_eval)
 
     p = add_parser("classify", help="two-step classification of comments")

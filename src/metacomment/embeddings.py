@@ -27,6 +27,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from .files import read_fields, read_json, write_json
 from .textprep import TokenStream
 
 logger = logging.getLogger(__name__)
@@ -235,7 +236,7 @@ class WordEmbeddingModel:
             "counts": {t: int(c) for t, c in zip(self._tokens, self.counts)},
             "epoch_losses": self.epoch_losses,
         }
-        _write_json(prefix.with_suffix(".meta.json"), meta)
+        write_json(prefix.with_suffix(".meta.json"), meta, indent=2)
 
     @classmethod
     def load(cls, prefix) -> "WordEmbeddingModel":
@@ -244,11 +245,9 @@ class WordEmbeddingModel:
         out_tokens, out_vectors = _read_vector_file(prefix.with_suffix(".out"))
         if tokens != out_tokens:
             raise EmbeddingError("input/output vector files disagree on vocabulary")
-        with open(prefix.with_suffix(".meta.json"), encoding="utf-8") as fh:
-            meta = json.load(fh)
-        # files written while training had a thread pool still carry "workers"
-        meta["params"].pop("workers", None)
-        params = WordTrainingParams(**meta["params"])
+        meta = read_json(prefix.with_suffix(".meta.json"))
+        # files written while training had a thread pool also carry "workers"
+        params = read_fields(WordTrainingParams, meta["params"])
         counts = np.array([meta["counts"][t] for t in tokens], dtype=np.int64)
         vocab = {t: i for i, t in enumerate(tokens)}
         return cls(vocab, vectors, out_vectors, counts, params, meta.get("epoch_losses"))
@@ -264,22 +263,23 @@ def _write_vector_file(path: Path, keys: Sequence[str], matrix: np.ndarray) -> N
 
 
 def _read_vector_file(path: Path) -> Tuple[List[str], np.ndarray]:
+    """Keys and rows; a malformed or cut-off line raises EmbeddingError naming it."""
+    line_no = 1
     with open(path, encoding="utf-8") as fh:
-        header = fh.readline().split()
-        n, d = int(header[0]), int(header[1])
-        keys = []
-        matrix = np.empty((n, d), dtype=float)
-        for i in range(n):
-            parts = fh.readline().rstrip("\n").split(" ")
-            keys.append(parts[0])
-            matrix[i] = [float(x) for x in parts[1:]]
+        try:
+            n, d = map(int, fh.readline().split())
+            keys = []
+            matrix = np.empty((n, d), dtype=float)
+            for line_no in range(2, n + 2):
+                line = fh.readline()
+                key, *values = line.rstrip("\n").split(" ")
+                if len(values) != d or not line.endswith("\n"):
+                    raise ValueError(f"expected a key and {d} values, then a newline")
+                keys.append(key)
+                matrix[line_no - 2] = [float(x) for x in values]
+        except ValueError as exc:
+            raise EmbeddingError(f"{path}, line {line_no}: {exc}") from None
     return keys, matrix
-
-
-def _write_json(path: Path, payload: dict) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(payload, fh, ensure_ascii=False, indent=2, sort_keys=True)
-        fh.write("\n")
 
 
 def _build_vocab(corpus: Sequence[TokenStream], min_count: int):
@@ -553,18 +553,17 @@ class DocEmbeddingModel:
                 "inference_params": self.inference_params.__dict__}
         if self.token_digests is not None:
             meta["token_digests"] = self.token_digests
-        _write_json(prefix.with_suffix(".docs.meta.json"), meta)
+        write_json(prefix.with_suffix(".docs.meta.json"), meta, indent=2)
 
     @classmethod
     def load(cls, prefix) -> "DocEmbeddingModel":
         prefix = Path(prefix)
         word_model = WordEmbeddingModel.load(prefix)
         ids, matrix = _read_vector_file(prefix.with_suffix(".docs"))
-        with open(prefix.with_suffix(".docs.meta.json"), encoding="utf-8") as fh:
-            meta = json.load(fh)
+        meta = read_json(prefix.with_suffix(".docs.meta.json"))
         doc_vectors = {i: matrix[k] for k, i in enumerate(ids)}
         return cls(word_model, doc_vectors, frozenset(meta["flagged_ids"]),
-                   DocInferenceParams(**meta["inference_params"]),
+                   read_fields(DocInferenceParams, meta["inference_params"]),
                    meta.get("token_digests"))
 
 

@@ -232,8 +232,9 @@ def grid_search(pipeline_factory: Callable, grid: GridSpec, items: Sequence, y,
                 k: int = 3, seed: int = 0) -> GridSearchResult:
     """Exhaustive grid evaluation, scored by mean F_beta over k folds.
 
-    Ties keep the first configuration in enumeration order. The factory is
-    called as factory(params_dict, seed). Every configuration's pipelines
+    Every configuration gets the folds and fold seeds that cross_validate
+    draws from seed, and ties keep the first in enumeration order. The factory
+    is called as factory(params_dict, seed). Every configuration's pipelines
     share one use_cache dict, as the folds of cross_validate do.
     """
     combos = grid.combinations()
@@ -246,7 +247,7 @@ def grid_search(pipeline_factory: Callable, grid: GridSpec, items: Sequence, y,
     for index, combo in enumerate(combos):
         result = _cross_validate(
             lambda fold_seed: pipeline_factory(combo, fold_seed),
-            items, y, k, derive_seed(seed, f"grid:{index}"), grid.beta, shared)
+            items, y, k, seed, grid.beta, shared)
         for fold_index, metrics in enumerate(result.fold_metrics):
             rows.append({"config": index, **combo, "fold": fold_index,
                          "precision": metrics.precision, "recall": metrics.recall,

@@ -23,6 +23,7 @@ import numpy as np
 
 from .corpus import ADDRESSEE_LABELS, CLASS_ORDER, Comment, LabeledDataset
 from .embeddings import DocEmbeddingModel, WordEmbeddingModel, cosine_from_norms
+from .files import read_lines
 from .textprep import TokenStream, _is_punct, ngrams, preprocess, scan_text, tokenize
 
 _DATA_DIR = Path(__file__).parent / "data"
@@ -103,13 +104,7 @@ def enrich_keywords(seeds: Sequence[str], model: WordEmbeddingModel,
 
 def load_keywords(path) -> tuple:
     """One lowercase keyword per line; '#' starts a comment."""
-    words = []
-    with open(Path(path), encoding="utf-8") as fh:
-        for line in fh:
-            word = line.strip().lower()
-            if word and not word.startswith("#"):
-                words.append(word)
-    return tuple(words)
+    return tuple(word.lower() for word in read_lines(path))
 
 
 @lru_cache(maxsize=1)
@@ -206,16 +201,12 @@ def _tfidf_weights(vocabulary: dict, idf: Sequence[float], counts: dict) -> dict
 def load_sentiment_lexicon(path) -> dict:
     """Polarity lexicon file: token<TAB>polarity, one entry per line."""
     lexicon = {}
-    with open(Path(path), encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            token, _, value = line.partition("\t")
-            polarity = float(value)
-            if not -1.0 <= polarity <= 1.0:
-                raise FeatureError(f"polarity out of range for {token!r}: {polarity}")
-            lexicon[token.lower()] = polarity
+    for line in read_lines(path):
+        token, _, value = line.partition("\t")
+        polarity = float(value)
+        if not -1.0 <= polarity <= 1.0:
+            raise FeatureError(f"polarity out of range for {token!r}: {polarity}")
+        lexicon[token.lower()] = polarity
     return lexicon
 
 

@@ -12,16 +12,14 @@ padding only, whose steps all tie.
 
 from __future__ import annotations
 
-import json
 import logging
 from dataclasses import dataclass, replace
-from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .classifiers import write_json
 from .embeddings import WordEmbeddingModel
+from .files import read_fields, read_json, write_json
 
 logger = logging.getLogger(__name__)
 
@@ -295,10 +293,7 @@ def save_cnn(model: CnnModel, path) -> None:
 
 
 def load_cnn(path) -> CnnModel:
-    with open(Path(path), encoding="utf-8") as fh:
-        data = json.load(fh)
-    if data.get("format") != "metacomment-cnn/1":
-        raise NeuralError(f"unsupported model format {data.get('format')!r}")
-    return CnnModel(CnnConfig(**data["config"]), dict(data["vocab"]),
+    data = read_json(path, "metacomment-cnn/1")
+    return CnnModel(read_fields(CnnConfig, data["config"]), dict(data["vocab"]),
                     **{name: np.array(data["matrices"][name])
                        for name in TRAINABLE_BLOCKS + ("embedding",)})

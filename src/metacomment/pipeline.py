@@ -8,7 +8,6 @@ evaluation harness can verify that.
 
 from __future__ import annotations
 
-import json
 import logging
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -22,7 +21,6 @@ from .classifiers import (
     load_model,
     save_model,
     train as train_classifier,
-    write_json,
 )
 from .corpus import ADDRESSEE_LABELS, CLASS_ORDER, Comment, LabelSet
 from .embeddings import DocEmbeddingModel, WordEmbeddingModel
@@ -40,6 +38,7 @@ from .features import (
     select_k_best,
     tfidf_fit,
 )
+from .files import read_json, write_json
 from .neural import CnnConfig, build as build_cnn, forward, train as train_cnn
 from .textprep import preprocess
 
@@ -203,9 +202,6 @@ class FeaturePipeline:
     def predict(self, entries: Sequence[Entry]) -> np.ndarray:
         return self.model.predict_many(self._matrix(entries))
 
-    def confidences(self, entries: Sequence[Entry]) -> np.ndarray:
-        return self.model.confidences(self._matrix(entries))
-
     def fitted_ids(self) -> Optional[frozenset]:
         return self._fitted_ids
 
@@ -303,13 +299,21 @@ class TwoStepClassifier:
                                   threshold=self.threshold)
                 for i in range(len(X))]
 
-    def save(self, directory) -> None:
-        """Write extractor.json, meta.json and addressee_<label>.json."""
+    @staticmethod
+    def files(directory) -> Dict[str, Path]:
+        """extractor.json, meta.json and addressee_<label>.json, keyed by role and label."""
         directory = Path(directory)
-        save_extractor(self.pipeline.extractor, directory / "extractor.json")
-        save_model(self.meta_model, directory / "meta.json")
+        return {"extractor": directory / "extractor.json", "meta": directory / "meta.json",
+                **{label: directory / f"addressee_{label.lower()}.json"
+                   for label in ADDRESSEE_LABELS}}
+
+    def save(self, directory) -> None:
+        """Write every file of files(directory) but those of skipped addressees."""
+        files = self.files(directory)
+        save_extractor(self.pipeline.extractor, files["extractor"])
+        save_model(self.meta_model, files["meta"])
         for label, model in self.addressee_models.items():
-            save_model(model, directory / f"addressee_{label.lower()}.json")
+            save_model(model, files[label])
 
     @classmethod
     def load(cls, directory, doc_model: Optional[DocEmbeddingModel],
@@ -319,16 +323,14 @@ class TwoStepClassifier:
         Every model must carry the registry hash of the saved extractor;
         RegistryMismatch otherwise. Absent addressee files are skipped.
         """
-        directory = Path(directory)
+        files = cls.files(directory)
         classifier = cls(FeaturePipeline(), threshold=threshold)
-        extractor = load_extractor(directory / "extractor.json", doc_model=doc_model)
-        meta_model = load_model(directory / "meta.json",
-                                registry_hash=extractor.registry_hash)
+        extractor = load_extractor(files["extractor"], doc_model=doc_model)
+        meta_model = load_model(files["meta"], registry_hash=extractor.registry_hash)
         for label in ADDRESSEE_LABELS:
-            path = directory / f"addressee_{label.lower()}.json"
-            if path.is_file():
+            if files[label].is_file():
                 classifier.addressee_models[label] = load_model(
-                    path, registry_hash=extractor.registry_hash)
+                    files[label], registry_hash=extractor.registry_hash)
         classifier.pipeline.extractor = extractor
         classifier.pipeline.model = classifier.meta_model = meta_model
         classifier.pipeline.selected = extractor.registry
@@ -371,33 +373,25 @@ def load_extractor(path, doc_model: Optional[DocEmbeddingModel] = None) -> Featu
     object of group toggles that older files carry is not read. Where it
     had turned a stored group off, the registry differs from the one the
     models were trained on, and TwoStepClassifier.load rejects them by
-    registry hash. A missing key raises ValueError naming the file and key.
+    registry hash.
     """
-    with open(Path(path), encoding="utf-8") as fh:
-        data = json.load(fh)
-    if data.get("format") != "metacomment-extractor/1":
-        raise ValueError(f"unsupported extractor format {data.get('format')!r}")
-    try:
-        keyword_sets = {
-            label: KeywordSet(label=label, seeds=tuple(ks["seeds"]),
-                              enriched=tuple(ks["enriched"]), missing=tuple(ks["missing"]))
-            for label, ks in data["keyword_sets"].items()} or None
-        tfidf = None
-        if data["tfidf"] is not None:
-            raw = data["tfidf"]
-            tfidf = TfidfModel(
-                vocabulary={gram: i for i, gram in enumerate(raw["vocabulary"])},
-                document_frequencies=np.array(raw["document_frequencies"], dtype=np.int64),
-                n_docs=raw["n_docs"], fitted_ids=frozenset(raw["fitted_ids"]))
-        class_vecs = [ClassVector(cv["label"], np.array(cv["vector"]))
-                      for cv in data["class_vectors"]] or None
-        departments, lexicon, stopwords, fitted_ids = (
-            data["departments"], data["sentiment_lexicon"], data["stopwords"],
-            data["fitted_ids"])
-    except KeyError as exc:
-        raise ValueError(f"{path}: missing key {exc.args[0]!r}") from None
+    data = read_json(path, "metacomment-extractor/1")
+    keyword_sets = {
+        label: KeywordSet(label=label, seeds=tuple(ks["seeds"]),
+                          enriched=tuple(ks["enriched"]), missing=tuple(ks["missing"]))
+        for label, ks in data["keyword_sets"].items()} or None
+    tfidf = None
+    if data["tfidf"] is not None:
+        raw = data["tfidf"]
+        tfidf = TfidfModel(
+            vocabulary={gram: i for i, gram in enumerate(raw["vocabulary"])},
+            document_frequencies=np.array(raw["document_frequencies"], dtype=np.int64),
+            n_docs=raw["n_docs"], fitted_ids=frozenset(raw["fitted_ids"]))
+    class_vecs = [ClassVector(cv["label"], np.array(cv["vector"]))
+                  for cv in data["class_vectors"]] or None
     return FeatureExtractor(
         keyword_sets=keyword_sets, tfidf=tfidf, doc_model=doc_model,
-        class_vecs=class_vecs, departments=departments, sentiment_lexicon=lexicon,
-        stopwords=frozenset(stopwords) if stopwords else None,
-        extra_fitted_ids=fitted_ids)
+        class_vecs=class_vecs, departments=data["departments"],
+        sentiment_lexicon=data["sentiment_lexicon"],
+        stopwords=frozenset(data["stopwords"]) if data["stopwords"] else None,
+        extra_fitted_ids=data["fitted_ids"])

@@ -14,6 +14,7 @@ from pathlib import Path
 from typing import FrozenSet, Optional
 
 from .corpus import Comment
+from .files import read_lines
 
 # German quotation marks and dashes glue tokens together if left in place;
 # they are stripped in addition to the Unicode P* categories (some are Pi/Pf,
@@ -99,13 +100,7 @@ def ngrams(ts: TokenStream) -> list:
 
 def load_stopwords(path) -> frozenset:
     """Read a stop-word file: UTF-8, one lowercase token per line, '#' comments."""
-    words = set()
-    with open(Path(path), encoding="utf-8") as fh:
-        for line in fh:
-            word = line.strip()
-            if word and not word.startswith("#"):
-                words.add(word.lower())
-    return frozenset(words)
+    return frozenset(word.lower() for word in read_lines(path))
 
 
 @lru_cache(maxsize=1)

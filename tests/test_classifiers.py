@@ -19,8 +19,8 @@ from metacomment.classifiers import (
     load_model,
     save_model,
     train,
-    write_json,
 )
+from metacomment.files import write_json
 
 from conftest import json_dump_bytes
 

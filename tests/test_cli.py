@@ -1,3 +1,5 @@
+import argparse
+import ast
 import json
 import os
 import shutil
@@ -87,6 +89,20 @@ class TestEmbeddingCommands:
                    "--word", "nichtda"])
         assert rc == 2
 
+    @pytest.mark.parametrize("keys", [("counts",), ("params", "window")])
+    def test_neighbors_rejects_meta_missing_a_key(self, workspace, tmp_path, capsys, keys):
+        model = tmp_path / "emb"
+        shutil.copytree(workspace["word_model"].parent, model)
+        path = model / "model.meta.json"
+        data = json.loads(path.read_text(encoding="utf-8"))
+        parent = data if len(keys) == 1 else data[keys[0]]
+        del parent[keys[-1]]
+        path.write_text(json.dumps(data), encoding="utf-8")
+        rc = main(["neighbors", "--model", str(model / "model"), "--word", "sysop"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"model.meta.json: missing key {keys[-1]!r}" in err and "Traceback" not in err
+
     def test_enrich_keywords(self, workspace, tmp_path, capsys):
         seeds = tmp_path / "seeds.txt"
         seeds.write_text("sysop\nfehltoken\n", encoding="utf-8")
@@ -118,6 +134,31 @@ class TestJobsFlag:
         assert (out / "model.vec").is_file()
 
 
+def _args_read_by_function():
+    """{name: the args attributes it reads} for every function of cli.py,
+    read from its syntax tree. An attribute counts when the function, or a
+    cli.py function it calls, reads args.<name> or getattr(args, "<name>")."""
+    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+    functions = {fn.name: fn for fn in tree.body if isinstance(fn, ast.FunctionDef)}
+    direct, callees = {}, {}
+    for name, fn in functions.items():
+        nodes = list(ast.walk(fn))
+        calls = [n for n in nodes if isinstance(n, ast.Call) and isinstance(n.func, ast.Name)]
+        direct[name] = {n.attr for n in nodes if isinstance(n, ast.Attribute)
+                        and isinstance(n.value, ast.Name) and n.value.id == "args"}
+        direct[name] |= {c.args[1].value for c in calls if c.func.id == "getattr"
+                         and isinstance(c.args[0], ast.Name) and c.args[0].id == "args"}
+        callees[name] = {c.func.id for c in calls if c.func.id in functions}
+
+    def reads(name, seen):
+        found = set(direct[name])
+        for callee in callees[name] - seen:
+            found |= reads(callee, seen | {callee})
+        return found
+
+    return {name: reads(name, {name}) for name in functions}
+
+
 class TestUnreadFlags:
     """Commands accept only the flags they read."""
 
@@ -135,18 +176,19 @@ class TestUnreadFlags:
         assert "--stopwords" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("argv,unread", [
-        (["ingest", "--input", "d", "--out", "o"], ("seed", "stopwords")),
-        (["stats", "--input", "d"], ("seed", "stopwords")),
-        (["enrich-keywords", "--model", "m", "--seeds", "s"], ("seed", "stopwords")),
-        (["features", "--input", "d", "--out", "o"], ("seed",)),
-        (["rank-features", "--input", "d"], ("seed",)),
-        (["merge", "--input", "d", "--coded", "c", "--out", "o"], ("seed", "stopwords")),
-        (["report", "--metrics", "m"], ("seed", "stopwords")),
-    ])
-    def test_unread_flags_are_not_defined(self, argv, unread):
-        args = cli.build_parser().parse_args(argv)
-        assert not any(hasattr(args, name) for name in unread)
+    def test_unread_flags_are_not_defined(self):
+        reads = _args_read_by_function()
+        subparsers = next(a for a in cli.build_parser()._actions
+                          if isinstance(a, argparse._SubParsersAction))
+        unread = {}
+        for command, parser in subparsers.choices.items():
+            defined = {a.dest for a in parser._actions
+                       if not isinstance(a, argparse._HelpAction)}
+            # kept so that existing command lines still parse
+            kept = {"jobs", "seed"} if command == "classify" else {"jobs"}
+            unread[command] = sorted(
+                defined - reads[parser.get_default("func").__name__] - kept)
+        assert not any(unread.values()), unread
 
     @pytest.mark.parametrize("argv,flag", [
         # an old command line's --seed is not read as --seeds
@@ -212,6 +254,18 @@ def models_dir(workspace, tmp_path_factory):
     out = tmp_path_factory.mktemp("models")
     assert main(_two_step_args(workspace, out)) == 0
     return out
+
+
+@pytest.fixture(scope="module")
+def semantic_models(workspace, tmp_path_factory):
+    """A doc model, and a two-step directory trained with it."""
+    root = tmp_path_factory.mktemp("semantic")
+    assert main(["train-embeddings", "--input", str(workspace["dataset"]),
+                 "--kind", "doc", "--dim", "8", "--window", "3", "--min-count", "2",
+                 "--epochs", "3", "--out", str(root / "doc")]) == 0
+    assert main(_two_step_args(workspace, root / "models")
+                + ["--doc-model", str(root / "doc" / "model")]) == 0
+    return {"doc": root / "doc", "models": root / "models"}
 
 
 class TestTrainAndClassify:
@@ -310,32 +364,39 @@ class TestTrainAndClassify:
         assert "class vectors" in err and "Traceback" not in err
         assert not (out / "classified.jsonl").exists()
 
-    def test_classify_rejects_extractor_missing_a_key(self, workspace, models_dir,
-                                                      tmp_path, capsys):
-        models = tmp_path / "models"
-        shutil.copytree(models_dir, models)
-        path = models / "extractor.json"
+    @pytest.mark.parametrize("name,key,value", [
+        ("extractor.json", "departments", None),
+        ("meta.json", "kind", None),
+        ("addressee_media.json", "standardizer", None),
+        ("model.docs.meta.json", "inference_params", None),
+        ("meta.json", "format", "metacomment-model/0"),
+    ])
+    def test_classify_rejects_model_file_missing_a_key(self, workspace, semantic_models,
+                                                     tmp_path, capsys, name, key, value):
+        # a key removed, or a wrong format tag, in any file classify reads
+        models, docs = tmp_path / "models", tmp_path / "doc"
+        shutil.copytree(semantic_models["models"], models)
+        shutil.copytree(semantic_models["doc"], docs)
+        path = (docs if name.startswith("model.") else models) / name
         data = json.loads(path.read_text(encoding="utf-8"))
-        del data["departments"]
+        if value is None:
+            del data[key]
+        else:
+            data[key] = value
         path.write_text(json.dumps(data), encoding="utf-8")
         out = tmp_path / "classified"
-        rc = main(["classify", "--input", str(workspace["dataset"]),
-                   "--models", str(models), "--out", str(out)])
+        rc = main(["classify", "--input", str(workspace["dataset"]), "--models", str(models),
+                   "--doc-model", str(docs / "model"), "--out", str(out)])
         assert rc == 2
         err = capsys.readouterr().err
-        assert "extractor.json" in err and "'departments'" in err
+        assert name in err and repr(value or key) in err
         assert "Traceback" not in err
         assert not (out / "classified.jsonl").exists()
 
-    def test_classify_infers_once_per_chunk(self, workspace, tmp_path, monkeypatch):
+    def test_classify_infers_once_per_chunk(self, semantic_models, tmp_path,
+                                            monkeypatch):
         # a two-step directory with the semantic group, and unseen comments
-        doc_model = tmp_path / "doc"
-        assert main(["train-embeddings", "--input", str(workspace["dataset"]),
-                     "--kind", "doc", "--dim", "8", "--window", "3", "--min-count", "2",
-                     "--epochs", "3", "--out", str(doc_model)]) == 0
-        models = tmp_path / "models"
-        assert main(_two_step_args(workspace, models)
-                    + ["--doc-model", str(doc_model / "model")]) == 0
+        models, doc_model = semantic_models["models"], semantic_models["doc"]
         unseen = tmp_path / "unseen.jsonl"
         save_dataset(generate_comment_dataset(1, n_per_class=3, n_nonmeta=4,
                                               source_tag="unseen"), unseen)

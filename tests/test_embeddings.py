@@ -680,6 +680,23 @@ class TestPersistence:
         assert loaded.token_digests == toy_doc_model.token_digests
         assert set(loaded.token_digests) == set(toy_doc_model.doc_vectors)
 
+    @pytest.mark.parametrize("suffix,cut,line", [
+        (".docs", lambda text: text[:text.rindex("\n", 0, -1) + 1], "line 4"),  # a row gone
+        (".docs", lambda text: text[:-8], "line 4"),  # the file ends inside a row
+        (".docs", lambda text: text.rstrip("\n") + "x\n", "line 4"),  # not a number
+        (".vec", lambda text: text.split()[0] + "\n", "line 1"),  # half a header
+    ])
+    def test_malformed_vector_file_names_file_and_line(self, tmp_path, suffix, cut, line):
+        streams, _ = doc_cluster_corpus(3)
+        model = train_doc_embeddings(streams[:3], WordTrainingParams(
+            dim=4, window=2, min_count=1, epochs=1, seed=1))
+        prefix = tmp_path / "docmodel"
+        model.save(prefix)
+        path = prefix.with_suffix(suffix)
+        path.write_text(cut(path.read_text(encoding="utf-8")), encoding="utf-8")
+        with pytest.raises(EmbeddingError, match=f"docmodel{suffix}, {line}: "):
+            DocEmbeddingModel.load(prefix)
+
     def test_byte_identical_saves_across_runs(self, tmp_path):
         corpus = synonym_word_corpus(4, n_sentences=60)
         files = []

@@ -227,12 +227,40 @@ class FlippablePipeline:
         return 1 - pred if self.flip else pred
 
 
+class CoinPipeline(ConstantPipeline):
+    """Grid-search probe: coin-flip predictions drawn from the fold seed, so
+    its scores depend on both the split and the seed."""
+
+    def __init__(self, seed):
+        self.seed = seed
+
+    def predict(self, items):
+        return np.random.default_rng(self.seed).integers(0, 2, len(items))
+
+
 class TestGridSearch:
     def _items(self, n=36, gap=5.0, seed=2):
         rng = np.random.default_rng(seed)
         y = np.array([0, 1] * (n // 2))
         X = rng.normal(size=(n, 2)) + gap * y[:, None]
         return list(X), y
+
+    def test_identical_configurations_score_identically(self):
+        items, y = self._items(n=60)
+        grid = GridSpec(params={"C": [1.0, 1.0, 1.0]})
+        result = grid_search(lambda p, s: CoinPipeline(s), grid, items, y, k=3, seed=4)
+        rows = [{k: v for k, v in row.items() if k != "config"} for row in result.rows]
+        assert len(rows) == 12
+        assert rows[:4] == rows[4:8] == rows[8:]
+
+    def test_one_configuration_scores_as_cross_validate(self):
+        items, y = self._items(n=60)
+        result = grid_search(lambda p, s: CoinPipeline(s), GridSpec(params={"C": [1.0]}),
+                             items, y, k=3, seed=4)
+        cv = cross_validate(CoinPipeline, items, y, k=3, seed=4)
+        assert result.best_result == cv
+        assert [row["f_beta"] for row in result.rows[:3]] \
+            == [m.f_beta for m in cv.fold_metrics]
 
     def test_single_configuration_returned(self):
         items, y = self._items()

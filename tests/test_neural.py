@@ -340,6 +340,15 @@ class TestPersistence:
         assert np.array_equal(forward(model, idx), forward(loaded, idx))
         assert loaded.config == model.config
 
+    def test_missing_key_names_file_and_key(self, tmp_path, word_model, small_config):
+        path = tmp_path / "cnn.json"
+        save_cnn(build(word_model, small_config), path)
+        data = json.loads(path.read_text(encoding="utf-8"))
+        del data["matrices"]["conv_w"]
+        path.write_text(json.dumps(data), encoding="utf-8")
+        with pytest.raises(ValueError, match=r"cnn\.json: missing key 'conv_w'"):
+            load_cnn(path)
+
 
 def test_cnn_pipeline_fit_goes_through_neural_train(monkeypatch, word_model, small_config):
     # the benchmark's trace times the CNN fit by rebinding neural.train

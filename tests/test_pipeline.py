@@ -97,7 +97,7 @@ class TestFeaturePipeline:
         entries = list(dataset)
         y = binary_labels(dataset, "Meta")
         pipeline = make_pipeline(word_model, with_calibration=True).fit(entries, y)
-        conf = pipeline.confidences(entries)
+        conf = pipeline.model.confidences(pipeline._matrix(entries))
         assert np.all((conf > 0) & (conf < 1))
         # confident on actual meta keyword comments
         assert conf[y == 1].mean() > conf[y == 0].mean()
