@@ -176,7 +176,20 @@ class TestUnreadFlags:
         assert "--stopwords" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_unread_flags_are_not_defined(self):
+    @pytest.mark.parametrize("argv,unread", [
+        (["ingest", "--input", "d", "--out", "o"], ("seed", "stopwords")),
+        (["stats", "--input", "d"], ("seed", "stopwords")),
+        (["enrich-keywords", "--model", "m", "--seeds", "s"], ("seed", "stopwords")),
+        (["features", "--input", "d", "--out", "o"], ("seed",)),
+        (["rank-features", "--input", "d"], ("seed",)),
+        (["merge", "--input", "d", "--coded", "c", "--out", "o"], ("seed", "stopwords")),
+        (["report", "--metrics", "m"], ("seed", "stopwords")),
+    ])
+    def test_unread_flags_are_not_defined(self, argv, unread):
+        args = cli.build_parser().parse_args(argv)
+        assert not any(hasattr(args, name) for name in unread)
+
+    def test_every_defined_flag_is_read(self):
         reads = _args_read_by_function()
         subparsers = next(a for a in cli.build_parser()._actions
                           if isinstance(a, argparse._SubParsersAction))
