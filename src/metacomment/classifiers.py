@@ -13,7 +13,7 @@ from __future__ import annotations
 import logging
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, fields, replace
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -24,8 +24,6 @@ logger = logging.getLogger(__name__)
 
 MODEL_FORMAT = "metacomment-model/1"
 
-KINDS = ("linear_svm", "decision_tree", "random_forest", "adaboost", "knn")
-
 
 class TrainingError(ValueError):
     """Invalid training input (empty matrix, single-class labels, ...)."""
@@ -35,30 +33,40 @@ class RegistryMismatch(ValueError):
     """Feature registry of the input does not match the model's registry."""
 
 
+class _Checked:
+    """Hyperparameters checked on construction, whether they come from code,
+    --params, a grid file or a model file: int fields take ints >= 1 (seed
+    >= 0), float fields numbers > 0, and a bool is neither."""
+
+    def __post_init__(self):
+        for field in fields(self):
+            value = getattr(self, field.name)
+            is_int = isinstance(value, int) and not isinstance(value, bool)
+            if field.type == "int":
+                low = 0 if field.name == "seed" else 1
+                if not is_int or value < low:
+                    raise TrainingError(f"{field.name} must be an integer >= {low}, "
+                                        f"got {value!r}")
+            elif not ((is_int or isinstance(value, float)) and value > 0):
+                raise TrainingError(f"{field.name} must be positive, got {value!r}")
+
+
 @dataclass(frozen=True)
-class SvmHyperparams:
+class SvmHyperparams(_Checked):
     C: float = 0.5
     max_epochs: int = 1000
     tolerance: float = 1e-6
-    seed: int = 0
     bias_scale: float = 1.0
 
-    def __post_init__(self):
-        if self.C <= 0:
-            raise TrainingError("C must be positive")
-        if self.bias_scale <= 0:
-            raise TrainingError("bias_scale must be positive")
-
 
 @dataclass(frozen=True)
-class TreeHyperparams:
+class TreeHyperparams(_Checked):
     max_depth: int = 20
     min_leaf: int = 2
-    seed: int = 0
 
 
 @dataclass(frozen=True)
-class ForestHyperparams:
+class ForestHyperparams(_Checked):
     n_trees: int = 50
     max_depth: int = 20
     min_leaf: int = 2
@@ -67,29 +75,13 @@ class ForestHyperparams:
 
 
 @dataclass(frozen=True)
-class BoostHyperparams:
+class BoostHyperparams(_Checked):
     n_rounds: int = 50
-    seed: int = 0
 
 
 @dataclass(frozen=True)
-class KnnHyperparams:
+class KnnHyperparams(_Checked):
     k: int = 5
-
-
-_PARAM_TYPES = {
-    "linear_svm": SvmHyperparams,
-    "decision_tree": TreeHyperparams,
-    "random_forest": ForestHyperparams,
-    "adaboost": BoostHyperparams,
-    "knn": KnnHyperparams,
-}
-
-
-def hyperparam_fields(kind: str) -> frozenset:
-    if kind not in _PARAM_TYPES:
-        raise TrainingError(f"unknown classifier kind {kind!r}")
-    return frozenset(f.name for f in fields(_PARAM_TYPES[kind]))
 
 
 @dataclass(frozen=True)
@@ -133,10 +125,10 @@ class LinearSvm:
         return 0.5 * float(self.w @ self.w) + self.hyperparams.C * float(hinge)
 
 
-def _train_svm(X: np.ndarray, y_pm: np.ndarray, hp: SvmHyperparams) -> LinearSvm:
+def _train_svm(X: np.ndarray, y: np.ndarray, hp: SvmHyperparams) -> LinearSvm:
     n, d = X.shape
     Xa = np.hstack([X, np.full((n, 1), hp.bias_scale)])
-    yX = Xa * y_pm[:, None]
+    yX = Xa * np.where(y == 1, 1.0, -1.0)[:, None]
     q_diag = np.einsum("ij,ij->i", Xa, Xa)
     alpha = np.zeros(n)
     w = np.zeros(d + 1)
@@ -301,7 +293,7 @@ def _train_forest(X, y, hp: ForestHyperparams) -> RandomForest:
     n = len(y)
     max_features = max(1, int(round(math.sqrt(X.shape[1]))))
     seeds = np.random.SeedSequence(hp.seed).spawn(hp.n_trees)
-    tree_hp = TreeHyperparams(max_depth=hp.max_depth, min_leaf=hp.min_leaf, seed=hp.seed)
+    tree_hp = TreeHyperparams(max_depth=hp.max_depth, min_leaf=hp.min_leaf)
 
     def build(i):
         rng = np.random.default_rng(seeds[i])
@@ -335,7 +327,7 @@ class AdaBoost:
 def _train_adaboost(X, y, hp: BoostHyperparams) -> AdaBoost:
     n = len(y)
     w = np.full(n, 1.0 / n)
-    stump_hp = TreeHyperparams(max_depth=1, min_leaf=1, seed=hp.seed)
+    stump_hp = TreeHyperparams(max_depth=1, min_leaf=1)
     stumps = []
     for _ in range(hp.n_rounds):
         stump = _train_tree(X, y, stump_hp, sample_weight=w)
@@ -358,7 +350,7 @@ def _train_adaboost(X, y, hp: BoostHyperparams) -> AdaBoost:
 class KNearest:
     def __init__(self, X: np.ndarray, y: np.ndarray, hyperparams: KnnHyperparams):
         self.X = X
-        self.y = y
+        self.y = np.array(y)
         self.hyperparams = hyperparams
 
     def decision_values(self, X: np.ndarray) -> np.ndarray:
@@ -372,6 +364,27 @@ class KNearest:
 
 
 # -- unified training / prediction -------------------------------------------
+
+# kind -> (hyperparameter dataclass, trainer(X, y, hp), reads standardized features)
+_KIND_TABLE = {
+    "linear_svm": (SvmHyperparams, _train_svm, True),
+    "decision_tree": (TreeHyperparams, _train_tree, False),
+    "random_forest": (ForestHyperparams, _train_forest, False),
+    "adaboost": (BoostHyperparams, _train_adaboost, False),
+    "knn": (KnnHyperparams, KNearest, True),
+}
+KINDS = tuple(_KIND_TABLE)
+
+
+def _kind(kind: str) -> tuple:
+    if kind not in KINDS:
+        raise TrainingError(f"unknown classifier kind {kind!r}")
+    return _KIND_TABLE[kind]
+
+
+def hyperparam_fields(kind: str) -> frozenset:
+    return frozenset(f.name for f in fields(_kind(kind)[0]))
+
 
 @dataclass
 class TrainedModel:
@@ -419,12 +432,17 @@ class TrainedModel:
 
 
 def _coerce_params(kind: str, params) -> object:
-    param_type = _PARAM_TYPES[kind]
+    param_type = _kind(kind)[0]
     if params is None:
         return param_type()
     if isinstance(params, param_type):
         return params
     if isinstance(params, dict):
+        unknown = sorted(set(params) - hyperparam_fields(kind))
+        if unknown:
+            raise TrainingError(
+                f"unknown {kind} hyperparameter {', '.join(map(repr, unknown))}; "
+                f"known: {', '.join(sorted(hyperparam_fields(kind)))}")
         return param_type(**params)
     raise TrainingError(f"invalid params for {kind}: {params!r}")
 
@@ -435,10 +453,9 @@ def train(kind: str, X: np.ndarray, y: Sequence[int], params=None,
           registry_hash: Optional[str] = None) -> TrainedModel:
     """Train one binary classifier on a feature matrix with labels in {0,1}.
 
-    standardize defaults to True for linear_svm and knn, False otherwise.
+    standardize defaults to whether the kind reads standardized features.
     """
-    if kind not in KINDS:
-        raise TrainingError(f"unknown classifier kind {kind!r}")
+    _, fit, standardized = _kind(kind)
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=int)
     if X.ndim != 2 or len(X) == 0:
@@ -449,22 +466,11 @@ def train(kind: str, X: np.ndarray, y: Sequence[int], params=None,
         raise TrainingError("training labels must contain both classes")
     hp = _coerce_params(kind, params)
     if standardize is None:
-        standardize = kind in ("linear_svm", "knn")
+        standardize = standardized
     scaler = Standardizer.fit(X) if standardize else None
     Xs = scaler.transform(X) if scaler else X
-
-    if kind == "linear_svm":
-        inner = _train_svm(Xs, np.where(y == 1, 1.0, -1.0), hp)
-    elif kind == "decision_tree":
-        inner = _train_tree(Xs, y, hp)
-    elif kind == "random_forest":
-        inner = _train_forest(Xs, y, hp)
-    elif kind == "adaboost":
-        inner = _train_adaboost(Xs, y, hp)
-    else:
-        inner = KNearest(Xs, y.copy(), hp)
-    return TrainedModel(kind=kind, inner=inner, hyperparams=hp, standardizer=scaler,
-                        registry=tuple(registry) if registry else None,
+    return TrainedModel(kind=kind, inner=fit(Xs, y, hp), hyperparams=hp,
+                        standardizer=scaler, registry=tuple(registry) if registry else None,
                         registry_hash=registry_hash)
 
 
@@ -534,10 +540,7 @@ def calibrate(model: TrainedModel, X_holdout, y_holdout: Sequence[int]) -> Train
         rate = float((y == 1).mean())
         rate = min(max(rate, 1e-6), 1.0 - 1e-6)
         a, b = 0.0, math.log((1.0 - rate) / rate)
-    return TrainedModel(kind=model.kind, inner=model.inner,
-                        hyperparams=model.hyperparams,
-                        standardizer=model.standardizer, registry=model.registry,
-                        registry_hash=model.registry_hash, calibration=(a, b))
+    return replace(model, calibration=(a, b))
 
 
 # -- persistence --------------------------------------------------------------
@@ -571,7 +574,7 @@ def _restore(kind: str, payload: dict, hp) -> object:
         stump_hp = TreeHyperparams(max_depth=1, min_leaf=1)
         return AdaBoost([(alpha, DecisionTree(_Node.from_dict(t), stump_hp))
                          for alpha, t in payload["stumps"]], hp)
-    return KNearest(np.array(payload["X"]), np.array(payload["y"]), hp)
+    return KNearest(np.array(payload["X"]), payload["y"], hp)
 
 
 def save_model(model: TrainedModel, path) -> None:
@@ -593,12 +596,15 @@ def save_model(model: TrainedModel, path) -> None:
 def load_model(path, registry_hash: Optional[str] = None) -> TrainedModel:
     """Load a model container; rejects a registry-hash mismatch when given."""
     data = read_json(path, MODEL_FORMAT)
+    kind = data["kind"]
+    try:
+        hp = read_fields(_kind(kind)[0], data["hyperparams"])
+    except TrainingError as exc:
+        raise TrainingError(f"{path}: {exc}") from None
     if registry_hash is not None and data["registry_hash"] != registry_hash:
         raise RegistryMismatch(
             f"{path}: model registry hash {data['registry_hash']!r} does not "
             f"match expected {registry_hash!r}")
-    kind = data["kind"]
-    hp = read_fields(_PARAM_TYPES[kind], data["hyperparams"])
     std = data["standardizer"]
     scaler = Standardizer(np.array(std["mean"]), np.array(std["std"])) if std else None
     return TrainedModel(

@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .classifiers import save_model
+from .classifiers import KINDS, save_model
 from .corpus import (
     ADDRESSEE_LABELS,
     CLASS_ORDER,
@@ -320,7 +320,12 @@ def cmd_grid_search(args) -> int:
     ds = load_dataset(args.input)
     word_model, doc_model = _embedding_models(args)
     raw = read_json(args.grid)
-    grid = GridSpec(params=raw.get("params", {}),
+    params = raw.get("params", {})
+    if not isinstance(params, dict) or not all(
+            isinstance(values, list) and values for values in params.values()):
+        raise ValueError(f"{args.grid}: \"params\" must map each hyperparameter "
+                         f"to a non-empty list of values")
+    grid = GridSpec(params=params,
                     feature_counts=tuple(raw.get("feature_counts", ["all"])),
                     beta=raw.get("beta", args.beta))
     entries = list(ds)
@@ -331,6 +336,8 @@ def cmd_grid_search(args) -> int:
         return _pipeline_from_args(args, word_model, doc_model, seed,
                                    params=params, select_k=combo["select_k"])
 
+    for combo in grid.combinations():
+        factory(combo, args.seed)  # a bad value fails before any fold is fit
     result = grid_search(factory, grid, entries, y, k=args.k, seed=args.seed)
     print(f"best configuration: {result.best_params} "
           f"(F_{grid.beta} = {result.best_score:.4f})")
@@ -513,9 +520,7 @@ def _add_model_flags(parser):
 
 
 def _add_classifier_flags(parser):
-    parser.add_argument("--classifier", default="linear_svm",
-                        choices=("linear_svm", "decision_tree", "random_forest",
-                                 "adaboost", "knn"))
+    parser.add_argument("--classifier", default="linear_svm", choices=KINDS)
     parser.add_argument("--params", default="",
                         help="classifier hyperparameters, e.g. C=0.5,max_epochs=200")
     parser.add_argument("--select-k", default="all",

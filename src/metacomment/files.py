@@ -16,8 +16,9 @@ def write_json(path, data, indent: Optional[int] = None) -> None:
 
 
 def read_json(path, fmt: Optional[str] = None):
-    """The JSON in path, an object tagged "format": fmt if fmt is given. ValueError
-    names the file for invalid JSON, another format and a missing key at any depth."""
+    """The JSON object in path, tagged "format": fmt if fmt is given. ValueError
+    names the file for invalid JSON, a top-level value that is not an object,
+    another format and a missing key at any depth."""
     class Record(dict):
         def __missing__(self, key):
             raise ValueError(f"{path}: missing key {key!r}")
@@ -27,7 +28,9 @@ def read_json(path, fmt: Optional[str] = None):
             data = json.load(fh, object_pairs_hook=Record)
     except ValueError as exc:
         raise ValueError(f"{path}: invalid JSON: {exc}") from None
-    found = data.get("format") if isinstance(data, dict) else None
+    if not isinstance(data, dict):
+        raise ValueError(f"{path}: the top-level JSON value is not an object")
+    found = data.get("format")
     if fmt is not None and found != fmt:
         raise ValueError(f"{path}: unsupported format {found!r}, expected {fmt!r}")
     return data

@@ -19,7 +19,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .embeddings import WordEmbeddingModel
-from .files import read_fields, read_json, write_json
 
 logger = logging.getLogger(__name__)
 
@@ -280,20 +279,3 @@ def gradient_check(model: CnnModel, idx: np.ndarray, labels: np.ndarray,
         errors[name] = max_rel
     return errors
 
-
-def save_cnn(model: CnnModel, path) -> None:
-    data = {
-        "format": "metacomment-cnn/1",
-        "config": {k: v for k, v in model.config.__dict__.items()},
-        "vocab": model.vocab,
-        "matrices": {name: getattr(model, name).tolist()
-                     for name in TRAINABLE_BLOCKS + ("embedding",)},
-    }
-    write_json(path, data)
-
-
-def load_cnn(path) -> CnnModel:
-    data = read_json(path, "metacomment-cnn/1")
-    return CnnModel(read_fields(CnnConfig, data["config"]), dict(data["vocab"]),
-                    **{name: np.array(data["matrices"][name])
-                       for name in TRAINABLE_BLOCKS + ("embedding",)})

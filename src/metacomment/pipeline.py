@@ -16,6 +16,7 @@ import numpy as np
 
 from .classifiers import (
     TrainedModel,
+    _coerce_params,
     calibrate,
     hyperparam_fields,
     load_model,
@@ -91,9 +92,11 @@ class FeaturePipeline:
                  select_k="all", stopwords=None, with_calibration: bool = False,
                  seed: int = 0):
         self.classifier = classifier
-        self.classifier_params = dict(classifier_params or {})
+        params = dict(classifier_params or {})
         if "seed" in hyperparam_fields(classifier):
-            self.classifier_params.setdefault("seed", seed)
+            params.setdefault("seed", seed)
+        # checked here, so that a bad value fails before any fold is fit
+        self.classifier_params = _coerce_params(classifier, params)
         self.word_model = word_model
         self.doc_model = doc_model
         self.keyword_seeds = keyword_seeds

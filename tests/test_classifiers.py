@@ -303,6 +303,33 @@ class TestPersistence:
         write_json(path, data)
         assert path.read_bytes() == json_dump_bytes(data)
 
+    @pytest.mark.parametrize("kind", ["linear_svm", "decision_tree", "adaboost"])
+    def test_file_with_the_removed_seed_loads(self, tmp_path, kind):
+        X, y = blob_data(18, gap=1.0)
+        path = tmp_path / "m.json"
+        save_model(train(kind, X, y), path)
+        data = json.loads(path.read_text(encoding="utf-8"))
+        assert "seed" not in data["hyperparams"]
+        data["hyperparams"]["seed"] = 1641157899988612663
+        old = tmp_path / "old.json"
+        write_json(old, data)
+        assert np.array_equal(load_model(old).decision_values(X),
+                              load_model(path).decision_values(X))
+
+    @pytest.mark.parametrize("name,value,message", [
+        ("C", 0, "C must be positive, got 0"),
+        ("max_epochs", True, "max_epochs must be an integer >= 1, got True"),
+    ])
+    def test_bad_stored_hyperparameter_names_file(self, tmp_path, name, value, message):
+        X, y = blob_data(21)
+        path = tmp_path / "m.json"
+        save_model(train("linear_svm", X, y), path)
+        data = json.loads(path.read_text(encoding="utf-8"))
+        data["hyperparams"][name] = value
+        write_json(path, data)
+        with pytest.raises(TrainingError, match=f"m.json: {message}"):
+            load_model(path)
+
     def test_registry_hash_mismatch_rejected(self, tmp_path):
         X, y = blob_data(19)
         model = train("linear_svm", X, y, registry=("a", "b", "c"), registry_hash="hash1")

@@ -103,6 +103,16 @@ class TestEmbeddingCommands:
         err = capsys.readouterr().err
         assert f"model.meta.json: missing key {keys[-1]!r}" in err and "Traceback" not in err
 
+    def test_neighbors_rejects_meta_that_is_not_an_object(self, workspace, tmp_path, capsys):
+        model = tmp_path / "emb"
+        shutil.copytree(workspace["word_model"].parent, model)
+        (model / "model.meta.json").write_text("[]", encoding="utf-8")
+        rc = main(["neighbors", "--model", str(model / "model"), "--word", "sysop"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "model.meta.json: the top-level JSON value is not an object" in err
+        assert "Traceback" not in err
+
     def test_enrich_keywords(self, workspace, tmp_path, capsys):
         seeds = tmp_path / "seeds.txt"
         seeds.write_text("sysop\nfehltoken\n", encoding="utf-8")
@@ -383,6 +393,7 @@ class TestTrainAndClassify:
         ("addressee_media.json", "standardizer", None),
         ("model.docs.meta.json", "inference_params", None),
         ("meta.json", "format", "metacomment-model/0"),
+        ("meta.json", "kind", "svm"),
     ])
     def test_classify_rejects_model_file_missing_a_key(self, workspace, semantic_models,
                                                      tmp_path, capsys, name, key, value):
@@ -450,6 +461,26 @@ class TestTrainAndClassify:
         assert len(names) == 5
         for name in names:
             assert (a / name).read_bytes() == (b / name).read_bytes(), name
+
+    @pytest.mark.parametrize("classifier,params,message", [
+        ("linear_svm", "foo=1", "unknown linear_svm hyperparameter 'foo'"),
+        ("linear_svm", "C=abc", "C must be positive, got 'abc'"),
+        ("linear_svm", "max_epochs=2.5", "max_epochs must be an integer >= 1, got 2.5"),
+        ("random_forest", "n_trees=0", "n_trees must be an integer >= 1, got 0"),
+        ("adaboost", "n_rounds=0", "n_rounds must be an integer >= 1, got 0"),
+        ("knn", "k=0", "k must be an integer >= 1, got 0"),
+        ("decision_tree", "max_depth=true", "max_depth must be an integer >= 1, got True"),
+        ("adaboost", "seed=1", "unknown adaboost hyperparameter 'seed'"),
+    ])
+    def test_train_rejects_bad_hyperparameter(self, workspace, tmp_path, capsys,
+                                              classifier, params, message):
+        out = tmp_path / "single"
+        rc = main(["train", "--input", str(workspace["dataset"]),
+                   "--classifier", classifier, "--params", params, "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+        assert not out.exists()
 
     def test_single_target_train(self, workspace, tmp_path, capsys):
         out = tmp_path / "single"
@@ -521,6 +552,35 @@ class TestEvaluateAndGrid:
         text = capsys.readouterr().out
         assert "precision" in text
         assert "Meta" in text
+
+
+class TestRejectedJsonFiles:
+    @pytest.mark.parametrize("grid,classifier,message", [
+        ([1], "linear_svm", "grid.json: the top-level JSON value is not an object"),
+        ({"params": {"C": 0.5}}, "linear_svm", "grid.json: \"params\" must map"),
+        ({"params": {"C": []}}, "linear_svm", "grid.json: \"params\" must map"),
+        ({"params": {"n_trees": [5, 0]}}, "random_forest",
+         "n_trees must be an integer >= 1, got 0"),
+    ])
+    def test_grid_search_rejects_grid_file(self, workspace, tmp_path, capsys, grid,
+                                           classifier, message):
+        path = tmp_path / "grid.json"
+        path.write_text(json.dumps(grid), encoding="utf-8")
+        out = tmp_path / "grid_out"
+        rc = main(["grid-search", "--input", str(workspace["dataset"]), "--grid", str(path),
+                   "--classifier", classifier, "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+        assert not (out / "scores.csv").exists()
+
+    def test_report_rejects_metrics_that_are_not_an_object(self, tmp_path, capsys):
+        path = tmp_path / "metrics.json"
+        path.write_text("[1, 2]", encoding="utf-8")
+        assert main(["report", "--metrics", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "metrics.json: the top-level JSON value is not an object" in err
+        assert "Traceback" not in err
 
 
 class TestRankFeatures:

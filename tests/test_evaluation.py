@@ -2,6 +2,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from metacomment.classifiers import (
     LinearSvm,
@@ -10,6 +11,7 @@ from metacomment.classifiers import (
     TrainedModel,
     train as train_classifier,
 )
+from metacomment.corpus import ADDRESSEE_LABELS
 from metacomment.evaluation import (
     CvResult,
     EvaluationError,
@@ -350,6 +352,24 @@ class TestTwoStepClassify:
         # constant confidence exactly 0.5: not greater than threshold 0.5
         result = two_step_classify(meta, addressee, np.array([1.0]), threshold=0.5)
         assert result.addressees == ()
+
+    @settings(max_examples=200, deadline=None)
+    @given(meta_b=st.floats(-3.0, 3.0), x=st.floats(-3.0, 3.0),
+           labels=st.lists(st.sampled_from(ADDRESSEE_LABELS), unique=True),
+           models=st.lists(st.tuples(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0),
+                                     st.floats(-10.0, 0.0), st.floats(-5.0, 5.0)),
+                           min_size=3, max_size=3),
+           thresholds=st.lists(st.floats(0.0, 1.0), min_size=2, max_size=2))
+    def test_raising_threshold_shrinks_addressees(self, meta_b, x, labels, models,
+                                                  thresholds):
+        # calibrated addressee models, some of them skipped
+        meta = _threshold_model([1.0], meta_b)
+        addressees = {label: _threshold_model([w], b, calibration=(a, c))
+                      for label, (w, b, a, c) in zip(labels, models)}
+        low, high = (two_step_classify(meta, addressees, np.array([x]), threshold=t)
+                     for t in sorted(thresholds))
+        assert high.is_meta == low.is_meta
+        assert set(high.addressees) <= set(low.addressees)
 
     def test_registry_mismatch_rejected(self):
         meta = _threshold_model([1.0], 10.0, registry_hash="h1")

@@ -1,5 +1,4 @@
 import hashlib
-import json
 
 import numpy as np
 import pytest
@@ -18,13 +17,11 @@ from metacomment.neural import (
     build,
     forward,
     gradient_check,
-    load_cnn,
-    save_cnn,
     train,
 )
 from metacomment.textprep import TokenStream
 
-from conftest import json_dump_bytes, make_comment
+from conftest import make_comment
 
 MARKERS = ("alpha", "beta", "gamma")
 FILLERS = tuple(f"f{i}" for i in range(20))
@@ -325,29 +322,6 @@ class TestTraining:
         idx = np.zeros((4, 16), dtype=int)
         with pytest.raises(NeuralError, match="both classes"):
             train(model, idx, [1, 1, 1, 1])
-
-
-class TestPersistence:
-    def test_round_trip(self, tmp_path, word_model, small_config):
-        model = build(word_model, small_config)
-        streams, labels = marker_streams(9, n=40)
-        idx = np.array([model.encode(ts.tokens) for ts in streams])
-        train(model, idx, labels)
-        path = tmp_path / "cnn.json"
-        save_cnn(model, path)
-        assert path.read_bytes() == json_dump_bytes(json.loads(path.read_text("utf-8")))
-        loaded = load_cnn(path)
-        assert np.array_equal(forward(model, idx), forward(loaded, idx))
-        assert loaded.config == model.config
-
-    def test_missing_key_names_file_and_key(self, tmp_path, word_model, small_config):
-        path = tmp_path / "cnn.json"
-        save_cnn(build(word_model, small_config), path)
-        data = json.loads(path.read_text(encoding="utf-8"))
-        del data["matrices"]["conv_w"]
-        path.write_text(json.dumps(data), encoding="utf-8")
-        with pytest.raises(ValueError, match=r"cnn\.json: missing key 'conv_w'"):
-            load_cnn(path)
 
 
 def test_cnn_pipeline_fit_goes_through_neural_train(monkeypatch, word_model, small_config):
