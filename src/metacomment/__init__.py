@@ -47,4 +47,4 @@ from .evaluation import (  # noqa: F401
     stratified_k_fold,
     two_step_classify,
 )
-from .pipeline import CnnPipeline, FeaturePipeline, TwoStepClassifier  # noqa: F401
+from .pipeline import CnnPipeline, FeaturePipeline, TwoStepClassifier, feature_cache  # noqa: F401

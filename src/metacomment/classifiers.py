@@ -193,6 +193,13 @@ class _Node:
                    left=cls.from_dict(data["l"]), right=cls.from_dict(data["r"]))
 
 
+def _weighted_gini(w, pos):
+    """w times the Gini impurity of children of weight w, pos of it positive.
+    A child whose weight rounds to 0 adds 0, with no division by it."""
+    safe = np.where(w > 0, w, 1.0)
+    return np.where(w > 0, w * (1.0 - (pos / safe) ** 2 - ((w - pos) / safe) ** 2), 0.0)
+
+
 def _best_split(X, y, w, feature_indices, min_leaf):
     """Best (gain, feature, threshold) under weighted Gini; None if no split."""
     total_w = w.sum()
@@ -214,11 +221,8 @@ def _best_split(X, y, w, feature_indices, min_leaf):
             continue
         wl = cum_w[:-1][valid]
         pl = cum_pos[:-1][valid]
-        wr = total_w - wl
-        pr = total_pos - pl
-        gini_l = 1.0 - (pl / wl) ** 2 - ((wl - pl) / wl) ** 2
-        gini_r = 1.0 - (pr / wr) ** 2 - ((wr - pr) / wr) ** 2
-        child = (wl * gini_l + wr * gini_r) / total_w
+        child = (_weighted_gini(wl, pl) + _weighted_gini(total_w - wl, total_pos - pl)) \
+            / total_w
         gains = parent_gini - child
         pos = int(np.argmax(gains))
         gain = float(gains[pos])
@@ -563,7 +567,7 @@ def _payload(model: TrainedModel) -> dict:
 def _restore(kind: str, payload: dict, hp) -> object:
     if kind == "linear_svm":
         return LinearSvm(np.array(payload["w"]), payload["b"], hp,
-                         payload.get("objective_history"), payload.get("converged", True))
+                         payload["objective_history"], payload["converged"])
     if kind == "decision_tree":
         return DecisionTree(_Node.from_dict(payload["tree"]), hp)
     if kind == "random_forest":

@@ -57,6 +57,8 @@ from .pipeline import (
     FeaturePipeline,
     TwoStepClassifier,
     build_keyword_sets,
+    check_select_k,
+    feature_cache,
     save_extractor,
 )
 from .sampling import (
@@ -109,22 +111,19 @@ def _stopwords(args):
     return load_stopwords(args.stopwords) if args.stopwords else None
 
 
-def _embedding_models(args):
-    """(word model, doc model) from --word-model and --doc-model; None where absent."""
+def _features(args):
+    """The command's one FeatureCache, of --word-model, --doc-model,
+    --keywords-dir and --stopwords: each file is read once per command."""
     word_model = WordEmbeddingModel.load(args.word_model) if args.word_model else None
     doc_model = DocEmbeddingModel.load(args.doc_model) if args.doc_model else None
-    return word_model, doc_model
+    return feature_cache(word_model, doc_model, _keyword_seeds(args), _stopwords(args))
 
 
 def _fitted_extractor(args, ds):
     """The feature extractor of the command's models, keywords and stop words,
     fitted on ds without a classifier, and the FeatureCache of ds it filled."""
-    word_model, doc_model = _embedding_models(args)
-    pipeline = FeaturePipeline(word_model=word_model, doc_model=doc_model,
-                               keyword_seeds=_keyword_seeds(args),
-                               stopwords=_stopwords(args))
-    cache = pipeline._feature_cache()
-    return pipeline._fit_extractor(list(ds), cache), cache
+    cache = _features(args)
+    return FeaturePipeline(cache)._fit_extractor(list(ds)), cache
 
 
 def _parse_kv_params(raw: str) -> dict:
@@ -151,16 +150,13 @@ def _embedding_params(args, purpose: str) -> WordTrainingParams:
         seed=derive_seed(args.seed, purpose))
 
 
-def _pipeline_from_args(args, word_model, doc_model, seed, params=None,
+def _pipeline_from_args(args, features, seed, params=None,
                         select_k=None) -> FeaturePipeline:
     return FeaturePipeline(
-        classifier=args.classifier,
+        features, classifier=args.classifier,
         classifier_params=params if params is not None
         else _parse_kv_params(getattr(args, "params", "")),
-        word_model=word_model, doc_model=doc_model,
-        keyword_seeds=_keyword_seeds(args),
         select_k=select_k if select_k is not None else _select_k(args),
-        stopwords=_stopwords(args),
         with_calibration=getattr(args, "calibrate", False), seed=seed)
 
 
@@ -173,8 +169,11 @@ def _keyword_seeds(args):
 
 
 def _select_k(args):
-    raw = getattr(args, "select_k", "all")
-    return "all" if raw in ("all", None) else int(raw)
+    try:
+        value = int(args.select_k)
+    except ValueError:
+        value = args.select_k
+    return check_select_k(value, "--select-k")
 
 
 def _metrics_dict(metrics: Metrics) -> dict:
@@ -263,9 +262,8 @@ def cmd_features(args) -> int:
 
 def cmd_train(args) -> int:
     ds = load_dataset(args.input)
-    word_model, doc_model = _embedding_models(args)
     entries = list(ds)
-    pipeline = _pipeline_from_args(args, word_model, doc_model,
+    pipeline = _pipeline_from_args(args, _features(args),
                                    derive_seed(args.seed, "train"))
     if args.two_step:
         # rejects --select-k and --calibrate before anything is written
@@ -277,7 +275,6 @@ def cmd_train(args) -> int:
     else:
         out = _out_dir(args)
         y = binary_labels(ds, args.target)
-        pipeline.use_cache({})  # the accuracy pass below reuses the fit's columns
         pipeline.fit(entries, y)
         save_extractor(pipeline.extractor, out / "extractor.json")
         save_model(pipeline.model, out / "model.json")
@@ -290,12 +287,11 @@ def cmd_train(args) -> int:
 
 def cmd_evaluate(args) -> int:
     ds = load_dataset(args.input)
-    word_model, doc_model = _embedding_models(args)
+    features = _features(args)
     entries = list(ds)
     y = binary_labels(ds, args.target)
-    result = cross_validate(
-        lambda seed: _pipeline_from_args(args, word_model, doc_model, seed),
-        entries, y, k=args.k, seed=args.seed, beta=args.beta)
+    result = cross_validate(lambda seed: _pipeline_from_args(args, features, seed),
+                            entries, y, k=args.k, seed=args.seed, beta=args.beta)
     print(f"{args.target}: mean precision {result.mean.precision:.4f} "
           f"recall {result.mean.recall:.4f} F_{args.beta} {result.mean.f_beta:.4f}")
     if args.out:
@@ -318,22 +314,24 @@ def cmd_evaluate(args) -> int:
 
 def cmd_grid_search(args) -> int:
     ds = load_dataset(args.input)
-    word_model, doc_model = _embedding_models(args)
     raw = read_json(args.grid)
     params = raw.get("params", {})
     if not isinstance(params, dict) or not all(
             isinstance(values, list) and values for values in params.values()):
         raise ValueError(f"{args.grid}: \"params\" must map each hyperparameter "
                          f"to a non-empty list of values")
-    grid = GridSpec(params=params,
-                    feature_counts=tuple(raw.get("feature_counts", ["all"])),
-                    beta=raw.get("beta", args.beta))
+    counts = raw.get("feature_counts", ["all"])
+    if not isinstance(counts, list) or not counts:
+        raise ValueError(f"{args.grid}: \"feature_counts\" must be a non-empty list")
+    grid = GridSpec(params=params, beta=raw.get("beta", args.beta), feature_counts=tuple(
+        check_select_k(k, f"{args.grid}: each \"feature_counts\" value") for k in counts))
+    features = _features(args)
     entries = list(ds)
     y = binary_labels(ds, args.target)
 
     def factory(combo, seed):
         params = {k: v for k, v in combo.items() if k != "select_k"}
-        return _pipeline_from_args(args, word_model, doc_model, seed,
+        return _pipeline_from_args(args, features, seed,
                                    params=params, select_k=combo["select_k"])
 
     for combo in grid.combinations():
@@ -353,11 +351,10 @@ def cmd_grid_search(args) -> int:
 def cmd_cross_eval(args) -> int:
     train_ds = load_dataset(args.train, "train")
     test_ds = load_dataset(args.test, "test")
-    word_model, doc_model = _embedding_models(args)
+    features = _features(args)
     classes = args.classes.split(",") if args.classes else ("Meta",) + ADDRESSEE_LABELS
     results = cross_dataset_eval(
-        train_ds, test_ds,
-        lambda seed: _pipeline_from_args(args, word_model, doc_model, seed),
+        train_ds, test_ds, lambda seed: _pipeline_from_args(args, features, seed),
         classes=classes, beta=args.beta, seed=args.seed)
     for cls, metrics in results.items():
         print(f"{cls}: precision {metrics.precision:.4f} recall {metrics.recall:.4f} "

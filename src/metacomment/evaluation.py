@@ -140,27 +140,14 @@ class CvResult:
     seed: int
 
 
-def _use_cache(pipeline, shared: dict) -> None:
-    use_cache = getattr(pipeline, "use_cache", None)
-    if use_cache is not None:
-        use_cache(shared)
-
-
 def cross_validate(pipeline_factory: Callable, items: Sequence, y,
                    k: int = 10, seed: int = 0, beta: float = 0.5) -> CvResult:
     """Stratified k-fold evaluation of a trainable+predictable pipeline.
 
     A fresh pipeline, pipeline_factory(fold_seed), is built per fold and fit
     on the train fold only; a pipeline exposing fitted_ids() is checked
-    against test-fold leakage. A pipeline exposing use_cache(dict) is handed
-    one dict for the whole call, where it may keep work that no label
-    changes (the feature route's fold-invariant columns); the dict is
-    dropped when the call returns.
+    against test-fold leakage.
     """
-    return _cross_validate(pipeline_factory, items, y, k, seed, beta, {})
-
-
-def _cross_validate(pipeline_factory, items, y, k, seed, beta, shared) -> CvResult:
     y = np.asarray(y, dtype=int)
     if len(items) != len(y):
         raise EvaluationError("items and labels length mismatch")
@@ -171,7 +158,6 @@ def _cross_validate(pipeline_factory, items, y, k, seed, beta, shared) -> CvResu
         train_items = [items[i] for i in train_idx]
         test_items = [items[i] for i in test_idx]
         pipeline = pipeline_factory(derive_seed(seed, f"fold:{fold_index}"))
-        _use_cache(pipeline, shared)
         try:
             pipeline.fit(train_items, y[train_idx])
         except Exception as exc:
@@ -234,20 +220,17 @@ def grid_search(pipeline_factory: Callable, grid: GridSpec, items: Sequence, y,
 
     Every configuration gets the folds and fold seeds that cross_validate
     draws from seed, and ties keep the first in enumeration order. The factory
-    is called as factory(params_dict, seed). Every configuration's pipelines
-    share one use_cache dict, as the folds of cross_validate do.
+    is called as factory(params_dict, seed).
     """
     combos = grid.combinations()
     if not combos:
         raise EvaluationError("empty grid")
     rows: List[dict] = []
     best: Optional[Tuple[float, int, dict, CvResult]] = None
-    shared: dict = {}
 
     for index, combo in enumerate(combos):
-        result = _cross_validate(
-            lambda fold_seed: pipeline_factory(combo, fold_seed),
-            items, y, k, seed, grid.beta, shared)
+        result = cross_validate(lambda fold_seed: pipeline_factory(combo, fold_seed),
+                                items, y, k, seed, grid.beta)
         for fold_index, metrics in enumerate(result.fold_metrics):
             rows.append({"config": index, **combo, "fold": fold_index,
                          "precision": metrics.precision, "recall": metrics.recall,
@@ -320,11 +303,11 @@ def cross_dataset_eval(train_ds: LabeledDataset, test_ds: LabeledDataset,
     """Train per-class pipelines on one dataset, evaluate on the other.
 
     All transformers are fit on the training dataset only; swapping the
-    dataset arguments swaps the roles exactly. The per-class pipelines share
-    one use_cache dict.
+    dataset arguments swaps the roles exactly. A pipeline exposing
+    fitted_ids() is rejected before it is fit when the datasets share an id.
     """
+    shared_ids = sorted(train_ds.ids() & test_ds.ids())
     results = {}
-    shared: dict = {}
     train_items = list(train_ds)
     test_items = list(test_ds)
     for index, cls in enumerate(classes):
@@ -333,7 +316,9 @@ def cross_dataset_eval(train_ds: LabeledDataset, test_ds: LabeledDataset,
         if len(np.unique(y_train)) < 2:
             raise EvaluationError(f"class {cls!r} missing from training dataset")
         pipeline = pipeline_factory(derive_seed(seed, f"class:{index}"))
-        _use_cache(pipeline, shared)
+        if shared_ids and hasattr(pipeline, "fitted_ids"):
+            raise EvaluationError(f"{len(shared_ids)} comment ids are in both the "
+                                  f"training and the test dataset: {shared_ids[:5]}")
         pipeline.fit(train_items, y_train)
         _check_no_leak(pipeline, train_items, test_items)
         predictions = np.asarray(pipeline.predict(test_items), dtype=int)

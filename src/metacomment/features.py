@@ -498,8 +498,8 @@ class FeatureCache:
     fold and grid configuration over a dataset. Each comment's values are
     computed when first asked for and kept while the cache lives, keyed by
     the comment's value, so a comment that reuses another's id with other
-    text gets its own entry. The caller that owns the dataset (one
-    cross_validate, grid_search or matrix call) drops the cache with it.
+    text gets its own entry. The caller that owns the dataset (a command,
+    or a matrix call without a cache) drops the cache with it.
     """
 
     def __init__(self, extractor: FeatureExtractor):

@@ -77,31 +77,49 @@ def build_keyword_sets(word_model: Optional[WordEmbeddingModel],
     return sets
 
 
+def feature_cache(word_model: Optional[WordEmbeddingModel] = None,
+                  doc_model: Optional[DocEmbeddingModel] = None,
+                  keyword_seeds: Optional[Dict[str, Sequence[str]]] = None,
+                  stopwords=None) -> FeatureCache:
+    """An empty FeatureCache of one dataset's unlabeled feature inputs: the
+    keyword sets enriched by word_model, the doc model and the stop words.
+
+    Every FeaturePipeline over the dataset takes it, so each comment is
+    preprocessed, scanned and embedded once while the caller keeps it.
+    """
+    return FeatureExtractor(keyword_sets=build_keyword_sets(word_model, keyword_seeds),
+                            doc_model=doc_model, stopwords=stopwords).new_cache()
+
+
+def check_select_k(value, name: str = "select_k"):
+    """value when it is 'all' or an int >= 1; ValueError naming `name` otherwise."""
+    if value == "all" or type(value) is int and value >= 1:
+        return value
+    raise ValueError(f"{name} must be 'all' or an integer >= 1, got {value!r}")
+
+
 class FeaturePipeline:
     """Hand-crafted-feature route: fit transformers, select, classify.
 
-    Fitting builds the keyword sets and the tf-idf model always, and the
-    class vectors of the semantic group when doc_model is given.
+    features is the FeatureCache (see feature_cache) of the dataset the
+    pipeline fits and predicts on. Fitting builds the tf-idf model always,
+    and the class vectors of the semantic group when the cache has a doc
+    model. features=None serves only a pipeline that is loaded, not fit:
+    each prediction then builds and drops a cache of its own.
     """
 
-    def __init__(self, classifier: str = "linear_svm",
+    def __init__(self, features: Optional[FeatureCache],
+                 classifier: str = "linear_svm",
                  classifier_params: Optional[dict] = None,
-                 word_model: Optional[WordEmbeddingModel] = None,
-                 doc_model: Optional[DocEmbeddingModel] = None,
-                 keyword_seeds: Optional[Dict[str, Sequence[str]]] = None,
-                 select_k="all", stopwords=None, with_calibration: bool = False,
-                 seed: int = 0):
+                 select_k="all", with_calibration: bool = False, seed: int = 0):
+        self.features = features
         self.classifier = classifier
         params = dict(classifier_params or {})
         if "seed" in hyperparam_fields(classifier):
             params.setdefault("seed", seed)
         # checked here, so that a bad value fails before any fold is fit
         self.classifier_params = _coerce_params(classifier, params)
-        self.word_model = word_model
-        self.doc_model = doc_model
-        self.keyword_seeds = keyword_seeds
-        self.select_k = select_k
-        self.stopwords = stopwords
+        self.select_k = check_select_k(select_k)
         self.with_calibration = with_calibration
         self.seed = seed
         self.extractor: Optional[FeatureExtractor] = None
@@ -109,38 +127,16 @@ class FeaturePipeline:
         self.selected: Optional[tuple] = None
         self._columns: Optional[np.ndarray] = None  # selected columns; None: all
         self._fitted_ids: Optional[frozenset] = None
-        self._shared: Optional[dict] = None
 
-    def use_cache(self, shared: dict) -> None:
-        """Keep fold-invariant feature values in shared, the dict that one
-        cross_validate, grid_search or cross_dataset_eval call hands to each
-        of its pipelines, so every comment is preprocessed, scanned and
-        embedded once per call rather than once per fold."""
-        self._shared = shared
-
-    def _feature_cache(self) -> FeatureCache:
-        """The FeatureCache of this pipeline's unlabeled inputs: the one in
-        the shared dict when there is one, else a new one. The enriched
-        keyword sets are built along with it."""
-        seeds = self.keyword_seeds
-        key = (FeatureCache, self.word_model, self.doc_model,
-               None if self.stopwords is None else frozenset(self.stopwords),
-               None if seeds is None else tuple((k, tuple(v)) for k, v in seeds.items()))
-        shared = self._shared if self._shared is not None else {}
-        if key not in shared:
-            shared[key] = FeatureExtractor(
-                keyword_sets=build_keyword_sets(self.word_model, seeds),
-                doc_model=self.doc_model, stopwords=self.stopwords).new_cache()
-        return shared[key]
-
-    def _fit_extractor(self, entries: Sequence[Entry],
-                       cache: Optional[FeatureCache] = None) -> FeatureExtractor:
-        comments = _comments(entries)
+    def _fit_extractor(self, entries: Sequence[Entry]) -> FeatureExtractor:
+        cache = self.features
         if cache is None:
-            cache = self._feature_cache()
+            raise ValueError("a FeaturePipeline without a feature cache cannot be "
+                             "fit; pass features=feature_cache(...)")
+        comments = _comments(entries)
         tfidf = tfidf_fit(cache.streams(comments))
         class_vecs = None
-        if self.doc_model is not None:
+        if cache.doc_model is not None:
             label_sets = _label_sets(entries)
             present = [cls for cls in CLASS_ORDER if any(cls in ls for ls in label_sets)]
             class_vecs = class_means(cache.vectors(comments), label_sets, present)
@@ -157,14 +153,12 @@ class FeaturePipeline:
     def _fit(self, entries: Sequence[Entry], y) -> np.ndarray:
         """Fit as fit() does; returns the training matrix after selection."""
         y = np.asarray(y, dtype=int)
-        cache = self._feature_cache()
-        self.extractor = self._fit_extractor(entries, cache)
-        X = self.extractor.matrix(_comments(entries), cache)
+        self.extractor = self._fit_extractor(entries)
+        X = self.extractor.matrix(_comments(entries), self.features)
         registry = self.extractor.registry
         if self.select_k != "all":
             scores = dict(zip(registry, anova_f_matrix(X, y)))
-            k = min(self.select_k, len(registry)) \
-                if isinstance(self.select_k, int) else self.select_k
+            k = min(self.select_k, len(registry))
             self.selected = tuple(select_k_best(scores, k))
             index = {name: i for i, name in enumerate(registry)}
             self._columns = np.array([index[name] for name in self.selected],
@@ -197,9 +191,7 @@ class FeaturePipeline:
     def _matrix(self, entries: Sequence[Entry]) -> np.ndarray:
         if self.model is None:
             raise RuntimeError("pipeline is not fitted")
-        # a lone pipeline builds a cache per call, so memory stays at one batch
-        cache = self._feature_cache() if self._shared is not None else None
-        X = self.extractor.matrix(_comments(entries), cache)
+        X = self.extractor.matrix(_comments(entries), self.features)
         return X if self._columns is None else X[:, self._columns]
 
     def predict(self, entries: Sequence[Entry]) -> np.ndarray:
@@ -327,7 +319,7 @@ class TwoStepClassifier:
         RegistryMismatch otherwise. Absent addressee files are skipped.
         """
         files = cls.files(directory)
-        classifier = cls(FeaturePipeline(), threshold=threshold)
+        classifier = cls(FeaturePipeline(None), threshold=threshold)
         extractor = load_extractor(files["extractor"], doc_model=doc_model)
         meta_model = load_model(files["meta"], registry_hash=extractor.registry_hash)
         for label in ADDRESSEE_LABELS:

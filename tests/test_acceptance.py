@@ -32,7 +32,7 @@ from metacomment.evaluation import (
 from metacomment.features import anova_f_matrix, select_k_best, tfidf_fit, tfidf_transform
 from metacomment.neural import CnnConfig, build, gradient_check
 from metacomment.neural import train as train_cnn
-from metacomment.pipeline import CnnPipeline, FeaturePipeline
+from metacomment.pipeline import CnnPipeline, FeaturePipeline, feature_cache
 from metacomment.textprep import TokenStream, preprocess
 
 from synthdata import CLASS_KEYWORDS, generate_comment_dataset
@@ -228,13 +228,13 @@ def test_criterion_07_synthetic_end_to_end():
         streams, WordTrainingParams(dim=32, window=5, min_count=5, epochs=15,
                                     initial_lr=0.05, seed=8))
     entries = list(ds)
+    cache = feature_cache(word_model, doc_model, CLASS_KEYWORDS)  # for all four targets
 
     def factory(seed):
         return FeaturePipeline(
-            classifier="linear_svm",
+            cache, classifier="linear_svm",
             classifier_params={"C": 0.5, "tolerance": 1e-3, "max_epochs": 60},
-            word_model=word_model, doc_model=doc_model,
-            keyword_seeds=CLASS_KEYWORDS, seed=seed)
+            seed=seed)
 
     scores = {}
     for cls in ("Meta", "Media", "Journalist", "Moderator"):
@@ -346,12 +346,13 @@ def test_criterion_11_omp_reproduction():
                                     initial_lr=0.05, seed=7))
     entries = list(ds)
     y = binary_labels(ds, "Meta")
+    cache = feature_cache(word_model)
 
     def factory(seed):
         return FeaturePipeline(
-            classifier="linear_svm",
+            cache, classifier="linear_svm",
             classifier_params={"C": 1.0, "tolerance": 1e-3, "max_epochs": 100},
-            word_model=word_model, seed=seed)
+            seed=seed)
 
     result = cross_validate(factory, entries, y, k=10, seed=0)
     ok = (result.mean.precision >= 0.75 and result.mean.recall >= 0.71

@@ -1,4 +1,6 @@
 import json
+import math
+import warnings
 
 import numpy as np
 import pytest
@@ -15,6 +17,7 @@ from metacomment.classifiers import (
     TrainedModel,
     TrainingError,
     TreeHyperparams,
+    _best_split,
     calibrate,
     load_model,
     save_model,
@@ -201,6 +204,65 @@ class TestAdaBoost:
         model = train("adaboost", X, y, BoostHyperparams(n_rounds=20))
         values = model.decision_values(X)
         assert np.all(values >= -1.0 - 1e-9) and np.all(values <= 1.0 + 1e-9)
+
+
+def split_gains(X, y, w, min_leaf=1):
+    """{(feature, threshold): gain} of every weighted-Gini split, by brute
+    force with each child's weight summed exactly; a child of weight 0 adds 0."""
+    def impurity(members):
+        total = math.fsum(w[i] for i in members)
+        pos = math.fsum(w[i] for i in members if y[i] == 1)
+        return 0.0 if total == 0.0 else total - (pos ** 2 + (total - pos) ** 2) / total
+
+    everyone = range(len(y))
+    total_w = math.fsum(w)
+    parent = impurity(everyone) / total_w
+    gains = {}
+    for feat in range(X.shape[1]):
+        values = sorted(set(X[:, feat]))
+        for lo, hi in zip(values, values[1:]):
+            threshold = 0.5 * (lo + hi)
+            left = [i for i in everyone if X[i, feat] <= threshold]
+            right = [i for i in everyone if X[i, feat] > threshold]
+            if min(len(left), len(right)) >= min_leaf:
+                gains[feat, threshold] = \
+                    parent - (impurity(left) + impurity(right)) / total_w
+    return gains
+
+
+class TestBestSplit:
+    def assert_matches_oracle(self, X, y, w, min_leaf=1):
+        """The split found is a best one, and its gain is the oracle's."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            gain, feat, threshold = _best_split(X, y, w, np.arange(X.shape[1]), min_leaf)
+        gains = split_gains(X, y, w, min_leaf)
+        assert abs(gain - gains[feat, threshold]) <= 1e-12
+        assert abs(gain - max(gains.values())) <= 1e-12
+        return feat, threshold
+
+    def test_child_whose_weight_rounds_to_zero(self):
+        # AdaBoost-like weights: right of every feature-0 split, the total
+        # minus the cumulative weight rounds to 0, which made a NaN gain
+        # that argmax picked over feature 1's clean split
+        X = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [2.0, 1.0]])
+        y = np.array([0, 1, 0, 1])
+        w = np.array([0.5, 0.5, 1e-20, 1e-20])
+        assert w.sum() - w[:2].sum() == 0.0
+        assert self.assert_matches_oracle(X, y, w) == (1, 0.5)
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_random_weighted_data(self, seed):
+        rng = np.random.default_rng(seed)
+        X, y = blob_data(seed, n=30)
+        w = rng.exponential(size=len(y)) ** 6
+        self.assert_matches_oracle(X, y, w / w.sum(), min_leaf=1 + seed % 3)
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_adaboost_fit_warns_nothing(self, seed):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            train("adaboost", *blob_data(seed))
 
 
 class TestKnn:

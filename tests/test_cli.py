@@ -11,13 +11,13 @@ import numpy as np
 import pytest
 
 import metacomment
-from metacomment import cli
+from metacomment import cli, features, textprep
 from metacomment.cli import main
 from metacomment.corpus import load_dataset, save_dataset
 from metacomment.embeddings import DocEmbeddingModel
-from metacomment.pipeline import TwoStepClassifier, load_extractor
+from metacomment.pipeline import FeaturePipeline, TwoStepClassifier, load_extractor
 
-from synthdata import generate_comment_dataset
+from synthdata import CLASS_KEYWORDS, generate_comment_dataset
 
 
 @pytest.fixture(scope="module")
@@ -417,6 +417,24 @@ class TestTrainAndClassify:
         assert "Traceback" not in err
         assert not (out / "classified.jsonl").exists()
 
+    @pytest.mark.parametrize("key", ["objective_history", "converged"])
+    def test_classify_rejects_svm_payload_missing_a_key(self, workspace, models_dir,
+                                                        tmp_path, capsys, key):
+        models = tmp_path / "models"
+        shutil.copytree(models_dir, models)
+        path = models / "addressee_moderator.json"
+        data = json.loads(path.read_text(encoding="utf-8"))
+        del data["payload"][key]
+        path.write_text(json.dumps(data), encoding="utf-8")
+        out = tmp_path / "classified"
+        rc = main(["classify", "--input", str(workspace["dataset"]),
+                   "--models", str(models), "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"addressee_moderator.json: missing key {key!r}" in err
+        assert "Traceback" not in err
+        assert not (out / "classified.jsonl").exists()
+
     def test_classify_infers_once_per_chunk(self, semantic_models, tmp_path,
                                             monkeypatch):
         # a two-step directory with the semantic group, and unseen comments
@@ -540,6 +558,72 @@ class TestEvaluateAndGrid:
         assert "Meta: precision" in capsys.readouterr().out
         metrics = json.loads((out / "metrics.json").read_text())
         assert "Meta" in metrics["classes"]
+
+    def test_cross_eval_rejects_shared_ids(self, workspace, tmp_path, capsys):
+        out = tmp_path / "xeval"
+        rc = main(["cross-eval", "--train", str(workspace["dataset"]),
+                   "--test", str(workspace["dataset"]), "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "150 comment ids are in both the training and the test dataset" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv,grid,message", [
+        (["evaluate", "--select-k", "0"], None,
+         "--select-k must be 'all' or an integer >= 1, got 0"),
+        (["evaluate", "--select-k", "-5"], None,
+         "--select-k must be 'all' or an integer >= 1, got -5"),
+        (["evaluate", "--select-k", "some"], None,
+         "--select-k must be 'all' or an integer >= 1, got 'some'"),
+        (["train", "--select-k", "0"], None,
+         "--select-k must be 'all' or an integer >= 1, got 0"),
+        (["grid-search"], {"params": {}, "feature_counts": "all"},
+         "grid.json: \"feature_counts\" must be a non-empty list"),
+        (["grid-search"], {"params": {}, "feature_counts": []},
+         "grid.json: \"feature_counts\" must be a non-empty list"),
+        (["grid-search"], {"params": {}, "feature_counts": ["all", 0]},
+         "grid.json: each \"feature_counts\" value must be 'all' or an integer >= 1, "
+         "got 0"),
+        (["grid-search"], {"params": {}, "feature_counts": [True]},
+         "grid.json: each \"feature_counts\" value must be 'all' or an integer >= 1, "
+         "got True"),
+    ])
+    def test_rejects_feature_count_before_any_fit(self, workspace, tmp_path, capsys,
+                                                   monkeypatch, argv, grid, message):
+        fits = []
+        monkeypatch.setattr(FeaturePipeline, "_fit_extractor",
+                            lambda self, entries: fits.append(entries))
+        if grid is not None:
+            (tmp_path / "grid.json").write_text(json.dumps(grid), encoding="utf-8")
+            argv = argv + ["--grid", str(tmp_path / "grid.json")]
+        out = tmp_path / "out"
+        rc = main([*argv, "--input", str(workspace["dataset"]), "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+        assert fits == [] and not out.exists()
+
+    def test_evaluate_reads_word_lists_once(self, workspace, tmp_path, monkeypatch):
+        stopwords = tmp_path / "stopwords.txt"
+        stopwords.write_text("und\nder\ndie\n", encoding="utf-8")
+        keywords = tmp_path / "keywords"
+        keywords.mkdir()
+        for label, words in CLASS_KEYWORDS.items():
+            (keywords / f"{label.lower()}.txt").write_text("\n".join(words),
+                                                           encoding="utf-8")
+        reads = []
+        for module in (features, textprep):
+            read_lines = module.read_lines
+            monkeypatch.setattr(module, "read_lines",
+                                lambda path, read=read_lines: reads.append(Path(path))
+                                or read(path))
+        rc = main(["evaluate", "--input", str(workspace["dataset"]), "-k", "5",
+                   "--params", "C=0.5,tolerance=0.001,max_epochs=40",
+                   "--stopwords", str(stopwords), "--keywords-dir", str(keywords)])
+        assert rc == 0
+        given = [path for path in reads if tmp_path in path.parents]  # not shipped lists
+        assert sorted(given) == sorted([stopwords, *keywords.iterdir()])
 
     def test_report_renders_table(self, workspace, tmp_path, capsys):
         out = tmp_path / "eval2"

@@ -393,6 +393,26 @@ class TestCrossDatasetEval:
         expected = Metrics.from_predictions(y, in_sample, 0.5)
         assert results["Meta"] == expected
 
+    def test_shared_ids_rejected_before_fit(self, small_dataset):
+        from metacomment.corpus import LabeledDataset
+        fits = []
+
+        class RecordingPipeline(ConstantPipeline):
+            def fit(self, items, y):
+                fits.append(items)
+                return self
+
+            def fitted_ids(self):
+                return None
+
+        half = LabeledDataset(tuple(list(small_dataset)[::2]), "half")
+        shared = sorted(half.ids())
+        with pytest.raises(EvaluationError, match="ids are in both") as info:
+            cross_dataset_eval(small_dataset, half, lambda seed: RecordingPipeline(1),
+                               classes=("Meta",))
+        assert str(info.value).startswith(f"{len(shared)} comment ids")
+        assert str(shared[:5]) in str(info.value) and fits == []
+
     def test_missing_class_is_error(self, small_dataset):
         from metacomment.corpus import LabeledDataset
         no_moderator = LabeledDataset(

@@ -18,7 +18,14 @@ from metacomment.embeddings import (
     train_doc_embeddings,
     train_word_embeddings,
 )
-from metacomment.evaluation import binary_labels, cross_validate, stratified_k_fold
+from metacomment.evaluation import (
+    GridSpec,
+    binary_labels,
+    cross_dataset_eval,
+    cross_validate,
+    grid_search,
+    stratified_k_fold,
+)
 from metacomment.features import (
     CLASS_FEATURE_NAMES,
     FeatureError,
@@ -33,7 +40,7 @@ from metacomment.features import (
     tfidf_fit,
     tfidf_transform,
 )
-from metacomment.pipeline import FeaturePipeline, build_keyword_sets
+from metacomment.pipeline import FeaturePipeline, build_keyword_sets, feature_cache
 from metacomment.textprep import preprocess
 
 from synthdata import CLASS_KEYWORDS, generate_comment_dataset
@@ -56,10 +63,18 @@ def models(dataset):
     return word_model, doc_model
 
 
-def make_pipeline(models, seed=0):
+def make_cache(models):
     word_model, doc_model = models
-    return FeaturePipeline(word_model=word_model, doc_model=doc_model,
-                           keyword_seeds=CLASS_KEYWORDS, seed=seed,
+    return feature_cache(word_model, doc_model, CLASS_KEYWORDS)
+
+
+@pytest.fixture(scope="module")
+def cache(models):
+    return make_cache(models)
+
+
+def make_pipeline(cache, seed=0, select_k="all"):
+    return FeaturePipeline(cache, seed=seed, select_k=select_k,
                            classifier_params={"tolerance": 1e-3, "max_epochs": 30})
 
 
@@ -100,13 +115,11 @@ def reference_matrix(extractor, comments):
     return build_matrix(rows, extractor.registry)
 
 
-def assert_fold_matches_reference(models, entries, train_idx, test_idx, shared):
+def assert_fold_matches_reference(models, cache, entries, train_idx, test_idx):
     train = [entries[i] for i in train_idx]
     test = [entries[i] for i in test_idx]
-    pipeline = make_pipeline(models)
-    pipeline.use_cache(shared)
-    cache = pipeline._feature_cache()
-    extractor = pipeline._fit_extractor(train, cache)
+    pipeline = make_pipeline(cache)
+    extractor = pipeline._fit_extractor(train)
     X_train = extractor.matrix([c for c, _ in train], cache)
     X_test = extractor.matrix([c for c, _ in test], cache)
     reference = reference_extractor(models, train)
@@ -121,11 +134,11 @@ def assert_fold_matches_reference(models, entries, train_idx, test_idx, shared):
 class TestMatrixOracle:
     def test_every_fold_of_a_stratified_split(self, dataset, models):
         entries = list(dataset)
-        shared = {}  # one cache across the folds, as in cross_validate
+        cache = make_cache(models)  # one cache across the folds, as a command has
         y = binary_labels(dataset, "Meta")
         for train_idx, test_idx in stratified_k_fold(y, 4, 3):
             pipeline, X_train, X_test = assert_fold_matches_reference(
-                models, entries, train_idx, test_idx, shared)
+                models, cache, entries, train_idx, test_idx)
             # the fitting and predicting path of cross_validate builds the same
             assert np.array_equal(pipeline._fit([entries[i] for i in train_idx],
                                                 y[train_idx]), X_train)
@@ -137,21 +150,22 @@ class TestMatrixOracle:
         n = len(dataset)
         train = data.draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=n))
         test = sorted(set(range(n)) - train)
-        assert_fold_matches_reference(models, list(dataset), sorted(train), test, {})
+        assert_fold_matches_reference(models, make_cache(models), list(dataset),
+                                      sorted(train), test)
 
-    def test_comments_sharing_an_id_get_their_own_rows(self, dataset, models):
+    def test_comments_sharing_an_id_get_their_own_rows(self, dataset, cache):
         entries = list(dataset)
         first = entries[0][0]
         twin = replace(first, text="Die Redaktion hat den Artikel zensiert. Warum?")
-        pipeline = make_pipeline(models).fit(entries, binary_labels(dataset, "Meta"))
+        pipeline = make_pipeline(cache).fit(entries, binary_labels(dataset, "Meta"))
         cache = pipeline.extractor.new_cache()
         X = pipeline.extractor.matrix([first, twin, first], cache)
         assert np.array_equal(X, reference_matrix(pipeline.extractor, [first, twin, first]))
         assert not np.array_equal(X[0], X[1])
         assert np.array_equal(X[0], X[2])
 
-    def test_named_view_is_the_matrix(self, dataset, models):
-        pipeline = make_pipeline(models).fit(list(dataset), binary_labels(dataset, "Meta"))
+    def test_named_view_is_the_matrix(self, dataset, cache):
+        pipeline = make_pipeline(cache).fit(list(dataset), binary_labels(dataset, "Meta"))
         extractor = pipeline.extractor
         comments = list(dataset.comments())[:10]
         vectors = extractor.doc_model.vectors_for(
@@ -161,17 +175,17 @@ class TestMatrixOracle:
         assert np.array_equal(build_matrix(rows, extractor.registry),
                               extractor.matrix(comments))
 
-    def test_cache_of_other_inputs_is_rejected(self, dataset, models):
-        pipeline = make_pipeline(models).fit(list(dataset), binary_labels(dataset, "Meta"))
+    def test_cache_of_other_inputs_is_rejected(self, dataset, cache):
+        pipeline = make_pipeline(cache).fit(list(dataset), binary_labels(dataset, "Meta"))
         other = FeatureExtractor(keyword_sets=build_keyword_sets(None, CLASS_KEYWORDS))
         with pytest.raises(FeatureError, match="feature cache"):
             pipeline.extractor.matrix(dataset.comments(), other.new_cache())
 
-    def test_matrix_calls_semantic_features_once_per_comment(self, dataset, models,
+    def test_matrix_calls_semantic_features_once_per_comment(self, dataset, cache,
                                                              monkeypatch):
         # the benchmark's trace times the semantic group by rebinding
         # features.semantic_features, one call per comment row
-        pipeline = make_pipeline(models).fit(list(dataset), binary_labels(dataset, "Meta"))
+        pipeline = make_pipeline(cache).fit(list(dataset), binary_labels(dataset, "Meta"))
         comments = list(dataset.comments())
         expected = pipeline.extractor.matrix(comments)
         calls = []
@@ -188,8 +202,9 @@ class TestMatrixOracle:
 
 
 class TestCacheScope:
-    """Each comment's fold-invariant work runs once per cross_validate call,
-    not once per fold, and no cache outlives its call."""
+    """Each comment's fold-invariant work runs once per cache, however many
+    folds, configurations and classes use it. The evaluation drivers make no
+    cache of their own, and a cache lives as long as its caller keeps it."""
 
     def _spy(self, monkeypatch):
         calls = {"text_stats": Counter(), "preprocess": Counter()}
@@ -215,28 +230,33 @@ class TestCacheScope:
         monkeypatch.setattr(features.FeatureCache, "__init__", init_spy)
         return calls, caches
 
-    def _cross_validate(self, models, ds, k):
-        return cross_validate(lambda seed: make_pipeline(models, seed), list(ds),
-                              binary_labels(ds, "Meta"), k=k, seed=2)
-
-    def test_fold_invariant_work_runs_once_per_call(self, dataset, models, monkeypatch):
+    def test_fold_invariant_work_runs_once_per_cache(self, dataset, models, monkeypatch):
         calls, caches = self._spy(monkeypatch)
-        k, n = 4, len(dataset)
-        self._cross_validate(models, dataset, k)
-        # one stop-word stream and one plain token stream per comment
-        assert calls["text_stats"] == Counter(dataset.comments())
-        assert calls["preprocess"] == Counter({c: 2 for c in dataset.comments()})
-        assert sum(calls["text_stats"].values()) == n < k * n
-        gc.collect()
-        assert len(caches) == 1 and caches[0]() is None
-
-        # a second call over a dataset that shares half its comments with
-        # the first starts from an empty cache
-        calls["text_stats"].clear()
         other = generate_comment_dataset(22, n_per_class=4, n_nonmeta=12,
                                          source_tag="other")
-        mixed = LabeledDataset(tuple(list(dataset)[:24] + list(other)), "mixed")
-        self._cross_validate(models, mixed, k)
-        assert calls["text_stats"] == Counter(mixed.comments())
+        entries, y = list(dataset), binary_labels(dataset, "Meta")
+        cache = make_cache(models)
+        cross_validate(lambda seed: make_pipeline(cache, seed), entries, y, k=4, seed=2)
+        grid_search(lambda params, seed: make_pipeline(cache, seed, params["select_k"]),
+                    GridSpec(params={}, feature_counts=("all", 20)), entries, y,
+                    k=3, seed=2)
+        cross_dataset_eval(dataset, other, lambda seed: make_pipeline(cache, seed),
+                           classes=("Meta",))
+        # one stop-word stream and one plain token stream per comment
+        comments = [*dataset.comments(), *other.comments()]
+        assert calls["text_stats"] == Counter(comments)
+        assert calls["preprocess"] == Counter({c: 2 for c in comments})
+        # the drivers made no cache, and the caller's is freed when dropped
+        assert len(caches) == 1
+        del cache
         gc.collect()
-        assert len(caches) == 2 and caches[1]() is None
+        assert caches[0]() is None
+
+        # a new cache over comments that the first one held starts empty
+        calls["text_stats"].clear()
+        mixed = LabeledDataset(tuple(list(dataset)[:24] + list(other)), "mixed")
+        cache = make_cache(models)
+        cross_validate(lambda seed: make_pipeline(cache, seed), list(mixed),
+                       binary_labels(mixed, "Meta"), k=4, seed=2)
+        assert calls["text_stats"] == Counter(mixed.comments())
+        assert len(caches) == 2

@@ -21,6 +21,7 @@ from metacomment.pipeline import (
     FeaturePipeline,
     TwoStepClassifier,
     build_keyword_sets,
+    feature_cache,
     load_extractor,
     save_extractor,
 )
@@ -43,38 +44,43 @@ def word_model(dataset):
                                     initial_lr=0.05, seed=2))
 
 
-def make_pipeline(word_model, seed=0, **kwargs):
+@pytest.fixture(scope="module")
+def cache(word_model):
+    """The feature cache that every pipeline over the module's datasets shares."""
+    return feature_cache(word_model, keyword_seeds=CLASS_KEYWORDS)
+
+
+def make_pipeline(cache, seed=0, **kwargs):
     kwargs.setdefault("classifier_params", {"C": 0.5, "tolerance": 1e-4,
                                             "max_epochs": 200})
-    kwargs.setdefault("keyword_seeds", CLASS_KEYWORDS)
-    return FeaturePipeline(word_model=word_model, seed=seed, **kwargs)
+    return FeaturePipeline(cache, seed=seed, **kwargs)
 
 
 class TestFeaturePipeline:
-    def test_fit_predict_meta(self, dataset, word_model):
+    def test_fit_predict_meta(self, dataset, cache):
         entries = list(dataset)
         y = binary_labels(dataset, "Meta")
-        pipeline = make_pipeline(word_model).fit(entries, y)
+        pipeline = make_pipeline(cache).fit(entries, y)
         accuracy = float((pipeline.predict(entries) == y).mean())
         assert accuracy >= 0.95
 
-    def test_fitted_ids_are_train_ids(self, dataset, word_model):
+    def test_fitted_ids_are_train_ids(self, dataset, cache):
         entries = list(dataset)[:100]
         y = binary_labels(dataset, "Meta")[:100]
-        pipeline = make_pipeline(word_model).fit(entries, y)
+        pipeline = make_pipeline(cache).fit(entries, y)
         assert pipeline.fitted_ids() == frozenset(c.id for c, _ in entries)
 
-    def test_cross_validation_scores_high(self, dataset, word_model):
+    def test_cross_validation_scores_high(self, dataset, cache):
         entries = list(dataset)
         y = binary_labels(dataset, "Meta")
-        result = cross_validate(lambda seed: make_pipeline(word_model, seed=seed),
+        result = cross_validate(lambda seed: make_pipeline(cache, seed=seed),
                                 entries, y, k=4, seed=1)
         assert result.mean.f_beta >= 0.9
 
-    def test_select_k_limits_model_registry(self, dataset, word_model, tmp_path):
+    def test_select_k_limits_model_registry(self, dataset, cache, tmp_path):
         entries = list(dataset)
         y = binary_labels(dataset, "Meta")
-        pipeline = make_pipeline(word_model, select_k=10).fit(entries, y)
+        pipeline = make_pipeline(cache, select_k=10).fit(entries, y)
         assert len(pipeline.selected) == 10
         assert len(pipeline.model.registry) == 10
         assert pipeline.model.registry_hash == pipeline.extractor.registry_hash
@@ -93,10 +99,10 @@ class TestFeaturePipeline:
         assert np.array_equal(loaded.predict_many(X[:, columns]),
                               pipeline.predict(entries))
 
-    def test_calibrated_confidences(self, dataset, word_model):
+    def test_calibrated_confidences(self, dataset, cache):
         entries = list(dataset)
         y = binary_labels(dataset, "Meta")
-        pipeline = make_pipeline(word_model, with_calibration=True).fit(entries, y)
+        pipeline = make_pipeline(cache, with_calibration=True).fit(entries, y)
         conf = pipeline.model.confidences(pipeline._matrix(entries))
         assert np.all((conf > 0) & (conf < 1))
         # confident on actual meta keyword comments
@@ -109,10 +115,20 @@ class TestFeaturePipeline:
             streams, WordTrainingParams(dim=16, window=5, min_count=2, epochs=10, seed=3))
         entries = list(ds)
         y = binary_labels(ds, "Meta")
-        pipeline = make_pipeline(word_model, doc_model=dm).fit(entries, y)
+        pipeline = make_pipeline(feature_cache(word_model, dm, CLASS_KEYWORDS))
+        pipeline.fit(entries, y)
         semantic = [n for n in pipeline.extractor.registry if n.startswith("semantic_")]
         assert semantic
         assert (pipeline.predict(entries) == y).mean() >= 0.9
+
+    @pytest.mark.parametrize("select_k", [0, -5, True, 2.5, "a", None])
+    def test_rejects_select_k_that_is_not_a_count(self, cache, select_k):
+        with pytest.raises(ValueError, match="select_k must be 'all' or an integer >= 1"):
+            make_pipeline(cache, select_k=select_k)
+
+    def test_fit_needs_a_feature_cache(self, dataset):
+        with pytest.raises(ValueError, match="without a feature cache"):
+            make_pipeline(None).fit(list(dataset), binary_labels(dataset, "Meta"))
 
 
 class TestCnnPipeline:
@@ -135,8 +151,8 @@ class TestCnnPipeline:
 
 
 @pytest.fixture(scope="module")
-def fitted(dataset, word_model):
-    classifier = TwoStepClassifier(make_pipeline(word_model), threshold=0.8)
+def fitted(dataset, cache):
+    classifier = TwoStepClassifier(make_pipeline(cache), threshold=0.8)
     return classifier.fit(list(dataset))
 
 
@@ -165,7 +181,7 @@ class TestTwoStepClassifier:
 
     def test_fit_assembles_each_entry_once(self, dataset, word_model, monkeypatch):
         # the meta gate and the addressee models share one feature matrix,
-        # whose fold-invariant part is computed once per entry
+        # whose fold-invariant part is computed once per entry in a new cache
         calls = []
         text_stats_features = features.text_stats_features
 
@@ -175,15 +191,16 @@ class TestTwoStepClassifier:
 
         monkeypatch.setattr(features, "text_stats_features", spy)
         entries = list(dataset)[:120]
-        pipeline = make_pipeline(word_model, classifier_params={
-            "C": 0.5, "tolerance": 1e-3, "max_epochs": 50})
+        pipeline = make_pipeline(feature_cache(word_model, keyword_seeds=CLASS_KEYWORDS),
+                                 classifier_params={"C": 0.5, "tolerance": 1e-3,
+                                                    "max_epochs": 50})
         TwoStepClassifier(pipeline).fit(entries)
         assert len(calls) == len(entries)
 
     @pytest.mark.parametrize("setting", [{"select_k": 10}, {"with_calibration": True}])
-    def test_rejects_selecting_or_calibrating_pipeline(self, word_model, setting):
+    def test_rejects_selecting_or_calibrating_pipeline(self, cache, setting):
         with pytest.raises(ValueError, match="two-step"):
-            TwoStepClassifier(make_pipeline(word_model, **setting))
+            TwoStepClassifier(make_pipeline(cache, **setting))
 
     def test_models_carry_extractor_registry_hash(self, fitted):
         hashes = {m.registry_hash
@@ -242,8 +259,8 @@ class TestTwoStepClassifier:
         for entry in dataset:
             assert loaded.classify(entry) == fitted.classify(entry)
 
-    def test_threshold_one_never_assigns(self, dataset, word_model):
-        classifier = TwoStepClassifier(make_pipeline(word_model), threshold=1.0)
+    def test_threshold_one_never_assigns(self, dataset, cache):
+        classifier = TwoStepClassifier(make_pipeline(cache), threshold=1.0)
         classifier.fit(list(dataset)[:150])
         for entry in list(dataset)[150:170]:
             assert classifier.classify(entry).addressees == ()
@@ -253,15 +270,19 @@ N_UNSEEN = 12
 
 
 @pytest.fixture(scope="module")
-def semantic_two_step(word_model):
-    """Two-step classifier with the semantic group, unseen entries and each
-    entry's classify() result on its own."""
+def semantic_two_step(word_model, tmp_path_factory):
+    """Two-step classifier with the semantic group, saved and loaded as
+    `classify` loads it, unseen entries and each entry's classify() result
+    on its own."""
     ds = generate_comment_dataset(5, n_per_class=12, n_nonmeta=36)
     streams = [preprocess(c, remove_stopwords=True) for c in ds.comments()]
     dm = train_doc_embeddings(
         streams, WordTrainingParams(dim=16, window=5, min_count=2, epochs=10, seed=3),
         DocInferenceParams(steps=10, seed=3))
-    classifier = TwoStepClassifier(make_pipeline(word_model, doc_model=dm)).fit(list(ds))
+    directory = tmp_path_factory.mktemp("semantic_two_step")
+    TwoStepClassifier(make_pipeline(feature_cache(word_model, dm, CLASS_KEYWORDS))) \
+        .fit(list(ds)).save(directory)
+    classifier = TwoStepClassifier.load(directory, dm, threshold=0.8)
     unseen = list(generate_comment_dataset(6, n_per_class=3, n_nonmeta=3,
                                            source_tag="unseen"))
     assert len(unseen) == N_UNSEEN
@@ -291,7 +312,7 @@ class TestClassifyMany:
 
 
 class TestCrossDataset:
-    def test_shifted_vocabulary_asymmetry(self, word_model):
+    def test_shifted_vocabulary_asymmetry(self, cache):
         alt_pools = {
             "Media": ("presse", "zeitung", "verlag"),
             "Journalist": ("schreiber", "blogger", "korrespondent"),
@@ -305,7 +326,7 @@ class TestCrossDataset:
                                         source_tag="b", keyword_pools=mixed_pools)
 
         def factory(seed):
-            return make_pipeline(word_model, seed=seed)
+            return make_pipeline(cache, seed=seed)
 
         a_to_b = cross_dataset_eval(ds_a, ds_b, factory, classes=("Meta",))
         b_to_a = cross_dataset_eval(ds_b, ds_a, factory, classes=("Meta",))
@@ -314,7 +335,7 @@ class TestCrossDataset:
         assert b_to_a["Meta"].recall > a_to_b["Meta"].recall
         assert b_to_a["Meta"].f_beta != a_to_b["Meta"].f_beta
 
-    def test_extractor_fit_on_train_only(self, word_model):
+    def test_extractor_fit_on_train_only(self, cache):
         ds_a = generate_comment_dataset(13, n_per_class=10, n_nonmeta=30, source_tag="a")
         ds_b = generate_comment_dataset(14, n_per_class=10, n_nonmeta=30, source_tag="b")
         seen = {}
@@ -326,8 +347,7 @@ class TestCrossDataset:
                 return self
 
         def factory(seed):
-            return RecordingPipeline(word_model=word_model,
-                                     keyword_seeds=CLASS_KEYWORDS, seed=seed,
+            return RecordingPipeline(cache, seed=seed,
                                      classifier_params={"tolerance": 1e-3,
                                                         "max_epochs": 50})
 
@@ -336,10 +356,10 @@ class TestCrossDataset:
 
 
 class TestExtractorPersistence:
-    def test_round_trip(self, tmp_path, dataset, word_model):
+    def test_round_trip(self, tmp_path, dataset, cache):
         entries = list(dataset)
         y = binary_labels(dataset, "Meta")
-        pipeline = make_pipeline(word_model).fit(entries, y)
+        pipeline = make_pipeline(cache).fit(entries, y)
         path = tmp_path / "extractor.json"
         save_extractor(pipeline.extractor, path)
         assert path.read_bytes() == json_dump_bytes(json.loads(path.read_text("utf-8")))
