@@ -176,6 +176,18 @@ def _select_k(args):
     return check_select_k(value, "--select-k")
 
 
+def _check_beta(value, name: str = "--beta"):
+    """value if it is a finite number above 0, not a bool; else ValueError naming `name`."""
+    if type(value) in (int, float) and 0 < value < float("inf"):
+        return value
+    raise ValueError(f"{name} must be a finite number above 0, got {value!r}")
+
+
+def _check_threshold(value: float) -> None:
+    if not 0 <= value <= 1:
+        raise ValueError(f"--threshold must be a number from 0 to 1, got {value!r}")
+
+
 def _metrics_dict(metrics: Metrics) -> dict:
     return {"precision": metrics.precision, "recall": metrics.recall,
             "f_beta": metrics.f_beta, "beta": metrics.beta,
@@ -261,15 +273,15 @@ def cmd_features(args) -> int:
 
 
 def cmd_train(args) -> int:
+    _check_threshold(args.threshold)
     ds = load_dataset(args.input)
     entries = list(ds)
     pipeline = _pipeline_from_args(args, _features(args),
                                    derive_seed(args.seed, "train"))
     if args.two_step:
         # rejects --select-k and --calibrate before anything is written
-        classifier = TwoStepClassifier(pipeline, threshold=args.threshold)
+        classifier = TwoStepClassifier.fit(pipeline, entries, threshold=args.threshold)
         out = _out_dir(args)
-        classifier.fit(entries)
         classifier.save(out)
         print(f"trained two-step classifier on {len(entries)} comments")
     else:
@@ -286,6 +298,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
+    _check_beta(args.beta)
     ds = load_dataset(args.input)
     features = _features(args)
     entries = list(ds)
@@ -323,7 +336,9 @@ def cmd_grid_search(args) -> int:
     counts = raw.get("feature_counts", ["all"])
     if not isinstance(counts, list) or not counts:
         raise ValueError(f"{args.grid}: \"feature_counts\" must be a non-empty list")
-    grid = GridSpec(params=params, beta=raw.get("beta", args.beta), feature_counts=tuple(
+    # a grid file's "beta" replaces --beta
+    beta = _check_beta(raw.get("beta", _check_beta(args.beta)), f"{args.grid}: \"beta\"")
+    grid = GridSpec(params=params, beta=beta, feature_counts=tuple(
         check_select_k(k, f"{args.grid}: each \"feature_counts\" value") for k in counts))
     features = _features(args)
     entries = list(ds)
@@ -349,6 +364,7 @@ def cmd_grid_search(args) -> int:
 
 
 def cmd_cross_eval(args) -> int:
+    _check_beta(args.beta)
     train_ds = load_dataset(args.train, "train")
     test_ds = load_dataset(args.test, "test")
     features = _features(args)
@@ -371,6 +387,7 @@ def cmd_cross_eval(args) -> int:
 
 
 def cmd_classify(args) -> int:
+    _check_threshold(args.threshold)
     ds = load_dataset(args.input)
     models_dir = Path(args.models)
     doc_model = DocEmbeddingModel.load(args.doc_model) if args.doc_model else None

@@ -13,7 +13,7 @@ import itertools
 import logging
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -117,15 +117,9 @@ def _item_id(item) -> Optional[str]:
     return getattr(item, "id", None)
 
 
-def _check_no_leak(pipeline, train_items, test_items) -> None:
-    fitted_ids = getattr(pipeline, "fitted_ids", None)
-    if fitted_ids is None:
-        return
-    seen = fitted_ids() if callable(fitted_ids) else fitted_ids
-    if seen is None:
-        return
-    test_ids = {i for i in (_item_id(item) for item in test_items) if i is not None}
-    leaked = set(seen) & test_ids
+def _check_no_leak(pipeline, test_items) -> None:
+    seen = pipeline.fitted_ids() if hasattr(pipeline, "fitted_ids") else None
+    leaked = set(seen or ()) & {_item_id(item) for item in test_items}
     if leaked:
         raise LeakError(f"transformer was fit on test-fold comments: "
                         f"{sorted(leaked)[:5]}")
@@ -162,7 +156,7 @@ def cross_validate(pipeline_factory: Callable, items: Sequence, y,
             pipeline.fit(train_items, y[train_idx])
         except Exception as exc:
             raise EvaluationError(f"fold {fold_index}: {exc}") from exc
-        _check_no_leak(pipeline, train_items, test_items)
+        _check_no_leak(pipeline, test_items)
         predictions = np.asarray(pipeline.predict(test_items), dtype=int)
         return Metrics.from_predictions(y[test_idx], predictions, beta)
 
@@ -291,8 +285,9 @@ def two_step_classify(meta_model: TrainedModel, addressee_models: Dict[str, Trai
 
 # -- cross-dataset evaluation ----------------------------------------------------
 
-def binary_labels(ds: LabeledDataset, target: str) -> np.ndarray:
-    """One-vs-all labels: 1 when the entry carries the target label."""
+def binary_labels(ds: Iterable, target: str) -> np.ndarray:
+    """One-vs-all labels of a LabeledDataset or a list of its (comment,
+    labels) entries: 1 when the entry carries the target label."""
     return np.array([1 if target in labels else 0 for _, labels in ds], dtype=int)
 
 
@@ -320,7 +315,7 @@ def cross_dataset_eval(train_ds: LabeledDataset, test_ds: LabeledDataset,
             raise EvaluationError(f"{len(shared_ids)} comment ids are in both the "
                                   f"training and the test dataset: {shared_ids[:5]}")
         pipeline.fit(train_items, y_train)
-        _check_no_leak(pipeline, train_items, test_items)
+        _check_no_leak(pipeline, test_items)
         predictions = np.asarray(pipeline.predict(test_items), dtype=int)
         results[cls] = Metrics.from_predictions(y_test, predictions, beta)
     return results

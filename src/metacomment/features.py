@@ -141,7 +141,6 @@ class TfidfModel:
     vocabulary: dict  # ngram -> column index
     document_frequencies: np.ndarray
     n_docs: int
-    fitted_ids: frozenset = frozenset()
 
     @cached_property
     def idf(self) -> np.ndarray:
@@ -167,8 +166,7 @@ def tfidf_fit(corpus: Sequence[TokenStream]) -> TfidfModel:
                 df_counts[idx] += 1
     return TfidfModel(vocabulary=vocabulary,
                       document_frequencies=np.array(df_counts, dtype=np.int64),
-                      n_docs=len(corpus),
-                      fitted_ids=frozenset(ts.source_id for ts in corpus))
+                      n_docs=len(corpus))
 
 
 def tfidf_transform(model: TfidfModel, ts: TokenStream) -> dict:
@@ -372,7 +370,7 @@ class FeatureExtractor:
                  departments: Optional[Sequence[str]] = None,
                  sentiment_lexicon: Optional[dict] = None,
                  stopwords: Optional[FrozenSet[str]] = None,
-                 extra_fitted_ids: Iterable[str] = ()):
+                 fitted_ids: Iterable[str] = ()):
         if class_vecs and doc_model is None:
             raise FeatureError("class vectors given without the comment embedding "
                                "model (doc model) they were computed with")
@@ -385,7 +383,7 @@ class FeatureExtractor:
         self.sentiment_lexicon = sentiment_lexicon \
             if sentiment_lexicon is not None else default_sentiment_lexicon()
         self.stopwords = stopwords
-        self._extra_fitted_ids = frozenset(extra_fitted_ids)
+        self._ids = frozenset(fitted_ids)
         # enriched keywords of every addressee class, first occurrence kept
         self._keyword_tokens = tuple(dict.fromkeys(
             token for label in ADDRESSEE_LABELS if label in self.keyword_sets
@@ -413,15 +411,15 @@ class FeatureExtractor:
         return self._hash
 
     def fitted_ids(self) -> frozenset:
-        ids = set(self._extra_fitted_ids)
-        if self.tfidf is not None:
-            ids |= self.tfidf.fitted_ids
-        return frozenset(ids)
+        """Ids of the comments that the fitted models were fit on."""
+        return self._ids
 
-    def _unlabeled_inputs(self) -> tuple:
-        """What the fold-invariant columns depend on besides the comment."""
-        return (self.keyword_sets, self.doc_model, self.departments,
-                self.sentiment_lexicon, self.stopwords)
+    def _unlabeled_inputs(self) -> dict:
+        """What the fold-invariant columns depend on besides the comment, as
+        keyword arguments of the constructor."""
+        return {"keyword_sets": self.keyword_sets, "doc_model": self.doc_model,
+                "departments": self.departments,
+                "sentiment_lexicon": self.sentiment_lexicon, "stopwords": self.stopwords}
 
     def new_cache(self) -> "FeatureCache":
         """An empty cache for this extractor's unlabeled inputs."""
@@ -505,7 +503,7 @@ class FeatureCache:
     def __init__(self, extractor: FeatureExtractor):
         self.inputs = extractor._unlabeled_inputs()
         keyword_sets, self.doc_model, self.departments, self.lexicon, self.stopwords = \
-            self.inputs
+            self.inputs.values()
         self._patterns = [compile_keyword_pattern(keyword_sets[label].enriched)
                           for label in ADDRESSEE_LABELS if label in keyword_sets]
         fixed = [*extractor._head, *TEXT_STAT_NAMES, *extractor._tail]

@@ -9,6 +9,7 @@ evaluation harness can verify that.
 from __future__ import annotations
 
 import logging
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -25,7 +26,7 @@ from .classifiers import (
 )
 from .corpus import ADDRESSEE_LABELS, CLASS_ORDER, Comment, LabelSet
 from .embeddings import DocEmbeddingModel, WordEmbeddingModel
-from .evaluation import TwoStepResult, stratified_k_fold, two_step_classify
+from .evaluation import TwoStepResult, binary_labels, stratified_k_fold, two_step_classify
 from .features import (
     ClassVector,
     FeatureCache,
@@ -50,10 +51,6 @@ Entry = Tuple[Comment, LabelSet]
 
 def _comments(entries: Sequence) -> List[Comment]:
     return [entry[0] if isinstance(entry, tuple) else entry for entry in entries]
-
-
-def _label_sets(entries: Sequence) -> List[LabelSet]:
-    return [entry[1] if isinstance(entry, tuple) else LabelSet() for entry in entries]
 
 
 def build_keyword_sets(word_model: Optional[WordEmbeddingModel],
@@ -104,11 +101,10 @@ class FeaturePipeline:
     features is the FeatureCache (see feature_cache) of the dataset the
     pipeline fits and predicts on. Fitting builds the tf-idf model always,
     and the class vectors of the semantic group when the cache has a doc
-    model. features=None serves only a pipeline that is loaded, not fit:
-    each prediction then builds and drops a cache of its own.
+    model.
     """
 
-    def __init__(self, features: Optional[FeatureCache],
+    def __init__(self, features: FeatureCache,
                  classifier: str = "linear_svm",
                  classifier_params: Optional[dict] = None,
                  select_k="all", with_calibration: bool = False, seed: int = 0):
@@ -126,25 +122,18 @@ class FeaturePipeline:
         self.model: Optional[TrainedModel] = None
         self.selected: Optional[tuple] = None
         self._columns: Optional[np.ndarray] = None  # selected columns; None: all
-        self._fitted_ids: Optional[frozenset] = None
 
     def _fit_extractor(self, entries: Sequence[Entry]) -> FeatureExtractor:
         cache = self.features
-        if cache is None:
-            raise ValueError("a FeaturePipeline without a feature cache cannot be "
-                             "fit; pass features=feature_cache(...)")
         comments = _comments(entries)
         tfidf = tfidf_fit(cache.streams(comments))
         class_vecs = None
         if cache.doc_model is not None:
-            label_sets = _label_sets(entries)
+            label_sets = [e[1] if isinstance(e, tuple) else LabelSet() for e in entries]
             present = [cls for cls in CLASS_ORDER if any(cls in ls for ls in label_sets)]
             class_vecs = class_means(cache.vectors(comments), label_sets, present)
-        keyword_sets, doc_model, departments, lexicon, stopwords = cache.inputs
-        return FeatureExtractor(
-            keyword_sets=keyword_sets, tfidf=tfidf, doc_model=doc_model,
-            class_vecs=class_vecs, departments=departments, sentiment_lexicon=lexicon,
-            stopwords=stopwords, extra_fitted_ids=[c.id for c in comments])
+        return FeatureExtractor(**cache.inputs, tfidf=tfidf, class_vecs=class_vecs,
+                                fitted_ids=[c.id for c in comments])
 
     def fit(self, entries: Sequence[Entry], y) -> "FeaturePipeline":
         self._fit(entries, y)
@@ -167,22 +156,22 @@ class FeaturePipeline:
         else:
             self.selected = registry
             self._columns = None
-
-        if self.with_calibration:
-            train_idx, holdout_idx = stratified_k_fold(y, 5, self.seed)[0]
-            model = self._train(X[train_idx], y[train_idx])
-            self.model = calibrate(model, X[holdout_idx], y[holdout_idx])
-        else:
-            self.model = self._train(X, y)
-        self._fitted_ids = self.extractor.fitted_ids()
+        self.model = self._train(X, y, self.with_calibration)
         return X
 
-    def _train(self, X: np.ndarray, y: np.ndarray) -> TrainedModel:
+    def _train(self, X: np.ndarray, y: np.ndarray,
+               calibrated: bool = False) -> TrainedModel:
         """One classifier over the selected columns, tied to the extractor.
 
-        The model stores its column names only when select-k picked a subset;
+        A calibrated one is trained on the first of 5 stratified folds drawn
+        from the pipeline seed and calibrated on that fold's holdout. The
+        model stores its column names only when select-k picked a subset;
         over all columns, the extractor's registry hash already fixes them.
         """
+        if calibrated:
+            train_idx, holdout_idx = stratified_k_fold(y, 5, self.seed)[0]
+            return calibrate(self._train(X[train_idx], y[train_idx]),
+                             X[holdout_idx], y[holdout_idx])
         registry = self.selected if self._columns is not None else None
         return train_classifier(self.classifier, X, y, self.classifier_params,
                                 registry=registry,
@@ -198,7 +187,7 @@ class FeaturePipeline:
         return self.model.predict_many(self._matrix(entries))
 
     def fitted_ids(self) -> Optional[frozenset]:
-        return self._fitted_ids
+        return None if self.extractor is None else self.extractor.fitted_ids()
 
 
 class CnnPipeline:
@@ -216,7 +205,7 @@ class CnnPipeline:
             CnnConfig(**{**base.__dict__, "seed": seed})
         self.model = None
         self.loss_history: Optional[List[float]] = None
-        self._fitted_ids: Optional[frozenset] = None
+        self._ids: Optional[frozenset] = None
 
     def _encode(self, entries: Sequence[Entry]) -> np.ndarray:
         return np.array([self.model.encode(preprocess(c).tokens)
@@ -226,7 +215,7 @@ class CnnPipeline:
         self.model = build_cnn(self.word_model, self.config)
         sequences = self._encode(entries)
         self.loss_history = train_cnn(self.model, sequences, np.asarray(y, dtype=int))
-        self._fitted_ids = frozenset(c.id for c in _comments(entries))
+        self._ids = frozenset(c.id for c in _comments(entries))
         return self
 
     def predict_proba(self, entries: Sequence[Entry]) -> np.ndarray:
@@ -238,47 +227,45 @@ class CnnPipeline:
         return self.predict_proba(entries).argmax(axis=1)
 
     def fitted_ids(self) -> Optional[frozenset]:
-        return self._fitted_ids
+        return self._ids
 
 
+@dataclass(eq=False)
 class TwoStepClassifier:
     """Meta gate plus calibrated one-vs-all addressee models.
 
-    All four models share the extractor that `pipeline` fits on the training
-    entries, which keeps them on the same feature registry as the two-step
-    contract requires. The pipeline must therefore keep every column, and
-    it must not calibrate: the gate is uncalibrated and the addressee models
-    are calibrated here. The pipeline's seed also draws the addressee
-    models' calibration holdouts.
+    All four models read every column of one extractor, which keeps them on
+    the same feature registry as the two-step contract requires. fit()
+    trains them; load() reads a directory that save() wrote.
     """
 
-    def __init__(self, pipeline: FeaturePipeline, threshold: float = 0.8):
+    extractor: FeatureExtractor
+    meta_model: TrainedModel
+    addressee_models: Dict[str, TrainedModel]
+    threshold: float = 0.8
+
+    @classmethod
+    def fit(cls, pipeline: FeaturePipeline, entries: Sequence[Entry],
+            threshold: float = 0.8) -> "TwoStepClassifier":
+        """Fit pipeline on entries as the meta gate, then one model per
+        addressee with examples over the gate's matrix, calibrated on a
+        holdout drawn from the pipeline's seed. So the pipeline must keep
+        every column and must not calibrate."""
         if pipeline.select_k != "all":
             raise ValueError("two-step models use every feature column; "
                              f"select_k must be 'all', got {pipeline.select_k!r}")
         if pipeline.with_calibration:
             raise ValueError("two-step training calibrates the addressee models "
                              "itself; the feature pipeline must not calibrate")
-        self.pipeline = pipeline
-        self.threshold = threshold
-        self.meta_model: Optional[TrainedModel] = None
-        self.addressee_models: Dict[str, TrainedModel] = {}
-
-    def fit(self, entries: Sequence[Entry]) -> "TwoStepClassifier":
-        label_sets = _label_sets(entries)
-        y_meta = np.array([1 if ls.is_meta else 0 for ls in label_sets])
-        X = self.pipeline._fit(entries, y_meta)
-        self.meta_model = self.pipeline.model
+        X = pipeline._fit(entries, binary_labels(entries, "Meta"))
+        addressee_models = {}
         for label in ADDRESSEE_LABELS:
-            y = np.array([1 if label in ls else 0 for ls in label_sets])
+            y = binary_labels(entries, label)
             if len(np.unique(y)) < 2:
                 logger.warning("no %s examples; skipping that addressee model", label)
                 continue
-            train_idx, holdout_idx = stratified_k_fold(y, 5, self.pipeline.seed)[0]
-            model = self.pipeline._train(X[train_idx], y[train_idx])
-            self.addressee_models[label] = calibrate(model, X[holdout_idx],
-                                                     y[holdout_idx])
-        return self
+            addressee_models[label] = pipeline._train(X, y, calibrated=True)
+        return cls(pipeline.extractor, pipeline.model, addressee_models, threshold)
 
     def classify(self, entry) -> TwoStepResult:
         return self.classify_many([entry])[0]
@@ -289,7 +276,7 @@ class TwoStepClassifier:
         Each row is decided on its own 1 x n slice, so a result does not
         depend on which other entries share the batch.
         """
-        X = self.pipeline._matrix(entries)
+        X = self.extractor.matrix(_comments(entries))
         return [two_step_classify(self.meta_model, self.addressee_models, X[i:i + 1],
                                   threshold=self.threshold)
                 for i in range(len(X))]
@@ -305,10 +292,9 @@ class TwoStepClassifier:
     def save(self, directory) -> None:
         """Write every file of files(directory) but those of skipped addressees."""
         files = self.files(directory)
-        save_extractor(self.pipeline.extractor, files["extractor"])
-        save_model(self.meta_model, files["meta"])
-        for label, model in self.addressee_models.items():
-            save_model(model, files[label])
+        save_extractor(self.extractor, files["extractor"])
+        for role, model in {"meta": self.meta_model, **self.addressee_models}.items():
+            save_model(model, files[role])
 
     @classmethod
     def load(cls, directory, doc_model: Optional[DocEmbeddingModel],
@@ -319,21 +305,10 @@ class TwoStepClassifier:
         RegistryMismatch otherwise. Absent addressee files are skipped.
         """
         files = cls.files(directory)
-        classifier = cls(FeaturePipeline(None), threshold=threshold)
-        extractor = load_extractor(files["extractor"], doc_model=doc_model)
-        meta_model = load_model(files["meta"], registry_hash=extractor.registry_hash)
-        for label in ADDRESSEE_LABELS:
-            if files[label].is_file():
-                classifier.addressee_models[label] = load_model(
-                    files[label], registry_hash=extractor.registry_hash)
-        classifier.pipeline.extractor = extractor
-        classifier.pipeline.model = classifier.meta_model = meta_model
-        classifier.pipeline.selected = extractor.registry
-        classifier.pipeline._fitted_ids = extractor.fitted_ids()
-        return classifier
-
-    def fitted_ids(self) -> Optional[frozenset]:
-        return self.pipeline.fitted_ids()
+        extractor = load_extractor(files.pop("extractor"), doc_model=doc_model)
+        models = {role: load_model(path, registry_hash=extractor.registry_hash)
+                  for role, path in files.items() if role == "meta" or path.is_file()}
+        return cls(extractor, models.pop("meta"), models, threshold)
 
 
 # -- extractor persistence ----------------------------------------------------
@@ -349,8 +324,7 @@ def save_extractor(extractor: FeatureExtractor, path) -> None:
         "tfidf": None if extractor.tfidf is None else {
             "vocabulary": list(extractor.tfidf.vocabulary),
             "document_frequencies": extractor.tfidf.document_frequencies.tolist(),
-            "n_docs": extractor.tfidf.n_docs,
-            "fitted_ids": sorted(extractor.tfidf.fitted_ids)},
+            "n_docs": extractor.tfidf.n_docs},
         "class_vectors": [{"label": cv.label, "vector": cv.vector.tolist()}
                           for cv in extractor.class_vecs],
         "departments": list(extractor.departments),
@@ -364,8 +338,9 @@ def save_extractor(extractor: FeatureExtractor, path) -> None:
 def load_extractor(path, doc_model: Optional[DocEmbeddingModel] = None) -> FeatureExtractor:
     """Read a file written by save_extractor().
 
-    The feature groups follow from the stored fitted pieces. The "config"
-    object of group toggles that older files carry is not read. Where it
+    The feature groups follow from the stored fitted pieces. Two keys that
+    older files carry are not read: "tfidf.fitted_ids", a copy of the
+    top-level "fitted_ids", and the "config" object of group toggles. Where it
     had turned a stored group off, the registry differs from the one the
     models were trained on, and TwoStepClassifier.load rejects them by
     registry hash.
@@ -381,7 +356,7 @@ def load_extractor(path, doc_model: Optional[DocEmbeddingModel] = None) -> Featu
         tfidf = TfidfModel(
             vocabulary={gram: i for i, gram in enumerate(raw["vocabulary"])},
             document_frequencies=np.array(raw["document_frequencies"], dtype=np.int64),
-            n_docs=raw["n_docs"], fitted_ids=frozenset(raw["fitted_ids"]))
+            n_docs=raw["n_docs"])
     class_vecs = [ClassVector(cv["label"], np.array(cv["vector"]))
                   for cv in data["class_vectors"]] or None
     return FeatureExtractor(
@@ -389,4 +364,4 @@ def load_extractor(path, doc_model: Optional[DocEmbeddingModel] = None) -> Featu
         class_vecs=class_vecs, departments=data["departments"],
         sentiment_lexicon=data["sentiment_lexicon"],
         stopwords=frozenset(data["stopwords"]) if data["stopwords"] else None,
-        extra_fitted_ids=data["fitted_ids"])
+        fitted_ids=data["fitted_ids"])

@@ -371,6 +371,18 @@ class TestTrainAndClassify:
         assert "two-step" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("value", ["80", "nan", "-1", "inf"])
+    @pytest.mark.parametrize("command", ["classify", "train"])
+    def test_rejects_threshold_out_of_range(self, workspace, models_dir, tmp_path, capsys,
+                                            monkeypatch, command, value):
+        argv = ["classify", "--input", str(workspace["dataset"]),
+                "--models", str(models_dir)] if command == "classify" \
+            else _two_step_args(workspace, tmp_path / "out")[:-2]  # no --out
+        _assert_rejected_before_any_fit(
+            [*argv, "--threshold", value], None,
+            f"--threshold must be a number from 0 to 1, got {float(value)!r}",
+            tmp_path, capsys, monkeypatch)
+
     def test_classify_needs_doc_model_for_class_vectors(self, workspace, models_dir,
                                                         tmp_path, capsys):
         models = tmp_path / "models"
@@ -591,18 +603,35 @@ class TestEvaluateAndGrid:
     ])
     def test_rejects_feature_count_before_any_fit(self, workspace, tmp_path, capsys,
                                                    monkeypatch, argv, grid, message):
-        fits = []
-        monkeypatch.setattr(FeaturePipeline, "_fit_extractor",
-                            lambda self, entries: fits.append(entries))
-        if grid is not None:
-            (tmp_path / "grid.json").write_text(json.dumps(grid), encoding="utf-8")
-            argv = argv + ["--grid", str(tmp_path / "grid.json")]
-        out = tmp_path / "out"
-        rc = main([*argv, "--input", str(workspace["dataset"]), "--out", str(out)])
-        assert rc == 2
-        err = capsys.readouterr().err
-        assert message in err and "Traceback" not in err
-        assert fits == [] and not out.exists()
+        _assert_rejected_before_any_fit(
+            [*argv, "--input", str(workspace["dataset"])], grid, message,
+            tmp_path, capsys, monkeypatch)
+
+    @pytest.mark.parametrize("argv,grid,message", [
+        (["evaluate", "--beta", "nan"], None,
+         "--beta must be a finite number above 0, got nan"),
+        (["evaluate", "--beta", "-1"], None,
+         "--beta must be a finite number above 0, got -1.0"),
+        (["evaluate", "--beta", "0"], None,
+         "--beta must be a finite number above 0, got 0.0"),
+        (["cross-eval", "--beta", "inf"], None,
+         "--beta must be a finite number above 0, got inf"),
+        (["grid-search", "--beta", "nan"], {"params": {}},
+         "--beta must be a finite number above 0, got nan"),
+        (["grid-search"], {"params": {}, "beta": "x"},
+         "grid.json: \"beta\" must be a finite number above 0, got 'x'"),
+        (["grid-search"], {"params": {}, "beta": True},
+         "grid.json: \"beta\" must be a finite number above 0, got True"),
+        (["grid-search"], {"params": {}, "beta": -1},
+         "grid.json: \"beta\" must be a finite number above 0, got -1"),
+    ])
+    def test_rejects_beta_before_any_fit(self, workspace, tmp_path, capsys, monkeypatch,
+                                         argv, grid, message):
+        data = str(workspace["dataset"])
+        inputs = ["--train", data, "--test", data] if argv[0] == "cross-eval" \
+            else ["--input", data]
+        _assert_rejected_before_any_fit([*argv, *inputs], grid, message,
+                                        tmp_path, capsys, monkeypatch)
 
     def test_evaluate_reads_word_lists_once(self, workspace, tmp_path, monkeypatch):
         stopwords = tmp_path / "stopwords.txt"
@@ -636,6 +665,23 @@ class TestEvaluateAndGrid:
         text = capsys.readouterr().out
         assert "precision" in text
         assert "Meta" in text
+
+
+def _assert_rejected_before_any_fit(argv, grid, message, tmp_path, capsys, monkeypatch):
+    """argv, with --grid naming a file of grid when it is given, exits 2 with
+    message before fitting any extractor or writing to its --out."""
+    fits = []
+    monkeypatch.setattr(FeaturePipeline, "_fit_extractor",
+                        lambda self, entries: fits.append(entries))
+    if grid is not None:
+        (tmp_path / "grid.json").write_text(json.dumps(grid), encoding="utf-8")
+        argv = argv + ["--grid", str(tmp_path / "grid.json")]
+    out = tmp_path / "out"
+    rc = main([*argv, "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+    assert fits == [] and not out.exists()
 
 
 class TestRejectedJsonFiles:

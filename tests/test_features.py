@@ -199,10 +199,6 @@ class TestTfidf:
                 for g in want:
                     assert got[g] == pytest.approx(want[g], abs=1e-12)
 
-    def test_records_fitted_ids(self):
-        model = tfidf_fit([TokenStream(("a",), "d1"), TokenStream(("b",), "d2")])
-        assert model.fitted_ids == {"d1", "d2"}
-
 
 class TestTextStats:
     def test_sentence_initial_sie_not_counted(self):

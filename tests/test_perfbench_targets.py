@@ -1,9 +1,9 @@
 """The benchmark is coupled to the package by name. The traced run looks up
 package names by attribute: every (module, owner, attribute) in
 perfbench/spans.py's TARGETS, and the keyword pattern compiler it wraps, must
-exist. perfbench/run.py calls subcommands with fixed flags, which the
-parser must accept. Breaking either shows only in a benchmark run, so check
-them here."""
+exist, and the spans of the serving path must still be called.
+perfbench/run.py calls subcommands with fixed flags, which the parser must
+accept. Breaking either shows only in a benchmark run, so check them here."""
 
 import argparse
 import ast
@@ -11,7 +11,10 @@ import importlib
 import types
 from pathlib import Path
 
-from metacomment.cli import build_parser
+from metacomment.cli import build_parser, main
+from metacomment.corpus import save_dataset
+
+from synthdata import generate_comment_dataset
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 SPANS = PERFBENCH / "spans.py"
@@ -39,6 +42,29 @@ def test_every_traced_target_resolves():
     assert not missing
     features = importlib.import_module("metacomment.features")
     assert callable(features.compile_keyword_pattern)
+
+
+def test_serving_path_spans_are_called(tmp_path):
+    # a target that resolves but is no longer called records no span
+    spans = _load_spans()
+    dataset = tmp_path / "dataset.jsonl"
+    save_dataset(generate_comment_dataset(0, n_per_class=10, n_nonmeta=30), dataset)
+    tracer = spans.Tracer()
+    instrumentation = spans.Instrumentation(tracer)
+    try:
+        instrumentation.install()
+        assert main(["train", "--input", str(dataset), "--two-step",
+                     "--params", "C=0.5,tolerance=0.001,max_epochs=50",
+                     "--out", str(tmp_path / "models")]) == 0
+        assert main(["classify", "--input", str(dataset), "--models",
+                     str(tmp_path / "models"), "--out", str(tmp_path / "classified")]) == 0
+    finally:
+        instrumentation.remove()
+    calls = {name: entry["calls"] for name, entry in tracer.summary().items()}
+    expected = ("pipeline.two_step_fit", "features.fit_extractor", "classifiers.calibrate",
+                "pipeline.save_extractor", "pipeline.load_extractor",
+                "classifiers.load_model", "evaluation.two_step_classify")
+    assert {name: calls.get(name, 0) for name in expected if not calls.get(name)} == {}
 
 
 def _benchmark_command_lines():

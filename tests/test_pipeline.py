@@ -126,10 +126,6 @@ class TestFeaturePipeline:
         with pytest.raises(ValueError, match="select_k must be 'all' or an integer >= 1"):
             make_pipeline(cache, select_k=select_k)
 
-    def test_fit_needs_a_feature_cache(self, dataset):
-        with pytest.raises(ValueError, match="without a feature cache"):
-            make_pipeline(None).fit(list(dataset), binary_labels(dataset, "Meta"))
-
 
 class TestCnnPipeline:
     CONFIG = CnnConfig(max_len=32, n_filters=16, kernel_size=3, dense_units=16,
@@ -152,8 +148,7 @@ class TestCnnPipeline:
 
 @pytest.fixture(scope="module")
 def fitted(dataset, cache):
-    classifier = TwoStepClassifier(make_pipeline(cache), threshold=0.8)
-    return classifier.fit(list(dataset))
+    return TwoStepClassifier.fit(make_pipeline(cache), list(dataset), threshold=0.8)
 
 
 class TestTwoStepClassifier:
@@ -194,18 +189,20 @@ class TestTwoStepClassifier:
         pipeline = make_pipeline(feature_cache(word_model, keyword_seeds=CLASS_KEYWORDS),
                                  classifier_params={"C": 0.5, "tolerance": 1e-3,
                                                     "max_epochs": 50})
-        TwoStepClassifier(pipeline).fit(entries)
+        TwoStepClassifier.fit(pipeline, entries)
         assert len(calls) == len(entries)
 
     @pytest.mark.parametrize("setting", [{"select_k": 10}, {"with_calibration": True}])
-    def test_rejects_selecting_or_calibrating_pipeline(self, cache, setting):
+    def test_rejects_selecting_or_calibrating_pipeline(self, dataset, cache, setting):
+        pipeline = make_pipeline(cache, **setting)
         with pytest.raises(ValueError, match="two-step"):
-            TwoStepClassifier(make_pipeline(cache, **setting))
+            TwoStepClassifier.fit(pipeline, list(dataset))
+        assert pipeline.extractor is None  # rejected before fitting
 
     def test_models_carry_extractor_registry_hash(self, fitted):
         hashes = {m.registry_hash
                   for m in (fitted.meta_model, *fitted.addressee_models.values())}
-        assert hashes == {fitted.pipeline.extractor.registry_hash}
+        assert hashes == {fitted.extractor.registry_hash}
 
     def test_save_load_round_trip(self, fitted, dataset, tmp_path):
         fitted.save(tmp_path)
@@ -213,7 +210,7 @@ class TestTwoStepClassifier:
             "addressee_journalist.json", "addressee_media.json",
             "addressee_moderator.json", "extractor.json", "meta.json"]
         loaded = TwoStepClassifier.load(tmp_path, None, fitted.threshold)
-        assert loaded.pipeline.extractor.registry == fitted.pipeline.extractor.registry
+        assert loaded.extractor.registry == fitted.extractor.registry
         for entry in dataset:
             assert loaded.classify(entry) == fitted.classify(entry)
 
@@ -224,12 +221,12 @@ class TestTwoStepClassifier:
         for name in names:
             data = json.loads((tmp_path / name).read_text(encoding="utf-8"))
             assert data["registry"] is None, name
-            assert data["registry_hash"] == fitted.pipeline.extractor.registry_hash
+            assert data["registry_hash"] == fitted.extractor.registry_hash
 
     def test_models_with_full_registry_still_load(self, fitted, dataset, tmp_path):
         # model files that repeat the extractor's registry, as older saves did
         fitted.save(tmp_path)
-        registry = tuple(fitted.pipeline.extractor.registry)
+        registry = tuple(fitted.extractor.registry)
         models = {"meta.json": fitted.meta_model,
                   **{f"addressee_{label.lower()}.json": model
                      for label, model in fitted.addressee_models.items()}}
@@ -244,26 +241,52 @@ class TestTwoStepClassifier:
     def test_extractor_with_config_object_still_loads(self, fitted, dataset, tmp_path):
         # extractor.json as earlier versions wrote it: with a "config" object
         # of feature-group toggles, here the one that fit without a doc model
-        fitted.save(tmp_path)
-        path = tmp_path / "extractor.json"
-        data = json.loads(path.read_text(encoding="utf-8"))
+        data = _saved_extractor(fitted, tmp_path)
         assert "config" not in data
         data["config"] = {"regex": True, "keywords": True, "tfidf": True, "text": True,
                           "semantic": False, "semantic_dims": False, "metadata": True}
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            json.dump(data, fh, ensure_ascii=False, sort_keys=True)
-            fh.write("\n")
+        _assert_loads_as_fitted(fitted, dataset, tmp_path, data)
+
+    def test_extractor_with_tfidf_fitted_ids_still_loads(self, fitted, dataset, tmp_path):
+        # extractor.json as earlier versions wrote it: with a copy of the
+        # fitted ids in the tf-idf object
+        data = _saved_extractor(fitted, tmp_path)
+        data["tfidf"]["fitted_ids"] = list(data["fitted_ids"])
+        loaded = _assert_loads_as_fitted(fitted, dataset, tmp_path, data)
+        assert loaded.extractor.fitted_ids() == fitted.extractor.fitted_ids()
+
+    def test_extractor_stores_fitted_ids_once(self, fitted, dataset, tmp_path):
+        data = _saved_extractor(fitted, tmp_path)
+        assert data["fitted_ids"] == sorted(c.id for c, _ in dataset)
+        assert "fitted_ids" not in data["tfidf"]
+        text = (tmp_path / "extractor.json").read_text(encoding="utf-8")
+        assert text.count('"fitted_ids"') == 1
         loaded = TwoStepClassifier.load(tmp_path, None, fitted.threshold)
-        assert loaded.pipeline.extractor.registry_hash \
-            == fitted.pipeline.extractor.registry_hash
-        for entry in dataset:
-            assert loaded.classify(entry) == fitted.classify(entry)
+        assert loaded.extractor.fitted_ids() == frozenset(data["fitted_ids"])
 
     def test_threshold_one_never_assigns(self, dataset, cache):
-        classifier = TwoStepClassifier(make_pipeline(cache), threshold=1.0)
-        classifier.fit(list(dataset)[:150])
+        classifier = TwoStepClassifier.fit(make_pipeline(cache), list(dataset)[:150],
+                                           threshold=1.0)
         for entry in list(dataset)[150:170]:
             assert classifier.classify(entry).addressees == ()
+
+
+def _saved_extractor(classifier, directory) -> dict:
+    classifier.save(directory)
+    return json.loads((directory / "extractor.json").read_text(encoding="utf-8"))
+
+
+def _assert_loads_as_fitted(fitted, dataset, directory, data) -> TwoStepClassifier:
+    """Write data as directory's extractor.json, load the directory and check
+    that it classifies every entry as fitted does."""
+    with open(directory / "extractor.json", "w", encoding="utf-8", newline="\n") as fh:
+        json.dump(data, fh, ensure_ascii=False, sort_keys=True)
+        fh.write("\n")
+    loaded = TwoStepClassifier.load(directory, None, fitted.threshold)
+    assert loaded.extractor.registry_hash == fitted.extractor.registry_hash
+    for entry in dataset:
+        assert loaded.classify(entry) == fitted.classify(entry)
+    return loaded
 
 
 N_UNSEEN = 12
@@ -280,8 +303,8 @@ def semantic_two_step(word_model, tmp_path_factory):
         streams, WordTrainingParams(dim=16, window=5, min_count=2, epochs=10, seed=3),
         DocInferenceParams(steps=10, seed=3))
     directory = tmp_path_factory.mktemp("semantic_two_step")
-    TwoStepClassifier(make_pipeline(feature_cache(word_model, dm, CLASS_KEYWORDS))) \
-        .fit(list(ds)).save(directory)
+    TwoStepClassifier.fit(make_pipeline(feature_cache(word_model, dm, CLASS_KEYWORDS)),
+                          list(ds)).save(directory)
     classifier = TwoStepClassifier.load(directory, dm, threshold=0.8)
     unseen = list(generate_comment_dataset(6, n_per_class=3, n_nonmeta=3,
                                            source_tag="unseen"))
@@ -292,7 +315,7 @@ def semantic_two_step(word_model, tmp_path_factory):
 class TestClassifyMany:
     def test_semantic_group_in_use(self, semantic_two_step):
         classifier, _, singles = semantic_two_step
-        assert any(n.startswith("semantic_") for n in classifier.pipeline.extractor.registry)
+        assert any(n.startswith("semantic_") for n in classifier.extractor.registry)
         assert any(r.is_meta for r in singles) and any(not r.is_meta for r in singles)
 
     def test_empty_batch(self, semantic_two_step):
