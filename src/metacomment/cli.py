@@ -183,6 +183,17 @@ def _check_beta(value, name: str = "--beta"):
     raise ValueError(f"{name} must be a finite number above 0, got {value!r}")
 
 
+def _classes(args) -> tuple:
+    """--classes as labels (Meta and the addressees without it); ValueError
+    naming the flag for a label that is not a class."""
+    classes = tuple(args.classes.split(",")) if args.classes else ("Meta",) + ADDRESSEE_LABELS
+    unknown = [cls for cls in classes if cls not in CLASS_ORDER]
+    if unknown:
+        raise ValueError(f"--classes: unknown label {unknown[0]!r}, "
+                         f"choose from {', '.join(CLASS_ORDER)}")
+    return classes
+
+
 def _check_threshold(value: float) -> None:
     if not 0 <= value <= 1:
         raise ValueError(f"--threshold must be a number from 0 to 1, got {value!r}")
@@ -278,16 +289,17 @@ def cmd_train(args) -> int:
     entries = list(ds)
     pipeline = _pipeline_from_args(args, _features(args),
                                    derive_seed(args.seed, "train"))
+    # each route fits before --out is made, so a failed fit writes nothing
     if args.two_step:
-        # rejects --select-k and --calibrate before anything is written
+        # rejects --select-k and --calibrate
         classifier = TwoStepClassifier.fit(pipeline, entries, threshold=args.threshold)
         out = _out_dir(args)
         classifier.save(out)
         print(f"trained two-step classifier on {len(entries)} comments")
     else:
-        out = _out_dir(args)
         y = binary_labels(ds, args.target)
         pipeline.fit(entries, y)
+        out = _out_dir(args)
         save_extractor(pipeline.extractor, out / "extractor.json")
         save_model(pipeline.model, out / "model.json")
         accuracy = float((pipeline.predict(entries) == y).mean())
@@ -365,10 +377,10 @@ def cmd_grid_search(args) -> int:
 
 def cmd_cross_eval(args) -> int:
     _check_beta(args.beta)
+    classes = _classes(args)
     train_ds = load_dataset(args.train, "train")
     test_ds = load_dataset(args.test, "test")
     features = _features(args)
-    classes = args.classes.split(",") if args.classes else ("Meta",) + ADDRESSEE_LABELS
     results = cross_dataset_eval(
         train_ds, test_ds, lambda seed: _pipeline_from_args(args, features, seed),
         classes=classes, beta=args.beta, seed=args.seed)
@@ -414,10 +426,10 @@ def cmd_classify(args) -> int:
 
 
 def cmd_rank_features(args) -> int:
+    classes = _classes(args)
     ds = load_dataset(args.input)
     extractor, cache = _fitted_extractor(args, ds)
     X = extractor.matrix(ds.comments(), cache)
-    classes = args.classes.split(",") if args.classes else ("Meta",) + ADDRESSEE_LABELS
     ranking = {}
     for cls in classes:
         y = binary_labels(ds, cls)
@@ -442,6 +454,10 @@ def cmd_rank_features(args) -> int:
 
 
 def cmd_sample(args) -> int:
+    if args.method == "similarity":
+        for flag, value in (("--word-model", args.word_model), ("--doc-model", args.doc_model)):
+            if value is None:
+                raise ValueError(f"sample --method similarity needs {flag}")
     ds = load_dataset(args.input)
     word_model = WordEmbeddingModel.load(args.word_model) if args.word_model else None
     seeds = _keyword_seeds(args) or None
@@ -609,7 +625,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add_parser("train", help="train classifiers")
     p.add_argument("--input", required=True)
-    p.add_argument("--target", default="Meta", help="positive label for one-vs-all")
+    p.add_argument("--target", default="Meta", choices=CLASS_ORDER,
+                   help="positive label for one-vs-all")
     p.add_argument("--two-step", action="store_true",
                    help="train the meta gate plus all addressee models")
     p.add_argument("--threshold", type=float, default=0.8)
@@ -624,14 +641,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add_parser("evaluate", help="stratified k-fold cross-validation")
     p.add_argument("--input", required=True)
-    p.add_argument("--target", default="Meta")
+    p.add_argument("--target", default="Meta", choices=CLASS_ORDER)
     p.add_argument("-k", type=int, default=10)
     _add_scoring_flags(p)
     p.set_defaults(func=cmd_evaluate)
 
     p = add_parser("grid-search", help="hyperparameter grid search")
     p.add_argument("--input", required=True)
-    p.add_argument("--target", default="Meta")
+    p.add_argument("--target", default="Meta", choices=CLASS_ORDER)
     p.add_argument("--grid", required=True, help="JSON grid specification")
     p.add_argument("-k", type=int, default=3)
     _add_scoring_flags(p, out_required=True)

@@ -346,6 +346,22 @@ def metadata_features(comment: Comment, known_departments: Sequence[str]) -> dic
 
 # -- assembly ----------------------------------------------------------------
 
+def _fixed_columns(keyword_sets: Dict[str, KeywordSet]) -> tuple:
+    """(keyword tokens, head names, tail names): the enriched keywords of
+    every addressee class, first occurrence kept; the regex and keyword
+    columns; the metadata columns of the shipped department list."""
+    tokens = tuple(dict.fromkeys(token for label in ADDRESSEE_LABELS if label in keyword_sets
+                                 for token in keyword_sets[label].enriched))
+    head = [f"regex_{CLASS_FEATURE_NAMES[label]}_matches"
+            for label in ADDRESSEE_LABELS if label in keyword_sets]
+    head.extend(f"keyword_{token}" for token in tokens)
+    tail = [f"department_{d}" for d in default_departments()]
+    tail.extend(["department_other", "position", "has_quote"])
+    tail.extend(f"dow_{i}" for i in range(7))
+    tail.extend(f"hour_{i}" for i in range(24))
+    return tokens, head, tail
+
+
 class FeatureExtractor:
     """Turns comments into features from fitted group models.
 
@@ -367,35 +383,22 @@ class FeatureExtractor:
                  tfidf: Optional[TfidfModel] = None,
                  doc_model: Optional[DocEmbeddingModel] = None,
                  class_vecs: Optional[Sequence[ClassVector]] = None,
-                 departments: Optional[Sequence[str]] = None,
-                 sentiment_lexicon: Optional[dict] = None,
                  stopwords: Optional[FrozenSet[str]] = None,
                  fitted_ids: Iterable[str] = ()):
         if class_vecs and doc_model is None:
             raise FeatureError("class vectors given without the comment embedding "
                                "model (doc model) they were computed with")
+        if class_vecs and any(len(cv.vector) != doc_model.dim for cv in class_vecs):
+            raise FeatureError(f"class vectors of dimension {len(class_vecs[0].vector)} given "
+                               f"with a doc model of dimension {doc_model.dim}")
         self.keyword_sets = dict(keyword_sets or {})
         self.tfidf = tfidf
         self.doc_model = doc_model
         self.class_vecs = sorted(class_vecs or [], key=lambda cv: _CLASS_RANK[cv.label])
-        self.departments = tuple(departments) if departments is not None \
-            else default_departments()
-        self.sentiment_lexicon = sentiment_lexicon \
-            if sentiment_lexicon is not None else default_sentiment_lexicon()
         self.stopwords = stopwords
         self._ids = frozenset(fitted_ids)
-        # enriched keywords of every addressee class, first occurrence kept
-        self._keyword_tokens = tuple(dict.fromkeys(
-            token for label in ADDRESSEE_LABELS if label in self.keyword_sets
-            for token in self.keyword_sets[label].enriched))
         # registry: head, tf-idf, text statistics, semantic, tail
-        self._head = [f"regex_{CLASS_FEATURE_NAMES[label]}_matches"
-                      for label in ADDRESSEE_LABELS if label in self.keyword_sets]
-        self._head.extend(f"keyword_{token}" for token in self._keyword_tokens)
-        self._tail = [f"department_{d}" for d in self.departments]
-        self._tail.extend(["department_other", "position", "has_quote"])
-        self._tail.extend(f"dow_{i}" for i in range(7))
-        self._tail.extend(f"hour_{i}" for i in range(24))
+        _, self._head, self._tail = _fixed_columns(self.keyword_sets)
         tfidf_names = [f"tfidf_{gram}" for gram in tfidf.vocabulary] if tfidf else []
         self._stats_at = len(self._head) + len(tfidf_names)
         self._registry = (*self._head, *tfidf_names, *TEXT_STAT_NAMES,
@@ -414,16 +417,9 @@ class FeatureExtractor:
         """Ids of the comments that the fitted models were fit on."""
         return self._ids
 
-    def _unlabeled_inputs(self) -> dict:
-        """What the fold-invariant columns depend on besides the comment, as
-        keyword arguments of the constructor."""
-        return {"keyword_sets": self.keyword_sets, "doc_model": self.doc_model,
-                "departments": self.departments,
-                "sentiment_lexicon": self.sentiment_lexicon, "stopwords": self.stopwords}
-
     def new_cache(self) -> "FeatureCache":
         """An empty cache for this extractor's unlabeled inputs."""
-        return FeatureCache(self)
+        return FeatureCache(self.keyword_sets, self.doc_model, self.stopwords)
 
     def matrix(self, comments: Iterable[Comment],
                cache: Optional["FeatureCache"] = None) -> np.ndarray:
@@ -436,9 +432,10 @@ class FeatureExtractor:
         comments = list(comments)
         if cache is None:
             cache = self.new_cache()
-        elif cache.inputs != self._unlabeled_inputs():
+        elif (cache.keyword_sets, cache.doc_model, cache.stopwords) != \
+                (self.keyword_sets, self.doc_model, self.stopwords):
             raise FeatureError("the feature cache was made for other keyword sets, "
-                               "doc model, departments, lexicon or stop words")
+                               "doc model or stop words")
         vectors = cache.vectors(comments) if self.class_vecs else None
         entries = cache.entries(comments)
         n, h, s, t = len(entries), len(self._head), len(TEXT_STAT_NAMES), len(self._tail)
@@ -491,26 +488,25 @@ class _Entry:
 class FeatureCache:
     """The fold-invariant feature values of one dataset's comments.
 
-    They depend on the comment and on the unlabeled inputs of the extractor
-    the cache was made for, never on a label, so one cache serves every
-    fold and grid configuration over a dataset. Each comment's values are
+    They depend on the comment and on the keyword sets, doc model and stop
+    words the cache is made from, never on a label, so one cache serves
+    every fold and grid configuration over a dataset. Each comment's values are
     computed when first asked for and kept while the cache lives, keyed by
     the comment's value, so a comment that reuses another's id with other
     text gets its own entry. The caller that owns the dataset (a command,
     or a matrix call without a cache) drops the cache with it.
     """
 
-    def __init__(self, extractor: FeatureExtractor):
-        self.inputs = extractor._unlabeled_inputs()
-        keyword_sets, self.doc_model, self.departments, self.lexicon, self.stopwords = \
-            self.inputs.values()
-        self._patterns = [compile_keyword_pattern(keyword_sets[label].enriched)
-                          for label in ADDRESSEE_LABELS if label in keyword_sets]
-        fixed = [*extractor._head, *TEXT_STAT_NAMES, *extractor._tail]
-        self._column = {name: i for i, name in enumerate(fixed)}
+    def __init__(self, keyword_sets=None, doc_model=None, stopwords=None):
+        self.keyword_sets = dict(keyword_sets or {})
+        self.doc_model, self.stopwords = doc_model, stopwords
+        self._patterns = [compile_keyword_pattern(self.keyword_sets[label].enriched)
+                          for label in ADDRESSEE_LABELS if label in self.keyword_sets]
+        keyword_tokens, head, tail = _fixed_columns(self.keyword_sets)
+        self._column = {name: i for i, name in enumerate([*head, *TEXT_STAT_NAMES, *tail])}
         self._keyword_column = {token: self._column[f"keyword_{token}"]
-                                for token in extractor._keyword_tokens}
-        self._stats_at = len(extractor._head)
+                                for token in keyword_tokens}
+        self._stats_at = len(head)
         self._entries: Dict[Comment, _Entry] = {}
 
     def entries(self, comments: Sequence[Comment]) -> List[_Entry]:
@@ -531,9 +527,9 @@ class FeatureCache:
                 col = self._keyword_column.get(token)
                 if col is not None:
                     row[col] += 1.0
-        stats = text_stats_features(comment, self.lexicon)
+        stats = text_stats_features(comment)
         row[self._stats_at:self._stats_at + len(stats)] = list(stats.values())
-        for name, value in metadata_features(comment, self.departments).items():
+        for name, value in metadata_features(comment, default_departments()).items():
             row[self._column[name]] = value
         stream = preprocess(comment, remove_stopwords=True, stopwords=self.stopwords)
         return _Entry(row, stream, _gram_counts(stream))

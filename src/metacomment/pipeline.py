@@ -30,6 +30,7 @@ from .evaluation import TwoStepResult, binary_labels, stratified_k_fold, two_ste
 from .features import (
     ClassVector,
     FeatureCache,
+    FeatureError,
     FeatureExtractor,
     KeywordSet,
     TfidfModel,
@@ -84,8 +85,7 @@ def feature_cache(word_model: Optional[WordEmbeddingModel] = None,
     Every FeaturePipeline over the dataset takes it, so each comment is
     preprocessed, scanned and embedded once while the caller keeps it.
     """
-    return FeatureExtractor(keyword_sets=build_keyword_sets(word_model, keyword_seeds),
-                            doc_model=doc_model, stopwords=stopwords).new_cache()
+    return FeatureCache(build_keyword_sets(word_model, keyword_seeds), doc_model, stopwords)
 
 
 def check_select_k(value, name: str = "select_k"):
@@ -132,7 +132,9 @@ class FeaturePipeline:
             label_sets = [e[1] if isinstance(e, tuple) else LabelSet() for e in entries]
             present = [cls for cls in CLASS_ORDER if any(cls in ls for ls in label_sets)]
             class_vecs = class_means(cache.vectors(comments), label_sets, present)
-        return FeatureExtractor(**cache.inputs, tfidf=tfidf, class_vecs=class_vecs,
+        return FeatureExtractor(keyword_sets=cache.keyword_sets, tfidf=tfidf,
+                                doc_model=cache.doc_model, class_vecs=class_vecs,
+                                stopwords=cache.stopwords,
                                 fitted_ids=[c.id for c in comments])
 
     def fit(self, entries: Sequence[Entry], y) -> "FeaturePipeline":
@@ -327,8 +329,6 @@ def save_extractor(extractor: FeatureExtractor, path) -> None:
             "n_docs": extractor.tfidf.n_docs},
         "class_vectors": [{"label": cv.label, "vector": cv.vector.tolist()}
                           for cv in extractor.class_vecs],
-        "departments": list(extractor.departments),
-        "sentiment_lexicon": extractor.sentiment_lexicon,
         "stopwords": sorted(extractor.stopwords) if extractor.stopwords else None,
         "fitted_ids": sorted(extractor.fitted_ids()),
     }
@@ -338,30 +338,32 @@ def save_extractor(extractor: FeatureExtractor, path) -> None:
 def load_extractor(path, doc_model: Optional[DocEmbeddingModel] = None) -> FeatureExtractor:
     """Read a file written by save_extractor().
 
-    The feature groups follow from the stored fitted pieces. Two keys that
-    older files carry are not read: "tfidf.fitted_ids", a copy of the
-    top-level "fitted_ids", and the "config" object of group toggles. Where it
-    had turned a stored group off, the registry differs from the one the
-    models were trained on, and TwoStepClassifier.load rejects them by
-    registry hash.
+    The feature groups follow from the stored fitted pieces; a FeatureError
+    names the file. Older files carry keys that are not read: "departments"
+    and "sentiment_lexicon" (the shipped lists), "tfidf.fitted_ids" (a copy
+    of "fitted_ids") and the "config" object of group toggles. Where that had
+    turned a stored group off, the registry differs from the models', and
+    TwoStepClassifier.load rejects them by registry hash.
     """
     data = read_json(path, "metacomment-extractor/1")
-    keyword_sets = {
-        label: KeywordSet(label=label, seeds=tuple(ks["seeds"]),
-                          enriched=tuple(ks["enriched"]), missing=tuple(ks["missing"]))
-        for label, ks in data["keyword_sets"].items()} or None
-    tfidf = None
-    if data["tfidf"] is not None:
-        raw = data["tfidf"]
-        tfidf = TfidfModel(
-            vocabulary={gram: i for i, gram in enumerate(raw["vocabulary"])},
-            document_frequencies=np.array(raw["document_frequencies"], dtype=np.int64),
-            n_docs=raw["n_docs"])
-    class_vecs = [ClassVector(cv["label"], np.array(cv["vector"]))
-                  for cv in data["class_vectors"]] or None
-    return FeatureExtractor(
-        keyword_sets=keyword_sets, tfidf=tfidf, doc_model=doc_model,
-        class_vecs=class_vecs, departments=data["departments"],
-        sentiment_lexicon=data["sentiment_lexicon"],
-        stopwords=frozenset(data["stopwords"]) if data["stopwords"] else None,
-        fitted_ids=data["fitted_ids"])
+    try:
+        keyword_sets = {
+            label: KeywordSet(label=label, seeds=tuple(ks["seeds"]),
+                              enriched=tuple(ks["enriched"]), missing=tuple(ks["missing"]))
+            for label, ks in data["keyword_sets"].items()} or None
+        tfidf = None
+        if data["tfidf"] is not None:
+            raw = data["tfidf"]
+            tfidf = TfidfModel(
+                vocabulary={gram: i for i, gram in enumerate(raw["vocabulary"])},
+                document_frequencies=np.array(raw["document_frequencies"], dtype=np.int64),
+                n_docs=raw["n_docs"])
+        class_vecs = [ClassVector(cv["label"], np.array(cv["vector"]))
+                      for cv in data["class_vectors"]] or None
+        return FeatureExtractor(
+            keyword_sets=keyword_sets, tfidf=tfidf, doc_model=doc_model,
+            class_vecs=class_vecs,
+            stopwords=frozenset(data["stopwords"]) if data["stopwords"] else None,
+            fitted_ids=data["fitted_ids"])
+    except FeatureError as exc:
+        raise FeatureError(f"{path}: {exc}") from None

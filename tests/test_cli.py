@@ -399,8 +399,26 @@ class TestTrainAndClassify:
         assert "class vectors" in err and "Traceback" not in err
         assert not (out / "classified.jsonl").exists()
 
+    def test_classify_rejects_doc_model_of_another_dimension(self, workspace,
+                                                             semantic_models, tmp_path,
+                                                             capsys):
+        # the models were trained with a dim-8 doc model
+        docs, out = tmp_path / "doc4", tmp_path / "classified"
+        assert main(["train-embeddings", "--input", str(workspace["dataset"]),
+                     "--kind", "doc", "--dim", "4", "--window", "3", "--min-count", "2",
+                     "--epochs", "1", "--out", str(docs)]) == 0
+        rc = main(["classify", "--input", str(workspace["dataset"]),
+                   "--models", str(semantic_models["models"]),
+                   "--doc-model", str(docs / "model"), "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert (f"{semantic_models['models'] / 'extractor.json'}: class vectors of "
+                "dimension 8 given with a doc model of dimension 4") in err
+        assert "Traceback" not in err
+        assert not (out / "classified.jsonl").exists()
+
     @pytest.mark.parametrize("name,key,value", [
-        ("extractor.json", "departments", None),
+        ("extractor.json", "keyword_sets", None),
         ("meta.json", "kind", None),
         ("addressee_media.json", "standardizer", None),
         ("model.docs.meta.json", "inference_params", None),
@@ -510,6 +528,18 @@ class TestTrainAndClassify:
         assert rc == 2
         err = capsys.readouterr().err
         assert message in err and "Traceback" not in err
+        assert not out.exists()
+
+    def test_single_target_train_fits_before_writing(self, tmp_path, capsys):
+        dataset = tmp_path / "meta_only.jsonl"
+        save_dataset(generate_comment_dataset(0, n_per_class=5, n_nonmeta=0), dataset)
+        out = tmp_path / "single"
+        rc = main(["train", "--input", str(dataset), "--target", "NonMeta",
+                   "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "training labels must contain both classes" in err
+        assert "Traceback" not in err
         assert not out.exists()
 
     def test_single_target_train(self, workspace, tmp_path, capsys):
@@ -633,6 +663,29 @@ class TestEvaluateAndGrid:
         _assert_rejected_before_any_fit([*argv, *inputs], grid, message,
                                         tmp_path, capsys, monkeypatch)
 
+    @pytest.mark.parametrize("command", ["train", "evaluate", "grid-search"])
+    def test_unknown_target_is_usage_error(self, workspace, tmp_path, capsys, command):
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--input", str(workspace["dataset"]), "--target", "Medai",
+                  *(["--grid", "grid.json"] if command == "grid-search" else []),
+                  "--out", str(out)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "--target: invalid choice: 'Medai'" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["cross-eval", "rank-features"])
+    def test_rejects_unknown_class_before_any_fit(self, workspace, tmp_path, capsys,
+                                                  monkeypatch, command):
+        data = str(workspace["dataset"])
+        inputs = ["--train", data, "--test", data] if command == "cross-eval" \
+            else ["--input", data]
+        _assert_rejected_before_any_fit(
+            [command, *inputs, "--classes", "Meta,Medai"], None,
+            "--classes: unknown label 'Medai', choose from "
+            "Media, Journalist, Moderator, Meta, NonMeta", tmp_path, capsys, monkeypatch)
+
     def test_evaluate_reads_word_lists_once(self, workspace, tmp_path, monkeypatch):
         stopwords = tmp_path / "stopwords.txt"
         stopwords.write_text("und\nder\ndie\n", encoding="utf-8")
@@ -714,6 +767,16 @@ class TestRejectedJsonFiles:
 
 
 class TestRankFeatures:
+    def test_class_missing_from_the_data_is_skipped(self, tmp_path, caplog):
+        dataset = tmp_path / "meta_only.jsonl"
+        save_dataset(generate_comment_dataset(0, n_per_class=5, n_nonmeta=0), dataset)
+        out = tmp_path / "rank"
+        rc = main(["rank-features", "--input", str(dataset), "--classes", "NonMeta,Media",
+                   "--out", str(out)])
+        assert rc == 0
+        assert "class NonMeta missing from dataset; skipped" in caplog.text
+        assert list(json.loads((out / "ranking.json").read_text())) == ["Media"]
+
     def test_table_per_class(self, workspace, tmp_path, capsys):
         out = tmp_path / "rank"
         rc = main(["rank-features", "--input", str(workspace["dataset"]),
@@ -731,6 +794,23 @@ class TestRankFeatures:
 
 
 class TestSampleAndMerge:
+    @pytest.mark.parametrize("missing", ["--word-model", "--doc-model"])
+    def test_similarity_sample_needs_both_models(self, workspace, semantic_models,
+                                                 tmp_path, capsys, monkeypatch, missing):
+        models = {"--word-model": str(workspace["word_model"]),
+                  "--doc-model": str(semantic_models["doc"] / "model")}
+        del models[missing]
+        reads = []
+        monkeypatch.setattr(cli, "load_dataset", lambda *args: reads.append(args))
+        out = tmp_path / "sampled"
+        rc = main(["sample", "--input", str(workspace["dataset"]), "--method", "similarity",
+                   *(part for flag in models.items() for part in flag), "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"sample --method similarity needs {missing}" in err
+        assert "Traceback" not in err
+        assert reads == [] and not out.exists()
+
     def test_pattern_sample(self, workspace, tmp_path):
         out = tmp_path / "sampled"
         rc = main(["sample", "--input", str(workspace["dataset"]),

@@ -34,6 +34,8 @@ from metacomment.features import (
     class_vectors,
     compile_keyword_pattern,
     count_pattern_matches,
+    default_departments,
+    default_sentiment_lexicon,
     metadata_features,
     semantic_features,
     text_stats_features,
@@ -107,10 +109,10 @@ def reference_matrix(extractor, comments):
         ts = preprocess(comment, remove_stopwords=True, stopwords=extractor.stopwords)
         values.update((f"tfidf_{gram}", weight)
                       for gram, weight in tfidf_transform(extractor.tfidf, ts).items())
-        values.update(text_stats_features(comment, extractor.sentiment_lexicon))
+        values.update(text_stats_features(comment, default_sentiment_lexicon()))
         vector = extractor.doc_model.vectors_for([ts])[0]
         values.update(semantic_features(extractor.class_vecs, vector))
-        values.update(metadata_features(comment, extractor.departments))
+        values.update(metadata_features(comment, default_departments()))
         rows.append({k: v for k, v in values.items() if v != 0.0})
     return build_matrix(rows, extractor.registry)
 
@@ -177,9 +179,9 @@ class TestMatrixOracle:
 
     def test_cache_of_other_inputs_is_rejected(self, dataset, cache):
         pipeline = make_pipeline(cache).fit(list(dataset), binary_labels(dataset, "Meta"))
-        other = FeatureExtractor(keyword_sets=build_keyword_sets(None, CLASS_KEYWORDS))
+        other = features.FeatureCache(build_keyword_sets(None, CLASS_KEYWORDS))
         with pytest.raises(FeatureError, match="feature cache"):
-            pipeline.extractor.matrix(dataset.comments(), other.new_cache())
+            pipeline.extractor.matrix(dataset.comments(), other)
 
     def test_matrix_calls_semantic_features_once_per_comment(self, dataset, cache,
                                                              monkeypatch):

@@ -26,6 +26,7 @@ from metacomment.features import (
     comment_vectors,
     compile_keyword_pattern,
     count_pattern_matches,
+    default_departments,
     default_keyword_seeds,
     enrich_keywords,
     metadata_features,
@@ -424,12 +425,14 @@ class TestAssemble:
         "Moderator": KeywordSet("Moderator", ("sysop",), ("sysop",)),
     }
 
-    METADATA = ("department_politik", "department_other", "position", "has_quote",
+    # the shipped department list, whose first entry is politik
+    METADATA = (*(f"department_{d}" for d in default_departments()),
+                "department_other", "position", "has_quote",
                 *(f"dow_{i}" for i in range(7)), *(f"hour_{i}" for i in range(24)))
 
     def test_text_only_config_has_six_features(self):
         # no fitted models: the six text statistics, then metadata
-        extractor = FeatureExtractor(departments=("politik",))
+        extractor = FeatureExtractor()
         assert extractor.registry == TEXT_STAT_NAMES + self.METADATA
         fv = extractor.assemble(make_comment(text="Warum GUT?", department="politik"))
         assert set(fv) <= set(extractor.registry)
@@ -439,7 +442,7 @@ class TestAssemble:
     def test_regex_only_config_has_three_features(self):
         # keyword sets alone: three regex columns first, then each enriched
         # keyword, then text statistics and metadata
-        extractor = FeatureExtractor(keyword_sets=self.KS, departments=("politik",))
+        extractor = FeatureExtractor(keyword_sets=self.KS)
         assert extractor.registry == (
             "regex_media_matches", "regex_journalist_matches", "regex_moderator_matches",
             "keyword_spiegel", "keyword_spon", "keyword_autor", "keyword_sysop",
@@ -460,8 +463,7 @@ class TestAssemble:
         cvs = [ClassVector("Meta", np.array([1.0, 0.0])),
                ClassVector("NonMeta", np.array([0.0, 1.0]))]
         extractor = FeatureExtractor(
-            keyword_sets=self.KS, tfidf=tfidf, doc_model=dm, class_vecs=cvs,
-            departments=("politik",))
+            keyword_sets=self.KS, tfidf=tfidf, doc_model=dm, class_vecs=cvs)
         c = make_comment("a", title="Autor", text="Der Autor im SPIEGEL? Sehr gut!",
                          department="politik", position=3, has_quote=False)
         fv = extractor.assemble(c, comment_vectors(dm, [c])[0])

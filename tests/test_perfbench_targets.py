@@ -63,7 +63,9 @@ def test_serving_path_spans_are_called(tmp_path):
     calls = {name: entry["calls"] for name, entry in tracer.summary().items()}
     expected = ("pipeline.two_step_fit", "features.fit_extractor", "classifiers.calibrate",
                 "pipeline.save_extractor", "pipeline.load_extractor",
-                "classifiers.load_model", "evaluation.two_step_classify")
+                "classifiers.load_model", "evaluation.two_step_classify",
+                # the feature cache's columns, through the names the trace rebinds
+                "features.regex", "features.text_stats", "features.metadata")
     assert {name: calls.get(name, 0) for name in expected if not calls.get(name)} == {}
 
 

@@ -255,6 +255,19 @@ class TestTwoStepClassifier:
         loaded = _assert_loads_as_fitted(fitted, dataset, tmp_path, data)
         assert loaded.extractor.fitted_ids() == fitted.extractor.fitted_ids()
 
+    def test_extractor_with_departments_and_lexicon_still_loads(self, fitted, dataset,
+                                                                tmp_path):
+        # extractor.json as earlier versions wrote it: with copies of the
+        # shipped department list and sentiment lexicon, which are no longer written
+        data = _saved_extractor(fitted, tmp_path)
+        assert "departments" not in data and "sentiment_lexicon" not in data
+        data["departments"] = list(features.default_departments())
+        data["sentiment_lexicon"] = dict(features.default_sentiment_lexicon())
+        loaded = _assert_loads_as_fitted(fitted, dataset, tmp_path, data)
+        comments = list(dataset.comments())
+        assert np.array_equal(loaded.extractor.matrix(comments),
+                              fitted.extractor.matrix(comments))
+
     def test_extractor_stores_fitted_ids_once(self, fitted, dataset, tmp_path):
         data = _saved_extractor(fitted, tmp_path)
         assert data["fitted_ids"] == sorted(c.id for c, _ in dataset)
