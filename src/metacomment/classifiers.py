@@ -125,21 +125,39 @@ class LinearSvm:
         return 0.5 * float(self.w @ self.w) + self.hyperparams.C * float(hinge)
 
 
-def _train_svm(X: np.ndarray, y: np.ndarray, hp: SvmHyperparams) -> LinearSvm:
+def _train_svm(X: np.ndarray, y: np.ndarray, hp: SvmHyperparams,
+               scaler: Optional[Standardizer]) -> LinearSvm:
+    """Dual coordinate descent (Hsieh et al. 2008) over each row's non-zeros.
+
+    The solver reads the standardized rows x/std - m, m = mean/std (m = 0
+    and std = 1 without a scaler), without building them: it holds the
+    weights as w = u - c*m, so a step updates u on the row's non-zero
+    columns and three scalars (c, u.m and the bias weight). The returned
+    weights are in standardized coordinates, as decision_values reads them.
+    """
     n, d = X.shape
-    Xa = np.hstack([X, np.full((n, 1), hp.bias_scale)])
-    yX = Xa * np.where(y == 1, 1.0, -1.0)[:, None]
-    q_diag = np.einsum("ij,ij->i", Xa, Xa)
-    alpha = np.zeros(n)
-    w = np.zeros(d + 1)
+    std, m = (np.ones(d), np.zeros(d)) if scaler is None else \
+        (scaler.std, scaler.mean / scaler.std)
+    rows, cols = np.nonzero(X)
+    values = X[rows, cols] / std[cols]
+    splits = np.cumsum(np.bincount(rows, minlength=n))[:-1]
+    bias, mm = hp.bias_scale, float(m @ m)
+    s = np.bincount(rows, weights=values * m[cols], minlength=n)
+    q = np.bincount(rows, weights=values * values, minlength=n) - 2.0 * s + mm + bias * bias
+    y_pm = np.where(y == 1, 1.0, -1.0)
+    steps = list(zip(np.split(cols, splits), np.split(values, splits),
+                     y_pm.tolist(), s.tolist(), q.tolist()))
+    alpha = [0.0] * n
+    u = np.zeros(d)
+    c = um = wb = 0.0  # w = u - c*m, um = u.m, wb: the bias column's weight
     history = []
     converged = False
     max_pg = math.inf
     C = hp.C
     for _ in range(hp.max_epochs):
         max_pg = 0.0
-        for i in range(n):
-            g = float(yX[i] @ w) - 1.0
+        for i, (idx, z, yi, si, qi) in enumerate(steps):
+            g = yi * (float(u[idx] @ z) - c * si - um + c * mm + wb * bias) - 1.0
             a = alpha[i]
             if a == 0.0:
                 pg = min(g, 0.0)
@@ -149,12 +167,17 @@ def _train_svm(X: np.ndarray, y: np.ndarray, hp: SvmHyperparams) -> LinearSvm:
                 pg = g
             if pg != 0.0:
                 max_pg = max(max_pg, abs(pg))
-                new_a = min(max(a - g / q_diag[i], 0.0), C)
+                new_a = min(max(a - g / qi, 0.0), C)
                 if new_a != a:
-                    w += (new_a - a) * yX[i]
+                    step = (new_a - a) * yi
+                    u[idx] += step * z
+                    um += step * si
+                    c += step
+                    wb += step * bias
                     alpha[i] = new_a
         # dual objective; each exact coordinate step keeps it non-increasing
-        history.append(0.5 * float(w @ w) - float(alpha.sum()))
+        w = np.append(u - c * m, wb)
+        history.append(0.5 * float(w @ w) - float(np.sum(alpha)))
         if max_pg < hp.tolerance:
             converged = True
             break
@@ -162,7 +185,7 @@ def _train_svm(X: np.ndarray, y: np.ndarray, hp: SvmHyperparams) -> LinearSvm:
         logger.warning("linear SVM did not converge: C=%g, max_epochs=%d, "
                        "last max projected gradient %.3g (tolerance %g)",
                        C, hp.max_epochs, max_pg, hp.tolerance)
-    return LinearSvm(w[:d].copy(), hp.bias_scale * float(w[d]), hp, history, converged)
+    return LinearSvm(u - c * m, bias * wb, hp, history, converged)
 
 
 # -- decision tree (Gini) -----------------------------------------------------
@@ -369,13 +392,19 @@ class KNearest:
 
 # -- unified training / prediction -------------------------------------------
 
-# kind -> (hyperparameter dataclass, trainer(X, y, hp), reads standardized features)
+def _on_transform(fit):
+    """fit(X, y, hp) as a trainer that reads the scaler's transform of X."""
+    return lambda X, y, hp, scaler: fit(scaler.transform(X) if scaler else X, y, hp)
+
+
+# kind -> (hyperparameter dataclass, trainer(X, y, hp, scaler or None),
+#          reads standardized features)
 _KIND_TABLE = {
     "linear_svm": (SvmHyperparams, _train_svm, True),
-    "decision_tree": (TreeHyperparams, _train_tree, False),
-    "random_forest": (ForestHyperparams, _train_forest, False),
-    "adaboost": (BoostHyperparams, _train_adaboost, False),
-    "knn": (KnnHyperparams, KNearest, True),
+    "decision_tree": (TreeHyperparams, _on_transform(_train_tree), False),
+    "random_forest": (ForestHyperparams, _on_transform(_train_forest), False),
+    "adaboost": (BoostHyperparams, _on_transform(_train_adaboost), False),
+    "knn": (KnnHyperparams, _on_transform(KNearest), True),
 }
 KINDS = tuple(_KIND_TABLE)
 
@@ -472,8 +501,7 @@ def train(kind: str, X: np.ndarray, y: Sequence[int], params=None,
     if standardize is None:
         standardize = standardized
     scaler = Standardizer.fit(X) if standardize else None
-    Xs = scaler.transform(X) if scaler else X
-    return TrainedModel(kind=kind, inner=fit(Xs, y, hp), hyperparams=hp,
+    return TrainedModel(kind=kind, inner=fit(X, y, hp, scaler), hyperparams=hp,
                         standardizer=scaler, registry=tuple(registry) if registry else None,
                         registry_hash=registry_hash)
 

@@ -185,12 +185,15 @@ def _check_beta(value, name: str = "--beta"):
 
 def _classes(args) -> tuple:
     """--classes as labels (Meta and the addressees without it); ValueError
-    naming the flag for a label that is not a class."""
+    naming the flag for a label that is not a class or is repeated."""
     classes = tuple(args.classes.split(",")) if args.classes else ("Meta",) + ADDRESSEE_LABELS
     unknown = [cls for cls in classes if cls not in CLASS_ORDER]
     if unknown:
         raise ValueError(f"--classes: unknown label {unknown[0]!r}, "
                          f"choose from {', '.join(CLASS_ORDER)}")
+    repeated = [cls for i, cls in enumerate(classes) if cls in classes[:i]]
+    if repeated:
+        raise ValueError(f"--classes: label {repeated[0]!r} is given more than once")
     return classes
 
 
@@ -285,6 +288,10 @@ def cmd_features(args) -> int:
 
 def cmd_train(args) -> int:
     _check_threshold(args.threshold)
+    if args.two_step and args.target is not None:
+        raise ValueError(f"--target {args.target}: the two-step gate is always Meta; "
+                         "--two-step takes no --target")
+    args.target = args.target or "Meta"
     ds = load_dataset(args.input)
     entries = list(ds)
     pipeline = _pipeline_from_args(args, _features(args),
@@ -625,8 +632,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add_parser("train", help="train classifiers")
     p.add_argument("--input", required=True)
-    p.add_argument("--target", default="Meta", choices=CLASS_ORDER,
-                   help="positive label for one-vs-all")
+    p.add_argument("--target", default=None, choices=CLASS_ORDER,
+                   help="positive label for one-vs-all (default Meta; "
+                        "--two-step rejects it)")
     p.add_argument("--two-step", action="store_true",
                    help="train the meta gate plus all addressee models")
     p.add_argument("--threshold", type=float, default=0.8)

@@ -12,7 +12,6 @@ ANOVA F-scores rank features; select_k_best picks the significant subset.
 from __future__ import annotations
 
 import hashlib
-import math
 import re
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -148,50 +147,69 @@ class TfidfModel:
         return np.log((1.0 + self.n_docs) / (1.0 + self.document_frequencies)) + 1.0
 
 
+class _GramIds:
+    """Integer ids of unigrams and bigrams, numbered as first seen. A
+    document is its distinct grams' ids and their counts, in
+    first-occurrence order."""
+
+    def __init__(self):
+        self.ids: Dict[str, int] = {}
+
+    def count(self, ts: TokenStream) -> tuple:
+        """(ids, counts) of the ngrams of ts."""
+        counts: Dict[str, int] = {}
+        for gram in ngrams(ts):
+            counts[gram] = counts.get(gram, 0) + 1
+        ids = self.ids
+        return (np.array([ids.setdefault(gram, len(ids)) for gram in counts], dtype=np.intp),
+                np.array(list(counts.values()), dtype=float))
+
+    def fit(self, docs: Sequence[np.ndarray]) -> TfidfModel:
+        """The model of the documents with these gram ids: columns in
+        first-occurrence order over docs."""
+        if not docs:
+            raise FeatureError("tf-idf fit requires a non-empty corpus")
+        ids = np.concatenate(docs)
+        seen, first = np.unique(ids, return_index=True)
+        order = seen[np.argsort(first)]
+        df = np.bincount(ids, minlength=len(self.ids))[order].astype(np.int64)
+        grams = list(self.ids)
+        return TfidfModel(vocabulary={grams[i]: col for col, i in enumerate(order.tolist())},
+                          document_frequencies=df, n_docs=len(docs))
+
+    def weights(self, docs: Sequence[np.ndarray], counts: Sequence[np.ndarray],
+                model: TfidfModel) -> tuple:
+        """(rows, columns, weights) of the L2-normalized tf*idf rows of the
+        documents with these gram ids and counts; grams outside the model's
+        vocabulary contribute nothing."""
+        columns = np.array([model.vocabulary.get(gram, -1) for gram in self.ids],
+                           dtype=np.intp)
+        rows = np.repeat(np.arange(len(docs)), np.array([len(d) for d in docs], dtype=np.intp))
+        cols = columns[np.concatenate([np.empty(0, np.intp), *docs])]
+        kept = cols >= 0
+        rows, cols = rows[kept], cols[kept]
+        values = np.concatenate([np.empty(0), *counts])[kept] * model.idf[cols]
+        # bincount adds a row's squares one after another in first-occurrence
+        # order, so a row's norm has the same bits whichever rows share the call
+        norms = np.sqrt(np.bincount(rows, weights=values * values, minlength=len(docs)))
+        return rows, cols, values / norms[rows]
+
+
 def tfidf_fit(corpus: Sequence[TokenStream]) -> TfidfModel:
     """Fit on unigrams+bigrams, numbering columns in first-occurrence order."""
-    corpus = list(corpus)
-    if not corpus:
-        raise FeatureError("tf-idf fit requires a non-empty corpus")
-    vocabulary: Dict[str, int] = {}
-    df_counts: List[int] = []
-    for ts in corpus:
-        # first-occurrence order, so column numbers do not depend on hashing
-        for gram in dict.fromkeys(ngrams(ts)):
-            idx = vocabulary.get(gram)
-            if idx is None:
-                vocabulary[gram] = len(df_counts)
-                df_counts.append(1)
-            else:
-                df_counts[idx] += 1
-    return TfidfModel(vocabulary=vocabulary,
-                      document_frequencies=np.array(df_counts, dtype=np.int64),
-                      n_docs=len(corpus))
+    grams = _GramIds()
+    return grams.fit([grams.count(ts)[0] for ts in corpus])
 
 
 def tfidf_transform(model: TfidfModel, ts: TokenStream) -> dict:
     """L2-normalized tf*idf weights; unseen ngrams contribute nothing."""
     if model is None:
         raise FeatureError("tf-idf transform called before fit")
-    return _tfidf_weights(model.vocabulary, model.idf, _gram_counts(ts))
-
-
-def _gram_counts(ts: TokenStream) -> dict:
-    """Count per ngram of ts, in first-occurrence order."""
-    counts: Dict[str, int] = {}
-    for gram in ngrams(ts):
-        counts[gram] = counts.get(gram, 0) + 1
-    return counts
-
-
-def _tfidf_weights(vocabulary: dict, idf: Sequence[float], counts: dict) -> dict:
-    # idf as an array or as a list of the same floats: the same products
-    weights = {gram: tf * idf[vocabulary[gram]]
-               for gram, tf in counts.items() if gram in vocabulary}
-    if not weights:
-        return {}
-    norm = math.sqrt(sum(w * w for w in weights.values()))
-    return {gram: float(w / norm) for gram, w in weights.items()}
+    grams = _GramIds()
+    ids, counts = grams.count(ts)
+    _, _, weights = grams.weights([ids], [counts], model)
+    return dict(zip([gram for gram in grams.ids if gram in model.vocabulary],
+                    weights.tolist()))
 
 
 # -- text statistics ---------------------------------------------------------
@@ -445,18 +463,15 @@ class FeatureExtractor:
         X[:, self._stats_at:self._stats_at + s] = fixed[:, h:h + s]
         X[:, len(self._registry) - t:] = fixed[:, h + s:]
         if self.tfidf is not None:
-            vocabulary, idf = self.tfidf.vocabulary, self.tfidf.idf.tolist()
-            for row, entry in enumerate(entries):
-                for gram, weight in _tfidf_weights(vocabulary, idf, entry.grams).items():
-                    X[row, h + vocabulary[gram]] = weight
+            rows, cols, weights = cache.tfidf_weights(entries, self.tfidf)
+            X[rows, h + cols] = weights
         if self.class_vecs:
             at = self._stats_at + s
             for row, vector in enumerate(vectors):
                 values = semantic_features(self.class_vecs, vector)
                 X[row, at:at + len(values)] = list(values.values())
-        bad = np.argwhere(~np.isfinite(X))
-        if len(bad):
-            row, col = bad[0]
+        if not np.isfinite(X).all():
+            row, col = np.argwhere(~np.isfinite(X))[0]
             raise FeatureError(f"comment {comments[row].id}: non-finite value for "
                                f"feature {self._registry[col]!r}")
         return X
@@ -477,12 +492,13 @@ class FeatureExtractor:
 class _Entry:
     """One comment's fold-invariant values: its head, text-statistics and
     tail columns in registry order, its stop-word-filtered token stream with
-    ngram counts, and its comment vector once asked for."""
+    its ngrams' cache ids and counts, and its comment vector once asked for."""
 
-    __slots__ = ("row", "stream", "grams", "vector")
+    __slots__ = ("row", "stream", "ids", "counts", "vector")
 
-    def __init__(self, row, stream, grams):
-        self.row, self.stream, self.grams, self.vector = row, stream, grams, None
+    def __init__(self, row, stream, ids, counts):
+        self.row, self.stream, self.ids, self.counts = row, stream, ids, counts
+        self.vector = None
 
 
 class FeatureCache:
@@ -508,6 +524,7 @@ class FeatureCache:
                                 for token in keyword_tokens}
         self._stats_at = len(head)
         self._entries: Dict[Comment, _Entry] = {}
+        self._grams = _GramIds()
 
     def entries(self, comments: Sequence[Comment]) -> List[_Entry]:
         entries = []
@@ -532,11 +549,16 @@ class FeatureCache:
         for name, value in metadata_features(comment, default_departments()).items():
             row[self._column[name]] = value
         stream = preprocess(comment, remove_stopwords=True, stopwords=self.stopwords)
-        return _Entry(row, stream, _gram_counts(stream))
+        return _Entry(row, stream, *self._grams.count(stream))
 
-    def streams(self, comments: Sequence[Comment]) -> List[TokenStream]:
-        """Stop-word-filtered token streams, as the tf-idf and doc models read."""
-        return [entry.stream for entry in self.entries(comments)]
+    def tfidf_fit(self, comments: Sequence[Comment]) -> TfidfModel:
+        """tfidf_fit of the comments' stop-word-filtered token streams."""
+        return self._grams.fit([e.ids for e in self.entries(comments)])
+
+    def tfidf_weights(self, entries: Sequence[_Entry], model: TfidfModel) -> tuple:
+        """(rows, columns, weights) of the entries' tfidf_transform rows."""
+        return self._grams.weights([e.ids for e in entries], [e.counts for e in entries],
+                                   model)
 
     def vectors(self, comments: Sequence[Comment]) -> np.ndarray:
         """The comments' rows of comment_vectors; those not yet known come

@@ -39,7 +39,6 @@ from .features import (
     default_keyword_seeds,
     enrich_keywords,
     select_k_best,
-    tfidf_fit,
 )
 from .files import read_json, write_json
 from .neural import CnnConfig, build as build_cnn, forward, train as train_cnn
@@ -126,7 +125,7 @@ class FeaturePipeline:
     def _fit_extractor(self, entries: Sequence[Entry]) -> FeatureExtractor:
         cache = self.features
         comments = _comments(entries)
-        tfidf = tfidf_fit(cache.streams(comments))
+        tfidf = cache.tfidf_fit(comments)
         class_vecs = None
         if cache.doc_model is not None:
             label_sets = [e[1] if isinstance(e, tuple) else LabelSet() for e in entries]

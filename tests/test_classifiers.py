@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -121,6 +122,90 @@ class TestLinearSvm:
     def test_invalid_c(self):
         with pytest.raises(TrainingError, match="C must be positive"):
             SvmHyperparams(C=0.0)
+
+
+def dense_svm(Xs, y, hp):
+    """The dense dual coordinate descent that the solver over non-zeros
+    replaced, on the standardized matrix Xs: the oracle it is checked
+    against."""
+    n, d = Xs.shape
+    Xa = np.hstack([Xs, np.full((n, 1), hp.bias_scale)])
+    yX = Xa * np.where(y == 1, 1.0, -1.0)[:, None]
+    q_diag = np.einsum("ij,ij->i", Xa, Xa)
+    alpha = np.zeros(n)
+    w = np.zeros(d + 1)
+    history = []
+    converged = False
+    C = hp.C
+    for _ in range(hp.max_epochs):
+        max_pg = 0.0
+        for i in range(n):
+            g = float(yX[i] @ w) - 1.0
+            a = alpha[i]
+            if a == 0.0:
+                pg = min(g, 0.0)
+            elif a == C:
+                pg = max(g, 0.0)
+            else:
+                pg = g
+            if pg != 0.0:
+                max_pg = max(max_pg, abs(pg))
+                new_a = min(max(a - g / q_diag[i], 0.0), C)
+                if new_a != a:
+                    w += (new_a - a) * yX[i]
+                    alpha[i] = new_a
+        history.append(0.5 * float(w @ w) - float(alpha.sum()))
+        if max_pg < hp.tolerance:
+            converged = True
+            break
+    return LinearSvm(w[:d].copy(), hp.bias_scale * float(w[d]), hp, history, converged)
+
+
+class TestSvmOverNonZeros:
+    """The solver over each row's non-zeros, with the standardization folded
+    in, against the dense solver on the standardized matrix."""
+
+    @pytest.mark.parametrize("seed,standardize,bias_scale,max_epochs", [
+        (0, True, 1.0, 1000),
+        (1, False, 1.0, 1000),
+        (2, True, 2.5, 1000),
+        (3, False, 0.5, 1000),
+        (4, True, 1.0, 3),  # stops unconverged
+        (5, False, 3.0, 2),  # stops unconverged
+    ])
+    def test_matches_dense_reference(self, seed, standardize, bias_scale, max_epochs):
+        rng = np.random.default_rng(seed)
+        n, d = 40, 30
+        X = np.where(rng.random((n, d)) < 0.15, rng.normal(2.0, 1.5, (n, d)), 0.0)
+        X[[3, 17]] = 0.0  # all-zero rows
+        X[:, 5] = 4.0  # constant columns, one non-zero and one zero
+        X[:, 11] = 0.0
+        y = rng.integers(0, 2, n)
+        y[:2] = [0, 1]
+        hp = SvmHyperparams(C=0.8, max_epochs=max_epochs, tolerance=1e-8,
+                            bias_scale=bias_scale)
+        model = train("linear_svm", X, y, hp, standardize=standardize)
+        Xs = model.standardizer.transform(X) if standardize else X
+        reference = dense_svm(Xs, y, hp)
+        assert np.abs(model.decision_values(X) - reference.decision_values(Xs)).max() <= 1e-9
+        assert len(model.inner.objective_history) == len(reference.objective_history)
+        assert model.inner.converged == reference.converged == (max_epochs == 1000)
+
+    def test_fit_holds_no_dense_copy_of_the_matrix(self):
+        # 400 x 20,000, 1.5 % non-zero: only Standardizer.fit's std temporary
+        # is as large as the matrix (epochs do not change the peak)
+        rng = np.random.default_rng(0)
+        X = np.zeros((400, 20_000))
+        k = X.size * 3 // 200
+        X.flat[rng.integers(0, X.size, size=k)] = rng.normal(size=k)
+        y = rng.integers(0, 2, len(X))
+        tracemalloc.start()
+        try:
+            train("linear_svm", X, y, {"max_epochs": 3})
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * X.nbytes
 
 
 class TestTrainValidation:

@@ -686,6 +686,29 @@ class TestEvaluateAndGrid:
             "--classes: unknown label 'Medai', choose from "
             "Media, Journalist, Moderator, Meta, NonMeta", tmp_path, capsys, monkeypatch)
 
+    @pytest.mark.parametrize("target", ["NonMeta", "Meta"])
+    def test_two_step_rejects_target(self, workspace, tmp_path, capsys, monkeypatch,
+                                     target):
+        _assert_rejected_before_any_fit(
+            ["train", "--input", str(workspace["dataset"]), "--two-step",
+             "--target", target], None,
+            f"--target {target}: the two-step gate is always Meta", tmp_path, capsys,
+            monkeypatch)
+
+    @pytest.mark.parametrize("command", ["cross-eval", "rank-features"])
+    def test_rejects_repeated_class_before_reading_data(self, workspace, tmp_path, capsys,
+                                                        monkeypatch, command):
+        reads = []
+        monkeypatch.setattr(cli, "load_dataset", lambda *a: reads.append(a))
+        data = str(workspace["dataset"])
+        inputs = ["--train", data, "--test", data] if command == "cross-eval" \
+            else ["--input", data]
+        _assert_rejected_before_any_fit(
+            [command, *inputs, "--classes", "Media,Meta,Media"], None,
+            "--classes: label 'Media' is given more than once", tmp_path, capsys,
+            monkeypatch)
+        assert reads == []
+
     def test_evaluate_reads_word_lists_once(self, workspace, tmp_path, monkeypatch):
         stopwords = tmp_path / "stopwords.txt"
         stopwords.write_text("und\nder\ndie\n", encoding="utf-8")

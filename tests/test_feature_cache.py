@@ -2,6 +2,7 @@
 and the scope of the per-dataset FeatureCache that feeds it."""
 
 import gc
+import math
 import weakref
 from collections import Counter
 from dataclasses import replace
@@ -43,8 +44,9 @@ from metacomment.features import (
     tfidf_transform,
 )
 from metacomment.pipeline import FeaturePipeline, build_keyword_sets, feature_cache
-from metacomment.textprep import preprocess
+from metacomment.textprep import TokenStream, ngrams, preprocess
 
+from conftest import make_comment
 from synthdata import CLASS_KEYWORDS, generate_comment_dataset
 
 
@@ -201,6 +203,90 @@ class TestMatrixOracle:
         assert np.array_equal(pipeline.extractor.matrix(comments), expected)
         assert len(calls) == len(comments)
         assert all(cvs is pipeline.extractor.class_vecs for cvs in calls)
+
+
+def reference_tfidf_fit(streams):
+    """(vocabulary, document frequencies) of the per-gram dict walk that the
+    fit over the cache's gram ids replaced."""
+    vocabulary, df = {}, []
+    for ts in streams:
+        for gram in dict.fromkeys(ngrams(ts)):
+            if gram in vocabulary:
+                df[vocabulary[gram]] += 1
+            else:
+                vocabulary[gram] = len(df)
+                df.append(1)
+    return vocabulary, np.array(df, dtype=np.int64)
+
+
+def reference_tfidf_row(vocabulary, idf, ts):
+    """One stream's weights as the per-gram dict walk computed them."""
+    weights = {gram: tf * idf[vocabulary[gram]]
+               for gram, tf in Counter(ngrams(ts)).items() if gram in vocabulary}
+    if not weights:
+        return {}
+    norm = math.sqrt(sum(w * w for w in weights.values()))
+    return {gram: w / norm for gram, w in weights.items()}
+
+
+class TestTfidfOnGramIds:
+    """The fit and weights over the cache's gram ids against the per-gram
+    dict walk they replaced, bit for bit."""
+
+    TRAIN = [make_comment("a", text="Der Autor schreibt gut, der Autor schreibt viel."),
+             make_comment("b", text="Die Redaktion zensiert den Autor."),
+             make_comment("empty", text="Und der die das."),
+             make_comment("t", text="Der Moderator löscht Beiträge."),
+             make_comment("t", text="Spiegel Online berichtet über den Autor."),
+             make_comment("c", text="Autor Autor Redaktion Redaktion Autor.")]
+    TEST = [make_comment("new", text="Völlig neue Wörter hier."),
+            make_comment("mixed", text="Der Autor und neue Wörter.")]
+
+    def _cache(self):
+        cache = features.FeatureCache()
+        # number the grams in another order than the fit's first occurrence
+        cache.entries(self.TEST + self.TRAIN[::-1])
+        return cache
+
+    def test_fit_matches_the_dict_walk(self):
+        streams = [preprocess(c, remove_stopwords=True) for c in self.TRAIN]
+        assert streams[2].tokens == ()  # an empty stream
+        vocabulary, df = reference_tfidf_fit(streams)
+        # the two comments that share id "t" each count as a document
+        assert df[vocabulary["moderator"]] == 1 and df[vocabulary["spiegel"]] == 1
+        for model in (self._cache().tfidf_fit(self.TRAIN), tfidf_fit(streams)):
+            assert list(model.vocabulary.items()) == list(vocabulary.items())
+            assert model.document_frequencies.dtype == df.dtype
+            assert model.document_frequencies.tobytes() == df.tobytes()
+            assert model.n_docs == len(self.TRAIN)
+
+    def test_weights_match_the_dict_walk(self):
+        cache = self._cache()
+        model = cache.tfidf_fit(self.TRAIN)
+        comments = self.TRAIN + self.TEST
+        streams = [preprocess(c, remove_stopwords=True) for c in comments]
+        assert "neue" not in model.vocabulary  # unseen at fit time
+        rows = [reference_tfidf_row(model.vocabulary, model.idf.tolist(), ts)
+                for ts in streams]
+        assert rows[2] == {} and rows[-2] == {} and rows[-1]
+        for ts, row in zip(streams, rows):
+            got = tfidf_transform(model, ts)
+            assert list(got) == list(row) and list(got.values()) == list(row.values())
+        block = np.zeros((len(comments), len(model.vocabulary)))
+        r, c, w = cache.tfidf_weights(cache.entries(comments), model)
+        block[r, c] = w
+        want = build_matrix([{f"tfidf_{g}": v for g, v in row.items()} for row in rows],
+                            [f"tfidf_{g}" for g in model.vocabulary])
+        assert np.array_equal(block, want)
+
+    def test_corpus_of_empty_streams(self):
+        model = tfidf_fit([TokenStream(()), TokenStream(())])
+        assert model.vocabulary == {} and model.n_docs == 2
+        assert model.document_frequencies.dtype == np.int64
+        assert len(model.document_frequencies) == 0
+        assert tfidf_transform(model, TokenStream(("autor",))) == {}
+        with pytest.raises(FeatureError, match="non-empty corpus"):
+            tfidf_fit([])
 
 
 class TestCacheScope:

@@ -493,6 +493,16 @@ class TestAssemble:
                                                "feature 'semantic_dist_meta'"):
             extractor.matrix([make_comment("a", text="Warum?")])
 
+    def test_rejects_nonfinite_metadata(self):
+        # the finiteness check scans the whole matrix; the message still
+        # names the first bad cell's comment and feature
+        extractor = FeatureExtractor(keyword_sets=self.KS)
+        comments = [make_comment("a", text="Warum?", position=2),
+                    make_comment("b", text="Warum?", position=float("nan"))]
+        with pytest.raises(FeatureError, match="comment b: non-finite value for "
+                                               "feature 'position'"):
+            extractor.matrix(comments)
+
 
 class TestAnova:
     def test_hand_case_f_equals_eight(self):
