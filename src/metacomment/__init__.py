@@ -18,7 +18,6 @@ from .embeddings import (  # noqa: F401
     DocEmbeddingModel,
     WordEmbeddingModel,
     WordTrainingParams,
-    cosine_distance,
     cosine_similarity,
     train_doc_embeddings,
     train_word_embeddings,

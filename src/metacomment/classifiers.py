@@ -6,6 +6,11 @@ stumps, and k-nearest-neighbors. SVM and k-NN standardize features (fit on
 training data only); the tree ensembles consume raw features. Calibration
 fits a sigmoid over decision values so thresholded confidence scores are
 available for the two-step classification.
+
+Inputs are CsrMatrix rows (sparse.py); train and decision_values convert a
+dense array with one as_csr call. The SVM reads the non-zeros alone, with
+the standardization folded into its weights, while the tree kinds and k-NN
+densify their input with toarray().
 """
 
 from __future__ import annotations
@@ -14,11 +19,13 @@ import logging
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, fields, replace
+from functools import cached_property
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .files import read_fields, read_json, write_json
+from .sparse import CsrMatrix, as_csr
 
 logger = logging.getLogger(__name__)
 
@@ -92,13 +99,22 @@ class Standardizer:
     std: np.ndarray
 
     @classmethod
-    def fit(cls, X: np.ndarray) -> "Standardizer":
-        mean = X.mean(axis=0)
-        std = X.std(axis=0)
-        std = np.where(std == 0.0, 1.0, std)
-        return cls(mean, std)
+    def fit(cls, X) -> "Standardizer":
+        """Column moments from the non-zeros of X, a CsrMatrix or a dense
+        array. The mean sums each column in row order, as the dense
+        X.mean(axis=0) does; the variance adds the column's zeros,
+        (n - nnz_j) * mean_j^2, to the centred squares of its non-zeros."""
+        X = as_csr(X)
+        n, d = X.shape
+        mean = np.bincount(X.indices, X.data, minlength=d) / n
+        centred = X.data - mean[X.indices]
+        zeros = n - np.bincount(X.indices, minlength=d)
+        std = np.sqrt((np.bincount(X.indices, centred * centred, minlength=d)
+                       + zeros * mean * mean) / n)
+        return cls(mean, np.where(std == 0.0, 1.0, std))
 
     def transform(self, X: np.ndarray) -> np.ndarray:
+        """The scaled rows of the dense array X."""
         return (X - self.mean) / self.std
 
 
@@ -116,16 +132,12 @@ class LinearSvm:
         self.objective_history = list(objective_history or [])
         self.converged = converged
 
-    def decision_values(self, X: np.ndarray) -> np.ndarray:
+    def decision_values(self, X) -> np.ndarray:
+        """X.w + b for a CsrMatrix or a dense array X."""
         return X @ self.w + self.b
 
-    def primal_objective(self, X: np.ndarray, y_pm: np.ndarray) -> float:
-        margins = 1.0 - y_pm * self.decision_values(X)
-        hinge = np.maximum(margins, 0.0).sum()
-        return 0.5 * float(self.w @ self.w) + self.hyperparams.C * float(hinge)
 
-
-def _train_svm(X: np.ndarray, y: np.ndarray, hp: SvmHyperparams,
+def _train_svm(X: CsrMatrix, y: np.ndarray, hp: SvmHyperparams,
                scaler: Optional[Standardizer]) -> LinearSvm:
     """Dual coordinate descent (Hsieh et al. 2008) over each row's non-zeros.
 
@@ -133,14 +145,14 @@ def _train_svm(X: np.ndarray, y: np.ndarray, hp: SvmHyperparams,
     and std = 1 without a scaler), without building them: it holds the
     weights as w = u - c*m, so a step updates u on the row's non-zero
     columns and three scalars (c, u.m and the bias weight). The returned
-    weights are in standardized coordinates, as decision_values reads them.
+    weights are in standardized coordinates, as the model file stores them.
     """
     n, d = X.shape
     std, m = (np.ones(d), np.zeros(d)) if scaler is None else \
         (scaler.std, scaler.mean / scaler.std)
-    rows, cols = np.nonzero(X)
-    values = X[rows, cols] / std[cols]
-    splits = np.cumsum(np.bincount(rows, minlength=n))[:-1]
+    rows, cols = X.row_ids(), X.indices
+    values = X.data / std[cols]
+    splits = X.indptr[1:-1]
     bias, mm = hp.bias_scale, float(m @ m)
     s = np.bincount(rows, weights=values * m[cols], minlength=n)
     q = np.bincount(rows, weights=values * values, minlength=n) - 2.0 * s + mm + bias * bias
@@ -280,6 +292,8 @@ def _grow_tree(X, y, w, depth, hp: TreeHyperparams, max_features: Optional[int],
 
 
 class DecisionTree:
+    """Reads dense rows: train and decision_values densify CsrMatrix input."""
+
     def __init__(self, root: _Node, hyperparams: TreeHyperparams):
         self.root = root
         self.hyperparams = hyperparams
@@ -305,6 +319,8 @@ def _train_tree(X, y, hp: TreeHyperparams, sample_weight=None,
 
 
 class RandomForest:
+    """Reads dense rows: train and decision_values densify CsrMatrix input."""
+
     def __init__(self, trees: List[DecisionTree], hyperparams: ForestHyperparams):
         self.trees = trees
         self.hyperparams = hyperparams
@@ -336,7 +352,9 @@ def _train_forest(X, y, hp: ForestHyperparams) -> RandomForest:
 
 
 class AdaBoost:
-    """SAMME over depth-1 stumps; decision value is the normalized vote sum."""
+    """SAMME over depth-1 stumps; decision value is the normalized vote sum.
+
+    Reads dense rows: train and decision_values densify CsrMatrix input."""
 
     def __init__(self, stumps: List[Tuple[float, DecisionTree]],
                  hyperparams: BoostHyperparams):
@@ -375,6 +393,9 @@ def _train_adaboost(X, y, hp: BoostHyperparams) -> AdaBoost:
 
 
 class KNearest:
+    """Reads dense rows: train and decision_values densify CsrMatrix input.
+    The model keeps, and its file stores, the dense training rows."""
+
     def __init__(self, X: np.ndarray, y: np.ndarray, hyperparams: KnnHyperparams):
         self.X = X
         self.y = np.array(y)
@@ -392,19 +413,25 @@ class KNearest:
 
 # -- unified training / prediction -------------------------------------------
 
-def _on_transform(fit):
-    """fit(X, y, hp) as a trainer that reads the scaler's transform of X."""
-    return lambda X, y, hp, scaler: fit(scaler.transform(X) if scaler else X, y, hp)
+def _dense(X: CsrMatrix, scaler: Optional[Standardizer]) -> np.ndarray:
+    """The dense rows of X, scaled by scaler when there is one."""
+    X = X.toarray()
+    return scaler.transform(X) if scaler else X
+
+
+def _densified(fit):
+    """fit(X, y, hp) over dense rows as a trainer of CsrMatrix rows."""
+    return lambda X, y, hp, scaler: fit(_dense(X, scaler), y, hp)
 
 
 # kind -> (hyperparameter dataclass, trainer(X, y, hp, scaler or None),
 #          reads standardized features)
 _KIND_TABLE = {
     "linear_svm": (SvmHyperparams, _train_svm, True),
-    "decision_tree": (TreeHyperparams, _on_transform(_train_tree), False),
-    "random_forest": (ForestHyperparams, _on_transform(_train_forest), False),
-    "adaboost": (BoostHyperparams, _on_transform(_train_adaboost), False),
-    "knn": (KnnHyperparams, _on_transform(KNearest), True),
+    "decision_tree": (TreeHyperparams, _densified(_train_tree), False),
+    "random_forest": (ForestHyperparams, _densified(_train_forest), False),
+    "adaboost": (BoostHyperparams, _densified(_train_adaboost), False),
+    "knn": (KnnHyperparams, _densified(KNearest), True),
 }
 KINDS = tuple(_KIND_TABLE)
 
@@ -423,9 +450,10 @@ def hyperparam_fields(kind: str) -> frozenset:
 class TrainedModel:
     """A classifier with its scaling, optional calibration, and registry tie.
 
-    Inputs are matrices whose columns follow ``registry``; ``registry_hash``
-    names the feature extractor that produced them. Both are stored metadata
-    that load_model and the two-step gate check, not used to build inputs.
+    Inputs are CsrMatrix rows or dense arrays whose columns follow
+    ``registry``; ``registry_hash`` names the feature extractor that
+    produced them. Both are stored metadata that load_model and the two-step
+    gate check, not used to build inputs.
     A decision value > 0 predicts the positive class; exactly 0 resolves to
     positive by convention.
     """
@@ -438,14 +466,21 @@ class TrainedModel:
     registry_hash: Optional[str] = None
     calibration: Optional[tuple] = None
 
-    def _matrix(self, X) -> np.ndarray:
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        if self.standardizer is not None:
-            X = self.standardizer.transform(X)
-        return X
+    @cached_property
+    def _unscaled_svm(self) -> LinearSvm:
+        """The linear SVM over unscaled columns: weights w/std and bias
+        b - mean.(w/std), so that it never builds the scaled rows."""
+        svm, scaler = self.inner, self.standardizer
+        if scaler is None:
+            return svm
+        w = svm.w / scaler.std
+        return LinearSvm(w, svm.b - float(scaler.mean @ w), svm.hyperparams)
 
     def decision_values(self, X) -> np.ndarray:
-        return self.inner.decision_values(self._matrix(X))
+        X = as_csr(X)
+        if self.kind == "linear_svm":
+            return self._unscaled_svm.decision_values(X)
+        return self.inner.decision_values(_dense(X, self.standardizer))
 
     def predict_many(self, X) -> np.ndarray:
         return (self.decision_values(X) >= 0.0).astype(int)
@@ -480,20 +515,21 @@ def _coerce_params(kind: str, params) -> object:
     raise TrainingError(f"invalid params for {kind}: {params!r}")
 
 
-def train(kind: str, X: np.ndarray, y: Sequence[int], params=None,
+def train(kind: str, X, y: Sequence[int], params=None,
           standardize: Optional[bool] = None,
           registry: Optional[Sequence[str]] = None,
           registry_hash: Optional[str] = None) -> TrainedModel:
     """Train one binary classifier on a feature matrix with labels in {0,1}.
 
+    X is a CsrMatrix or a dense array (converted with one as_csr call).
     standardize defaults to whether the kind reads standardized features.
     """
     _, fit, standardized = _kind(kind)
-    X = np.asarray(X, dtype=float)
+    X = as_csr(X)
     y = np.asarray(y, dtype=int)
-    if X.ndim != 2 or len(X) == 0:
+    if X.shape[0] == 0:
         raise TrainingError("X must be a non-empty 2D matrix")
-    if len(X) != len(y):
+    if X.shape[0] != len(y):
         raise TrainingError("X and y length mismatch")
     if len(np.unique(y)) < 2:
         raise TrainingError("training labels must contain both classes")

@@ -282,7 +282,7 @@ def cmd_features(args) -> int:
     labels = {c.id: sorted(ls.labels, key=CLASS_ORDER.index) for c, ls in ds}
     write_json(out / "labels.json", labels, indent=2)
     _write_manifest(out, args, [args.input])
-    print(f"exported {len(X)} feature vectors over {len(extractor.registry)} features")
+    print(f"exported {X.shape[0]} feature vectors over {len(extractor.registry)} features")
     return 0
 
 

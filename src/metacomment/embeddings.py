@@ -113,54 +113,6 @@ def cosine_from_norms(u: np.ndarray, v: np.ndarray, nu: float, nv: float) -> flo
     return max(min(float(np.dot(u, v) / (nu * nv)), 1.0), -1.0)
 
 
-def cosine_distance(u: np.ndarray, v: np.ndarray) -> float:
-    return 1.0 - cosine_similarity(u, v)
-
-
-# -- negative-sampling objective ------------------------------------------
-#
-# For one (context, center) pair with mean input vector h and negative draws
-# n_1..n_K the loss is  -log s(u_c . h) - sum_k log s(-u_{n_k} . h)  where s
-# is the logistic function. These two functions are the reference definition.
-# Training and inference apply exactly these gradients through _batch_step;
-# test_embeddings.py's TestTrainingStep and TestBatchedInference tie each
-# mode to them, one example per batch and in larger batches.
-
-def negative_sampling_loss(w_in: np.ndarray, w_out: np.ndarray,
-                           context: Sequence[int], center: int,
-                           negatives: Sequence[int]) -> float:
-    h = w_in[np.asarray(context)].mean(axis=0)
-    s_pos = float(w_out[center] @ h)
-    loss = float(np.logaddexp(0.0, -s_pos))
-    if len(negatives):
-        s_neg = w_out[np.asarray(negatives)] @ h
-        loss += float(np.logaddexp(0.0, s_neg).sum())
-    return loss
-
-
-def negative_sampling_gradients(w_in: np.ndarray, w_out: np.ndarray,
-                                context: Sequence[int], center: int,
-                                negatives: Sequence[int]):
-    """Full-matrix analytic gradients of negative_sampling_loss.
-
-    Returns (loss, grad_in, grad_out) with grads shaped like the matrices;
-    rows not involved in the pair are zero.
-    """
-    rows = np.asarray(context)
-    h = w_in[rows].mean(axis=0)
-    targets = np.concatenate(([center], np.asarray(negatives, dtype=int)))
-    scores = w_out[targets] @ h
-    g = _sigmoid(scores)
-    g[0] -= 1.0
-    loss = float(np.logaddexp(0.0, -scores[0]) + np.logaddexp(0.0, scores[1:]).sum())
-    grad_h = g @ w_out[targets]
-    grad_in = np.zeros_like(w_in)
-    np.add.at(grad_in, rows, grad_h / len(rows))
-    grad_out = np.zeros_like(w_out)
-    np.add.at(grad_out, targets, g[:, None] * h[None, :])
-    return loss, grad_in, grad_out
-
-
 def _noise_cdf(counts: np.ndarray) -> np.ndarray:
     """Cumulative unigram^0.75 noise distribution; np.searchsorted(cdf, u,
     side="right") turns uniform draws u into negatives (inverse CDF)."""
@@ -328,7 +280,8 @@ def _batch_step(w_in, w_out, inputs, targets, negatives, lr,
                 frozen: Optional[int] = None) -> float:
     """One minibatch of negative-sampling steps; returns its summed loss.
 
-    Example i takes the negative_sampling_gradients step, at rate lr[i], of
+    Example i takes the step of the reference negative-sampling gradients
+    (negative_sampling_gradients in tests/oracles.py), at rate lr[i], of
     predicting targets[i] against negatives[i] from the mean of its w_in rows
     inputs[i] (padded with -1). All examples read the matrices as they are
     at the batch's start; their summed updates are then applied in place.

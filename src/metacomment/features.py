@@ -3,10 +3,12 @@
 Five groups feed the classifiers: keyword-pattern counts, tf-idf over
 unigrams/bigrams, simple text statistics, semantic features from comment
 embeddings (distances to per-class mean vectors), and site metadata.
-FeatureExtractor.matrix turns comments into numeric rows, which feed the
-classifiers and the triplet export alike; named values appear only in
-FeatureExtractor.assemble, an inspection view of one row.
-ANOVA F-scores rank features; select_k_best picks the significant subset.
+FeatureExtractor.matrix turns comments into a CSR matrix (sparse.py) whose
+rows feed the classifiers and the triplet export alike: it is built from
+each group's non-zeros, and no dense n x registry array is made. Named
+values appear only in FeatureExtractor.assemble, an inspection view of one
+row. ANOVA F-scores, computed from the non-zeros too, rank features;
+select_k_best picks the significant subset.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ import hashlib
 import re
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from itertools import islice
 from pathlib import Path
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence
 
@@ -23,6 +26,7 @@ import numpy as np
 from .corpus import ADDRESSEE_LABELS, CLASS_ORDER, Comment, LabeledDataset
 from .embeddings import DocEmbeddingModel, WordEmbeddingModel, cosine_from_norms
 from .files import read_lines
+from .sparse import CsrMatrix, as_csr
 from .textprep import TokenStream, _is_punct, ngrams, preprocess, scan_text, tokenize
 
 _DATA_DIR = Path(__file__).parent / "data"
@@ -131,6 +135,39 @@ def count_pattern_matches(comment: Comment, pattern: re.Pattern) -> int:
     return len(pattern.findall(scan_text(comment)))
 
 
+# A keyword pattern matches \w characters between two \b, so each match is a
+# whole \w+ run of the text, when every keyword is one \w+ run. Such a run
+# matches when its lowercase form is a keyword + suffix form, unless it or a
+# keyword holds a character that re.IGNORECASE and str.lower compare
+# differently: sre's extra case equivalences (s/long s, i/dotless i, micro/mu,
+# the Greek symbol variants, the final sigma, the Cyrillic small-letter
+# variants, the ligatures st), and the dotted capital I, which str.lower
+# turns into two characters.
+_WORD_RUN = re.compile(r"\w+")
+_CASE_ODD = re.compile("[\u017f\u0131\u00b5\u03bc\u03a3\u03c2\u03c3\u03b9\u0345\u1fbe"
+                       "\u0390\u1fd3\u03b0\u1fe3\u03d0\u03d1\u03d5\u03d6\u03f0\u03f1"
+                       "\u03f5\u1c80-\u1c88\u1e9b\ufb05\ufb06\u0130]")
+
+
+def _keyword_forms(keyword_lists: Iterable[Sequence[str]]) -> Optional[frozenset]:
+    """The lowercase keyword + suffix forms of the keywords, or None when a
+    keyword is not one \\w+ run or holds a character of _CASE_ODD."""
+    words = {k.lower() for keywords in keyword_lists for k in keywords if k}
+    if any(not _WORD_RUN.fullmatch(w) or _CASE_ODD.search(w) for w in words):
+        return None
+    return frozenset(w + suffix for w in words for suffix in ("", *INFLECTION_SUFFIXES))
+
+
+def _pattern_text(text: str, forms: Optional[frozenset]) -> str:
+    """A text on which the patterns of the keywords of forms (see
+    _keyword_forms) find as many matches as on text: the runs of text whose
+    lowercase form is in forms, one space apart. text itself when forms is
+    None or text holds a character of _CASE_ODD."""
+    if forms is None or _CASE_ODD.search(text):
+        return text
+    return " ".join(run for run in _WORD_RUN.findall(text) if run.lower() in forms)
+
+
 # -- tf-idf ------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -154,6 +191,10 @@ class _GramIds:
 
     def __init__(self):
         self.ids: Dict[str, int] = {}
+        # the last fit() or weights() model and the column of each id in it
+        # (-1: none)
+        self._model: Optional[TfidfModel] = None
+        self._columns = np.empty(0, dtype=np.intp)
 
     def count(self, ts: TokenStream) -> tuple:
         """(ids, counts) of the ngrams of ts."""
@@ -174,16 +215,26 @@ class _GramIds:
         order = seen[np.argsort(first)]
         df = np.bincount(ids, minlength=len(self.ids))[order].astype(np.int64)
         grams = list(self.ids)
-        return TfidfModel(vocabulary={grams[i]: col for col, i in enumerate(order.tolist())},
-                          document_frequencies=df, n_docs=len(docs))
+        model = TfidfModel(vocabulary={grams[i]: col for col, i in enumerate(order.tolist())},
+                           document_frequencies=df, n_docs=len(docs))
+        # weights() needs no vocabulary lookup for the ids numbered so far
+        self._model, self._columns = model, np.full(len(self.ids), -1, dtype=np.intp)
+        self._columns[order] = np.arange(len(order))
+        return model
 
     def weights(self, docs: Sequence[np.ndarray], counts: Sequence[np.ndarray],
                 model: TfidfModel) -> tuple:
         """(rows, columns, weights) of the L2-normalized tf*idf rows of the
         documents with these gram ids and counts; grams outside the model's
         vocabulary contribute nothing."""
-        columns = np.array([model.vocabulary.get(gram, -1) for gram in self.ids],
-                           dtype=np.intp)
+        if self._model is not model:
+            self._model, self._columns = model, np.empty(0, dtype=np.intp)
+        if len(self._columns) < len(self.ids):
+            # look up only the grams numbered since the last call
+            new = list(islice(reversed(self.ids), len(self.ids) - len(self._columns)))
+            self._columns = np.concatenate([self._columns, np.array(
+                [model.vocabulary.get(gram, -1) for gram in reversed(new)], dtype=np.intp)])
+        columns = self._columns
         rows = np.repeat(np.arange(len(docs)), np.array([len(d) for d in docs], dtype=np.intp))
         cols = columns[np.concatenate([np.empty(0, np.intp), *docs])]
         kept = cols >= 0
@@ -416,11 +467,18 @@ class FeatureExtractor:
         self.stopwords = stopwords
         self._ids = frozenset(fitted_ids)
         # registry: head, tf-idf, text statistics, semantic, tail
-        _, self._head, self._tail = _fixed_columns(self.keyword_sets)
+        _, head, tail = _fixed_columns(self.keyword_sets)
         tfidf_names = [f"tfidf_{gram}" for gram in tfidf.vocabulary] if tfidf else []
-        self._stats_at = len(self._head) + len(tfidf_names)
-        self._registry = (*self._head, *tfidf_names, *TEXT_STAT_NAMES,
-                          *_semantic_names(self.class_vecs), *self._tail)
+        self._registry = (*head, *tfidf_names, *TEXT_STAT_NAMES,
+                          *_semantic_names(self.class_vecs), *tail)
+        self._tfidf_at = len(head)
+        self._semantic_at = len(head) + len(tfidf_names) + len(TEXT_STAT_NAMES)
+        # the registry column of each column of a cache entry's head, text
+        # statistics and tail
+        self._fixed_at = np.concatenate([
+            np.arange(len(head)),
+            len(head) + len(tfidf_names) + np.arange(len(TEXT_STAT_NAMES)),
+            len(self._registry) - len(tail) + np.arange(len(tail))]).astype(np.intp)
         self._hash = hashlib.sha256("\n".join(self._registry).encode()).hexdigest()[:16]
 
     @property
@@ -440,8 +498,9 @@ class FeatureExtractor:
         return FeatureCache(self.keyword_sets, self.doc_model, self.stopwords)
 
     def matrix(self, comments: Iterable[Comment],
-               cache: Optional["FeatureCache"] = None) -> np.ndarray:
-        """Rows in registry column order.
+               cache: Optional["FeatureCache"] = None) -> CsrMatrix:
+        """The comments' rows in registry column order, as a CsrMatrix built
+        from the cached non-zeros, the tf-idf weights and the semantic block.
 
         cache holds the fold-invariant values of the comments' dataset and
         must have been made for the same unlabeled inputs; without it, a new
@@ -456,24 +515,30 @@ class FeatureExtractor:
                                "doc model or stop words")
         vectors = cache.vectors(comments) if self.class_vecs else None
         entries = cache.entries(comments)
-        n, h, s, t = len(entries), len(self._head), len(TEXT_STAT_NAMES), len(self._tail)
-        fixed = np.array([entry.row for entry in entries]).reshape(n, h + s + t)
-        X = np.zeros((n, len(self._registry)))
-        X[:, :h] = fixed[:, :h]
-        X[:, self._stats_at:self._stats_at + s] = fixed[:, h:h + s]
-        X[:, len(self._registry) - t:] = fixed[:, h + s:]
+        n = len(entries)
+        rows = [np.repeat(np.arange(n), [len(e.columns) for e in entries])]
+        cols = [self._fixed_at[np.concatenate([np.empty(0, np.intp),
+                                               *(e.columns for e in entries)])]]
+        values = [np.concatenate([np.empty(0), *(e.values for e in entries)])]
         if self.tfidf is not None:
-            rows, cols, weights = cache.tfidf_weights(entries, self.tfidf)
-            X[rows, h + cols] = weights
+            tfidf_rows, tfidf_cols, weights = cache.tfidf_weights(entries, self.tfidf)
+            rows.append(tfidf_rows)
+            cols.append(self._tfidf_at + tfidf_cols)
+            values.append(weights)
         if self.class_vecs:
-            at = self._stats_at + s
-            for row, vector in enumerate(vectors):
-                values = semantic_features(self.class_vecs, vector)
-                X[row, at:at + len(values)] = list(values.values())
-        if not np.isfinite(X).all():
-            row, col = np.argwhere(~np.isfinite(X))[0]
+            width = 2 * len(self.class_vecs)
+            block = np.array([list(semantic_features(self.class_vecs, vector).values())
+                              for vector in vectors]).reshape(n, width)
+            rows.append(np.repeat(np.arange(n), width))
+            cols.append(np.tile(self._semantic_at + np.arange(width), n))
+            values.append(block.ravel())
+        X = CsrMatrix.from_triplets(np.concatenate(rows), np.concatenate(cols),
+                                    np.concatenate(values), (n, len(self._registry)))
+        bad = np.flatnonzero(~np.isfinite(X.data))
+        if len(bad):
+            row = np.searchsorted(X.indptr, bad[0], side="right") - 1
             raise FeatureError(f"comment {comments[row].id}: non-finite value for "
-                               f"feature {self._registry[col]!r}")
+                               f"feature {self._registry[X.indices[bad[0]]]!r}")
         return X
 
     def assemble(self, comment: Comment, vector: Optional[np.ndarray] = None) -> dict:
@@ -485,19 +550,22 @@ class FeatureExtractor:
                                "need the comment's vector")
         cache = self.new_cache()
         cache.entries([comment])[0].vector = vector
-        row = self.matrix([comment], cache)[0]
-        return {self._registry[col]: float(row[col]) for col in np.flatnonzero(row)}
+        X = self.matrix([comment], cache)
+        return {self._registry[col]: value
+                for col, value in zip(X.indices.tolist(), X.data.tolist())}
 
 
 class _Entry:
-    """One comment's fold-invariant values: its head, text-statistics and
-    tail columns in registry order, its stop-word-filtered token stream with
-    its ngrams' cache ids and counts, and its comment vector once asked for."""
+    """One comment's fold-invariant values: the non-zeros (columns, values)
+    of its head, text-statistics and tail columns, in that order, its
+    stop-word-filtered token stream with its ngrams' cache ids and counts,
+    and its comment vector once asked for."""
 
-    __slots__ = ("row", "stream", "ids", "counts", "vector")
+    __slots__ = ("columns", "values", "stream", "ids", "counts", "vector")
 
-    def __init__(self, row, stream, ids, counts):
-        self.row, self.stream, self.ids, self.counts = row, stream, ids, counts
+    def __init__(self, columns, values, stream, ids, counts):
+        self.columns, self.values = columns, values
+        self.stream, self.ids, self.counts = stream, ids, counts
         self.vector = None
 
 
@@ -516,8 +584,10 @@ class FeatureCache:
     def __init__(self, keyword_sets=None, doc_model=None, stopwords=None):
         self.keyword_sets = dict(keyword_sets or {})
         self.doc_model, self.stopwords = doc_model, stopwords
-        self._patterns = [compile_keyword_pattern(self.keyword_sets[label].enriched)
-                          for label in ADDRESSEE_LABELS if label in self.keyword_sets]
+        enriched = [self.keyword_sets[label].enriched
+                    for label in ADDRESSEE_LABELS if label in self.keyword_sets]
+        self._patterns = [compile_keyword_pattern(keywords) for keywords in enriched]
+        self._forms = _keyword_forms(enriched)
         keyword_tokens, head, tail = _fixed_columns(self.keyword_sets)
         self._column = {name: i for i, name in enumerate([*head, *TEXT_STAT_NAMES, *tail])}
         self._keyword_column = {token: self._column[f"keyword_{token}"]
@@ -537,8 +607,9 @@ class FeatureCache:
 
     def _entry(self, comment: Comment) -> _Entry:
         row = np.zeros(len(self._column))
+        text = _pattern_text(scan_text(comment), self._forms)
         for col, pattern in enumerate(self._patterns):
-            row[col] = count_pattern_matches(comment, pattern)
+            row[col] = len(pattern.findall(text))
         if self._keyword_column:
             for token in preprocess(comment).tokens:
                 col = self._keyword_column.get(token)
@@ -549,7 +620,8 @@ class FeatureCache:
         for name, value in metadata_features(comment, default_departments()).items():
             row[self._column[name]] = value
         stream = preprocess(comment, remove_stopwords=True, stopwords=self.stopwords)
-        return _Entry(row, stream, *self._grams.count(stream))
+        columns = np.flatnonzero(row)
+        return _Entry(columns, row[columns], stream, *self._grams.count(stream))
 
     def tfidf_fit(self, comments: Sequence[Comment]) -> TfidfModel:
         """tfidf_fit of the comments' stop-word-filtered token streams."""
@@ -587,15 +659,15 @@ def build_matrix(rows: Sequence[dict], registry: Sequence[str]) -> np.ndarray:
     return X
 
 
-def export_sparse_matrix(X: np.ndarray, registry: Sequence[str], path) -> None:
+def export_sparse_matrix(X: CsrMatrix, registry: Sequence[str], path) -> None:
     """Triplet text export ('row col value') of the non-zero cells of X,
     whose columns are the registry's, with a sidecar name registry."""
     path = Path(path)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(f"{len(X)} {len(registry)}\n")
-        for row, values in enumerate(X):
-            for col in np.flatnonzero(values):
-                fh.write(f"{row} {col} {float(values[col])!r}\n")
+        fh.write(f"{X.shape[0]} {len(registry)}\n")
+        for row, col, value in zip(X.row_ids().tolist(), X.indices.tolist(),
+                                   X.data.tolist()):
+            fh.write(f"{row} {col} {value!r}\n")
     names_path = path.with_suffix(path.suffix + ".names")
     with open(names_path, "w", encoding="utf-8", newline="\n") as fh:
         for name in registry:
@@ -604,35 +676,47 @@ def export_sparse_matrix(X: np.ndarray, registry: Sequence[str], path) -> None:
 
 # -- ANOVA feature ranking ---------------------------------------------------
 
-def anova_f_matrix(X: np.ndarray, y: Sequence[int]) -> np.ndarray:
+def anova_f_matrix(X, y: Sequence[int]) -> np.ndarray:
     """One-way ANOVA F-score per column for a binary target.
 
-    Zero within-class variance with positive between-class variance gives
-    +inf (ranks first); an (almost) constant feature gives 0.
+    X is a CsrMatrix or a dense array (converted with one as_csr call). The
+    sums run over the non-zeros: each class's centred squares add its zeros'
+    share (n_g - nnz) * mean_g^2 to those of its non-zeros. Zero within-class
+    variance with positive between-class variance gives +inf (ranks first);
+    an (almost) constant feature gives 0.
     """
-    X = np.asarray(X, dtype=float)
+    X = as_csr(X)
     y = np.asarray(y)
     classes = np.unique(y)
     if len(classes) < 2:
         raise FeatureError("ANOVA requires samples from both classes")
-    n = len(y)
+    n, d = X.shape
+    if len(y) != n:
+        raise FeatureError(f"{len(y)} labels for {n} rows")
     k = len(classes)
-    grand = X.mean(axis=0)
-    ssb = np.zeros(X.shape[1])
-    ssw = np.zeros(X.shape[1])
+    grand = np.bincount(X.indices, X.data, minlength=d) / n
+    value_class = y[X.row_ids()]
+    ssb = np.zeros(d)
+    ssw = np.zeros(d)
     for cls in classes:
-        group = X[y == cls]
-        mean_g = group.mean(axis=0)
-        ssb += len(group) * (mean_g - grand) ** 2
-        ssw += ((group - mean_g) ** 2).sum(axis=0)
+        in_class = value_class == cls
+        cols, values = X.indices[in_class], X.data[in_class]
+        n_g = int(np.count_nonzero(y == cls))
+        mean_g = np.bincount(cols, values, minlength=d) / n_g
+        ssb += n_g * (mean_g - grand) ** 2
+        centred = values - mean_g[cols]
+        ssw += (np.bincount(cols, centred * centred, minlength=d)
+                + (n_g - np.bincount(cols, minlength=d)) * mean_g ** 2)
     msb = ssb / (k - 1)
     msw = ssw / (n - k)
     sst = ssb + ssw
     # relative tolerances keep the scores scale-invariant
-    scale = np.maximum(np.abs(X).max(axis=0), 1e-300)
+    scale = np.zeros(d)
+    np.maximum.at(scale, X.indices, np.abs(X.data))
+    scale = np.maximum(scale, 1e-300)
     constant = sst <= (n * (1e-12 * scale) ** 2)
     separated = ~constant & (ssw <= 1e-24 * sst)
-    scores = np.zeros(X.shape[1])
+    scores = np.zeros(d)
     regular = ~constant & ~separated
     scores[regular] = msb[regular] / msw[regular]
     scores[separated] = np.inf

@@ -186,13 +186,6 @@ def forward(model: CnnModel, idx: np.ndarray) -> np.ndarray:
     return probs[0] if probs.shape[0] == 1 else probs
 
 
-def batch_loss(model: CnnModel, idx: np.ndarray, labels: np.ndarray) -> float:
-    """Mean cross-entropy of a batch, as minimized by training."""
-    probs, _ = _forward_batch(model, np.atleast_2d(idx))
-    picked = probs[np.arange(len(labels)), labels]
-    return float(-np.log(np.clip(picked, 1e-300, None)).mean())
-
-
 class _Adam:
     def __init__(self, params: Dict[str, np.ndarray], lr: float):
         self.lr = lr
@@ -250,32 +243,3 @@ def train(model: CnnModel, sequences: Sequence[np.ndarray],
         history.append(total / len(idx))
         logger.debug("cnn epoch %d/%d loss %.4f", epoch + 1, cfg.epochs, history[-1])
     return history
-
-
-def gradient_check(model: CnnModel, idx: np.ndarray, labels: np.ndarray,
-                   h: float = 1e-5) -> Dict[str, float]:
-    """Max relative error of analytic vs central-difference gradients per block."""
-    idx = np.atleast_2d(np.asarray(idx, dtype=np.int64))
-    labels = np.asarray(labels, dtype=np.int64)
-    probs, cache = _forward_batch(model, idx)
-    grads = _backward_batch(model, probs, labels, cache)
-    errors = {}
-    for name in TRAINABLE_BLOCKS:
-        matrix = getattr(model, name)
-        grad = grads[name]
-        flat = matrix.reshape(-1)
-        max_rel = 0.0
-        for pos in range(flat.size):
-            orig = flat[pos]
-            flat[pos] = orig + h
-            up = batch_loss(model, idx, labels)
-            flat[pos] = orig - h
-            down = batch_loss(model, idx, labels)
-            flat[pos] = orig
-            numeric = (up - down) / (2.0 * h)
-            analytic = grad.reshape(-1)[pos]
-            denom = max(abs(numeric), abs(analytic), 1e-8)
-            max_rel = max(max_rel, abs(numeric - analytic) / denom)
-        errors[name] = max_rel
-    return errors
-

@@ -42,6 +42,7 @@ from .features import (
 )
 from .files import read_json, write_json
 from .neural import CnnConfig, build as build_cnn, forward, train as train_cnn
+from .sparse import CsrMatrix
 from .textprep import preprocess
 
 logger = logging.getLogger(__name__)
@@ -140,7 +141,7 @@ class FeaturePipeline:
         self._fit(entries, y)
         return self
 
-    def _fit(self, entries: Sequence[Entry], y) -> np.ndarray:
+    def _fit(self, entries: Sequence[Entry], y) -> CsrMatrix:
         """Fit as fit() does; returns the training matrix after selection."""
         y = np.asarray(y, dtype=int)
         self.extractor = self._fit_extractor(entries)
@@ -153,14 +154,14 @@ class FeaturePipeline:
             index = {name: i for i, name in enumerate(registry)}
             self._columns = np.array([index[name] for name in self.selected],
                                      dtype=np.intp)
-            X = X[:, self._columns]
+            X = X.columns(self._columns)
         else:
             self.selected = registry
             self._columns = None
         self.model = self._train(X, y, self.with_calibration)
         return X
 
-    def _train(self, X: np.ndarray, y: np.ndarray,
+    def _train(self, X: CsrMatrix, y: np.ndarray,
                calibrated: bool = False) -> TrainedModel:
         """One classifier over the selected columns, tied to the extractor.
 
@@ -178,11 +179,11 @@ class FeaturePipeline:
                                 registry=registry,
                                 registry_hash=self.extractor.registry_hash)
 
-    def _matrix(self, entries: Sequence[Entry]) -> np.ndarray:
+    def _matrix(self, entries: Sequence[Entry]) -> CsrMatrix:
         if self.model is None:
             raise RuntimeError("pipeline is not fitted")
         X = self.extractor.matrix(_comments(entries), self.features)
-        return X if self._columns is None else X[:, self._columns]
+        return X if self._columns is None else X.columns(self._columns)
 
     def predict(self, entries: Sequence[Entry]) -> np.ndarray:
         return self.model.predict_many(self._matrix(entries))
@@ -280,7 +281,7 @@ class TwoStepClassifier:
         X = self.extractor.matrix(_comments(entries))
         return [two_step_classify(self.meta_model, self.addressee_models, X[i:i + 1],
                                   threshold=self.threshold)
-                for i in range(len(X))]
+                for i in range(X.shape[0])]
 
     @staticmethod
     def files(directory) -> Dict[str, Path]:

@@ -1,0 +1,158 @@
+"""Reference definitions that the package's optimized code is checked against.
+
+None of them runs in the package: each states a quantity in its plainest
+form, and the tests tie the package's own code to it.
+"""
+
+from typing import Dict, Sequence
+
+import numpy as np
+
+from metacomment.embeddings import _sigmoid, cosine_similarity
+from metacomment.neural import TRAINABLE_BLOCKS, CnnModel, _backward_batch, _forward_batch
+
+
+def cosine_distance(u: np.ndarray, v: np.ndarray) -> float:
+    return 1.0 - cosine_similarity(u, v)
+
+
+# -- negative-sampling objective ------------------------------------------
+#
+# For one (context, center) pair with mean input vector h and negative draws
+# n_1..n_K the loss is  -log s(u_c . h) - sum_k log s(-u_{n_k} . h)  where s
+# is the logistic function. These two functions are the reference definition.
+# Training and inference apply exactly these gradients through
+# embeddings._batch_step; test_embeddings.py's TestTrainingStep and
+# TestBatchedInference tie each mode to them, one example per batch and in
+# larger batches.
+
+def negative_sampling_loss(w_in: np.ndarray, w_out: np.ndarray,
+                           context: Sequence[int], center: int,
+                           negatives: Sequence[int]) -> float:
+    h = w_in[np.asarray(context)].mean(axis=0)
+    s_pos = float(w_out[center] @ h)
+    loss = float(np.logaddexp(0.0, -s_pos))
+    if len(negatives):
+        s_neg = w_out[np.asarray(negatives)] @ h
+        loss += float(np.logaddexp(0.0, s_neg).sum())
+    return loss
+
+
+def negative_sampling_gradients(w_in: np.ndarray, w_out: np.ndarray,
+                                context: Sequence[int], center: int,
+                                negatives: Sequence[int]):
+    """Full-matrix analytic gradients of negative_sampling_loss.
+
+    Returns (loss, grad_in, grad_out) with grads shaped like the matrices;
+    rows not involved in the pair are zero.
+    """
+    rows = np.asarray(context)
+    h = w_in[rows].mean(axis=0)
+    targets = np.concatenate(([center], np.asarray(negatives, dtype=int)))
+    scores = w_out[targets] @ h
+    g = _sigmoid(scores)
+    g[0] -= 1.0
+    loss = float(np.logaddexp(0.0, -scores[0]) + np.logaddexp(0.0, scores[1:]).sum())
+    grad_h = g @ w_out[targets]
+    grad_in = np.zeros_like(w_in)
+    np.add.at(grad_in, rows, grad_h / len(rows))
+    grad_out = np.zeros_like(w_out)
+    np.add.at(grad_out, targets, g[:, None] * h[None, :])
+    return loss, grad_in, grad_out
+
+
+# -- CNN ----------------------------------------------------------------------
+
+def batch_loss(model: CnnModel, idx: np.ndarray, labels: np.ndarray) -> float:
+    """Mean cross-entropy of a batch, as minimized by training."""
+    probs, _ = _forward_batch(model, np.atleast_2d(idx))
+    picked = probs[np.arange(len(labels)), labels]
+    return float(-np.log(np.clip(picked, 1e-300, None)).mean())
+
+
+def gradient_check(model: CnnModel, idx: np.ndarray, labels: np.ndarray,
+                   h: float = 1e-5) -> Dict[str, float]:
+    """Max relative error of analytic vs central-difference gradients per block."""
+    idx = np.atleast_2d(np.asarray(idx, dtype=np.int64))
+    labels = np.asarray(labels, dtype=np.int64)
+    probs, cache = _forward_batch(model, idx)
+    grads = _backward_batch(model, probs, labels, cache)
+    errors = {}
+    for name in TRAINABLE_BLOCKS:
+        matrix = getattr(model, name)
+        grad = grads[name]
+        flat = matrix.reshape(-1)
+        max_rel = 0.0
+        for pos in range(flat.size):
+            orig = flat[pos]
+            flat[pos] = orig + h
+            up = batch_loss(model, idx, labels)
+            flat[pos] = orig - h
+            down = batch_loss(model, idx, labels)
+            flat[pos] = orig
+            numeric = (up - down) / (2.0 * h)
+            analytic = grad.reshape(-1)[pos]
+            denom = max(abs(numeric), abs(analytic), 1e-8)
+            max_rel = max(max_rel, abs(numeric - analytic) / denom)
+        errors[name] = max_rel
+    return errors
+
+
+# -- linear SVM and ANOVA over dense matrices -----------------------------------
+
+def primal_objective(svm, X: np.ndarray, y_pm: np.ndarray) -> float:
+    """The primal objective of a LinearSvm on the dense rows X, labels +-1."""
+    margins = 1.0 - y_pm * svm.decision_values(X)
+    hinge = np.maximum(margins, 0.0).sum()
+    return 0.5 * float(svm.w @ svm.w) + svm.hyperparams.C * float(hinge)
+
+
+def svm_grid_minimum(X: np.ndarray, y_pm: np.ndarray, C: float,
+                     lo: float = -3.0, hi: float = 3.0, step: float = 0.01) -> float:
+    """Brute-force primal minimization of a two-feature linear SVM over
+    every point of the (w1, w2, b) lattice, two w1 values at a time (larger
+    blocks leave the cache and run slower)."""
+    grid = np.arange(lo, hi + 1e-9, step)
+    w2g, bg = np.meshgrid(grid, grid, indexing="ij")
+    # C times each sample's margin term without its w1 part; C > 0, so
+    # C * max(m, 0) = max(C * m, 0)
+    rest = [C * (1.0 - yi * (w2g * xi[1] + bg)) for xi, yi in zip(X, y_pm)]
+    half_w2 = 0.5 * w2g ** 2
+    best = np.inf
+    for start in range(0, len(grid), 2):
+        w1 = grid[start:start + 2, None, None]
+        objective = half_w2 + 0.5 * w1 ** 2
+        term = np.empty_like(objective)
+        for xi, yi, r in zip(X, y_pm, rest):
+            np.subtract(r, C * yi * xi[0] * w1, out=term)
+            objective += np.maximum(term, 0.0, out=term)
+        best = min(best, float(objective.min()))
+    return best
+
+
+def dense_anova_f(X: np.ndarray, y: Sequence[int]) -> np.ndarray:
+    """features.anova_f_matrix computed over every cell of the dense X."""
+    X = np.asarray(X, dtype=float)
+    y = np.asarray(y)
+    classes = np.unique(y)
+    n = len(y)
+    k = len(classes)
+    grand = X.mean(axis=0)
+    ssb = np.zeros(X.shape[1])
+    ssw = np.zeros(X.shape[1])
+    for cls in classes:
+        group = X[y == cls]
+        mean_g = group.mean(axis=0)
+        ssb += len(group) * (mean_g - grand) ** 2
+        ssw += ((group - mean_g) ** 2).sum(axis=0)
+    msb = ssb / (k - 1)
+    msw = ssw / (n - k)
+    sst = ssb + ssw
+    scale = np.maximum(np.abs(X).max(axis=0), 1e-300)
+    constant = sst <= (n * (1e-12 * scale) ** 2)
+    separated = ~constant & (ssw <= 1e-24 * sst)
+    scores = np.zeros(X.shape[1])
+    regular = ~constant & ~separated
+    scores[regular] = msb[regular] / msw[regular]
+    scores[separated] = np.inf
+    return scores

@@ -17,8 +17,6 @@ from metacomment.corpus import load_dataset
 from metacomment.embeddings import (
     WordEmbeddingModel,
     WordTrainingParams,
-    negative_sampling_gradients,
-    negative_sampling_loss,
     train_doc_embeddings,
     train_word_embeddings,
 )
@@ -30,11 +28,18 @@ from metacomment.evaluation import (
     two_step_classify,
 )
 from metacomment.features import anova_f_matrix, select_k_best, tfidf_fit, tfidf_transform
-from metacomment.neural import CnnConfig, build, gradient_check
+from metacomment.neural import CnnConfig, build
 from metacomment.neural import train as train_cnn
 from metacomment.pipeline import CnnPipeline, FeaturePipeline, feature_cache
 from metacomment.textprep import TokenStream, preprocess
 
+from oracles import (
+    gradient_check,
+    negative_sampling_gradients,
+    negative_sampling_loss,
+    primal_objective,
+    svm_grid_minimum,
+)
 from synthdata import CLASS_KEYWORDS, generate_comment_dataset
 
 
@@ -280,16 +285,8 @@ def test_criterion_09_svm_oracle():
     model = train("linear_svm", X, y,
                   SvmHyperparams(C=1.0, max_epochs=20000, tolerance=1e-10),
                   standardize=False)
-    learned = model.inner.primal_objective(X, y_pm)
-
-    grid = np.arange(-3.0, 3.0 + 1e-9, 0.01)
-    w2g, bg = np.meshgrid(grid, grid, indexing="ij")
-    best = np.inf
-    for w1 in grid:
-        hinge = np.zeros_like(w2g)
-        for xi, yi in zip(X, y_pm):
-            hinge += np.maximum(1.0 - yi * (w1 * xi[0] + w2g * xi[1] + bg), 0.0)
-        best = min(best, float((0.5 * (w1 ** 2 + w2g ** 2) + hinge).min()))
+    learned = primal_objective(model.inner, X, y_pm)
+    best = svm_grid_minimum(X, y_pm, 1.0)  # the 601^3 lattice over [-3, 3], step 0.01
 
     history = np.array(model.inner.objective_history)
     monotone = bool(np.all(np.diff(history) <= 1e-9))

@@ -27,6 +27,7 @@ from metacomment.classifiers import (
 from metacomment.files import write_json
 
 from conftest import json_dump_bytes
+from oracles import primal_objective, svm_grid_minimum
 
 
 def blob_data(seed=0, n=60, gap=2.0):
@@ -45,20 +46,6 @@ SVM_ORACLE_X = np.array([[2.0, 0.0], [2.0, 1.0], [-2.0, 0.0], [-2.0, -1.0]])
 SVM_ORACLE_Y = np.array([1, 1, 0, 0])
 
 
-def svm_grid_minimum(X, y_pm, C, lo=-3.0, hi=3.0, step=0.01):
-    """Brute-force primal minimization over the (w1, w2, b) lattice."""
-    grid = np.arange(lo, hi + 1e-9, step)
-    w2g, bg = np.meshgrid(grid, grid, indexing="ij")
-    best = np.inf
-    for w1 in grid:
-        hinge = np.zeros_like(w2g)
-        for xi, yi in zip(X, y_pm):
-            hinge += np.maximum(1.0 - yi * (w1 * xi[0] + w2g * xi[1] + bg), 0.0)
-        obj = 0.5 * (w1 ** 2 + w2g ** 2) + C * hinge
-        best = min(best, float(obj.min()))
-    return best
-
-
 class TestLinearSvm:
     def test_separable_two_points_zero_hinge(self):
         X = np.array([[1.0], [-1.0]])
@@ -73,8 +60,8 @@ class TestLinearSvm:
     def test_objective_matches_grid_oracle(self):
         hp = SvmHyperparams(C=1.0, max_epochs=20000, tolerance=1e-10)
         model = train("linear_svm", SVM_ORACLE_X, SVM_ORACLE_Y, hp, standardize=False)
-        learned = model.inner.primal_objective(
-            SVM_ORACLE_X, np.where(SVM_ORACLE_Y == 1, 1.0, -1.0))
+        learned = primal_objective(
+            model.inner, SVM_ORACLE_X, np.where(SVM_ORACLE_Y == 1, 1.0, -1.0))
         oracle = svm_grid_minimum(SVM_ORACLE_X, np.where(SVM_ORACLE_Y == 1, 1.0, -1.0), 1.0)
         assert abs(learned - oracle) <= 1e-3
 

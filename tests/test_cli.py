@@ -262,7 +262,7 @@ class TestFeatureExport:
         names = (out / "features.txt.names").read_text().splitlines()
         assert tuple(names) == extractor.registry
         comments = load_dataset(workspace["dataset"]).comments()
-        assert np.array_equal(X, extractor.matrix(comments))
+        assert np.array_equal(X, extractor.matrix(comments).toarray())
 
 
 def _two_step_args(workspace, out):

@@ -14,15 +14,13 @@ from metacomment.embeddings import (
     EmbeddingError,
     WordEmbeddingModel,
     WordTrainingParams,
-    cosine_distance,
     cosine_similarity,
-    negative_sampling_gradients,
-    negative_sampling_loss,
     train_doc_embeddings,
     train_word_embeddings,
 )
 from metacomment.textprep import TokenStream
 
+from oracles import cosine_distance, negative_sampling_gradients, negative_sampling_loss
 from synthdata import doc_cluster_corpus, synonym_word_corpus
 
 TOY_PARAMS = WordTrainingParams(dim=16, window=1, min_count=2, epochs=5,

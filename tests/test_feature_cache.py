@@ -124,8 +124,8 @@ def assert_fold_matches_reference(models, cache, entries, train_idx, test_idx):
     test = [entries[i] for i in test_idx]
     pipeline = make_pipeline(cache)
     extractor = pipeline._fit_extractor(train)
-    X_train = extractor.matrix([c for c, _ in train], cache)
-    X_test = extractor.matrix([c for c, _ in test], cache)
+    X_train = extractor.matrix([c for c, _ in train], cache).toarray()
+    X_test = extractor.matrix([c for c, _ in test], cache).toarray()
     reference = reference_extractor(models, train)
     assert extractor.registry == reference.registry
     for got, want in zip(extractor.class_vecs, reference.class_vecs):
@@ -145,8 +145,9 @@ class TestMatrixOracle:
                 models, cache, entries, train_idx, test_idx)
             # the fitting and predicting path of cross_validate builds the same
             assert np.array_equal(pipeline._fit([entries[i] for i in train_idx],
-                                                y[train_idx]), X_train)
-            assert np.array_equal(pipeline._matrix([entries[i] for i in test_idx]), X_test)
+                                                y[train_idx]).toarray(), X_train)
+            assert np.array_equal(pipeline._matrix([entries[i] for i in test_idx]).toarray(),
+                                  X_test)
 
     @settings(max_examples=15, deadline=None)
     @given(data=st.data())
@@ -163,7 +164,7 @@ class TestMatrixOracle:
         twin = replace(first, text="Die Redaktion hat den Artikel zensiert. Warum?")
         pipeline = make_pipeline(cache).fit(entries, binary_labels(dataset, "Meta"))
         cache = pipeline.extractor.new_cache()
-        X = pipeline.extractor.matrix([first, twin, first], cache)
+        X = pipeline.extractor.matrix([first, twin, first], cache).toarray()
         assert np.array_equal(X, reference_matrix(pipeline.extractor, [first, twin, first]))
         assert not np.array_equal(X[0], X[1])
         assert np.array_equal(X[0], X[2])
@@ -177,7 +178,7 @@ class TestMatrixOracle:
         rows = [extractor.assemble(c, v) for c, v in zip(comments, vectors)]
         assert all(0.0 not in row.values() for row in rows)
         assert np.array_equal(build_matrix(rows, extractor.registry),
-                              extractor.matrix(comments))
+                              extractor.matrix(comments).toarray())
 
     def test_cache_of_other_inputs_is_rejected(self, dataset, cache):
         pipeline = make_pipeline(cache).fit(list(dataset), binary_labels(dataset, "Meta"))
@@ -191,7 +192,7 @@ class TestMatrixOracle:
         # features.semantic_features, one call per comment row
         pipeline = make_pipeline(cache).fit(list(dataset), binary_labels(dataset, "Meta"))
         comments = list(dataset.comments())
-        expected = pipeline.extractor.matrix(comments)
+        expected = pipeline.extractor.matrix(comments).toarray()
         calls = []
         original = features.semantic_features
 
@@ -200,7 +201,7 @@ class TestMatrixOracle:
             return original(cvs, vec)
 
         monkeypatch.setattr(features, "semantic_features", spy)
-        assert np.array_equal(pipeline.extractor.matrix(comments), expected)
+        assert np.array_equal(pipeline.extractor.matrix(comments).toarray(), expected)
         assert len(calls) == len(comments)
         assert all(cvs is pipeline.extractor.class_vecs for cvs in calls)
 
@@ -278,6 +279,26 @@ class TestTfidfOnGramIds:
         want = build_matrix([{f"tfidf_{g}": v for g, v in row.items()} for row in rows],
                             [f"tfidf_{g}" for g in model.vocabulary])
         assert np.array_equal(block, want)
+
+    def test_grams_numbered_after_a_weights_call(self):
+        # each cache maps its gram ids to a model's columns once, then extends
+        # the map for grams numbered later: a cache that gains comments after
+        # a weights call gives the dict walk's rows, whether or not it fit
+        # the model
+        cache = features.FeatureCache()
+        model = cache.tfidf_fit(self.TRAIN)
+        other = features.FeatureCache()
+        comments = self.TEST + self.TRAIN
+        rows = [reference_tfidf_row(model.vocabulary, model.idf.tolist(),
+                                    preprocess(c, remove_stopwords=True)) for c in comments]
+        want = build_matrix([{f"tfidf_{g}": v for g, v in row.items()} for row in rows],
+                            [f"tfidf_{g}" for g in model.vocabulary])
+        for c in (cache, other):
+            c.tfidf_weights(c.entries(self.TRAIN[:2]), model)
+            got = np.zeros(want.shape)
+            r, col, w = c.tfidf_weights(c.entries(comments), model)
+            got[r, col] = w
+            assert np.array_equal(got, want)
 
     def test_corpus_of_empty_streams(self):
         model = tfidf_fit([TokenStream(()), TokenStream(())])

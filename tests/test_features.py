@@ -10,7 +10,6 @@ from metacomment.embeddings import (
     DocInferenceParams,
     WordEmbeddingModel,
     WordTrainingParams,
-    cosine_distance,
     train_word_embeddings,
 )
 from metacomment.features import (
@@ -35,10 +34,13 @@ from metacomment.features import (
     text_stats_features,
     tfidf_fit,
     tfidf_transform,
+    _keyword_forms,
+    _pattern_text,
 )
-from metacomment.textprep import TokenStream, ngrams
+from metacomment.textprep import TokenStream, ngrams, scan_text
 
 from conftest import make_comment
+from oracles import cosine_distance
 from synthdata import synonym_word_corpus
 
 
@@ -117,6 +119,50 @@ class TestPatternMatching:
         seeds = default_keyword_seeds()
         assert set(seeds) == {"Media", "Journalist", "Moderator"}
         assert "sysop" in seeds["Moderator"]
+
+
+# characters that re.IGNORECASE and str.lower compare differently, with
+# their partners, and ones that they compare alike
+CASE_CHARS = ("s\u017fSi\u0131I\u0130\u00b5\u03bc\u039c\u03c2\u03c3\u03a3\u03b2\u03d0"
+              "\u03b8\u03d1\u03c6\u03d5\u03c0\u03d6\u03ba\u03f0\u03c1\u03f1\u03b5"
+              "\u03f5\u1e61\u1e9b\ufb05\ufb06\u03b9\u0345\u1fbe\u0399\u0390\u1fd3"
+              "\u03b0\u1fe3\u0432\u1c80\u212a\u212b\u00df\u1e9e")
+WORD_CHARS = "abegilnorstuzAEGNRTUZ\u00e4\u00f6\u00fc\u00c4\u00d6\u00dc09_" + CASE_CHARS
+KEYWORDS = ("zeitung", "zeitungen", "zeit", "autor", "autorin", "glaubw\u00fcrdigkeit",
+            "gel\u00f6scht", "st", "s", "i", "\u00b5", "\u017ft", "spiegel online", "a-b")
+TEXT_PIECES = ("Zeitung", "ZEITUNGEN", "zeitungs", "Zeitungin", "zeit", "Autorinnen",
+               "GLAUBW\u00dcRDIGKEIT", "gel\u00f6schtes", "st", "\u017fT", "SPIEGEL online",
+               "a-b", "_", "2", " ", "", "-", ".", "\n", "?! ", "\u00b7")
+keyword_text = st.one_of(st.sampled_from(KEYWORDS),
+                         st.text(alphabet=WORD_CHARS, min_size=1, max_size=4))
+comment_text = st.lists(st.one_of(st.sampled_from(TEXT_PIECES),
+                                  st.text(alphabet=WORD_CHARS + " .-\n", max_size=4),
+                                  st.text(max_size=3)), max_size=30).map("".join)
+
+
+class TestOneScanPatternCounts:
+    """Counting over the runs that _pattern_text keeps against the regex
+    over the whole text."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(keyword_lists=st.lists(st.lists(keyword_text, max_size=5), min_size=1, max_size=3),
+           title=comment_text, text=comment_text)
+    def test_counts_equal_count_pattern_matches(self, keyword_lists, title, text):
+        comment = make_comment(title=title, text=text + " .")
+        kept = _pattern_text(scan_text(comment), _keyword_forms(keyword_lists))
+        for keywords in keyword_lists:
+            pattern = compile_keyword_pattern(keywords)
+            assert len(pattern.findall(kept)) == count_pattern_matches(comment, pattern)
+
+    def test_which_texts_are_cut_to_their_keyword_runs(self):
+        forms = _keyword_forms(default_keyword_seeds().values())
+        assert forms is not None
+        assert _pattern_text("Der Autor der Zeitung, Autorinnen!", _keyword_forms(
+            [("autor",), ("zeitung",)])) == "Autor Zeitung Autorinnen"
+        assert _keyword_forms([("spiegel online",)]) is None
+        assert _keyword_forms([("\u017ft",)]) is None
+        text = "Der Autor \u017fchreibt"
+        assert _pattern_text(text, _keyword_forms([("autor",)])) == text
 
 
 def brute_force_tfidf(train_tokens):
@@ -472,7 +518,7 @@ class TestAssemble:
         # comment "a" has the trained vector [1, 0]: nearest to Meta
         assert fv["semantic_dist_non-meta"] == pytest.approx(1.0)
         assert fv["semantic_min_dist_meta"] == 1.0
-        X = extractor.matrix([c])
+        X = extractor.matrix([c]).toarray()
         assert {extractor.registry[col]: X[0, col] for col in np.flatnonzero(X[0])} == fv
         with pytest.raises(FeatureError, match="comment a: .*vector"):
             extractor.assemble(c)

@@ -13,15 +13,14 @@ from metacomment.embeddings import (
 from metacomment.neural import (
     CnnConfig,
     NeuralError,
-    batch_loss,
     build,
     forward,
-    gradient_check,
     train,
 )
 from metacomment.textprep import TokenStream
 
 from conftest import make_comment
+from oracles import gradient_check
 
 MARKERS = ("alpha", "beta", "gamma")
 FILLERS = tuple(f"f{i}" for i in range(20))

@@ -91,7 +91,7 @@ class TestFeaturePipeline:
         assert loaded.registry == pipeline.selected
         assert (pipeline.predict(entries) == y).mean() >= 0.9
         # oracle: the stored column index picks the selected names' columns
-        X = pipeline.extractor.matrix(dataset.comments())
+        X = pipeline.extractor.matrix(dataset.comments()).toarray()
         registry = pipeline.extractor.registry
         columns = [registry.index(name) for name in pipeline.selected]
         assert np.array_equal(pipeline.predict(entries),
@@ -265,8 +265,8 @@ class TestTwoStepClassifier:
         data["sentiment_lexicon"] = dict(features.default_sentiment_lexicon())
         loaded = _assert_loads_as_fitted(fitted, dataset, tmp_path, data)
         comments = list(dataset.comments())
-        assert np.array_equal(loaded.extractor.matrix(comments),
-                              fitted.extractor.matrix(comments))
+        assert np.array_equal(loaded.extractor.matrix(comments).toarray(),
+                              fitted.extractor.matrix(comments).toarray())
 
     def test_extractor_stores_fitted_ids_once(self, fitted, dataset, tmp_path):
         data = _saved_extractor(fitted, tmp_path)
