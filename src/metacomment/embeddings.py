@@ -33,12 +33,13 @@ from .textprep import TokenStream
 logger = logging.getLogger(__name__)
 
 NOISE_EXPONENT = 0.75
-# comments per inference slice: one inference kernel call holds at most
-# INFER_BATCH x TRAIN_BATCH examples
-INFER_BATCH = 64
 # training examples per minibatch step; larger batches run faster but read
 # staler rows (DM's comment vectors lose the most)
 TRAIN_BATCH = 64
+# bytes one slice of comments may hold at once: at inference, the w_in and
+# w_out rows one kernel call gathers (_example_bytes per example); in
+# training, a slice's example arrays. A slice holds at least one comment.
+SLICE_BYTES = 3 << 19
 
 
 class EmbeddingError(ValueError):
@@ -276,9 +277,16 @@ def _examples(indexed: List[List[int]], window: int, skipgram: bool = False,
     return context, centres, np.arange(len(centres))
 
 
+def _example_bytes(params: WordTrainingParams) -> int:
+    """Bytes of the rows one example gathers in _batch_step, at most: 2 window
+    + 1 w_in rows (DM) and k + 1 w_out rows of dim float64s."""
+    return (2 * params.window + 1 + params.negative_samples + 1) * params.dim * 8
+
+
 def _batch_step(w_in, w_out, inputs, targets, negatives, lr,
-                frozen: Optional[int] = None) -> float:
-    """One minibatch of negative-sampling steps; returns its summed loss.
+                frozen: Optional[int] = None) -> Optional[float]:
+    """One minibatch of negative-sampling steps; returns its summed loss, or
+    None with frozen.
 
     Example i takes the step of the reference negative-sampling gradients
     (negative_sampling_gradients in tests/oracles.py), at rate lr[i], of
@@ -301,14 +309,15 @@ def _batch_step(w_in, w_out, inputs, targets, negatives, lr,
     g = _sigmoid(scores)
     g[:, 0] -= 1.0
     g *= keep
-    scores[:, 0] = -scores[:, 0]
-    loss = float((np.logaddexp(0.0, scores) * keep).sum())
     grad_h = np.einsum("bk,bkd->bd", g, w)
     if frozen is None:
         _scatter_add(w_out, tg, (-lr[:, None] * g)[:, :, None] * h[:, None, :])
-    else:  # from here on, valid and m count only the rows to write
+        scores[:, 0] = -scores[:, 0]
+        loss = float((np.logaddexp(0.0, scores) * keep).sum())
+    else:  # inference reads no loss; valid and m count only the rows to write
         valid = inputs >= frozen
         m = valid.sum(axis=1)
+        loss = None
     _scatter_add(w_in, inputs[valid], np.repeat(-lr[:, None] * grad_h, m, axis=0)
                  * weights[valid][:, None])
     return loss
@@ -322,15 +331,30 @@ def _scatter_add(matrix: np.ndarray, rows: np.ndarray, values: np.ndarray) -> No
               values.ravel())
 
 
+def _comment_slices(lengths: np.ndarray, positions: int) -> List[Tuple[int, int]]:
+    """(first, stop) ranges of consecutive comments that hold at most
+    `positions` positions each, or one comment that alone holds more."""
+    ends = np.cumsum(lengths)
+    bounds = [0]
+    while bounds[-1] < len(lengths):
+        done = ends[bounds[-1] - 1] if bounds[-1] else 0
+        bounds.append(max(int(np.searchsorted(ends, done + positions, side="right")),
+                          bounds[-1] + 1))
+    return list(zip(bounds, bounds[1:]))
+
+
 def _train(corpus: List[TokenStream], params: WordTrainingParams, with_docs: bool):
     """The driver of both trainers. Returns (word model, comment rows, index
     lists); with_docs, one DM-trained row per comment, drawn from the rng
     right after the word rows and trained as extra w_in rows, else None.
 
-    Each epoch's examples go to _batch_step in slices of TRAIN_BATCH. A slice
-    draws all its negatives in one rng call: the stream that drawing k per
-    example gives. The learning rate decays linearly over all epochs'
-    positions; a skip-gram position's pairs share its rate."""
+    Each epoch builds its examples one slice of comments at a time, the
+    slice's arrays within SLICE_BYTES, and steps them in batches of
+    TRAIN_BATCH; the partial batch a slice ends with runs at the head of the
+    next, so the batches are those of the whole epoch's examples in corpus
+    order. A batch draws all its negatives in one rng call: the stream that
+    drawing k per example gives. The learning rate decays linearly over all
+    epochs' positions; a skip-gram position's pairs share its rate."""
     if not corpus:
         raise EmbeddingError("training corpus is empty")
     vocab, counts = _build_vocab(corpus, params.min_count)
@@ -341,21 +365,39 @@ def _train(corpus: List[TokenStream], params: WordTrainingParams, with_docs: boo
     w_out = np.zeros((len(vocab), params.dim))
     noise_cdf = _noise_cdf(counts)
     indexed = _index_corpus(corpus, vocab)
-    inputs, targets, position = _examples(indexed, params.window, params.method == "skipgram",
-                                          len(vocab) if with_docs else None)
-    per_epoch = sum(len(d) for d in indexed)
+    lengths = np.array([len(d) for d in indexed], dtype=np.int64)
+    offsets = np.cumsum(lengths) - lengths
+    skipgram = params.method == "skipgram"
+    # a position's examples: one with 2 window (+1 DM) int32 inputs, or in
+    # skip-gram up to 2 window with one; each has an int32 target and an
+    # int64 position
+    width, per_position = ((1, 2 * params.window) if skipgram
+                           else (2 * params.window + with_docs, 1))
+    slices = _comment_slices(lengths, SLICE_BYTES // (per_position * (4 * width + 12)))
+    per_epoch = int(lengths.sum())
     total = max(per_epoch * params.epochs, 1)
     k, lr0, lr1 = params.negative_samples, params.initial_lr, params.final_lr
     epoch_losses = []
     for epoch in range(params.epochs):
         loss = 0.0
-        for start in range(0, len(targets), TRAIN_BATCH):
-            batch = slice(start, start + TRAIN_BATCH)
-            draws = rng.random(len(targets[batch]) * k)
-            negatives = np.searchsorted(noise_cdf, draws, side="right").reshape(-1, k)
-            lr = np.maximum(lr0 - (lr0 - lr1) * ((epoch * per_epoch + position[batch]) / total),
-                            lr1)
-            loss += _batch_step(w_in, w_out, inputs[batch], targets[batch], negatives, lr)
+        carry = None
+        for first, stop in slices:
+            inputs, targets, position = _examples(indexed[first:stop], params.window, skipgram,
+                                                  len(vocab) + first if with_docs else None)
+            position += offsets[first]
+            if carry is not None:
+                inputs, targets, position = (np.concatenate(pair) for pair in
+                                             zip(carry, (inputs, targets, position)))
+            end = len(targets) - (len(targets) % TRAIN_BATCH if stop < len(indexed) else 0)
+            for start in range(0, end, TRAIN_BATCH):
+                batch = slice(start, start + TRAIN_BATCH)
+                draws = rng.random(len(targets[batch]) * k)
+                negatives = np.searchsorted(noise_cdf, draws, side="right").reshape(-1, k)
+                lr = np.maximum(lr0 - (lr0 - lr1) * ((epoch * per_epoch + position[batch])
+                                                     / total), lr1)
+                loss += _batch_step(w_in, w_out, inputs[batch], targets[batch], negatives, lr)
+            carry = inputs[end:].copy(), targets[end:].copy(), position[end:].copy()
+            del inputs, targets, position  # freed before the next slice is built
         epoch_losses.append(loss)
         logger.debug("epoch %d/%d loss %.4f", epoch + 1, params.epochs, loss)
     model = WordEmbeddingModel(vocab, w_in[:len(vocab)], w_out, counts, params, epoch_losses)
@@ -419,20 +461,24 @@ class DocEmbeddingModel:
         (those equal to its centre get no gradient) and steps at a learning
         rate decaying linearly over the comment's own positions x steps.
 
-        Comments run longest first, in slices of INFER_BATCH, and the comments
-        of a slice step in lockstep, so a kernel call holds at most
-        INFER_BATCH x TRAIN_BATCH = 4,096 examples however many comments are
-        given: its peak is 11.5 MB at dim 32 with window 2 and 118 MB at dim
-        300 with window 5 (k = 5). A comment's updates touch only its own
-        row, so it gets the vector that inferring it alone gives, in any
-        batch and any slice. All-OOV comments get a zero vector and the flag.
+        Comments run longest first, in slices, and the comments of a slice
+        step in lockstep. A slice takes as many comments as keep the rows its
+        kernel calls gather, TRAIN_BATCH x _example_bytes per comment, within
+        SLICE_BYTES, and at least one: 8 comments at dim 32 with window 2 and
+        k = 5, 1 at dim 300 with window 5. At dim 300, inferring the 100
+        unseen comments of perfbench/gen.py's classify inputs peaks at 2.8 MB
+        (tracemalloc), where slices of 64 comments peaked at 120.7 MB. A
+        comment's updates touch only its own row, so it gets the vector that
+        inferring it alone gives, in any batch and any slice. All-OOV
+        comments get a zero vector and the flag.
         """
         indexed = _index_corpus(streams, self.word_model.vocab)
         lengths = np.array([len(d) for d in indexed], dtype=np.int64)
         vectors = np.zeros((len(streams), self.dim))
         order = np.argsort(-lengths, kind="stable")[:np.count_nonzero(lengths)]
-        for start in range(0, len(order), INFER_BATCH):
-            rows = order[start:start + INFER_BATCH]
+        per_slice = max(SLICE_BYTES // (TRAIN_BATCH * _example_bytes(self.word_model.params)), 1)
+        for start in range(0, len(order), per_slice):
+            rows = order[start:start + per_slice]
             vectors[rows] = self._infer_sorted([indexed[i] for i in rows])
         return vectors, lengths == 0
 

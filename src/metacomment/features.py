@@ -27,7 +27,15 @@ from .corpus import ADDRESSEE_LABELS, CLASS_ORDER, Comment, LabeledDataset
 from .embeddings import DocEmbeddingModel, WordEmbeddingModel, cosine_from_norms
 from .files import read_lines
 from .sparse import CsrMatrix, as_csr
-from .textprep import TokenStream, _is_punct, ngrams, preprocess, scan_text, tokenize
+from .textprep import (
+    TokenStream,
+    _is_punct,
+    ngrams,
+    preprocess,
+    scan_text,
+    tokenize,
+    without_stopwords,
+)
 
 _DATA_DIR = Path(__file__).parent / "data"
 
@@ -282,20 +290,30 @@ def default_sentiment_lexicon() -> dict:
     return load_sentiment_lexicon(_DATA_DIR / "sentiment_de.txt")
 
 
-def _strip_edge_punct(token: str) -> str:
-    start, end = 0, len(token)
-    while start < end and _is_punct(token[start]):
-        start += 1
-    while end > start and _is_punct(token[end - 1]):
-        end -= 1
-    return token[start:end]
+class _CharClasses(dict):
+    """str.translate table: code point -> " " for whitespace (what str.split
+    splits on), "p" for punctuation, "X" for an upper-case character and "x"
+    for any other, filled in the first time a code point is seen."""
+
+    def __missing__(self, cp: int) -> str:
+        ch = chr(cp)
+        self[cp] = value = (" " if ch.isspace() else "p" if _is_punct(ch)
+                            else "X" if ch.isupper() else "x")
+        return value
+
+
+_CHAR_CLASSES = _CharClasses()
+# in the class string: a whitespace-separated word without its edge punctuation
+_STRIPPED_WORD = re.compile(r"[xX](?:[xXp]*[xX])?")
 
 
 def text_stats_features(comment: Comment, lexicon: Optional[dict] = None) -> dict:
     """Character/word statistics, 'Sie' address count, questions, sentiment,
     named by TEXT_STAT_NAMES in that order.
 
-    The 'Sie' count applies the pattern [^\\.!?]\\s+Sie verbatim, which
+    Word length averages the whitespace-separated words with their edge
+    punctuation stripped, leaving out words that are all punctuation. The
+    'Sie' count applies the pattern [^\\.!?]\\s+Sie verbatim, which
     excludes sentence-initial occurrences; questions are maximal runs of '?'.
     Sentiment is the mean lexicon polarity over matching tokens (0 without
     any hit).
@@ -303,13 +321,14 @@ def text_stats_features(comment: Comment, lexicon: Optional[dict] = None) -> dic
     if lexicon is None:
         lexicon = default_sentiment_lexicon()
     scan = scan_text(comment)
-    words = [w for w in (_strip_edge_punct(t) for t in scan.split()) if w]
+    classes = scan.translate(_CHAR_CLASSES)
+    words = _STRIPPED_WORD.findall(classes)
     tokens = tokenize(scan)
     hits = [lexicon[t] for t in tokens if t in lexicon]
     return dict(zip(TEXT_STAT_NAMES, (
         float(len(comment.title) + len(comment.text)),
-        sum(len(w) for w in words) / len(words) if words else 0.0,
-        float(sum(1 for ch in scan if ch.isupper())),
+        sum(map(len, words)) / len(words) if words else 0.0,
+        float(classes.count("X")),
         float(len(_SIE_PATTERN.findall(scan))),
         float(len(_QUESTION_RUN.findall(scan))),
         sum(hits) / len(hits) if hits else 0.0,
@@ -610,8 +629,9 @@ class FeatureCache:
         text = _pattern_text(scan_text(comment), self._forms)
         for col, pattern in enumerate(self._patterns):
             row[col] = len(pattern.findall(text))
+        tokens = preprocess(comment).tokens
         if self._keyword_column:
-            for token in preprocess(comment).tokens:
+            for token in tokens:
                 col = self._keyword_column.get(token)
                 if col is not None:
                     row[col] += 1.0
@@ -619,7 +639,7 @@ class FeatureCache:
         row[self._stats_at:self._stats_at + len(stats)] = list(stats.values())
         for name, value in metadata_features(comment, default_departments()).items():
             row[self._column[name]] = value
-        stream = preprocess(comment, remove_stopwords=True, stopwords=self.stopwords)
+        stream = TokenStream(without_stopwords(tokens, self.stopwords), comment.id)
         columns = np.flatnonzero(row)
         return _Entry(columns, row[columns], stream, *self._grams.count(stream))
 

@@ -67,11 +67,15 @@ def strip_punctuation(text: str) -> str:
 def tokenize(text: str, remove_stopwords: bool = False,
              stopwords: Optional[FrozenSet[str]] = None) -> tuple:
     """Run the normalization pipeline on a raw string and return the tokens."""
-    tokens = strip_punctuation(text).lower().split()
-    if remove_stopwords:
-        active = default_stopwords() if stopwords is None else stopwords
-        tokens = [t for t in tokens if t not in active]
-    return tuple(tokens)
+    tokens = tuple(strip_punctuation(text).lower().split())
+    return without_stopwords(tokens, stopwords) if remove_stopwords else tokens
+
+
+def without_stopwords(tokens, stopwords: Optional[FrozenSet[str]] = None) -> tuple:
+    """The tokens that are not stop words (the shipped list when stopwords
+    is None), in order."""
+    active = default_stopwords() if stopwords is None else stopwords
+    return tuple([t for t in tokens if t not in active])
 
 
 def preprocess(comment: Comment, remove_stopwords: bool = False,

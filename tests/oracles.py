@@ -4,12 +4,30 @@ None of them runs in the package: each states a quantity in its plainest
 form, and the tests tie the package's own code to it.
 """
 
+import tracemalloc
 from typing import Dict, Sequence
 
 import numpy as np
 
 from metacomment.embeddings import _sigmoid, cosine_similarity
+from metacomment.features import (
+    _QUESTION_RUN,
+    _SIE_PATTERN,
+    TEXT_STAT_NAMES,
+    default_sentiment_lexicon,
+)
 from metacomment.neural import TRAINABLE_BLOCKS, CnnModel, _backward_batch, _forward_batch
+from metacomment.textprep import _is_punct, scan_text, tokenize
+
+
+def traced_peak(fn, *args, **kwargs):
+    """(fn(*args, **kwargs), the tracemalloc peak in bytes while it ran)."""
+    tracemalloc.start()
+    try:
+        result = fn(*args, **kwargs)
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def cosine_distance(u: np.ndarray, v: np.ndarray) -> float:
@@ -156,3 +174,32 @@ def dense_anova_f(X: np.ndarray, y: Sequence[int]) -> np.ndarray:
     scores[regular] = msb[regular] / msw[regular]
     scores[separated] = np.inf
     return scores
+
+
+# -- text statistics --------------------------------------------------------
+
+def _strip_edge_punct(token: str) -> str:
+    start, end = 0, len(token)
+    while start < end and _is_punct(token[start]):
+        start += 1
+    while end > start and _is_punct(token[end - 1]):
+        end -= 1
+    return token[start:end]
+
+
+def text_stats_reference(comment, lexicon=None) -> dict:
+    """features.text_stats_features word by word and character by character."""
+    if lexicon is None:
+        lexicon = default_sentiment_lexicon()
+    scan = scan_text(comment)
+    words = [w for w in (_strip_edge_punct(t) for t in scan.split()) if w]
+    tokens = tokenize(scan)
+    hits = [lexicon[t] for t in tokens if t in lexicon]
+    return dict(zip(TEXT_STAT_NAMES, (
+        float(len(comment.title) + len(comment.text)),
+        sum(len(w) for w in words) / len(words) if words else 0.0,
+        float(sum(1 for ch in scan if ch.isupper())),
+        float(len(_SIE_PATTERN.findall(scan))),
+        float(len(_QUESTION_RUN.findall(scan))),
+        sum(hits) / len(hits) if hits else 0.0,
+    )))

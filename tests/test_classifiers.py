@@ -1,6 +1,5 @@
 import json
 import math
-import tracemalloc
 import warnings
 
 import numpy as np
@@ -27,7 +26,7 @@ from metacomment.classifiers import (
 from metacomment.files import write_json
 
 from conftest import json_dump_bytes
-from oracles import primal_objective, svm_grid_minimum
+from oracles import primal_objective, svm_grid_minimum, traced_peak
 
 
 def blob_data(seed=0, n=60, gap=2.0):
@@ -186,12 +185,7 @@ class TestSvmOverNonZeros:
         k = X.size * 3 // 200
         X.flat[rng.integers(0, X.size, size=k)] = rng.normal(size=k)
         y = rng.integers(0, 2, len(X))
-        tracemalloc.start()
-        try:
-            train("linear_svm", X, y, {"max_epochs": 3})
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        _, peak = traced_peak(train, "linear_svm", X, y, {"max_epochs": 3})
         assert peak < 1.5 * X.nbytes
 
 

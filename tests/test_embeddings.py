@@ -572,7 +572,8 @@ class TestBatchedInference:
             sizes.append(len(indexed))
             return kernel(self, indexed)
 
-        monkeypatch.setattr(embeddings, "INFER_BATCH", 7)
+        monkeypatch.setattr(embeddings, "SLICE_BYTES", 7 * embeddings.TRAIN_BATCH
+                            * embeddings._example_bytes(short_schedule_model.word_model.params))
         monkeypatch.setattr(DocEmbeddingModel, "_infer_sorted", spy)
         sliced, all_oov = short_schedule_model.infer_many(streams)
         assert sizes == [7, 7, 7, 7, 7, 3]
@@ -595,7 +596,8 @@ class TestBatchedInference:
             calls.append(len(args[3]))
             return kernel(*args, **kwargs)
 
-        monkeypatch.setattr(embeddings, "INFER_BATCH", 7)
+        monkeypatch.setattr(embeddings, "SLICE_BYTES",
+                            7 * 4 * embeddings._example_bytes(model.word_model.params))
         monkeypatch.setattr(embeddings, "TRAIN_BATCH", 4)
         monkeypatch.setattr(embeddings, "_batch_step", spy)
         model.infer_many(streams)

@@ -310,6 +310,16 @@ class TestTfidfOnGramIds:
             tfidf_fit([])
 
 
+@pytest.mark.parametrize("stopwords", [None, frozenset({"der", "die", "und", "autor"})])
+def test_stop_word_stream_is_preprocess_with_stop_words(dataset, models, stopwords):
+    """The entry's stream, filtered from the plain token stream, is what
+    preprocess with remove_stopwords gives."""
+    cache = feature_cache(*models, CLASS_KEYWORDS, stopwords)
+    comments = dataset.comments()
+    for comment, entry in zip(comments, cache.entries(comments)):
+        assert entry.stream == preprocess(comment, remove_stopwords=True, stopwords=stopwords)
+
+
 class TestCacheScope:
     """Each comment's fold-invariant work runs once per cache, however many
     folds, configurations and classes use it. The evaluation drivers make no
@@ -351,10 +361,10 @@ class TestCacheScope:
                     k=3, seed=2)
         cross_dataset_eval(dataset, other, lambda seed: make_pipeline(cache, seed),
                            classes=("Meta",))
-        # one stop-word stream and one plain token stream per comment
+        # one token stream per comment, its stop-word stream filtered from it
         comments = [*dataset.comments(), *other.comments()]
         assert calls["text_stats"] == Counter(comments)
-        assert calls["preprocess"] == Counter({c: 2 for c in comments})
+        assert calls["preprocess"] == Counter({c: 1 for c in comments})
         # the drivers made no cache, and the caller's is freed when dropped
         assert len(caches) == 1
         del cache

@@ -40,7 +40,7 @@ from metacomment.features import (
 from metacomment.textprep import TokenStream, ngrams, scan_text
 
 from conftest import make_comment
-from oracles import cosine_distance
+from oracles import cosine_distance, text_stats_reference
 from synthdata import synonym_word_corpus
 
 
@@ -247,7 +247,32 @@ class TestTfidf:
                     assert got[g] == pytest.approx(want[g], abs=1e-12)
 
 
+# whitespace that str.split splits on beyond ASCII, title case, upper case
+# outside Lu (Nl, So, mathematical letters), case-odd letters, and the German
+# quotes and dashes that count as punctuation
+STATS_CHARS = ("\x1c\x1d\x1e\x1f\x85\xa0\u3000\u2028\u01c5\u03d2\u2160\u24b6"
+               "\U0001d400\u017f\u0130\u00ab\u00bb\u201e\u201c\u201d\u201a\u2018"
+               "\u2019\u2013\u2014\u2026 \t\n.,!?-'SieAbcß")
+stats_text = st.lists(st.one_of(st.text(alphabet=STATS_CHARS, max_size=6),
+                                st.sampled_from(TEXT_PIECES), st.text(max_size=3)),
+                      max_size=20).map("".join)
+
+
 class TestTextStats:
+    @settings(max_examples=500, deadline=None)
+    @given(title=stats_text, text=stats_text)
+    def test_matches_word_by_word_reference(self, title, text):
+        comment = make_comment(title=title, text=text + ".")
+        lexicon = {"gut": 0.5, "sie": -0.25, "\u0131": 1.0}
+        assert text_stats_features(comment, lexicon) == text_stats_reference(comment, lexicon)
+
+    def test_reference_agrees_on_the_listed_characters(self):
+        text = "\u201eSIE\u201c\x1cab\u3000\u01c5\u03d2\u2160\u24b6\U0001d400 \u2013 \u017f\u0130."
+        comment = make_comment(text=text)
+        stats = text_stats_features(comment)
+        assert stats == text_stats_reference(comment)
+        assert stats["text_capitalletters"] == 8.0
+
     def test_sentence_initial_sie_not_counted(self):
         stats = text_stats_features(make_comment(text="Sie haben recht."))
         assert stats["text_num_sie"] == 0.0

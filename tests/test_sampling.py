@@ -142,7 +142,8 @@ class TestSampleBySimilarity:
             sizes.append(len(indexed))
             return kernel(self, indexed)
 
-        monkeypatch.setattr(embeddings, "INFER_BATCH", 4)
+        monkeypatch.setattr(embeddings, "SLICE_BYTES", 4 * embeddings.TRAIN_BATCH
+                            * embeddings._example_bytes(doc_model.word_model.params))
         monkeypatch.setattr(DocEmbeddingModel, "_infer_sorted", spy)
         sliced = sample_by_similarity(ds, ks, doc_model.word_model, doc_model, n=10)
         assert sizes == [4, 4, 2]

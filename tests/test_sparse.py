@@ -1,8 +1,6 @@
 """CsrMatrix, and the feature route's sparse steps against the dense
 computations they replaced."""
 
-import tracemalloc
-
 import numpy as np
 import pytest
 
@@ -10,7 +8,7 @@ from metacomment.classifiers import Standardizer, calibrate, train
 from metacomment.features import anova_f_matrix
 from metacomment.sparse import CsrMatrix, as_csr
 
-from oracles import dense_anova_f
+from oracles import dense_anova_f, traced_peak
 
 
 def random_matrix(seed, n=40, d=30, density=0.15):
@@ -145,13 +143,11 @@ def test_svm_route_holds_no_dense_matrix():
     X = CsrMatrix(rng.normal(size=indptr[-1]), cols[first], indptr, (n, d))
     y = (X @ rng.normal(size=d) > 0).astype(int)
     nnz = len(X.data)
-    tracemalloc.start()
-    try:
+
+    def fit_and_score():
         model = train("linear_svm", X[:1500], y[:1500], {"max_epochs": 10})
-        model = calibrate(model, X[1500:], y[1500:])
-        values = model.decision_values(X)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+        return calibrate(model, X[1500:], y[1500:]).decision_values(X)
+
+    values, peak = traced_peak(fit_and_score)
     assert values.shape == (n,)
     assert peak < 64 * nnz + 64 * d
