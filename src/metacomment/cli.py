@@ -43,6 +43,7 @@ from .evaluation import (
     cross_dataset_eval,
     cross_validate,
     grid_search,
+    labelled,
     write_score_table,
 )
 from .features import (
@@ -305,7 +306,8 @@ def cmd_train(args) -> int:
         print(f"trained two-step classifier on {len(entries)} comments")
     else:
         y = binary_labels(ds, args.target)
-        pipeline.fit(entries, y)
+        with labelled(args.target):
+            pipeline.fit(entries, y)
         out = _out_dir(args)
         save_extractor(pipeline.extractor, out / "extractor.json")
         save_model(pipeline.model, out / "model.json")
@@ -322,8 +324,9 @@ def cmd_evaluate(args) -> int:
     features = _features(args)
     entries = list(ds)
     y = binary_labels(ds, args.target)
-    result = cross_validate(lambda seed: _pipeline_from_args(args, features, seed),
-                            entries, y, k=args.k, seed=args.seed, beta=args.beta)
+    with labelled(args.target):
+        result = cross_validate(lambda seed: _pipeline_from_args(args, features, seed),
+                                entries, y, k=args.k, seed=args.seed, beta=args.beta)
     print(f"{args.target}: mean precision {result.mean.precision:.4f} "
           f"recall {result.mean.recall:.4f} F_{args.beta} {result.mean.f_beta:.4f}")
     if args.out:
@@ -370,7 +373,8 @@ def cmd_grid_search(args) -> int:
 
     for combo in grid.combinations():
         factory(combo, args.seed)  # a bad value fails before any fold is fit
-    result = grid_search(factory, grid, entries, y, k=args.k, seed=args.seed)
+    with labelled(args.target):
+        result = grid_search(factory, grid, entries, y, k=args.k, seed=args.seed)
     print(f"best configuration: {result.best_params} "
           f"(F_{grid.beta} = {result.best_score:.4f})")
     out = _out_dir(args)
@@ -433,6 +437,8 @@ def cmd_classify(args) -> int:
 
 
 def cmd_rank_features(args) -> int:
+    if args.top < 1:
+        raise ValueError(f"--top must be an integer >= 1, got {args.top}")
     classes = _classes(args)
     ds = load_dataset(args.input)
     extractor, cache = _fitted_extractor(args, ds)
@@ -443,9 +449,9 @@ def cmd_rank_features(args) -> int:
         if len(np.unique(y)) < 2:
             logger.warning("class %s missing from dataset; skipped", cls)
             continue
-        scores = dict(zip(extractor.registry, anova_f_matrix(X, y)))
-        top = select_k_best(scores, min(args.top, len(scores)))
-        ranking[cls] = [(name, scores[name]) for name in top]
+        scores = anova_f_matrix(X, y)
+        ranking[cls] = [(extractor.registry[i], scores[i])
+                        for i in select_k_best(scores, min(args.top, len(scores)))]
         print(f"-- {cls}")
         for name, score in ranking[cls]:
             shown = "inf" if np.isinf(score) else f"{score:.1f}"

@@ -11,9 +11,7 @@ word2vec does: updates inside a batch read the same matrices and are summed
 at its end. Training's batches run across comments; inference cuts each
 comment's own examples into batches, so a comment's vector does not depend
 on the other comments inferred with it. Both are serial and deterministic:
-a seed gives byte-identical models. Models and inferred vectors differ from
-those of earlier versions, which stepped one example at a time; models
-those versions saved load unchanged.
+a seed gives byte-identical models.
 """
 
 from __future__ import annotations
@@ -22,6 +20,7 @@ import hashlib
 import json
 import logging
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -36,9 +35,9 @@ NOISE_EXPONENT = 0.75
 # training examples per minibatch step; larger batches run faster but read
 # staler rows (DM's comment vectors lose the most)
 TRAIN_BATCH = 64
-# bytes one slice of comments may hold at once: at inference, the w_in and
-# w_out rows one kernel call gathers (_example_bytes per example); in
-# training, a slice's example arrays. A slice holds at least one comment.
+# bytes one slice may hold at once: at inference, the w_in and w_out rows one
+# kernel call gathers (_example_bytes per example) for a slice of at least one
+# comment; in training, the example arrays of a slice of at least one position
 SLICE_BYTES = 3 << 19
 
 
@@ -252,29 +251,35 @@ def _index_corpus(corpus: Sequence[TokenStream], vocab: Dict[str, int]) -> List[
     return [[vocab[t] for t in ts.tokens if t in vocab] for ts in corpus]
 
 
-def _examples(indexed: List[List[int]], window: int, skipgram: bool = False,
-              doc_rows: Optional[int] = None):
-    """One epoch's examples in corpus order: (inputs, targets, position), with
-    inputs the w_in rows each reads, padded with -1, and position the index
-    of the token position each belongs to. CBOW: one per position, its window
-    (left then right) predicting its token; with doc_rows (DM), the w_in row
-    of the first comment's vector, plus the comment's row. Skip-gram: one per
-    (centre, window token) pair, the centre row predicting the token."""
-    # window -1s around every comment keep each window inside it; int32 halves
-    # the example arrays, the largest allocation of training
+def _padded(indexed: List[List[int]], window: int) -> Tuple[np.ndarray, np.ndarray]:
+    """(padded, ends): the comments' ids in one int32 array, with window -1s
+    before the first comment and after each, so every window stays inside
+    its comment; and each comment's end in positions (ids). Position p of
+    comment c sits at padded[p + window * (c + 1)]."""
     pad = [-1] * window
-    padded = np.array(pad + [t for d in indexed for t in d + pad], dtype=np.int32)
-    at = np.flatnonzero(padded >= 0)
+    padded = np.fromiter(chain(pad, chain.from_iterable(d + pad for d in indexed)), np.int32)
+    return padded, np.cumsum([len(d) for d in indexed], dtype=np.int64)
+
+
+def _examples(padded: np.ndarray, ends: np.ndarray, first: int, stop: int, window: int,
+              skipgram: bool = False, doc_rows: Optional[int] = None):
+    """(inputs, targets, position) of the examples of positions first to stop,
+    in corpus order: the w_in rows each reads, padded with -1, and the
+    position it belongs to. CBOW: one per position, its window (left then
+    right) predicting its token; with doc_rows (DM), the w_in row of the first
+    comment's vector, plus the comment's row. Skip-gram: one per (centre,
+    window token) pair, the centre row predicting the token."""
+    position = np.arange(first, stop)
+    comment = np.searchsorted(ends, position, side="right")
+    at = position + window * (comment + 1)
     centres, context = padded[at], padded[at[:, None] + np.r_[-window:0, 1:window + 1]]
     if skipgram:
         pairs = np.flatnonzero(context >= 0)
-        position = pairs // (2 * window)
-        return centres[position, None], context.ravel()[pairs], position
+        at = pairs // (2 * window)  # shifted in place, after the gathers that read it
+        return centres[at, None], context.ravel()[pairs], np.add(at, first, out=at)
     if doc_rows is not None:
-        comment = np.repeat(np.arange(len(indexed), dtype=np.int32) + doc_rows,
-                            [len(d) for d in indexed])
-        context = np.hstack([context, comment[:, None]])
-    return context, centres, np.arange(len(centres))
+        context = np.hstack([context, (comment[:, None] + doc_rows).astype(np.int32)])
+    return context, centres, position
 
 
 def _example_bytes(params: WordTrainingParams) -> int:
@@ -331,24 +336,12 @@ def _scatter_add(matrix: np.ndarray, rows: np.ndarray, values: np.ndarray) -> No
               values.ravel())
 
 
-def _comment_slices(lengths: np.ndarray, positions: int) -> List[Tuple[int, int]]:
-    """(first, stop) ranges of consecutive comments that hold at most
-    `positions` positions each, or one comment that alone holds more."""
-    ends = np.cumsum(lengths)
-    bounds = [0]
-    while bounds[-1] < len(lengths):
-        done = ends[bounds[-1] - 1] if bounds[-1] else 0
-        bounds.append(max(int(np.searchsorted(ends, done + positions, side="right")),
-                          bounds[-1] + 1))
-    return list(zip(bounds, bounds[1:]))
-
-
 def _train(corpus: List[TokenStream], params: WordTrainingParams, with_docs: bool):
-    """The driver of both trainers. Returns (word model, comment rows, index
-    lists); with_docs, one DM-trained row per comment, drawn from the rng
-    right after the word rows and trained as extra w_in rows, else None.
+    """The driver of both trainers. Returns (word model, comment rows, each
+    comment's positions); with_docs, one DM-trained row per comment, drawn from
+    the rng right after the word rows and trained as extra w_in rows, else None.
 
-    Each epoch builds its examples one slice of comments at a time, the
+    Each epoch builds its examples one slice of positions at a time, the
     slice's arrays within SLICE_BYTES, and steps them in batches of
     TRAIN_BATCH; the partial batch a slice ends with runs at the head of the
     next, so the batches are those of the whole epoch's examples in corpus
@@ -364,31 +357,29 @@ def _train(corpus: List[TokenStream], params: WordTrainingParams, with_docs: boo
         w_in = np.vstack([w_in, (rng.random((len(corpus), params.dim)) - 0.5) / params.dim])
     w_out = np.zeros((len(vocab), params.dim))
     noise_cdf = _noise_cdf(counts)
-    indexed = _index_corpus(corpus, vocab)
-    lengths = np.array([len(d) for d in indexed], dtype=np.int64)
-    offsets = np.cumsum(lengths) - lengths
+    padded, ends = _padded(_index_corpus(corpus, vocab), params.window)
     skipgram = params.method == "skipgram"
     # a position's examples: one with 2 window (+1 DM) int32 inputs, or in
     # skip-gram up to 2 window with one; each has an int32 target and an
     # int64 position
     width, per_position = ((1, 2 * params.window) if skipgram
                            else (2 * params.window + with_docs, 1))
-    slices = _comment_slices(lengths, SLICE_BYTES // (per_position * (4 * width + 12)))
-    per_epoch = int(lengths.sum())
+    step = max(SLICE_BYTES // (per_position * (4 * width + 12)), 1)
+    per_epoch = int(ends[-1])
     total = max(per_epoch * params.epochs, 1)
     k, lr0, lr1 = params.negative_samples, params.initial_lr, params.final_lr
     epoch_losses = []
     for epoch in range(params.epochs):
         loss = 0.0
         carry = None
-        for first, stop in slices:
-            inputs, targets, position = _examples(indexed[first:stop], params.window, skipgram,
-                                                  len(vocab) + first if with_docs else None)
-            position += offsets[first]
+        for first in range(0, per_epoch, step):
+            stop = min(first + step, per_epoch)
+            inputs, targets, position = _examples(padded, ends, first, stop, params.window,
+                                                  skipgram, len(vocab) if with_docs else None)
             if carry is not None:
                 inputs, targets, position = (np.concatenate(pair) for pair in
                                              zip(carry, (inputs, targets, position)))
-            end = len(targets) - (len(targets) % TRAIN_BATCH if stop < len(indexed) else 0)
+            end = len(targets) - (len(targets) % TRAIN_BATCH if stop < per_epoch else 0)
             for start in range(0, end, TRAIN_BATCH):
                 batch = slice(start, start + TRAIN_BATCH)
                 draws = rng.random(len(targets[batch]) * k)
@@ -401,18 +392,14 @@ def _train(corpus: List[TokenStream], params: WordTrainingParams, with_docs: boo
         epoch_losses.append(loss)
         logger.debug("epoch %d/%d loss %.4f", epoch + 1, params.epochs, loss)
     model = WordEmbeddingModel(vocab, w_in[:len(vocab)], w_out, counts, params, epoch_losses)
-    return model, (w_in[len(vocab):] if with_docs else None), indexed
+    return model, (w_in[len(vocab):] if with_docs else None), np.diff(ends, prepend=0)
 
 
 def train_word_embeddings(corpus: Iterable[TokenStream],
                           params: WordTrainingParams) -> WordEmbeddingModel:
-    """Train a word embedding model with negative sampling.
-
-    Examples are stepped in minibatches of TRAIN_BATCH whose updates all
-    read the matrices as they were at the batch's start. Training is serial
-    and fully deterministic: a fixed seed gives byte-identical models. The
-    per-epoch training loss is recorded on the model.
-    """
+    """Train a word embedding model with negative sampling, in minibatches
+    (see the module docstring); the per-epoch training loss is recorded on
+    the model."""
     return _train(list(corpus), params, with_docs=False)[0]
 
 
@@ -465,12 +452,9 @@ class DocEmbeddingModel:
         step in lockstep. A slice takes as many comments as keep the rows its
         kernel calls gather, TRAIN_BATCH x _example_bytes per comment, within
         SLICE_BYTES, and at least one: 8 comments at dim 32 with window 2 and
-        k = 5, 1 at dim 300 with window 5. At dim 300, inferring the 100
-        unseen comments of perfbench/gen.py's classify inputs peaks at 2.8 MB
-        (tracemalloc), where slices of 64 comments peaked at 120.7 MB. A
-        comment's updates touch only its own row, so it gets the vector that
-        inferring it alone gives, in any batch and any slice. All-OOV
-        comments get a zero vector and the flag.
+        k = 5, 1 at dim 300 with window 5. A comment's updates touch only its
+        own row, so it gets the vector that inferring it alone gives, in any
+        batch and any slice. All-OOV comments get a zero vector and the flag.
         """
         indexed = _index_corpus(streams, self.word_model.vocab)
         lengths = np.array([len(d) for d in indexed], dtype=np.int64)
@@ -492,9 +476,11 @@ class DocEmbeddingModel:
         wm = self.word_model
         p = self.inference_params
         k, dim = wm.params.negative_samples, self.dim
-        n = np.array([len(d) for d in indexed], dtype=np.int64)
-        starts = np.cumsum(n) - n
-        inputs, centres, _ = _examples(indexed, wm.params.window, doc_rows=len(wm.vocab))
+        padded, ends = _padded(indexed, wm.params.window)
+        n = np.diff(ends, prepend=0)
+        starts = ends - n
+        inputs, centres, _ = _examples(padded, ends, 0, int(ends[-1]), wm.params.window,
+                                       doc_rows=len(wm.vocab))
         # renumber the rows read: the slice's words, then its comments; padding stays -1
         read, inputs = np.unique(inputs, return_inverse=True)
         inputs = inputs.reshape(len(centres), -1) - (read[0] < 0)
@@ -575,8 +561,8 @@ def train_doc_embeddings(corpus: Iterable[TokenStream], params: WordTrainingPara
     corpus = list(corpus)
     if params.method != "cbow":
         raise EmbeddingError("comment embeddings require the cbow method")
-    word_model, doc_matrix, indexed = _train(corpus, params, with_docs=True)
-    empty = [i for i, doc in enumerate(indexed) if not doc]
+    word_model, doc_matrix, lengths = _train(corpus, params, with_docs=True)
+    empty = np.flatnonzero(lengths == 0)
     doc_matrix[empty] = 0.0
     flagged = {corpus[i].source_id for i in empty}
     doc_vectors = {ts.source_id: doc_matrix[i] for i, ts in enumerate(corpus)}

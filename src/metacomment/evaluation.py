@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import itertools
 import logging
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
@@ -83,6 +84,22 @@ class MeanMetrics:
     beta: float
 
 
+def check_class_sizes(y, k: int, needs: str) -> None:
+    """EvaluationError unless the 0/1 target y has k examples of each class."""
+    for n, kind in zip(np.bincount(y, minlength=2)[1::-1].tolist(), ("positive", "negative")):
+        if n < k:
+            raise EvaluationError(f"{n} {kind} examples; {needs} needs at least {k} of each class")
+
+
+@contextmanager
+def labelled(label: str):
+    """Prefixes label to the message of an EvaluationError raised inside."""
+    try:
+        yield
+    except EvaluationError as exc:
+        raise EvaluationError(f"{label}: {exc}") from None
+
+
 def stratified_k_fold(y, k: int, seed: int = 0) -> List[Tuple[np.ndarray, np.ndarray]]:
     """Deterministic stratified folds: per-class round-robin after a shuffle.
 
@@ -97,8 +114,8 @@ def stratified_k_fold(y, k: int, seed: int = 0) -> List[Tuple[np.ndarray, np.nda
     for offset, cls in enumerate(np.unique(y)):
         cls_idx = np.flatnonzero(y == cls)
         if len(cls_idx) < k:
-            raise EvaluationError(
-                f"class {cls!r} has {len(cls_idx)} members, fewer than k={k}")
+            raise EvaluationError(f"class {cls.item()!r} has {len(cls_idx)} members, "
+                                  f"fewer than k={k}")
         for i, idx in enumerate(rng.permutation(cls_idx)):
             fold_members[(i + offset) % k].append(int(idx))
     all_idx = np.arange(len(y))
@@ -145,6 +162,7 @@ def cross_validate(pipeline_factory: Callable, items: Sequence, y,
     y = np.asarray(y, dtype=int)
     if len(items) != len(y):
         raise EvaluationError("items and labels length mismatch")
+    check_class_sizes(y, k, f"{k}-fold cross-validation")
     folds = stratified_k_fold(y, k, seed)
 
     def run_fold(fold_index: int) -> Metrics:

@@ -743,14 +743,8 @@ def anova_f_matrix(X, y: Sequence[int]) -> np.ndarray:
     return scores
 
 
-def select_k_best(scores: dict, k) -> list:
-    """Top-k feature names by descending F-score, ties in registry order."""
-    names = list(scores)
-    if k == "all":
-        k = len(names)
-    if not isinstance(k, int):
-        raise FeatureError(f"k must be an int or 'all', got {k!r}")
-    if k < 0 or k > len(names):
-        raise FeatureError(f"k={k} out of range for {len(names)} features")
-    order = sorted(range(len(names)), key=lambda i: (-scores[names[i]], i))
-    return [names[i] for i in order[:k]]
+def select_k_best(scores: np.ndarray, k: int) -> np.ndarray:
+    """Column indices of the k highest scores, best first, ties in column order."""
+    if not 0 <= k <= len(scores):
+        raise FeatureError(f"k={k} out of range for {len(scores)} features")
+    return np.argsort(-np.asarray(scores), kind="stable")[:k]

@@ -175,15 +175,15 @@ def _backward_batch(model: CnnModel, probs: np.ndarray, labels: np.ndarray,
 
 
 def forward(model: CnnModel, idx: np.ndarray) -> np.ndarray:
-    """Class probabilities for one padded index sequence or a batch."""
-    idx = np.atleast_2d(np.asarray(idx, dtype=np.int64))
-    if idx.shape[1] != model.config.max_len:
-        raise NeuralError(f"sequence length {idx.shape[1]} != max_len "
-                          f"{model.config.max_len}")
-    if idx.max(initial=0) >= len(model.embedding):
+    """Class probabilities of one padded index sequence, or a row per row of a batch."""
+    idx = np.asarray(idx, dtype=np.int64)
+    batch = np.atleast_2d(idx)
+    if batch.shape[1] != model.config.max_len:
+        raise NeuralError(f"sequence length {batch.shape[1]} != max_len {model.config.max_len}")
+    if batch.max(initial=0) >= len(model.embedding):
         raise NeuralError("token index out of range")
-    probs, _ = _forward_batch(model, idx)
-    return probs[0] if probs.shape[0] == 1 else probs
+    probs, _ = _forward_batch(model, batch)
+    return probs if idx.ndim > 1 else probs[0]
 
 
 class _Adam:

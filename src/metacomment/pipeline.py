@@ -9,7 +9,7 @@ evaluation harness can verify that.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -26,7 +26,8 @@ from .classifiers import (
 )
 from .corpus import ADDRESSEE_LABELS, CLASS_ORDER, Comment, LabelSet
 from .embeddings import DocEmbeddingModel, WordEmbeddingModel
-from .evaluation import TwoStepResult, binary_labels, stratified_k_fold, two_step_classify
+from .evaluation import (TwoStepResult, binary_labels, check_class_sizes, labelled,
+                         stratified_k_fold, two_step_classify)
 from .features import (
     ClassVector,
     FeatureCache,
@@ -120,7 +121,6 @@ class FeaturePipeline:
         self.seed = seed
         self.extractor: Optional[FeatureExtractor] = None
         self.model: Optional[TrainedModel] = None
-        self.selected: Optional[tuple] = None
         self._columns: Optional[np.ndarray] = None  # selected columns; None: all
 
     def _fit_extractor(self, entries: Sequence[Entry]) -> FeatureExtractor:
@@ -146,18 +146,10 @@ class FeaturePipeline:
         y = np.asarray(y, dtype=int)
         self.extractor = self._fit_extractor(entries)
         X = self.extractor.matrix(_comments(entries), self.features)
-        registry = self.extractor.registry
+        self._columns = None
         if self.select_k != "all":
-            scores = dict(zip(registry, anova_f_matrix(X, y)))
-            k = min(self.select_k, len(registry))
-            self.selected = tuple(select_k_best(scores, k))
-            index = {name: i for i, name in enumerate(registry)}
-            self._columns = np.array([index[name] for name in self.selected],
-                                     dtype=np.intp)
+            self._columns = select_k_best(anova_f_matrix(X, y), min(self.select_k, X.shape[1]))
             X = X.columns(self._columns)
-        else:
-            self.selected = registry
-            self._columns = None
         self.model = self._train(X, y, self.with_calibration)
         return X
 
@@ -171,10 +163,12 @@ class FeaturePipeline:
         over all columns, the extractor's registry hash already fixes them.
         """
         if calibrated:
+            check_class_sizes(y, 5, "the calibration holdout")
             train_idx, holdout_idx = stratified_k_fold(y, 5, self.seed)[0]
             return calibrate(self._train(X[train_idx], y[train_idx]),
                              X[holdout_idx], y[holdout_idx])
-        registry = self.selected if self._columns is not None else None
+        registry = None if self._columns is None else \
+            [self.extractor.registry[i] for i in self._columns]
         return train_classifier(self.classifier, X, y, self.classifier_params,
                                 registry=registry,
                                 registry_hash=self.extractor.registry_hash)
@@ -202,9 +196,7 @@ class CnnPipeline:
     def __init__(self, word_model: WordEmbeddingModel, config: Optional[CnnConfig] = None,
                  seed: int = 0):
         self.word_model = word_model
-        base = config or CnnConfig()
-        self.config = base if base.seed == seed else \
-            CnnConfig(**{**base.__dict__, "seed": seed})
+        self.config = replace(config or CnnConfig(), seed=seed)
         self.model = None
         self.loss_history: Optional[List[float]] = None
         self._ids: Optional[frozenset] = None
@@ -223,7 +215,7 @@ class CnnPipeline:
     def predict_proba(self, entries: Sequence[Entry]) -> np.ndarray:
         if self.model is None:
             raise RuntimeError("pipeline is not fitted")
-        return np.atleast_2d(forward(self.model, self._encode(entries)))
+        return forward(self.model, self._encode(entries))
 
     def predict(self, entries: Sequence[Entry]) -> np.ndarray:
         return self.predict_proba(entries).argmax(axis=1)
@@ -266,7 +258,8 @@ class TwoStepClassifier:
             if len(np.unique(y)) < 2:
                 logger.warning("no %s examples; skipping that addressee model", label)
                 continue
-            addressee_models[label] = pipeline._train(X, y, calibrated=True)
+            with labelled(label):
+                addressee_models[label] = pipeline._train(X, y, calibrated=True)
         return cls(pipeline.extractor, pipeline.model, addressee_models, threshold)
 
     def classify(self, entry) -> TwoStepResult:

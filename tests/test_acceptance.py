@@ -152,9 +152,10 @@ def test_criterion_04_anova_hand_case():
     f_hand = anova_f_matrix(np.array([[1.0], [2.0], [3.0], [4.0]]), [0, 0, 1, 1])[0]
     f_const = anova_f_matrix(np.array([[7.5]] * 4), [0, 0, 1, 1])[0]
     f_sep = anova_f_matrix(np.array([[0.0], [0.0], [1.0], [1.0]]), [0, 0, 1, 1])[0]
-    ordering = select_k_best({"sep": f_sep, "hand": f_hand, "const": f_const}, "all")
+    # columns: 0 sep, 1 hand, 2 const
+    ordering = select_k_best(np.array([f_sep, f_hand, f_const]), 3)
     ok = (f_hand == 8.0 and f_const == 0.0 and f_sep == np.inf
-          and ordering[0] == "sep" and ordering[-1] == "const")
+          and ordering[0] == 0 and ordering[-1] == 2)
     _report(4, "ANOVA hand case", ok, time.time() - t0, 1.0)
 
 
@@ -272,8 +273,7 @@ def test_criterion_08_feature_ranking():
         y = np.array([0] * 40 + [1] * 40)
         X = rng.normal(size=(80, 101))
         X[:, 63] += 2.0 * y
-        scores = {f"f{i}": s for i, s in enumerate(anova_f_matrix(X, y))}
-        hits += select_k_best(scores, 1) == ["f63"]
+        hits += select_k_best(anova_f_matrix(X, y), 1).tolist() == [63]
     _report(8, f"feature ranking ({hits}/100)", hits >= 99, time.time() - t0, 30.0)
 
 

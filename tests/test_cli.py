@@ -13,7 +13,7 @@ import pytest
 import metacomment
 from metacomment import cli, features, textprep
 from metacomment.cli import main
-from metacomment.corpus import load_dataset, save_dataset
+from metacomment.corpus import LabeledDataset, load_dataset, save_dataset
 from metacomment.embeddings import DocEmbeddingModel
 from metacomment.pipeline import FeaturePipeline, TwoStepClassifier, load_extractor
 
@@ -553,6 +553,34 @@ class TestTrainAndClassify:
         assert "training accuracy" in capsys.readouterr().out
 
 
+class TestTooFewMembers:
+    @pytest.fixture(scope="class")
+    def three_moderators(self, tmp_path_factory):
+        """40 comments, 3 of them addressed to the moderators."""
+        ds = generate_comment_dataset(0, n_per_class=6, n_nonmeta=25)
+        moderators = [i for i, (_, labels) in enumerate(ds) if "Moderator" in labels]
+        dataset = tmp_path_factory.mktemp("few") / "dataset.jsonl"
+        save_dataset(LabeledDataset([e for i, e in enumerate(ds) if i not in moderators[3:]]),
+                     dataset)
+        return dataset
+
+    @pytest.mark.parametrize("argv, needs", [
+        (["evaluate", "--target", "Moderator", "-k", "5"], "5-fold cross-validation"),
+        (["train", "--target", "Moderator", "--calibrate"], "the calibration holdout"),
+        (["train", "--two-step"], "the calibration holdout"),
+    ])
+    def test_error_names_the_label_and_what_needs_the_members(self, three_moderators,
+                                                              tmp_path, capsys, argv, needs):
+        assert len(load_dataset(three_moderators)) == 40
+        out = tmp_path / "out"
+        rc = main([*argv, "--input", str(three_moderators), "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"error: Moderator: 3 positive examples; {needs} needs at least 5 of each " \
+            "class" in err
+        assert "Traceback" not in err and not out.exists()
+
+
 class TestEvaluateAndGrid:
     def test_evaluate_writes_scores(self, workspace, tmp_path, capsys):
         out = tmp_path / "eval"
@@ -799,6 +827,20 @@ class TestRankFeatures:
         assert rc == 0
         assert "class NonMeta missing from dataset; skipped" in caplog.text
         assert list(json.loads((out / "ranking.json").read_text())) == ["Media"]
+
+    @pytest.mark.parametrize("top", ["0", "-2"])
+    def test_rejects_top_below_one_before_reading_data(self, workspace, tmp_path, capsys,
+                                                       monkeypatch, top):
+        reads = []
+        monkeypatch.setattr(cli, "load_dataset", lambda *a: reads.append(a))
+        out = tmp_path / "rank"
+        rc = main(["rank-features", "--input", str(workspace["dataset"]), "--top", top,
+                   "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"--top must be an integer >= 1, got {top}" in err
+        assert "Traceback" not in err
+        assert reads == [] and not out.exists()
 
     def test_table_per_class(self, workspace, tmp_path, capsys):
         out = tmp_path / "rank"

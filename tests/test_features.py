@@ -611,23 +611,30 @@ class TestAnova:
 
 class TestSelectKBest:
     def test_all_orders_by_score(self):
-        scores = {"a": 1.0, "b": 5.0, "c": 3.0}
-        assert select_k_best(scores, "all") == ["b", "c", "a"]
+        assert select_k_best(np.array([1.0, 5.0, 3.0]), 3).tolist() == [1, 2, 0]
 
     def test_k_zero(self):
-        assert select_k_best({"a": 1.0}, 0) == []
+        assert select_k_best(np.array([1.0]), 0).tolist() == []
 
     def test_k_too_large_is_error(self):
         with pytest.raises(FeatureError, match="out of range"):
-            select_k_best({"a": 1.0}, 2)
+            select_k_best(np.array([1.0]), 2)
 
     def test_ties_break_by_registry_order(self):
-        scores = {"later": 2.0, "early": 2.0, "small": 1.0}
-        assert select_k_best(scores, 2) == ["later", "early"]
+        assert select_k_best(np.array([2.0, 2.0, 1.0]), 2).tolist() == [0, 1]
 
     def test_infinite_scores_sort_first(self):
-        scores = {"a": 5.0, "b": float("inf"), "c": 1.0}
-        assert select_k_best(scores, "all")[0] == "b"
+        assert select_k_best(np.array([5.0, np.inf, 1.0]), 3)[0] == 1
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.sampled_from([0.0, -0.0, 1.0, 2.5, np.inf])
+                    | st.floats(min_value=0.0, allow_nan=False), max_size=40),
+           st.integers(min_value=0, max_value=40))
+    def test_matches_sorted_oracle(self, values, k):
+        scores = np.array(values, dtype=float)
+        k = min(k, len(scores))
+        oracle = sorted(range(len(scores)), key=lambda i: (-scores[i], i))[:k]
+        assert select_k_best(scores, k).tolist() == oracle
 
     def test_planted_informative_feature_ranked_first(self):
         hits = 0
@@ -637,8 +644,6 @@ class TestSelectKBest:
             y = np.array([0] * 30 + [1] * 30)
             X = rng.normal(size=(n, 101))
             X[:, 57] += 2.0 * y  # planted signal
-            scores = anova_f_matrix(X, y)
-            named = {f"f{i}": s for i, s in enumerate(scores)}
-            if select_k_best(named, 1) == ["f57"]:
+            if select_k_best(anova_f_matrix(X, y), 1).tolist() == [57]:
                 hits += 1
         assert hits >= 99

@@ -9,8 +9,9 @@ batch: 3 x 64 x 17 x 300 x 8 B = 7.8 MB at dim 300, window 5, k = 5, where
 slices of 64 comments read 120.2 MB.
 
 Training: a slice's example arrays stay within the budget, so the peak is
-3x the budget plus what grows with the corpus anyway (12 B per position for
-the index lists, 1 KiB per comment for its row, digest and dict entries).
+3x the budget plus what grows with the corpus anyway (12 B per position: the
+padded int32 id array, 4 B, and while it is built the index lists it is built
+from, 8 B; 1 KiB per comment for its row, digest and dict entries).
 """
 
 import numpy as np
@@ -108,8 +109,9 @@ def _train(corpus, method, with_docs):
 
 @MODES
 def test_trained_models_do_not_depend_on_the_budget(method, with_docs, monkeypatch):
-    """One slice per comment (every batch crosses slices), a few comments per
-    slice and the whole corpus in one slice give the same bits."""
+    """One position per slice (budget 0: every comment and every batch
+    crosses slices), a few dozen positions per slice, cut mid-comment, and
+    the whole corpus in one slice give the same bits."""
     corpus = synonym_word_corpus(1, n_sentences=40)
     runs = []
     for budget in (0, 2_000, 1 << 40):

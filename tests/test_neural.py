@@ -121,6 +121,13 @@ class TestForward:
         permuted[3:] = np.random.default_rng(1).permutation(permuted[3:])
         assert np.array_equal(forward(model, idx), forward(model, permuted))
 
+    def test_one_row_batch_keeps_its_axis(self, word_model, small_config):
+        model = build(word_model, small_config)
+        idx = model.encode(("alpha", "beta"))
+        batch = forward(model, idx[None, :])
+        assert batch.shape == (1, 2)
+        assert np.array_equal(batch[0], forward(model, idx))
+
     def test_wrong_length_rejected(self, word_model, small_config):
         model = build(word_model, small_config)
         with pytest.raises(NeuralError, match="max_len"):

@@ -1,7 +1,7 @@
 """The benchmark is coupled to the package by name. The traced run looks up
 package names by attribute: every (module, owner, attribute) in
 perfbench/spans.py's TARGETS, and the keyword pattern compiler it wraps, must
-exist, and the spans of the serving path must still be called.
+exist, and the spans of the serving and evaluate paths must still be called.
 perfbench/run.py calls subcommands with fixed flags, which the parser must
 accept. Breaking either shows only in a benchmark run, so check them here."""
 
@@ -44,29 +44,58 @@ def test_every_traced_target_resolves():
     assert callable(features.compile_keyword_pattern)
 
 
-def test_serving_path_spans_are_called(tmp_path):
-    # a target that resolves but is no longer called records no span
+def _span_calls(*commands) -> dict:
+    """{span: calls} of running each argv in commands through main, traced."""
     spans = _load_spans()
-    dataset = tmp_path / "dataset.jsonl"
-    save_dataset(generate_comment_dataset(0, n_per_class=10, n_nonmeta=30), dataset)
     tracer = spans.Tracer()
     instrumentation = spans.Instrumentation(tracer)
     try:
         instrumentation.install()
-        assert main(["train", "--input", str(dataset), "--two-step",
-                     "--params", "C=0.5,tolerance=0.001,max_epochs=50",
-                     "--out", str(tmp_path / "models")]) == 0
-        assert main(["classify", "--input", str(dataset), "--models",
-                     str(tmp_path / "models"), "--out", str(tmp_path / "classified")]) == 0
+        for argv in commands:
+            assert main(argv) == 0
     finally:
         instrumentation.remove()
-    calls = {name: entry["calls"] for name, entry in tracer.summary().items()}
+    return {name: entry["calls"] for name, entry in tracer.summary().items()}
+
+
+def _uncalled(calls: dict, expected) -> dict:
+    return {name: calls.get(name, 0) for name in expected if not calls.get(name)}
+
+
+def test_serving_path_spans_are_called(tmp_path):
+    # a target that resolves but is no longer called records no span
+    dataset = tmp_path / "dataset.jsonl"
+    save_dataset(generate_comment_dataset(0, n_per_class=10, n_nonmeta=30), dataset)
+    calls = _span_calls(
+        ["train", "--input", str(dataset), "--two-step",
+         "--params", "C=0.5,tolerance=0.001,max_epochs=50", "--out", str(tmp_path / "models")],
+        ["classify", "--input", str(dataset), "--models", str(tmp_path / "models"),
+         "--out", str(tmp_path / "classified")])
     expected = ("pipeline.two_step_fit", "features.fit_extractor", "classifiers.calibrate",
                 "pipeline.save_extractor", "pipeline.load_extractor",
                 "classifiers.load_model", "evaluation.two_step_classify",
                 # the feature cache's columns, through the names the trace rebinds
                 "features.regex", "features.text_stats", "features.metadata")
-    assert {name: calls.get(name, 0) for name in expected if not calls.get(name)} == {}
+    assert _uncalled(calls, expected) == {}
+
+
+def test_evaluate_path_spans_are_called(tmp_path):
+    dataset = tmp_path / "dataset.jsonl"
+    save_dataset(generate_comment_dataset(0, n_per_class=10, n_nonmeta=30), dataset)
+    for kind in ("word", "doc"):
+        assert main(["train-embeddings", "--input", str(dataset), "--kind", kind,
+                     "--dim", "8", "--window", "2", "--min-count", "2", "--epochs", "2",
+                     "--out", str(tmp_path / kind)]) == 0
+    calls = _span_calls(
+        ["evaluate", "--input", str(dataset), "-k", "3", "--select-k", "5",
+         "--word-model", str(tmp_path / "word" / "model"),
+         "--doc-model", str(tmp_path / "doc" / "model"), "--out", str(tmp_path / "eval")])
+    expected = ("evaluation.cross_validate", "evaluation.stratified_k_fold",
+                "evaluation.write_score_table", "features.fit_extractor", "features.anova",
+                "features.semantic", "features.regex", "features.text_stats",
+                "features.metadata", "pipeline.feature_fit", "pipeline.feature_predict",
+                "classifiers.train", "classifiers.decide")
+    assert _uncalled(calls, expected) == {}
 
 
 def _benchmark_command_lines():

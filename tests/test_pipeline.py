@@ -81,19 +81,19 @@ class TestFeaturePipeline:
         entries = list(dataset)
         y = binary_labels(dataset, "Meta")
         pipeline = make_pipeline(cache, select_k=10).fit(entries, y)
-        assert len(pipeline.selected) == 10
+        assert len(pipeline._columns) == 10
         assert len(pipeline.model.registry) == 10
         assert pipeline.model.registry_hash == pipeline.extractor.registry_hash
         # a column subset is the one case where a saved model keeps its names
         save_model(pipeline.model, tmp_path / "model.json")
         loaded = load_model(tmp_path / "model.json",
                             registry_hash=pipeline.extractor.registry_hash)
-        assert loaded.registry == pipeline.selected
+        registry = pipeline.extractor.registry
+        assert loaded.registry == tuple(registry[i] for i in pipeline._columns)
         assert (pipeline.predict(entries) == y).mean() >= 0.9
         # oracle: the stored column index picks the selected names' columns
         X = pipeline.extractor.matrix(dataset.comments()).toarray()
-        registry = pipeline.extractor.registry
-        columns = [registry.index(name) for name in pipeline.selected]
+        columns = [registry.index(name) for name in loaded.registry]
         assert np.array_equal(pipeline.predict(entries),
                               pipeline.model.predict_many(X[:, columns]))
         assert np.array_equal(loaded.predict_many(X[:, columns]),
