@@ -20,6 +20,7 @@ import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, fields, replace
 from functools import cached_property
+from operator import mul
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -137,28 +138,60 @@ class LinearSvm:
         return X @ self.w + self.b
 
 
+_BLOCK_ROWS = 16  # consecutive rows stepped between two reads of the weights
+
+
+def _svm_blocks(X: CsrMatrix, rows: np.ndarray, values: np.ndarray, y_pm: np.ndarray,
+                s: np.ndarray, q: np.ndarray, offset: float) -> list:
+    """The blocks of _BLOCK_ROWS consecutive rows of X, given its row ids and
+    standardized values, each as (block row of each non-zero, its column,
+    its value, block rows). Block row k is (row index, label +-1, s, q,
+    kernel), where kernel[j] for each earlier block row j is the inner
+    product of the two standardized rows with their bias column,
+    values_k.values_j - s_k - s_j + offset (offset = m.m + bias^2), taken
+    over a dense array of the block's distinct columns alone."""
+    n = X.shape[0]
+    blocks = []
+    for start in range(0, n, _BLOCK_ROWS):
+        stop = min(start + _BLOCK_ROWS, n)
+        lo, hi = X.indptr[start], X.indptr[stop]
+        local, cols, vals = rows[lo:hi] - start, X.indices[lo:hi], values[lo:hi]
+        distinct, at = np.unique(cols, return_inverse=True)
+        dense = np.zeros((stop - start, len(distinct)))
+        dense[local, at] = vals
+        sb = s[start:stop]
+        kernel = (dense @ dense.T - sb[:, None] - sb + offset).tolist()
+        block_rows = list(zip(range(start, stop), y_pm[start:stop].tolist(), sb.tolist(),
+                              q[start:stop].tolist(), [row[:k] for k, row in enumerate(kernel)]))
+        blocks.append((local, cols, vals, block_rows))
+    return blocks
+
+
 def _train_svm(X: CsrMatrix, y: np.ndarray, hp: SvmHyperparams,
                scaler: Optional[Standardizer]) -> LinearSvm:
-    """Dual coordinate descent (Hsieh et al. 2008) over each row's non-zeros.
+    """Dual coordinate descent (Hsieh et al. 2008) over each row's non-zeros,
+    in blocks of _BLOCK_ROWS consecutive rows.
 
     The solver reads the standardized rows x/std - m, m = mean/std (m = 0
     and std = 1 without a scaler), without building them: it holds the
-    weights as w = u - c*m, so a step updates u on the row's non-zero
-    columns and three scalars (c, u.m and the bias weight). The returned
-    weights are in standardized coordinates, as the model file stores them.
+    weights as w = u - c*m, so a step moves u on the row's non-zero columns
+    and three scalars (c, u.m and the bias weight). A block reads u once,
+    for its rows' products with it; a step of an earlier row j of the block
+    reaches row k's gradient through the block kernel K[k][j], and the
+    block's steps reach u in one scatter at its end. These are the iterates
+    of stepping row by row, up to rounding. The returned weights are in
+    standardized coordinates, as the model file stores them.
     """
     n, d = X.shape
     std, m = (np.ones(d), np.zeros(d)) if scaler is None else \
         (scaler.std, scaler.mean / scaler.std)
     rows, cols = X.row_ids(), X.indices
     values = X.data / std[cols]
-    splits = X.indptr[1:-1]
     bias, mm = hp.bias_scale, float(m @ m)
     s = np.bincount(rows, weights=values * m[cols], minlength=n)
     q = np.bincount(rows, weights=values * values, minlength=n) - 2.0 * s + mm + bias * bias
-    y_pm = np.where(y == 1, 1.0, -1.0)
-    steps = list(zip(np.split(cols, splits), np.split(values, splits),
-                     y_pm.tolist(), s.tolist(), q.tolist()))
+    blocks = _svm_blocks(X, rows, values, np.where(y == 1, 1.0, -1.0), s, q, mm + bias * bias)
+    del rows
     alpha = [0.0] * n
     u = np.zeros(d)
     c = um = wb = 0.0  # w = u - c*m, um = u.m, wb: the bias column's weight
@@ -168,25 +201,41 @@ def _train_svm(X: CsrMatrix, y: np.ndarray, hp: SvmHyperparams,
     C = hp.C
     for _ in range(hp.max_epochs):
         max_pg = 0.0
-        for i, (idx, z, yi, si, qi) in enumerate(steps):
-            g = yi * (float(u[idx] @ z) - c * si - um + c * mm + wb * bias) - 1.0
-            a = alpha[i]
-            if a == 0.0:
-                pg = min(g, 0.0)
-            elif a == C:
-                pg = max(g, 0.0)
-            else:
-                pg = g
-            if pg != 0.0:
-                max_pg = max(max_pg, abs(pg))
-                new_a = min(max(a - g / qi, 0.0), C)
-                if new_a != a:
-                    step = (new_a - a) * yi
-                    u[idx] += step * z
-                    um += step * si
-                    c += step
-                    wb += step * bias
-                    alpha[i] = new_a
+        for local, bcols, bvals, block_rows in blocks:
+            # c, um and wb stay at their block-start values until the block ends
+            p = np.bincount(local, weights=u[bcols] * bvals, minlength=len(block_rows))
+            shift = c * mm - um + wb * bias
+            deltas = []  # each block row's alpha change times its label
+            for pk, (i, yi, si, qi, kernel) in zip(p.tolist(), block_rows):
+                g = yi * (pk - c * si + shift + sum(map(mul, deltas, kernel))) - 1.0
+                # min and max written as comparisons, which cost less than the calls
+                a = alpha[i]
+                if a == 0.0:
+                    pg = 0.0 if g > 0.0 else g
+                elif a == C:
+                    pg = 0.0 if g < 0.0 else g
+                else:
+                    pg = g
+                step = 0.0
+                if pg != 0.0:
+                    if abs(pg) > max_pg:
+                        max_pg = abs(pg)
+                    new_a = a - g / qi
+                    if new_a < 0.0:
+                        new_a = 0.0
+                    elif new_a > C:
+                        new_a = C
+                    if new_a != a:
+                        step = (new_a - a) * yi
+                        alpha[i] = new_a
+                deltas.append(step)
+            if any(deltas):
+                for (_, _, si, _, _), step in zip(block_rows, deltas):
+                    if step:
+                        um += step * si
+                        c += step
+                        wb += step * bias
+                np.add.at(u, bcols, np.array(deltas)[local] * bvals)
         # dual objective; each exact coordinate step keeps it non-increasing
         w = np.append(u - c * m, wb)
         history.append(0.5 * float(w @ w) - float(np.sum(alpha)))
@@ -197,6 +246,8 @@ def _train_svm(X: CsrMatrix, y: np.ndarray, hp: SvmHyperparams,
         logger.warning("linear SVM did not converge: C=%g, max_epochs=%d, "
                        "last max projected gradient %.3g (tolerance %g)",
                        C, hp.max_epochs, max_pg, hp.tolerance)
+    logger.debug("linear SVM: %d rows, %d epochs, dual objective %.6g, converged %s",
+                 n, len(history), history[-1], converged)
     return LinearSvm(u - c * m, bias * wb, hp, history, converged)
 
 

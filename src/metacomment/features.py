@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import hashlib
 import re
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import islice
@@ -206,9 +207,7 @@ class _GramIds:
 
     def count(self, ts: TokenStream) -> tuple:
         """(ids, counts) of the ngrams of ts."""
-        counts: Dict[str, int] = {}
-        for gram in ngrams(ts):
-            counts[gram] = counts.get(gram, 0) + 1
+        counts = Counter(ngrams(ts))
         ids = self.ids
         return (np.array([ids.setdefault(gram, len(ids)) for gram in counts], dtype=np.intp),
                 np.array(list(counts.values()), dtype=float))
@@ -307,9 +306,11 @@ _CHAR_CLASSES = _CharClasses()
 _STRIPPED_WORD = re.compile(r"[xX](?:[xXp]*[xX])?")
 
 
-def text_stats_features(comment: Comment, lexicon: Optional[dict] = None) -> dict:
+def text_stats_features(comment: Comment, lexicon: Optional[dict] = None,
+                        tokens: Optional[tuple] = None) -> dict:
     """Character/word statistics, 'Sie' address count, questions, sentiment,
-    named by TEXT_STAT_NAMES in that order.
+    named by TEXT_STAT_NAMES in that order. tokens, when given, are the
+    comment's preprocess tokens, which it would otherwise compute.
 
     Word length averages the whitespace-separated words with their edge
     punctuation stripped, leaving out words that are all punctuation. The
@@ -323,7 +324,8 @@ def text_stats_features(comment: Comment, lexicon: Optional[dict] = None) -> dic
     scan = scan_text(comment)
     classes = scan.translate(_CHAR_CLASSES)
     words = _STRIPPED_WORD.findall(classes)
-    tokens = tokenize(scan)
+    if tokens is None:
+        tokens = tokenize(scan)
     hits = [lexicon[t] for t in tokens if t in lexicon]
     return dict(zip(TEXT_STAT_NAMES, (
         float(len(comment.title) + len(comment.text)),
@@ -635,7 +637,7 @@ class FeatureCache:
                 col = self._keyword_column.get(token)
                 if col is not None:
                     row[col] += 1.0
-        stats = text_stats_features(comment)
+        stats = text_stats_features(comment, tokens=tokens)
         row[self._stats_at:self._stats_at + len(stats)] = list(stats.values())
         for name, value in metadata_features(comment, default_departments()).items():
             row[self._column[name]] = value

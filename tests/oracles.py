@@ -9,6 +9,7 @@ from typing import Dict, Sequence
 
 import numpy as np
 
+from metacomment.classifiers import LinearSvm
 from metacomment.embeddings import _sigmoid, cosine_similarity
 from metacomment.features import (
     _QUESTION_RUN,
@@ -146,6 +147,57 @@ def svm_grid_minimum(X: np.ndarray, y_pm: np.ndarray, C: float,
             objective += np.maximum(term, 0.0, out=term)
         best = min(best, float(objective.min()))
     return best
+
+
+def row_svm(X, y: np.ndarray, hp, scaler) -> LinearSvm:
+    """classifiers._train_svm stepping one row at a time: each step reads u
+    on the row's non-zero columns and writes its change back before the
+    next row's step. Same arguments and result as _train_svm."""
+    n, d = X.shape
+    std, m = (np.ones(d), np.zeros(d)) if scaler is None else \
+        (scaler.std, scaler.mean / scaler.std)
+    rows, cols = X.row_ids(), X.indices
+    values = X.data / std[cols]
+    splits = X.indptr[1:-1]
+    bias, mm = hp.bias_scale, float(m @ m)
+    s = np.bincount(rows, weights=values * m[cols], minlength=n)
+    q = np.bincount(rows, weights=values * values, minlength=n) - 2.0 * s + mm + bias * bias
+    y_pm = np.where(y == 1, 1.0, -1.0)
+    steps = list(zip(np.split(cols, splits), np.split(values, splits),
+                     y_pm.tolist(), s.tolist(), q.tolist()))
+    alpha = [0.0] * n
+    u = np.zeros(d)
+    c = um = wb = 0.0  # w = u - c*m, um = u.m, wb: the bias column's weight
+    history = []
+    converged = False
+    C = hp.C
+    for _ in range(hp.max_epochs):
+        max_pg = 0.0
+        for i, (idx, z, yi, si, qi) in enumerate(steps):
+            g = yi * (float(u[idx] @ z) - c * si - um + c * mm + wb * bias) - 1.0
+            a = alpha[i]
+            if a == 0.0:
+                pg = min(g, 0.0)
+            elif a == C:
+                pg = max(g, 0.0)
+            else:
+                pg = g
+            if pg != 0.0:
+                max_pg = max(max_pg, abs(pg))
+                new_a = min(max(a - g / qi, 0.0), C)
+                if new_a != a:
+                    step = (new_a - a) * yi
+                    u[idx] += step * z
+                    um += step * si
+                    c += step
+                    wb += step * bias
+                    alpha[i] = new_a
+        w = np.append(u - c * m, wb)
+        history.append(0.5 * float(w @ w) - float(np.sum(alpha)))
+        if max_pg < hp.tolerance:
+            converged = True
+            break
+    return LinearSvm(u - c * m, bias * wb, hp, history, converged)
 
 
 def dense_anova_f(X: np.ndarray, y: Sequence[int]) -> np.ndarray:

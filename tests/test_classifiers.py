@@ -18,15 +18,17 @@ from metacomment.classifiers import (
     TrainingError,
     TreeHyperparams,
     _best_split,
+    _train_svm,
     calibrate,
     load_model,
     save_model,
     train,
 )
 from metacomment.files import write_json
+from metacomment.sparse import CsrMatrix
 
 from conftest import json_dump_bytes
-from oracles import primal_objective, svm_grid_minimum, traced_peak
+from oracles import primal_objective, row_svm, svm_grid_minimum, traced_peak
 
 
 def blob_data(seed=0, n=60, gap=2.0):
@@ -147,6 +149,19 @@ def dense_svm(Xs, y, hp):
     return LinearSvm(w[:d].copy(), hp.bias_scale * float(w[d]), hp, history, converged)
 
 
+def assert_matches_dense_svm(X, y, standardize, bias_scale, max_epochs):
+    """train's SVM against dense_svm on the standardized X: decision values
+    within 1e-9, the same epoch count, converged unless max_epochs < 1000."""
+    hp = SvmHyperparams(C=0.8, max_epochs=max_epochs, tolerance=1e-8,
+                        bias_scale=bias_scale)
+    model = train("linear_svm", X, y, hp, standardize=standardize)
+    Xs = model.standardizer.transform(X) if standardize else X
+    reference = dense_svm(Xs, y, hp)
+    assert np.abs(model.decision_values(X) - reference.decision_values(Xs)).max() <= 1e-9
+    assert len(model.inner.objective_history) == len(reference.objective_history)
+    assert model.inner.converged == reference.converged == (max_epochs == 1000)
+
+
 class TestSvmOverNonZeros:
     """The solver over each row's non-zeros, with the standardization folded
     in, against the dense solver on the standardized matrix."""
@@ -168,14 +183,57 @@ class TestSvmOverNonZeros:
         X[:, 11] = 0.0
         y = rng.integers(0, 2, n)
         y[:2] = [0, 1]
-        hp = SvmHyperparams(C=0.8, max_epochs=max_epochs, tolerance=1e-8,
-                            bias_scale=bias_scale)
-        model = train("linear_svm", X, y, hp, standardize=standardize)
-        Xs = model.standardizer.transform(X) if standardize else X
-        reference = dense_svm(Xs, y, hp)
-        assert np.abs(model.decision_values(X) - reference.decision_values(Xs)).max() <= 1e-9
-        assert len(model.inner.objective_history) == len(reference.objective_history)
-        assert model.inner.converged == reference.converged == (max_epochs == 1000)
+        assert_matches_dense_svm(X, y, standardize, bias_scale, max_epochs)
+
+    @pytest.mark.parametrize("n,standardize,bias_scale,max_epochs", [
+        (15, True, 1.0, 1000),
+        (16, True, 1.0, 1000),
+        (17, False, 1.0, 1000),
+        (40, True, 2.5, 1000),
+        (40, False, 1.0, 1000),
+        (40, True, 1.0, 3),  # stops unconverged
+    ])
+    def test_blocks_match_dense_reference(self, n, standardize, bias_scale, max_epochs):
+        # the solver steps 16 rows at a time: a block may be short, a block
+        # boundary falls between two all-zero rows, and a block holds two
+        # copies of a row (same labels, then opposite ones)
+        rng = np.random.default_rng(n)
+        d = 25
+        X = np.where(rng.random((n, d)) < 0.2, rng.normal(1.0, 2.0, (n, d)), 0.0)
+        X[[14, 15, 16][:n - 14]] = 0.0
+        X[[4, 9]] = X[2]
+        y = rng.integers(0, 2, n)
+        y[:2] = [0, 1]
+        y[4], y[9] = y[2], 1 - y[2]
+        assert_matches_dense_svm(X, y, standardize, bias_scale, max_epochs)
+
+    def test_blocks_match_row_by_row_steps(self):
+        # 200 x 4,000 at 1.5 % density, the shape of a tf-idf fold
+        rng = np.random.default_rng(3)
+        n, d = 200, 4000
+        X = np.where(rng.random((n, d)) < 0.015, rng.random((n, d)), 0.0)
+        y = rng.integers(0, 2, n)
+        X = CsrMatrix.from_dense(X)
+        scaler = Standardizer.fit(X)
+        hp = SvmHyperparams(C=0.5, tolerance=1e-3, max_epochs=500)
+        blocked, rowwise = _train_svm(X, y, hp, scaler), row_svm(X, y, hp, scaler)
+        assert len(blocked.objective_history) == len(rowwise.objective_history) > 2
+        assert blocked.converged and rowwise.converged
+        scale = np.abs(rowwise.w).max()
+        assert np.abs(blocked.w - rowwise.w).max() <= 1e-9 * scale
+        assert abs(blocked.b - rowwise.b) <= 1e-9 * scale
+        assert np.allclose(blocked.objective_history, rowwise.objective_history,
+                           rtol=1e-9, atol=0.0)
+
+    def test_fit_logs_one_debug_line(self, caplog):
+        X, y = blob_data(0)
+        with caplog.at_level("DEBUG", logger="metacomment.classifiers"):
+            model = train("linear_svm", X, y, SvmHyperparams(tolerance=1e-3))
+        [record] = caplog.records
+        assert record.levelname == "DEBUG"
+        history = model.inner.objective_history
+        assert record.getMessage() == (f"linear SVM: 60 rows, {len(history)} epochs, "
+                                       f"dual objective {history[-1]:.6g}, converged True")
 
     def test_fit_holds_no_dense_copy_of_the_matrix(self):
         # 400 x 20,000, 1.5 % non-zero: only Standardizer.fit's std temporary

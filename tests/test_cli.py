@@ -74,6 +74,29 @@ class TestIngestAndStats:
         assert "NonMeta: 75" in text
 
 
+    def test_one_parser_serves_commands_in_turn(self, workspace, tmp_path, capsys,
+                                                monkeypatch):
+        # main builds its parser once per process and parses each command
+        # line afresh with it
+        builds = []
+        build = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda: builds.append(1) or build())
+        cli._parser.cache_clear()
+        stats = ["stats", "--input", str(workspace["dataset"])]
+        assert main(stats) == 0
+        first = capsys.readouterr().out
+        out = tmp_path / "ingested"
+        assert main(["ingest", "--input", str(workspace["dataset"]),
+                     "--out", str(out)]) == 0
+        assert json.loads((out / "manifest.json").read_text())["command"] == "ingest"
+        assert len(load_dataset(out / "dataset.jsonl")) == 150
+        assert capsys.readouterr().out.startswith("ingested 150 comments")
+        assert main(stats) == 0
+        assert capsys.readouterr().out == first
+        assert "Meta: 75" in first
+        assert builds == [1]
+
+
 class TestEmbeddingCommands:
     def test_neighbors_lists_pool_member(self, workspace, capsys):
         rc = main(["neighbors", "--model", str(workspace["word_model"]),

@@ -310,6 +310,43 @@ class TestTfidfOnGramIds:
             tfidf_fit([])
 
 
+def reference_entry(cache, comment):
+    """cache._entry as computed before it shared its tokens: text statistics
+    tokenize the comment again, and the grams are counted in a dict walk."""
+    entry = cache._entry(comment)
+    row = np.zeros(len(cache._column))
+    row[entry.columns] = entry.values
+    stats = text_stats_features(comment)
+    row[cache._stats_at:cache._stats_at + len(stats)] = list(stats.values())
+    counts = {}
+    for gram in ngrams(entry.stream):
+        counts[gram] = counts.get(gram, 0) + 1
+    ids = [cache._grams.ids[gram] for gram in counts]
+    columns = np.flatnonzero(row)
+    return (columns, row[columns], entry.stream, np.array(ids, dtype=np.intp),
+            np.array(list(counts.values()), dtype=float))
+
+
+_WORDS = st.sampled_from(["Sie", "sie", "gut", "schlecht", "Danke", "Autor", "autor", "Redaktion", "der",
+                          "Zensur", "?", "??", "!", ".", ",", "\u201eSIE\u201c", "\u2013",
+                          "Stra\u00dfe", "\u0130", "   ", "\n", "x"])
+
+
+@settings(max_examples=60, deadline=None)
+@given(title=st.lists(_WORDS, max_size=6).map(" ".join),
+       text=st.lists(st.one_of(_WORDS, st.text(max_size=6)), max_size=25).map(" ".join))
+def test_entry_matches_the_entry_that_tokenized_twice(models, title, text):
+    cache = make_cache(models)
+    comment = make_comment(title=title, text=text + "x")
+    [entry] = cache.entries([comment])
+    columns, values, stream, ids, counts = reference_entry(cache, comment)
+    assert entry.columns.tobytes() == columns.tobytes()
+    assert entry.values.tobytes() == values.tobytes()
+    assert entry.stream == stream
+    assert entry.ids.dtype == ids.dtype and entry.ids.tobytes() == ids.tobytes()
+    assert entry.counts.dtype == counts.dtype and entry.counts.tobytes() == counts.tobytes()
+
+
 @pytest.mark.parametrize("stopwords", [None, frozenset({"der", "die", "und", "autor"})])
 def test_stop_word_stream_is_preprocess_with_stop_words(dataset, models, stopwords):
     """The entry's stream, filtered from the plain token stream, is what
@@ -331,9 +368,9 @@ class TestCacheScope:
         text_stats, prep, init = (features.text_stats_features, features.preprocess,
                                   features.FeatureCache.__init__)
 
-        def text_stats_spy(comment, *args):
+        def text_stats_spy(comment, *args, **kwargs):
             calls["text_stats"][comment] += 1
-            return text_stats(comment, *args)
+            return text_stats(comment, *args, **kwargs)
 
         def preprocess_spy(comment, *args, **kwargs):
             calls["preprocess"][comment] += 1

@@ -1,5 +1,6 @@
 """Memory ceilings of the embedding kernels, each stated from the slice
-budget, embeddings.SLICE_BYTES, and checked on tracemalloc's peak.
+budget, embeddings.SLICE_BYTES, and of the linear SVM's block kernels, each
+checked on tracemalloc's peak.
 
 Inference: one kernel call gathers 2 window + 1 w_in rows and k + 1 w_out
 rows of dim float64s per example, TRAIN_BATCH examples per comment of its
@@ -18,6 +19,7 @@ import numpy as np
 import pytest
 
 from metacomment import embeddings
+from metacomment.classifiers import train
 from metacomment.embeddings import (
     TRAIN_BATCH,
     DocEmbeddingModel,
@@ -27,6 +29,7 @@ from metacomment.embeddings import (
     train_doc_embeddings,
     train_word_embeddings,
 )
+from metacomment.sparse import CsrMatrix
 from metacomment.textprep import TokenStream
 
 from oracles import traced_peak
@@ -145,3 +148,27 @@ def test_training_holds_no_epoch_sized_example_array(method, with_docs, n_commen
     assert len(sizes) > 1 and max(sizes) <= embeddings.SLICE_BYTES
     positions = 200 * n_comments
     assert peak < 3 * embeddings.SLICE_BYTES + 12 * positions + 1024 * n_comments
+
+
+def test_svm_block_kernels_stay_under_their_ceiling():
+    """A linear SVM fit on 20,000 rows x 100,000 columns, 3 non-zeros per
+    row, stays under 23.6 MB.
+
+    Per row the solver holds its block entry: a 5-tuple (80 B), the row
+    index (28 B), label, s and q (3 x 24 B), and its kernel entries with the
+    block's earlier rows, a list of at most 15 floats (56 + 15 x 32 B): at
+    most 716 B, 14.3 MB for 20,000 rows. Per non-zero the set-up and
+    Standardizer.fit hold at most 6 arrays of 8 B, 2.9 MB for 60,000; per
+    column 8 arrays of 8 B, 6.4 MB for 100,000. A dense array over the full
+    width for one block of 16 rows would add 12.8 MB, and one n x n kernel
+    3.2 GB.
+    """
+    rng = np.random.default_rng(0)
+    n, d = 20_000, 100_000
+    cols = np.sort(rng.choice(d, size=(n, 3), replace=False), axis=1)
+    X = CsrMatrix(rng.normal(size=3 * n), cols.reshape(-1), np.arange(0, 3 * n + 1, 3),
+                  (n, d))
+    y = rng.integers(0, 2, n)
+    model, peak = traced_peak(train, "linear_svm", X, y, {"max_epochs": 2})
+    assert model.inner.w.shape == (d,)
+    assert peak < 20_000 * 716 + 60_000 * 48 + 100_000 * 64

@@ -180,9 +180,9 @@ class TestTwoStepClassifier:
         calls = []
         text_stats_features = features.text_stats_features
 
-        def spy(comment, *args):
+        def spy(comment, *args, **kwargs):
             calls.append(comment.id)
-            return text_stats_features(comment, *args)
+            return text_stats_features(comment, *args, **kwargs)
 
         monkeypatch.setattr(features, "text_stats_features", spy)
         entries = list(dataset)[:120]
