@@ -730,8 +730,9 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
-    logging.basicConfig(level=logging.DEBUG if args.verbose else logging.WARNING,
-                        format="%(levelname)s %(name)s: %(message)s")
+    # a no-op once the root logger has a handler; the level is set on every call
+    logging.basicConfig(format="%(levelname)s %(name)s: %(message)s")
+    logging.getLogger().setLevel(logging.DEBUG if args.verbose else logging.WARNING)
     try:
         return args.func(args)
     except KNOWN_ERRORS as exc:

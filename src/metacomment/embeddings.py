@@ -101,16 +101,27 @@ def cosine_similarity(u: np.ndarray, v: np.ndarray) -> float:
     v = np.asarray(v, dtype=float)
     if u.shape != v.shape:
         raise EmbeddingError(f"dimension mismatch: {u.shape} vs {v.shape}")
-    return cosine_from_norms(u, v, np.linalg.norm(u), np.linalg.norm(v))
-
-
-def cosine_from_norms(u: np.ndarray, v: np.ndarray, nu: float, nv: float) -> float:
-    """cosine_similarity of u and v, given their norms nu and nv."""
+    nu, nv = np.linalg.norm(u), np.linalg.norm(v)
     if nu == 0.0 or nv == 0.0:
         return 0.0
     # builtin min/max: the same bits as a scalar np.clip at a fraction of
     # its cost, and this argument order passes NaN through as np.clip does
     return max(min(float(np.dot(u, v) / (nu * nv)), 1.0), -1.0)
+
+
+def cosine_similarities(U: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """cosine_similarity of each row of U with each row of V, bit for bit:
+    each dot is a stacked 1 × d @ d × 1 matmul, which numpy computes as
+    np.dot does (U @ V.T sums in another order), and each norm the square
+    root of one, as np.linalg.norm is."""
+    U, V = np.asarray(U, dtype=float), np.asarray(V, dtype=float)
+    if U.shape[1:] != V.shape[1:]:
+        raise EmbeddingError(f"dimension mismatch: {U.shape[1:]} vs {V.shape[1:]}")
+    dots = (U[:, None, None, :] @ V[None, :, :, None])[..., 0, 0]
+    nu, nv = (np.sqrt((W[:, None, :] @ W[:, :, None])[:, 0, 0]) for W in (U, V))
+    cosines = np.divide(dots, nu[:, None] * nv[None, :], out=np.zeros_like(dots),
+                        where=(nu[:, None] != 0.0) & (nv[None, :] != 0.0))
+    return np.clip(cosines, -1.0, 1.0)
 
 
 def _noise_cdf(counts: np.ndarray) -> np.ndarray:

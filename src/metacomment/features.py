@@ -25,7 +25,7 @@ from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence
 import numpy as np
 
 from .corpus import ADDRESSEE_LABELS, CLASS_ORDER, Comment, LabeledDataset
-from .embeddings import DocEmbeddingModel, WordEmbeddingModel, cosine_from_norms
+from .embeddings import DocEmbeddingModel, WordEmbeddingModel, cosine_similarities
 from .files import read_lines
 from .sparse import CsrMatrix, as_csr
 from .textprep import (
@@ -346,10 +346,6 @@ class ClassVector:
     label: str
     vector: np.ndarray
 
-    @cached_property
-    def norm(self) -> float:
-        return np.linalg.norm(self.vector)
-
 
 def comment_vectors(dm: DocEmbeddingModel, comments: Sequence[Comment],
                     stopwords: Optional[FrozenSet[str]] = None) -> np.ndarray:
@@ -390,21 +386,18 @@ def _semantic_names(cvs: Sequence[ClassVector]) -> list:
             + [f"semantic_min_dist_{n}" for n in names])
 
 
-def semantic_features(cvs: Sequence[ClassVector], vec: np.ndarray) -> dict:
-    """Cosine distance from a comment vector to each class vector plus a
-    one-hot nearest class.
+def semantic_features(cvs: Sequence[ClassVector], vectors: np.ndarray) -> np.ndarray:
+    """The semantic block of an (n × dim) array of comment vectors: per row,
+    the cosine distance to each class vector, then a one-hot nearest class,
+    in the columns _semantic_names gives for the class-ordered cvs.
 
     Ties go to the first class in the fixed class order.
     """
     if not cvs:
         raise FeatureError("no class vectors given")
-    if any(_CLASS_RANK[a.label] > _CLASS_RANK[b.label] for a, b in zip(cvs, cvs[1:])):
-        cvs = sorted(cvs, key=lambda cv: _CLASS_RANK[cv.label])
-    nv = np.linalg.norm(vec)
-    dists = [1.0 - cosine_from_norms(vec, cv.vector, nv, cv.norm) for cv in cvs]
-    nearest = dists.index(min(dists))  # the first of tied classes
-    return dict(zip(_semantic_names(cvs),
-                    dists + [1.0 if i == nearest else 0.0 for i in range(len(cvs))]))
+    cvs = sorted(cvs, key=lambda cv: _CLASS_RANK[cv.label])
+    dists = 1.0 - cosine_similarities(vectors, np.array([cv.vector for cv in cvs]))
+    return np.hstack([dists, np.eye(len(cvs))[np.argmin(dists, axis=1)]])
 
 
 # -- metadata ----------------------------------------------------------------
@@ -534,7 +527,6 @@ class FeatureExtractor:
                 (self.keyword_sets, self.doc_model, self.stopwords):
             raise FeatureError("the feature cache was made for other keyword sets, "
                                "doc model or stop words")
-        vectors = cache.vectors(comments) if self.class_vecs else None
         entries = cache.entries(comments)
         n = len(entries)
         rows = [np.repeat(np.arange(n), [len(e.columns) for e in entries])]
@@ -547,11 +539,9 @@ class FeatureExtractor:
             cols.append(self._tfidf_at + tfidf_cols)
             values.append(weights)
         if self.class_vecs:
-            width = 2 * len(self.class_vecs)
-            block = np.array([list(semantic_features(self.class_vecs, vector).values())
-                              for vector in vectors]).reshape(n, width)
-            rows.append(np.repeat(np.arange(n), width))
-            cols.append(np.tile(self._semantic_at + np.arange(width), n))
+            block = semantic_features(self.class_vecs, cache.vectors(comments))
+            rows.append(np.repeat(np.arange(n), block.shape[1]))
+            cols.append(np.tile(self._semantic_at + np.arange(block.shape[1]), n))
             values.append(block.ravel())
         X = CsrMatrix.from_triplets(np.concatenate(rows), np.concatenate(cols),
                                     np.concatenate(values), (n, len(self._registry)))

@@ -16,7 +16,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .corpus import CLASS_ORDER, Comment, DatasetError, LabeledDataset, LabelSet
-from .embeddings import DocEmbeddingModel, WordEmbeddingModel, cosine_similarity
+from .embeddings import DocEmbeddingModel, WordEmbeddingModel, cosine_similarities
 from .features import (
     KeywordSet,
     comment_vectors,
@@ -100,11 +100,9 @@ def sample_by_similarity(ds: LabeledDataset, ks: KeywordSet,
     anchor = keyword_average_vector(ks, word_model)
     comments = list(ds.comments())
     vectors = comment_vectors(dm, comments, stopwords)
-    scored = [(cosine_similarity(vec, anchor), position, comment)
-              for position, (vec, comment) in enumerate(zip(vectors, comments))]
-    scored.sort(key=lambda entry: (-entry[0], entry[1]))
-    items = tuple(BatchItem(comment, "similarity", score)
-                  for score, _, comment in scored[:n])
+    scores = cosine_similarities(vectors, anchor[None, :])[:, 0].tolist()
+    ranked = sorted(range(len(comments)), key=lambda i: (-scores[i], i))
+    items = tuple(BatchItem(comments[i], "similarity", scores[i]) for i in ranked[:n])
     return AnnotationBatch(batch_id=batch_id, items=items)
 
 

@@ -10,8 +10,10 @@ from typing import Dict, Sequence
 import numpy as np
 
 from metacomment.classifiers import LinearSvm
+from metacomment.corpus import CLASS_ORDER
 from metacomment.embeddings import _sigmoid, cosine_similarity
 from metacomment.features import (
+    CLASS_FEATURE_NAMES,
     _QUESTION_RUN,
     _SIE_PATTERN,
     TEXT_STAT_NAMES,
@@ -33,6 +35,18 @@ def traced_peak(fn, *args, **kwargs):
 
 def cosine_distance(u: np.ndarray, v: np.ndarray) -> float:
     return 1.0 - cosine_similarity(u, v)
+
+
+def reference_semantic(cvs, vec):
+    """One comment's row of semantic_features from cosine_distance: names
+    and values in class order, the one-hot on the first class at the
+    smallest distance."""
+    ordered = sorted(cvs, key=lambda cv: CLASS_ORDER.index(cv.label))
+    dists = [cosine_distance(vec, cv.vector) for cv in ordered]
+    nearest = min(range(len(dists)), key=lambda i: (dists[i], i))
+    names = [f"semantic_{kind}_{CLASS_FEATURE_NAMES[cv.label]}"
+             for kind in ("dist", "min_dist") for cv in ordered]
+    return names, np.array(dists + [float(i == nearest) for i in range(len(dists))])
 
 
 # -- negative-sampling objective ------------------------------------------

@@ -1,6 +1,7 @@
 import argparse
 import ast
 import json
+import logging
 import os
 import shutil
 import subprocess
@@ -95,6 +96,20 @@ class TestIngestAndStats:
         assert capsys.readouterr().out == first
         assert "Meta: 75" in first
         assert builds == [1]
+
+    def test_verbose_applies_to_every_call_in_a_process(self, workspace, tmp_path, caplog):
+        # the process already has a logging handler after its first command;
+        # --verbose still shows the SVM fit's DEBUG line, and a later plain
+        # call shows no DEBUG line again
+        assert main(["stats", "--input", str(workspace["dataset"])]) == 0
+        train = ["train", "--input", str(workspace["dataset"]), "--out"]
+        caplog.clear()
+        assert main(["--verbose", *train, str(tmp_path / "verbose")]) == 0
+        assert any(r.levelno == logging.DEBUG and r.getMessage().startswith("linear SVM:")
+                   for r in caplog.records)
+        caplog.clear()
+        assert main([*train, str(tmp_path / "plain")]) == 0
+        assert not [r for r in caplog.records if r.levelno == logging.DEBUG]
 
 
 class TestEmbeddingCommands:

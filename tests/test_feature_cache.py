@@ -38,7 +38,6 @@ from metacomment.features import (
     default_departments,
     default_sentiment_lexicon,
     metadata_features,
-    semantic_features,
     text_stats_features,
     tfidf_fit,
     tfidf_transform,
@@ -47,6 +46,7 @@ from metacomment.pipeline import FeaturePipeline, build_keyword_sets, feature_ca
 from metacomment.textprep import TokenStream, ngrams, preprocess
 
 from conftest import make_comment
+from oracles import reference_semantic
 from synthdata import CLASS_KEYWORDS, generate_comment_dataset
 
 
@@ -113,7 +113,7 @@ def reference_matrix(extractor, comments):
                       for gram, weight in tfidf_transform(extractor.tfidf, ts).items())
         values.update(text_stats_features(comment, default_sentiment_lexicon()))
         vector = extractor.doc_model.vectors_for([ts])[0]
-        values.update(semantic_features(extractor.class_vecs, vector))
+        values.update(zip(*reference_semantic(extractor.class_vecs, vector)))
         values.update(metadata_features(comment, default_departments()))
         rows.append({k: v for k, v in values.items() if v != 0.0})
     return build_matrix(rows, extractor.registry)
@@ -186,24 +186,25 @@ class TestMatrixOracle:
         with pytest.raises(FeatureError, match="feature cache"):
             pipeline.extractor.matrix(dataset.comments(), other)
 
-    def test_matrix_calls_semantic_features_once_per_comment(self, dataset, cache,
-                                                             monkeypatch):
+    def test_matrix_calls_semantic_features_once_per_call(self, dataset, cache,
+                                                          monkeypatch):
         # the benchmark's trace times the semantic group by rebinding
-        # features.semantic_features, one call per comment row
+        # features.semantic_features, one call per matrix call
         pipeline = make_pipeline(cache).fit(list(dataset), binary_labels(dataset, "Meta"))
         comments = list(dataset.comments())
         expected = pipeline.extractor.matrix(comments).toarray()
         calls = []
         original = features.semantic_features
 
-        def spy(cvs, vec):
-            calls.append(cvs)
-            return original(cvs, vec)
+        def spy(cvs, vectors):
+            calls.append((cvs, vectors.shape))
+            return original(cvs, vectors)
 
         monkeypatch.setattr(features, "semantic_features", spy)
         assert np.array_equal(pipeline.extractor.matrix(comments).toarray(), expected)
-        assert len(calls) == len(comments)
-        assert all(cvs is pipeline.extractor.class_vecs for cvs in calls)
+        [(cvs, shape)] = calls
+        assert cvs is pipeline.extractor.class_vecs
+        assert shape == (len(comments), pipeline.extractor.doc_model.dim)
 
 
 def reference_tfidf_fit(streams):

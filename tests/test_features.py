@@ -13,7 +13,6 @@ from metacomment.embeddings import (
     train_word_embeddings,
 )
 from metacomment.features import (
-    CLASS_FEATURE_NAMES,
     ClassVector,
     FeatureError,
     FeatureExtractor,
@@ -36,11 +35,12 @@ from metacomment.features import (
     tfidf_transform,
     _keyword_forms,
     _pattern_text,
+    _semantic_names,
 )
 from metacomment.textprep import TokenStream, ngrams, scan_text
 
 from conftest import make_comment
-from oracles import cosine_distance, text_stats_reference
+from oracles import reference_semantic, text_stats_reference
 from synthdata import synonym_word_corpus
 
 
@@ -352,11 +352,18 @@ class TestClassVectors:
             class_vectors(dm, ds, classes=("Meta", "NonMeta"))
 
 
+def semantic_row(cvs, vec):
+    """semantic_features of one comment vector, by column name."""
+    ordered = sorted(cvs, key=lambda cv: CLASS_ORDER.index(cv.label))
+    return dict(zip(_semantic_names(ordered),
+                    semantic_features(cvs, np.array([vec]))[0].tolist()))
+
+
 class TestSemanticFeatures:
     def test_member_of_class_vector_has_distance_zero(self):
         cvs = [ClassVector("Media", np.array([1.0, 0.0])),
                ClassVector("NonMeta", np.array([0.0, 1.0]))]
-        values = semantic_features(cvs, np.array([1.0, 0.0]))
+        values = semantic_row(cvs, np.array([1.0, 0.0]))
         assert values["semantic_dist_media"] == pytest.approx(0.0, abs=1e-12)
         assert values["semantic_min_dist_media"] == 1.0
         assert values["semantic_min_dist_non-meta"] == 0.0
@@ -364,14 +371,14 @@ class TestSemanticFeatures:
     def test_argmin_on_clear_case(self):
         cvs = [ClassVector("Media", np.array([1.0, 0.0])),
                ClassVector("Journalist", np.array([0.0, 1.0]))]
-        values = semantic_features(cvs, np.array([1.0, 0.0]))
+        values = semantic_row(cvs, np.array([1.0, 0.0]))
         assert values["semantic_dist_journalist"] == pytest.approx(1.0)
         assert values["semantic_min_dist_media"] == 1.0
 
     def test_tie_broken_by_class_order(self):
         cvs = [ClassVector("Moderator", np.array([1.0, 0.0])),
                ClassVector("Media", np.array([0.0, 1.0]))]
-        values = semantic_features(cvs, np.array([1.0, 1.0]))
+        values = semantic_row(cvs, np.array([1.0, 1.0]))
         # equidistant: Media wins because it precedes Moderator in class order
         assert values["semantic_min_dist_media"] == 1.0
         assert values["semantic_min_dist_moderator"] == 0.0
@@ -382,27 +389,16 @@ class TestSemanticFeatures:
             vec = rng.normal(size=4)
             cvs = [ClassVector(cls, rng.normal(size=4))
                    for cls in ("Media", "Journalist", "Moderator")]
-            values = semantic_features(cvs, vec)
+            values = semantic_row(cvs, vec)
             hot = [v for k, v in values.items() if k.startswith("semantic_min_dist_")]
             assert sum(hot) == 1.0
-
-
-def reference_semantic(cvs, vec):
-    """semantic_features from cosine_distance: names and values in class
-    order, the one-hot on the first class at the smallest distance."""
-    ordered = sorted(cvs, key=lambda cv: CLASS_ORDER.index(cv.label))
-    dists = [cosine_distance(vec, cv.vector) for cv in ordered]
-    nearest = min(range(len(dists)), key=lambda i: (dists[i], i))
-    names = [f"semantic_{kind}_{CLASS_FEATURE_NAMES[cv.label]}"
-             for kind in ("dist", "min_dist") for cv in ordered]
-    return names, np.array(dists + [float(i == nearest) for i in range(len(dists))])
 
 
 class TestSemanticOracle:
     """semantic_features against the cosine_distance loop, bit for bit."""
 
     def assert_matches(self, cvs, vec):
-        values = semantic_features(cvs, vec)
+        values = semantic_row(cvs, vec)
         names, expected = reference_semantic(cvs, vec)
         assert list(values) == names
         assert np.array_equal(np.array(list(values.values())), expected)
@@ -428,7 +424,7 @@ class TestSemanticOracle:
         # an all-OOV comment: distance 1 to every class, the first class nearest
         cvs = [ClassVector(c, np.arange(1.0, 4.0) + i) for i, c in enumerate(CLASS_ORDER)]
         self.assert_matches(cvs, np.zeros(3))
-        values = semantic_features(cvs, np.zeros(3))
+        values = semantic_row(cvs, np.zeros(3))
         assert values["semantic_dist_meta"] == 1.0
         assert values["semantic_min_dist_media"] == 1.0
 
@@ -437,17 +433,17 @@ class TestSemanticOracle:
                ClassVector("Journalist", np.array([1.0, 2.0, 3.0]))]
         vec = np.array([-1.0, -2.0, -2.5])
         self.assert_matches(cvs, vec)
-        assert semantic_features(cvs, vec)["semantic_dist_media"] == 1.0
+        assert semantic_row(cvs, vec)["semantic_dist_media"] == 1.0
 
     def test_class_vectors_out_of_order(self):
         rng = np.random.default_rng(2)
         cvs = [ClassVector(c, rng.normal(size=8)) for c in CLASS_ORDER]
         vec = rng.normal(size=8)
-        in_order = semantic_features(cvs, vec)
+        in_order = semantic_row(cvs, vec)
         for _ in range(10):
             shuffled = [cvs[i] for i in rng.permutation(len(cvs))]
             self.assert_matches(shuffled, vec)
-            assert semantic_features(shuffled, vec) == in_order
+            assert semantic_row(shuffled, vec) == in_order
 
     def test_tie_goes_to_first_class_in_order(self):
         # Journalist and NonMeta share a direction, so their distances are equal
@@ -456,10 +452,50 @@ class TestSemanticOracle:
                ClassVector("Journalist", direction.copy())]
         vec = direction * 2.0
         self.assert_matches(cvs, vec)
-        values = semantic_features(cvs, vec)
+        values = semantic_row(cvs, vec)
         assert values["semantic_dist_journalist"] == values["semantic_dist_non-meta"]
         assert values["semantic_min_dist_journalist"] == 1.0
         assert values["semantic_min_dist_non-meta"] == 0.0
+
+    def assert_block_matches(self, cvs, vectors):
+        block = semantic_features(cvs, vectors)
+        assert block.shape == (len(vectors), 2 * len(cvs))
+        expected = [reference_semantic(cvs, vec)[1] for vec in vectors]
+        assert np.array_equal(block, np.reshape(expected, block.shape))
+
+    def test_random_batches(self):
+        # every row of the block is its own oracle row, whatever the batch
+        rng = np.random.default_rng(3)
+        for trial in range(60):
+            dim = int(rng.choice([1, 7, 300, rng.integers(1, 401)]))
+            n = int(rng.choice([0, 1, rng.integers(2, 40)]))
+            classes = [c for c in CLASS_ORDER if rng.random() < 0.7] or ["Meta"]
+            cvs = [ClassVector(c, rng.normal(size=dim)) for c in rng.permutation(classes)]
+            if rng.random() < 0.3:
+                cvs[0] = ClassVector(cvs[0].label, np.zeros(dim))
+            vectors = rng.normal(scale=rng.uniform(0.01, 10), size=(n, dim))
+            vectors[rng.random(n) < 0.2] = 0.0
+            self.assert_block_matches(cvs, vectors)
+
+    def test_empty_batch(self):
+        cvs = [ClassVector(c, np.ones(4)) for c in ("Media", "NonMeta")]
+        assert semantic_features(cvs, np.empty((0, 4))).shape == (0, 4)
+
+    def test_batch_with_zero_rows_zero_classes_and_exact_ties(self):
+        rng = np.random.default_rng(4)
+        direction = rng.normal(size=5)
+        cvs = [ClassVector("NonMeta", direction), ClassVector("Media", -direction),
+               ClassVector("Meta", np.zeros(5)), ClassVector("Journalist", direction.copy())]
+        vectors = np.array([2.0 * direction, -direction, np.zeros(5),
+                            rng.normal(size=5), 3.0 * direction])
+        self.assert_block_matches(cvs, vectors)
+        # columns: Media, Journalist, Meta, NonMeta distances, then the one-hot
+        block = semantic_features(cvs, vectors)
+        assert np.array_equal(block[:, 2], np.ones(5))
+        assert np.array_equal(block[:, 1], block[:, 3])
+        assert block[0, 4:].tolist() == [0.0, 1.0, 0.0, 0.0]
+        assert block[2, 4:].tolist() == [1.0, 0.0, 0.0, 0.0]
+        assert block[4, 4:].tolist() == [0.0, 1.0, 0.0, 0.0]
 
 
 class TestMetadataFeatures:

@@ -115,6 +115,23 @@ class TestSampleBySimilarity:
                                      for c in ds.comments()), reverse=True)
             assert len(set(scores)) == len(scores)
 
+    def test_scores_are_cosine_similarity_bit_for_bit(self, doc_model):
+        ks = KeywordSet("Media", ("kaffee",), ("kaffee",))
+        anchor = keyword_average_vector(ks, doc_model.word_model)
+        rng = np.random.default_rng(5)
+        vectors = {**doc_model.doc_vectors, "zero": np.zeros(len(anchor)), "anti": -anchor,
+                   **{f"r{i}": rng.normal(scale=10.0 ** rng.integers(-3, 4), size=len(anchor))
+                      for i in range(20)}}
+        planted = DocEmbeddingModel(doc_model.word_model, vectors, frozenset(),
+                                    DocInferenceParams())
+        ds = LabeledDataset(tuple((make_comment(doc_id, text="x."), LabelSet())
+                                  for doc_id in vectors), "sim")
+        batch = sample_by_similarity(ds, ks, doc_model.word_model, planted, n=len(vectors))
+        assert len(batch) == len(vectors)
+        for item in batch.items:
+            assert type(item.score) is float
+            assert item.score == cosine_similarity(vectors[item.comment.id], anchor)
+
     def test_planted_exact_match_ranks_first(self, doc_model):
         ks = KeywordSet("Media", ("kaffee",), ("kaffee",))
         anchor = keyword_average_vector(ks, doc_model.word_model)
