@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import hashlib
 import json
 import logging
 import sys
@@ -53,7 +52,7 @@ from .features import (
     load_keywords,
     select_k_best,
 )
-from .files import read_json, write_json
+from .files import hash_file, read_json, write_json
 from .pipeline import (
     FeaturePipeline,
     TwoStepClassifier,
@@ -82,14 +81,6 @@ KNOWN_ERRORS = (DatasetError, ValueError, OSError)
 CLASSIFY_CHUNK = 256
 
 
-def _hash_file(path) -> str:
-    digest = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 20), b""):
-            digest.update(chunk)
-    return digest.hexdigest()
-
-
 def _write_manifest(out_dir: Path, args: argparse.Namespace, inputs) -> None:
     manifest = {
         "tool": "metacomment",
@@ -97,7 +88,7 @@ def _write_manifest(out_dir: Path, args: argparse.Namespace, inputs) -> None:
         "command": args.command,
         "arguments": {k: (str(v) if isinstance(v, Path) else v)
                       for k, v in sorted(vars(args).items()) if k != "func"},
-        "input_hashes": {str(p): _hash_file(p) for p in inputs if Path(p).is_file()},
+        "input_hashes": {str(p): hash_file(p) for p in inputs if Path(p).is_file()},
     }
     write_json(out_dir / "manifest.json", manifest, indent=2)
 

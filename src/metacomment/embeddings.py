@@ -26,7 +26,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .files import read_fields, read_json, write_json
+from .files import hash_file, read_fields, read_json, write_json
 from .textprep import TokenStream
 
 logger = logging.getLogger(__name__)
@@ -39,6 +39,7 @@ TRAIN_BATCH = 64
 # kernel call gathers (_example_bytes per example) for a slice of at least one
 # comment; in training, the example arrays of a slice of at least one position
 SLICE_BYTES = 3 << 19
+STORE_FORMAT = "metacomment-vector-store/1"
 
 
 class EmbeddingError(ValueError):
@@ -192,8 +193,8 @@ class WordEmbeddingModel:
 
     def save(self, prefix) -> None:
         prefix = Path(prefix)
-        _write_vector_file(prefix.with_suffix(".vec"), self._tokens, self.vectors)
-        _write_vector_file(prefix.with_suffix(".out"), self._tokens, self.out_vectors)
+        _save_vectors(prefix, ".store.json", self._tokens,
+                      {".vec": self.vectors, ".out": self.out_vectors})
         meta = {
             "params": self.params.__dict__,
             "counts": {t: int(c) for t, c in zip(self._tokens, self.counts)},
@@ -204,10 +205,7 @@ class WordEmbeddingModel:
     @classmethod
     def load(cls, prefix) -> "WordEmbeddingModel":
         prefix = Path(prefix)
-        tokens, vectors = _read_vector_file(prefix.with_suffix(".vec"))
-        out_tokens, out_vectors = _read_vector_file(prefix.with_suffix(".out"))
-        if tokens != out_tokens:
-            raise EmbeddingError("input/output vector files disagree on vocabulary")
+        tokens, (vectors, out_vectors) = _load_vectors(prefix, ".store.json", (".vec", ".out"))
         meta = read_json(prefix.with_suffix(".meta.json"))
         # files written while training had a thread pool also carry "workers"
         params = read_fields(WordTrainingParams, meta["params"])
@@ -226,23 +224,103 @@ def _write_vector_file(path: Path, keys: Sequence[str], matrix: np.ndarray) -> N
 
 
 def _read_vector_file(path: Path) -> Tuple[List[str], np.ndarray]:
-    """Keys and rows; a malformed or cut-off line raises EmbeddingError naming it."""
+    """Keys and rows; a malformed or cut-off line, a repeated key or a line
+    past the header's row count raises EmbeddingError naming it."""
     line_no = 1
     with open(path, encoding="utf-8") as fh:
         try:
             n, d = map(int, fh.readline().split())
-            keys = []
+            lines = {}
             matrix = np.empty((n, d), dtype=float)
             for line_no in range(2, n + 2):
                 line = fh.readline()
                 key, *values = line.rstrip("\n").split(" ")
                 if len(values) != d or not line.endswith("\n"):
                     raise ValueError(f"expected a key and {d} values, then a newline")
-                keys.append(key)
+                if lines.setdefault(key, line_no) != line_no:
+                    raise ValueError(f"key {key!r} repeats line {lines[key]}")
                 matrix[line_no - 2] = [float(x) for x in values]
+            line_no = n + 2
+            if fh.readline():
+                raise ValueError(f"a line past the header's {n} rows")
         except ValueError as exc:
             raise EmbeddingError(f"{path}, line {line_no}: {exc}") from None
-    return keys, matrix
+    return list(lines), matrix
+
+
+def _npy(path: Path) -> Path:
+    return path.with_name(path.name + ".npy")
+
+
+def _save_vectors(prefix: Path, store_suffix: str, keys: Sequence[str],
+                  matrices: Dict[str, np.ndarray]) -> None:
+    """Each matrix as the text vector file prefix + suffix and its np.save copy
+    beside it (suffix + ".npy"), then the store file prefix + store_suffix:
+    the keys and each text file's sha256."""
+    digests = {}
+    for suffix, matrix in matrices.items():
+        path = prefix.with_suffix(suffix)
+        _write_vector_file(path, keys, matrix)
+        np.save(_npy(path), np.asarray(matrix, dtype=float))
+        digests[suffix] = hash_file(path)
+    write_json(prefix.with_suffix(store_suffix),
+               {"format": STORE_FORMAT, "keys": list(keys), "sha256": digests})
+
+
+def _load_vectors(prefix: Path, store_suffix: str,
+                  suffixes: Sequence[str]) -> Tuple[List[str], List[np.ndarray]]:
+    """The keys and matrices of the text vector files prefix + suffix. They
+    come from the .npy copies when the store file records the sha256 of each
+    text file as it is on disk, else from parsing the text, which stays the
+    source of truth. A store file or array that does not fit its keys, and
+    on either path files of one model that differ in width or a non-finite
+    value, raise EmbeddingError naming the file."""
+    paths = [prefix.with_suffix(suffix) for suffix in suffixes]
+    store = prefix.with_suffix(store_suffix)
+    loaded = _read_store(store, paths) if store.is_file() else None
+    if loaded is None:
+        read = [_read_vector_file(path) for path in paths]
+        for path, (keys, _) in zip(paths[1:], read[1:]):
+            if keys != read[0][0]:
+                raise EmbeddingError(f"{path}: keys differ from {paths[0].name}'s")
+        loaded = read[0][0], [matrix for _, matrix in read]
+    keys, matrices = loaded
+    for path, matrix in zip(paths, matrices):
+        if matrix.shape[1] != matrices[0].shape[1]:
+            raise EmbeddingError(f"{path}: {matrix.shape[1]} columns, "
+                                 f"{paths[0].name} has {matrices[0].shape[1]}")
+        if not np.isfinite(matrix).all():
+            row = int(np.flatnonzero(~np.isfinite(matrix).all(axis=1))[0])
+            raise EmbeddingError(f"{path}, line {row + 2}: non-finite value in the "
+                                 f"vector of {keys[row]!r}")
+    return loaded
+
+
+def _read_store(store: Path,
+                paths: Sequence[Path]) -> Optional[Tuple[List[str], List[np.ndarray]]]:
+    """_load_vectors' (keys, matrices) from the .npy copies, or None when a
+    text file's sha256 is not the one the store file records."""
+    try:
+        record = read_json(store, STORE_FORMAT)
+        keys, digests = record["keys"], record["sha256"]
+    except ValueError as exc:
+        raise EmbeddingError(str(exc)) from None
+    if not (isinstance(keys, list) and set(map(type, keys)) <= {str}
+            and len(set(keys)) == len(keys) and isinstance(digests, dict)):
+        raise EmbeddingError(f"{store}: keys must be distinct strings, sha256 an object")
+    if any(digests.get(path.suffix) != hash_file(path) for path in paths):
+        return None
+    matrices = []
+    for path in map(_npy, paths):
+        try:
+            matrix = np.load(path, allow_pickle=False)
+        except (OSError, ValueError) as exc:
+            raise EmbeddingError(f"{path}: {exc}") from None
+        if matrix.dtype != np.float64 or matrix.ndim != 2 or len(matrix) != len(keys):
+            raise EmbeddingError(f"{path}: a {matrix.dtype} array of shape {matrix.shape}, "
+                                 f"not float64 rows for the {len(keys)} keys of {store.name}")
+        matrices.append(matrix)
+    return keys, matrices
 
 
 def _build_vocab(corpus: Sequence[TokenStream], min_count: int):
@@ -544,7 +622,7 @@ class DocEmbeddingModel:
         ids = list(self.doc_vectors)
         matrix = np.array([self.doc_vectors[i] for i in ids]) if ids \
             else np.zeros((0, self.dim))
-        _write_vector_file(prefix.with_suffix(".docs"), ids, matrix)
+        _save_vectors(prefix, ".docs.store.json", ids, {".docs": matrix})
         meta = {"flagged_ids": sorted(self.flagged_ids),
                 "inference_params": self.inference_params.__dict__}
         if self.token_digests is not None:
@@ -555,7 +633,7 @@ class DocEmbeddingModel:
     def load(cls, prefix) -> "DocEmbeddingModel":
         prefix = Path(prefix)
         word_model = WordEmbeddingModel.load(prefix)
-        ids, matrix = _read_vector_file(prefix.with_suffix(".docs"))
+        ids, (matrix,) = _load_vectors(prefix, ".docs.store.json", (".docs",))
         meta = read_json(prefix.with_suffix(".docs.meta.json"))
         doc_vectors = {i: matrix[k] for k, i in enumerate(ids)}
         return cls(word_model, doc_vectors, frozenset(meta["flagged_ids"]),

@@ -1,7 +1,9 @@
-"""JSON files and word lists, written and read here. Read errors name the file."""
+"""JSON files, word lists and file digests, written and read here. Read
+errors name the file."""
 
 from __future__ import annotations
 
+import hashlib
 import json
 from dataclasses import fields
 from pathlib import Path
@@ -48,3 +50,12 @@ def read_lines(path) -> List[str]:
     except UnicodeDecodeError as exc:
         raise ValueError(f"{path}: {exc}") from None
     return [line for line in map(str.strip, lines) if line and not line.startswith("#")]
+
+
+def hash_file(path) -> str:
+    """The sha256 hex digest of the file's bytes."""
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        for chunk in iter(lambda: fh.read(1 << 20), b""):
+            digest.update(chunk)
+    return digest.hexdigest()

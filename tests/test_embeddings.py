@@ -3,9 +3,13 @@ import hashlib
 import itertools
 import json
 import math
+import tempfile
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from metacomment import embeddings
 from metacomment.embeddings import (
@@ -25,6 +29,21 @@ from synthdata import doc_cluster_corpus, synonym_word_corpus
 
 TOY_PARAMS = WordTrainingParams(dim=16, window=1, min_count=2, epochs=5,
                                 negative_samples=5, seed=7)
+
+
+def _edit_json(change):
+    return lambda path: path.write_text(json.dumps(change(json.loads(path.read_text()))))
+
+
+def _edit_array(change):
+    return lambda path: np.save(path, change(np.load(path)))
+
+
+def _second_key_repeated(text):
+    """A vector file's text with the second row's key replaced by the first's."""
+    lines = text.split("\n")
+    lines[2] = lines[1].split(" ")[0] + lines[2][lines[2].index(" "):]
+    return "\n".join(lines)
 
 
 @pytest.fixture(scope="module")
@@ -685,6 +704,9 @@ class TestPersistence:
         (".docs", lambda text: text[:-8], "line 4"),  # the file ends inside a row
         (".docs", lambda text: text.rstrip("\n") + "x\n", "line 4"),  # not a number
         (".vec", lambda text: text.split()[0] + "\n", "line 1"),  # half a header
+        (".docs", lambda text: text + text.split("\n")[1] + "\n", "line 5"),  # a row too many
+        (".docs", _second_key_repeated, "line 3"),
+        (".vec", _second_key_repeated, "line 3"),
     ])
     def test_malformed_vector_file_names_file_and_line(self, tmp_path, suffix, cut, line):
         streams, _ = doc_cluster_corpus(3)
@@ -699,18 +721,140 @@ class TestPersistence:
 
     def test_byte_identical_saves_across_runs(self, tmp_path):
         corpus = synonym_word_corpus(4, n_sentences=60)
+        suffixes = (".vec", ".out", ".meta.json", ".vec.npy", ".out.npy", ".store.json")
         files = []
         for run in range(2):
             model = train_word_embeddings(corpus, TOY_PARAMS)
             prefix = tmp_path / f"run{run}"
             model.save(prefix)
-            files.append((prefix.with_suffix(".vec").read_bytes(),
-                          prefix.with_suffix(".out").read_bytes(),
-                          prefix.with_suffix(".meta.json").read_bytes()))
+            files.append(tuple(prefix.with_suffix(s).read_bytes() for s in suffixes))
         assert files[0] == files[1]
+        # the store file records the keys and the digest of each text file
+        assert json.loads(files[0][5]) == {
+            "format": embeddings.STORE_FORMAT, "keys": model._tokens,
+            "sha256": {".vec": hashlib.sha256(files[0][0]).hexdigest(),
+                       ".out": hashlib.sha256(files[0][1]).hexdigest()}}
         # the vector files hold what formatting each numpy float on its own gives
         for matrix, data in ((model.vectors, files[0][0]), (model.out_vectors, files[0][1])):
             lines = [f"{matrix.shape[0]} {matrix.shape[1]}"] + [
                 token + " " + " ".join(repr(float(x)) for x in row)
                 for token, row in zip(model._tokens, matrix)]
             assert data == ("\n".join(lines) + "\n").encode("utf-8")
+
+    # special values the text's repr must carry bit for bit: signed zero,
+    # subnormals and the largest magnitudes
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(1, 5).flatmap(lambda n: st.tuples(*(
+        st.lists(st.one_of(st.sampled_from([-0.0, 0.0, 5e-324, -2.5e-310, 1e308, -1e308]),
+                           st.floats(allow_nan=False, allow_infinity=False)),
+                 min_size=n * 4, max_size=n * 4) for _ in range(3)))))
+    def test_store_round_trip_matches_text_bits(self, values):
+        vectors, out_vectors, docs = (np.array(v).reshape(-1, 4) for v in values)
+        tokens = [f"w{i}" for i in range(len(vectors))]
+        word_model = WordEmbeddingModel({t: i for i, t in enumerate(tokens)}, vectors,
+                                        out_vectors, np.ones(len(tokens), dtype=np.int64),
+                                        TOY_PARAMS)
+        model = DocEmbeddingModel(word_model, {f"c{i}": row for i, row in enumerate(docs)},
+                                  frozenset(), DocInferenceParams())
+        with tempfile.TemporaryDirectory() as tmp:
+            prefix = Path(tmp) / "model"
+            model.save(prefix)
+            with mock.patch.object(embeddings, "_read_vector_file",
+                                   side_effect=AssertionError("the text was parsed")):
+                loaded = DocEmbeddingModel.load(prefix)
+            texts = [embeddings._read_vector_file(prefix.with_suffix(suffix))[1]
+                     for suffix in (".vec", ".out", ".docs")]
+        stored = (loaded.word_model.vectors, loaded.word_model.out_vectors,
+                  np.array(list(loaded.doc_vectors.values())))
+        for array, text in zip(stored, texts):
+            assert array.tobytes() == text.tobytes()
+        assert list(loaded.doc_vectors) == list(model.doc_vectors)
+
+    @staticmethod
+    def _load_counting(monkeypatch, prefix):
+        read = []
+
+        def spy(path):
+            read.append(path.suffix)
+            return real(path)
+
+        real = embeddings._read_vector_file
+        monkeypatch.setattr(embeddings, "_read_vector_file", spy)
+        return DocEmbeddingModel.load(prefix), read
+
+    @staticmethod
+    def _assert_equal_models(loaded, model):
+        assert loaded.word_model.vocab == model.word_model.vocab
+        assert np.array_equal(loaded.word_model.vectors, model.word_model.vectors)
+        assert np.array_equal(loaded.word_model.out_vectors, model.word_model.out_vectors)
+        assert list(loaded.doc_vectors) == list(model.doc_vectors)
+        for key, vec in model.doc_vectors.items():
+            assert np.array_equal(loaded.doc_vectors[key], vec)
+
+    def test_fresh_save_loads_without_parsing_text(self, tmp_path, monkeypatch, toy_doc_model):
+        prefix = tmp_path / "docmodel"
+        toy_doc_model.save(prefix)
+        loaded, read = self._load_counting(monkeypatch, prefix)
+        assert read == []
+        self._assert_equal_models(loaded, toy_doc_model)
+
+    def test_text_only_directory_loads_equal(self, tmp_path, monkeypatch, toy_doc_model):
+        prefix = tmp_path / "docmodel"
+        toy_doc_model.save(prefix)
+        for suffix in (".store.json", ".docs.store.json", ".vec.npy", ".out.npy", ".docs.npy"):
+            prefix.with_suffix(suffix).unlink()
+        loaded, read = self._load_counting(monkeypatch, prefix)
+        assert read == [".vec", ".out", ".docs"]
+        self._assert_equal_models(loaded, toy_doc_model)
+
+    def test_text_rewritten_after_save_wins(self, tmp_path, monkeypatch, toy_doc_model):
+        prefix = tmp_path / "docmodel"
+        toy_doc_model.save(prefix)
+        ids = list(toy_doc_model.doc_vectors)
+        doubled = np.array([toy_doc_model.doc_vectors[i] for i in ids]) * 2
+        embeddings._write_vector_file(prefix.with_suffix(".docs"), ids, doubled)
+        loaded, read = self._load_counting(monkeypatch, prefix)
+        assert read == [".docs"]  # the word files still match their store
+        assert np.array_equal(np.array(list(loaded.doc_vectors.values())), doubled)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("store", [True, False])
+    def test_non_finite_doc_vector_names_file_and_id(self, tmp_path, toy_doc_model,
+                                                     value, store):
+        vectors = dict(toy_doc_model.doc_vectors)
+        bad = list(vectors)[1]
+        vectors[bad] = np.where(np.arange(toy_doc_model.dim) == 3, value, vectors[bad])
+        prefix = tmp_path / "docmodel"
+        DocEmbeddingModel(toy_doc_model.word_model, vectors, frozenset(),
+                          toy_doc_model.inference_params).save(prefix)
+        if not store:
+            prefix.with_suffix(".docs.store.json").unlink()
+        with pytest.raises(EmbeddingError,
+                           match=f"docmodel.docs, line 3: non-finite value in the vector "
+                                 f"of {bad!r}"):
+            DocEmbeddingModel.load(prefix)
+
+    @pytest.mark.parametrize("suffix,damage,named", [
+        (".docs.store.json", _edit_json(lambda store: {**store, "keys": store["keys"][:-1]}),
+         ".docs.npy"),
+        (".docs.store.json", _edit_json(lambda store: {**store, "keys": store["keys"][:1] * 2
+                                                       + store["keys"][2:]}),
+         ".docs.store.json"),
+        (".docs.store.json", _edit_json(lambda store: {**store, "keys": None}),
+         ".docs.store.json"),
+        (".docs.store.json", _edit_json(lambda store: {**store, "format": "other"}),
+         ".docs.store.json"),
+        (".docs.npy", _edit_array(lambda array: array.astype(np.float32)), ".docs.npy"),
+        (".docs.npy", _edit_array(lambda array: array.astype(str)), ".docs.npy"),
+        (".vec.npy", _edit_array(np.ravel), ".vec.npy"),
+        (".out.npy", _edit_array(lambda array: array[:-1]), ".out.npy"),
+        (".out.npy", _edit_array(lambda array: array[:, :-1]), ".out"),
+        (".vec.npy", lambda path: path.write_bytes(path.read_bytes()[:-8]), ".vec.npy"),
+    ])
+    def test_store_disagreeing_with_keys_names_file(self, tmp_path, toy_doc_model,
+                                                    suffix, damage, named):
+        prefix = tmp_path / "docmodel"
+        toy_doc_model.save(prefix)
+        damage(prefix.with_suffix(suffix))
+        with pytest.raises(EmbeddingError, match=f"docmodel{named}: "):
+            DocEmbeddingModel.load(prefix)
