@@ -25,12 +25,13 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .files import read_fields, read_json, write_json
+from .files import encode_floats, float_array, read_fields, read_json, write_json
 from .sparse import CsrMatrix, as_csr
 
 logger = logging.getLogger(__name__)
 
-MODEL_FORMAT = "metacomment-model/1"
+MODEL_FORMAT = "metacomment-model/2"
+MODEL_FORMAT_V1 = "metacomment-model/1"  # arrays as JSON lists; still read
 
 
 class TrainingError(ValueError):
@@ -667,7 +668,7 @@ def calibrate(model: TrainedModel, X_holdout, y_holdout: Sequence[int]) -> Train
 def _payload(model: TrainedModel) -> dict:
     inner = model.inner
     if model.kind == "linear_svm":
-        return {"w": inner.w.tolist(), "b": inner.b,
+        return {"w": encode_floats(inner.w), "b": inner.b,
                 "objective_history": inner.objective_history,
                 "converged": inner.converged}
     if model.kind == "decision_tree":
@@ -676,12 +677,14 @@ def _payload(model: TrainedModel) -> dict:
         return {"trees": [t.root.to_dict() for t in inner.trees]}
     if model.kind == "adaboost":
         return {"stumps": [[alpha, s.root.to_dict()] for alpha, s in inner.stumps]}
-    return {"X": inner.X.tolist(), "y": inner.y.tolist()}
+    return {"X": encode_floats(inner.X), "y": inner.y.tolist()}
 
 
-def _restore(kind: str, payload: dict, hp) -> object:
+def _restore(kind: str, payload: dict, hp, floats) -> object:
+    """The classifier of a stored payload; floats(key, value, ndim) reads
+    its arrays."""
     if kind == "linear_svm":
-        return LinearSvm(np.array(payload["w"]), payload["b"], hp,
+        return LinearSvm(floats("payload.w", payload["w"]), payload["b"], hp,
                          payload["objective_history"], payload["converged"])
     if kind == "decision_tree":
         return DecisionTree(_Node.from_dict(payload["tree"]), hp)
@@ -693,18 +696,25 @@ def _restore(kind: str, payload: dict, hp) -> object:
         stump_hp = TreeHyperparams(max_depth=1, min_leaf=1)
         return AdaBoost([(alpha, DecisionTree(_Node.from_dict(t), stump_hp))
                          for alpha, t in payload["stumps"]], hp)
-    return KNearest(np.array(payload["X"]), payload["y"], hp)
+    return KNearest(floats("payload.X", payload["X"], 2), payload["y"], hp)
+
+
+def _finite(value) -> bool:
+    """Whether value is a finite JSON number: an int or float, not a bool."""
+    return type(value) in (int, float) and math.isfinite(value)
 
 
 def save_model(model: TrainedModel, path) -> None:
+    """One JSON file tagged MODEL_FORMAT; its float arrays (the
+    standardizer's, the SVM weights, the k-NN rows) as encode_floats objects."""
     data = {
         "format": MODEL_FORMAT,
         "kind": model.kind,
         "hyperparams": asdict(model.hyperparams),
         "registry": list(model.registry) if model.registry else None,
         "registry_hash": model.registry_hash,
-        "standardizer": {"mean": model.standardizer.mean.tolist(),
-                         "std": model.standardizer.std.tolist()}
+        "standardizer": {"mean": encode_floats(model.standardizer.mean),
+                         "std": encode_floats(model.standardizer.std)}
         if model.standardizer else None,
         "calibration": list(model.calibration) if model.calibration else None,
         "payload": _payload(model),
@@ -712,9 +722,15 @@ def save_model(model: TrainedModel, path) -> None:
     write_json(path, data)
 
 
-def load_model(path, registry_hash: Optional[str] = None) -> TrainedModel:
-    """Load a model container; rejects a registry-hash mismatch when given."""
-    data = read_json(path, MODEL_FORMAT)
+def load_model(path, registry_hash: Optional[str] = None,
+               width: Optional[int] = None) -> TrainedModel:
+    """Load a model file of MODEL_FORMAT, or of MODEL_FORMAT_V1, which holds
+    its arrays as JSON lists. A ValueError names the file and the key for a
+    registry hash other than registry_hash (when given), an array that is
+    not finite float64, arrays whose lengths differ from each other, from
+    the stored registry or from width (when given), and a bias or
+    calibration that is not finite numbers."""
+    data = read_json(path, (MODEL_FORMAT, MODEL_FORMAT_V1))
     kind = data["kind"]
     try:
         hp = read_fields(_kind(kind)[0], data["hyperparams"])
@@ -724,11 +740,40 @@ def load_model(path, registry_hash: Optional[str] = None) -> TrainedModel:
         raise RegistryMismatch(
             f"{path}: model registry hash {data['registry_hash']!r} does not "
             f"match expected {registry_hash!r}")
+    encoded = data["format"] == MODEL_FORMAT
+
+    def floats(key, value, ndim=1):
+        return float_array(path, key, value, ndim, encoded=encoded)
+
     std = data["standardizer"]
-    scaler = Standardizer(np.array(std["mean"]), np.array(std["std"])) if std else None
-    return TrainedModel(
-        kind=kind, inner=_restore(kind, data["payload"], hp), hyperparams=hp,
-        standardizer=scaler,
-        registry=tuple(data["registry"]) if data["registry"] else None,
-        registry_hash=data["registry_hash"],
-        calibration=tuple(data["calibration"]) if data["calibration"] else None)
+    scaler = Standardizer(floats("standardizer.mean", std["mean"]),
+                          floats("standardizer.std", std["std"])) if std else None
+    inner = _restore(kind, data["payload"], hp, floats)
+    if kind == "linear_svm" and not _finite(inner.b):
+        raise ValueError(f"{path}: 'payload.b' must be a finite number, got {inner.b!r}")
+    calibration = data["calibration"]
+    if calibration is not None:
+        if not (isinstance(calibration, list) and len(calibration) == 2
+                and all(map(_finite, calibration))):
+            raise ValueError(f"{path}: 'calibration' must be a pair of finite numbers, "
+                             f"got {calibration!r}")
+        calibration = tuple(calibration)
+    registry = tuple(data["registry"]) if data["registry"] else None
+    widths = {}
+    if scaler:
+        widths.update({"'standardizer.mean'": len(scaler.mean),
+                       "'standardizer.std'": len(scaler.std)})
+    if kind == "linear_svm":
+        widths["'payload.w'"] = len(inner.w)
+    elif kind == "knn":
+        widths["'payload.X'"] = inner.X.shape[1]
+    if widths and registry:
+        widths["'registry'"] = len(registry)
+    if widths and width is not None:
+        widths["the extractor's registry"] = width
+    if len(set(widths.values())) > 1:
+        raise ValueError(f"{path}: lengths differ: "
+                         + ", ".join(f"{key} {n}" for key, n in widths.items()))
+    return TrainedModel(kind=kind, inner=inner, hyperparams=hp, standardizer=scaler,
+                        registry=registry, registry_hash=data["registry_hash"],
+                        calibration=calibration)

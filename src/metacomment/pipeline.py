@@ -41,7 +41,7 @@ from .features import (
     enrich_keywords,
     select_k_best,
 )
-from .files import read_json, write_json
+from .files import float_array, read_json, write_json
 from .neural import CnnConfig, build as build_cnn, forward, train as train_cnn
 from .sparse import CsrMatrix
 from .textprep import preprocess
@@ -296,12 +296,14 @@ class TwoStepClassifier:
              threshold: float) -> "TwoStepClassifier":
         """Read a directory written by save().
 
-        Every model must carry the registry hash of the saved extractor;
-        RegistryMismatch otherwise. Absent addressee files are skipped.
+        Every model must carry the registry hash of the saved extractor
+        (RegistryMismatch otherwise) and arrays of its width. Absent
+        addressee files are skipped.
         """
         files = cls.files(directory)
         extractor = load_extractor(files.pop("extractor"), doc_model=doc_model)
-        models = {role: load_model(path, registry_hash=extractor.registry_hash)
+        models = {role: load_model(path, registry_hash=extractor.registry_hash,
+                                   width=len(extractor.registry))
                   for role, path in files.items() if role == "meta" or path.is_file()}
         return cls(extractor, models.pop("meta"), models, threshold)
 
@@ -331,10 +333,13 @@ def save_extractor(extractor: FeatureExtractor, path) -> None:
 def load_extractor(path, doc_model: Optional[DocEmbeddingModel] = None) -> FeatureExtractor:
     """Read a file written by save_extractor().
 
-    The feature groups follow from the stored fitted pieces; a FeatureError
-    names the file. Older files carry keys that are not read: "departments"
-    and "sentiment_lexicon" (the shipped lists), "tfidf.fitted_ids" (a copy
-    of "fitted_ids") and the "config" object of group toggles. Where that had
+    The feature groups follow from the stored fitted pieces. An error names
+    the file, and the key for stored numbers: n_docs must be an integer
+    >= 1, the document frequencies one integer from 0 to n_docs per
+    vocabulary entry, and class vectors lists of finite float64 numbers.
+    Older files carry keys that are not read: "departments" and
+    "sentiment_lexicon" (the shipped lists), "tfidf.fitted_ids" (a copy of
+    "fitted_ids") and the "config" object of group toggles. Where that had
     turned a stored group off, the registry differs from the models', and
     TwoStepClassifier.load rejects them by registry hash.
     """
@@ -347,12 +352,23 @@ def load_extractor(path, doc_model: Optional[DocEmbeddingModel] = None) -> Featu
         tfidf = None
         if data["tfidf"] is not None:
             raw = data["tfidf"]
+            frequencies, vocabulary = raw["document_frequencies"], raw["vocabulary"]
+            n_docs = raw["n_docs"]
+            if not (type(n_docs) is int and n_docs >= 1):
+                raise FeatureError(f"'tfidf.n_docs' must be an integer >= 1, got {n_docs!r}")
+            if not (isinstance(frequencies, list)
+                    and all(type(df) is int and 0 <= df <= n_docs for df in frequencies)):
+                raise FeatureError("'tfidf.document_frequencies' must be a list of "
+                                   "integers from 0 to 'tfidf.n_docs'")
+            if len(frequencies) != len(vocabulary):
+                raise FeatureError(f"'tfidf.document_frequencies' has {len(frequencies)} "
+                                   f"entries, 'tfidf.vocabulary' {len(vocabulary)}")
             tfidf = TfidfModel(
-                vocabulary={gram: i for i, gram in enumerate(raw["vocabulary"])},
-                document_frequencies=np.array(raw["document_frequencies"], dtype=np.int64),
-                n_docs=raw["n_docs"])
-        class_vecs = [ClassVector(cv["label"], np.array(cv["vector"]))
-                      for cv in data["class_vectors"]] or None
+                vocabulary={gram: i for i, gram in enumerate(vocabulary)},
+                document_frequencies=np.array(frequencies, dtype=np.int64), n_docs=n_docs)
+        class_vecs = [ClassVector(cv["label"], float_array(
+                          path, f"class_vectors[{i}].vector", cv["vector"], encoded=False))
+                      for i, cv in enumerate(data["class_vectors"])] or None
         return FeatureExtractor(
             keyword_sets=keyword_sets, tfidf=tfidf, doc_model=doc_model,
             class_vecs=class_vecs,

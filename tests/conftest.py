@@ -5,6 +5,7 @@ from datetime import datetime
 import pytest
 
 from metacomment.corpus import Comment, LabeledDataset, LabelSet
+from metacomment.files import decode_floats
 
 
 def json_dump_bytes(data) -> bytes:
@@ -13,6 +14,16 @@ def json_dump_bytes(data) -> bytes:
     buffer = io.StringIO()
     json.dump(data, buffer, ensure_ascii=False, sort_keys=True)
     return (buffer.getvalue() + "\n").encode("utf-8")
+
+
+def as_v1_model(data: dict) -> dict:
+    """A metacomment-model/2 file's data in the /1 form older versions wrote:
+    every encoded array as nested JSON lists."""
+    for outer, key in (("standardizer", "mean"), ("standardizer", "std"),
+                       ("payload", "w"), ("payload", "X")):
+        if data[outer] is not None and key in data[outer]:
+            data[outer][key] = decode_floats(data[outer][key]).tolist()
+    return {**data, "format": "metacomment-model/1"}
 
 
 def make_comment(cid="c1", title="", text="Hallo Welt.", **kwargs):

@@ -4,6 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from metacomment.classifiers import (
     AdaBoost,
@@ -24,10 +25,10 @@ from metacomment.classifiers import (
     save_model,
     train,
 )
-from metacomment.files import write_json
+from metacomment.files import decode_floats, encode_floats, write_json
 from metacomment.sparse import CsrMatrix
 
-from conftest import json_dump_bytes
+from conftest import as_v1_model, json_dump_bytes
 from oracles import primal_objective, row_svm, svm_grid_minimum, traced_peak
 
 
@@ -489,6 +490,26 @@ class TestPersistence:
         write_json(path, data)
         assert path.read_bytes() == json_dump_bytes(data)
 
+    @pytest.mark.parametrize("kind", ["linear_svm", "knn"])
+    def test_model_file_v1_loads_the_same_arrays(self, tmp_path, kind):
+        X, y = blob_data(18, gap=1.0)
+        path, old = tmp_path / "m.json", tmp_path / "old.json"
+        save_model(calibrate(train(kind, X, y), X, y), path)
+        data = json.loads(path.read_text(encoding="utf-8"))
+        assert data["format"] == "metacomment-model/2"
+        write_json(old, as_v1_model(data))
+        new_model, old_model = load_model(path), load_model(old)
+
+        def arrays(model):
+            inner = model.inner
+            return [model.standardizer.mean, model.standardizer.std,
+                    inner.w if kind == "linear_svm" else inner.X]
+
+        for new_a, old_a in zip(arrays(new_model), arrays(old_model)):
+            assert new_a.tobytes() == old_a.tobytes()
+        assert old_model.calibration == new_model.calibration
+        assert np.array_equal(old_model.decision_values(X), new_model.decision_values(X))
+
     @pytest.mark.parametrize("kind", ["linear_svm", "decision_tree", "adaboost"])
     def test_file_with_the_removed_seed_loads(self, tmp_path, kind):
         X, y = blob_data(18, gap=1.0)
@@ -516,6 +537,15 @@ class TestPersistence:
         with pytest.raises(TrainingError, match=f"m.json: {message}"):
             load_model(path)
 
+    def test_stored_array_length_must_match_registry(self, tmp_path):
+        X, y = blob_data(19)
+        path = tmp_path / "m.json"
+        save_model(train("knn", X, y, registry=("a", "b")), path)
+        with pytest.raises(ValueError, match=r"m.json: lengths differ: "
+                           r"'standardizer.mean' 3, 'standardizer.std' 3, "
+                           r"'payload.X' 3, 'registry' 2"):
+            load_model(path)
+
     def test_registry_hash_mismatch_rejected(self, tmp_path):
         X, y = blob_data(19)
         model = train("linear_svm", X, y, registry=("a", "b", "c"), registry_hash="hash1")
@@ -524,3 +554,44 @@ class TestPersistence:
         with pytest.raises(RegistryMismatch):
             load_model(path, registry_hash="other")
         assert load_model(path, registry_hash="hash1").registry == ("a", "b", "c")
+
+
+# bit patterns the float codec must keep: -0.0, the smallest and the largest
+# subnormal, +-1e308, infinities, a quiet nan, and a nan with the sign bit
+# and a payload
+_SPECIAL_BITS = [int(np.array(v).view(np.uint64)) for v in
+                 (-0.0, 5e-324, 2.225073858507201e-308, 1e308, -1e308, np.inf, -np.inf,
+                  np.nan)] + [0xFFF8000000000001]
+
+
+class TestFloatCodec:
+    @settings(max_examples=300, deadline=None)
+    @given(bits=st.lists(st.one_of(st.sampled_from(_SPECIAL_BITS),
+                                   st.integers(0, 2 ** 64 - 1)), max_size=24),
+           columns=st.sampled_from([0, 1, 3]))
+    @example(bits=[], columns=0)
+    @example(bits=[], columns=3)
+    @example(bits=_SPECIAL_BITS, columns=0)
+    def test_round_trip_keeps_every_bit(self, bits, columns):
+        # columns 0: a 1-D array; else 2-D rows, as a k-NN model stores
+        a = np.array(bits, dtype=np.uint64).view(np.float64)
+        if columns:
+            a = a[:len(a) // columns * columns].reshape(-1, columns)
+        stored = json.loads(json.dumps(encode_floats(a)))
+        assert stored["dtype"] == "<f8" and stored["shape"] == list(a.shape)
+        decoded = decode_floats(stored)
+        assert decoded.dtype == np.float64 and decoded.dtype.isnative
+        assert decoded.flags.writeable and decoded.flags.c_contiguous
+        assert decoded.shape == a.shape
+        assert decoded.tobytes() == a.tobytes()
+
+    @pytest.mark.parametrize("change,message", [
+        ({"dtype": "<f4"}, "dtype '<f4' is not '<f8'"),
+        ({"shape": [2.0]}, r"shape \[2.0\] is not a list of sizes"),
+        ({"base64": "AAAA!AAAAAA="}, "invalid base64"),
+        ({"base64": 5}, "invalid base64"),
+        ({"shape": [3]}, r"16 bytes for shape \[3\], which holds 24"),
+    ])
+    def test_decode_rejects(self, change, message):
+        with pytest.raises(ValueError, match=message):
+            decode_floats({**encode_floats(np.array([1.0, 2.0])), **change})

@@ -1,5 +1,6 @@
 import argparse
 import ast
+import base64
 import json
 import logging
 import os
@@ -16,8 +17,10 @@ from metacomment import cli, features, textprep
 from metacomment.cli import main
 from metacomment.corpus import LabeledDataset, load_dataset, save_dataset
 from metacomment.embeddings import DocEmbeddingModel
+from metacomment.files import decode_floats, encode_floats, write_json
 from metacomment.pipeline import FeaturePipeline, TwoStepClassifier, load_extractor
 
+from conftest import as_v1_model
 from synthdata import CLASS_KEYWORDS, generate_comment_dataset
 
 
@@ -329,6 +332,92 @@ def semantic_models(workspace, tmp_path_factory):
     return {"doc": root / "doc", "models": root / "models"}
 
 
+MODEL_FILES = ("meta.json", "addressee_media.json", "addressee_journalist.json",
+               "addressee_moderator.json")
+
+
+def _edit(keys, fn):
+    """An edit of a JSON file's data that replaces data[k1][k2]... (keys or
+    list indices) with fn of it."""
+    def edit(data):
+        for key in keys[:-1]:
+            data = data[key]
+        data[keys[-1]] = fn(data[keys[-1]])
+    return edit
+
+
+def _set(keys, value):
+    return _edit(keys, lambda _: value)
+
+
+def _edit_array(outer, key, fn):
+    """An _edit that stores fn(the model array at outer.key) in the form the
+    file holds it: a JSON list or an encoded array."""
+    def stored(value):
+        if isinstance(value, list):
+            return fn(np.array(value)).tolist()
+        return encode_floats(fn(decode_floats(value)))
+    return _edit((outer, key), stored)
+
+
+def _cut_all(data):
+    # every array one entry short: they agree, the extractor's width does not
+    for outer, key in (("standardizer", "mean"), ("standardizer", "std"), ("payload", "w")):
+        _edit_array(outer, key, lambda a: a[:-1])(data)
+
+
+def _longer_registry(data):
+    mean = data["standardizer"]["mean"]
+    width = len(mean) if isinstance(mean, list) else mean["shape"][0]
+    data["registry"] = [f"f{i}" for i in range(width + 1)]
+
+
+def _as_float32(value):
+    w = decode_floats(value).astype("<f4")
+    return {**value, "dtype": "<f4", "base64": base64.b64encode(w.tobytes()).decode("ascii")}
+
+
+_BOTH = ("metacomment-model/1", "metacomment-model/2")
+
+# (case, formats, file, edit, key the error names)
+MODEL_REJECTIONS = [
+    ("w holds a string", _BOTH[:1], "meta.json", _set(("payload", "w", 3), "0.5"),
+     "'payload.w'"),
+    ("w is float32", _BOTH[1:], "meta.json", _edit(("payload", "w"), _as_float32),
+     "'payload.w'"),
+    ("nan in mean", _BOTH, "meta.json",
+     _edit_array("standardizer", "mean", lambda a: np.where(np.arange(len(a)) == 5, np.nan, a)),
+     "'standardizer.mean'"),
+    ("w one short", _BOTH, "meta.json", _edit_array("payload", "w", lambda a: a[:-1]),
+     "'payload.w'"),
+    ("std one short", _BOTH, "addressee_media.json",
+     _edit_array("standardizer", "std", lambda a: a[:-1]), "'standardizer.std'"),
+    ("registry one longer", _BOTH, "meta.json", _longer_registry, "'registry'"),
+    ("narrower than the extractor", _BOTH, "meta.json", _cut_all, "extractor's registry"),
+    ("b is a string", _BOTH, "addressee_journalist.json", _set(("payload", "b"), "0.5"),
+     "'payload.b'"),
+    ("calibration is one number", _BOTH, "addressee_moderator.json",
+     _set(("calibration",), [-1.5]), "'calibration'"),
+    ("calibration is not finite", _BOTH, "addressee_moderator.json",
+     _set(("calibration", 1), float("inf")), "'calibration'"),
+    ("invalid base64", _BOTH[1:], "meta.json", _set(("payload", "w", "base64"), "AAAA!AAA"),
+     "'payload.w'"),
+    ("byte count off the shape", _BOTH[1:], "addressee_media.json",
+     _edit(("payload", "w", "shape"), lambda shape: [shape[0] + 1]), "'payload.w'"),
+]
+
+
+def _assert_classify_rejects(workspace, models, path, key, capsys, *flags):
+    out = models.parent / "classified"
+    rc = main(["classify", "--input", str(workspace["dataset"]), "--models", str(models),
+               *flags, "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 2, err
+    assert f"{path}: " in err and key in err, err
+    assert "Traceback" not in err
+    assert not (out / "classified.jsonl").exists()
+
+
 class TestTrainAndClassify:
     def test_two_step_artifacts(self, models_dir):
         assert (models_dir / "meta.json").is_file()
@@ -503,6 +592,65 @@ class TestTrainAndClassify:
         assert "Traceback" not in err
         assert not (out / "classified.jsonl").exists()
 
+    @pytest.mark.parametrize("fmt,name,edit,key", [
+        pytest.param(fmt, name, edit, key, id=f"{case}-{fmt[-2:]}")
+        for case, formats, name, edit, key in MODEL_REJECTIONS for fmt in formats])
+    def test_classify_rejects_model_arrays(self, workspace, models_dir, tmp_path, capsys,
+                                           fmt, name, edit, key):
+        models = tmp_path / "models"
+        shutil.copytree(models_dir, models)
+        path = models / name
+        data = json.loads(path.read_text(encoding="utf-8"))
+        data = as_v1_model(data) if fmt == _BOTH[0] else data
+        edit(data)
+        path.write_text(json.dumps(data), encoding="utf-8")
+        _assert_classify_rejects(workspace, models, path, key, capsys)
+
+    @pytest.mark.parametrize("edit,key", [
+        (_edit(("tfidf", "document_frequencies"), lambda v: v[:-1]),
+         "'tfidf.document_frequencies'"),
+        (_set(("tfidf", "document_frequencies", 2), "3"), "'tfidf.document_frequencies'"),
+        (_set(("tfidf", "document_frequencies", 2), 2 ** 70), "'tfidf.document_frequencies'"),
+        (_set(("tfidf", "n_docs"), "150"), "'tfidf.n_docs'"),
+        (_set(("class_vectors", 1, "vector", 2), "0.5"), "'class_vectors[1].vector'"),
+    ], ids=["frequencies one short", "frequency is a string", "frequency above n_docs",
+            "n_docs is a string", "vector holds a string"])
+    def test_classify_rejects_extractor_numbers(self, workspace, semantic_models, tmp_path,
+                                                capsys, edit, key):
+        models = tmp_path / "models"
+        shutil.copytree(semantic_models["models"], models)
+        path = models / "extractor.json"
+        data = json.loads(path.read_text(encoding="utf-8"))
+        edit(data)
+        path.write_text(json.dumps(data), encoding="utf-8")
+        _assert_classify_rejects(workspace, models, path, key, capsys,
+                                 "--doc-model", str(semantic_models["doc"] / "model"))
+
+    def test_classify_reads_v1_model_files_the_same(self, workspace, models_dir, tmp_path):
+        # the directory as earlier versions wrote it: arrays as JSON lists
+        old = tmp_path / "v1"
+        shutil.copytree(models_dir, old)
+        for name in MODEL_FILES:
+            data = json.loads((old / name).read_text(encoding="utf-8"))
+            assert data["format"] == "metacomment-model/2"
+            write_json(old / name, as_v1_model(data))
+        new_clf = TwoStepClassifier.load(models_dir, None, 0.8)
+        old_clf = TwoStepClassifier.load(old, None, 0.8)
+        for new_m, old_m in zip([new_clf.meta_model, *new_clf.addressee_models.values()],
+                                [old_clf.meta_model, *old_clf.addressee_models.values()]):
+            for new_a, old_a in ((new_m.standardizer.mean, old_m.standardizer.mean),
+                                 (new_m.standardizer.std, old_m.standardizer.std),
+                                 (new_m.inner.w, old_m.inner.w)):
+                assert new_a.tobytes() == old_a.tobytes()
+            assert (new_m.inner.b, new_m.calibration) == (old_m.inner.b, old_m.calibration)
+        outputs = []
+        for models in (models_dir, old):
+            out = tmp_path / f"classified_{models.name}"
+            assert main(["classify", "--input", str(workspace["dataset"]),
+                         "--models", str(models), "--out", str(out)]) == 0
+            outputs.append((out / "classified.jsonl").read_bytes())
+        assert outputs[0] == outputs[1]
+
     def test_classify_infers_once_per_chunk(self, semantic_models, tmp_path,
                                             monkeypatch):
         # a two-step directory with the semantic group, and unseen comments
@@ -547,6 +695,8 @@ class TestTrainAndClassify:
         assert len(names) == 5
         for name in names:
             assert (a / name).read_bytes() == (b / name).read_bytes(), name
+        for name in MODEL_FILES:
+            assert json.loads((a / name).read_text())["format"] == "metacomment-model/2"
 
     @pytest.mark.parametrize("classifier,params,message", [
         ("linear_svm", "foo=1", "unknown linear_svm hyperparameter 'foo'"),
