@@ -254,6 +254,10 @@ def _train_svm(X: CsrMatrix, y: np.ndarray, hp: SvmHyperparams,
 
 # -- decision tree (Gini) -----------------------------------------------------
 
+class _BadPayload(ValueError):
+    """A stored payload value that load_model rejects, naming its key."""
+
+
 @dataclass
 class _Node:
     feature: int = -1
@@ -273,11 +277,24 @@ class _Node:
                 "l": self.left.to_dict(), "r": self.right.to_dict()}
 
     @classmethod
-    def from_dict(cls, data: dict) -> "_Node":
+    def from_dict(cls, data: dict, key: str, width: Optional[int]) -> "_Node":
+        """The tree stored at key. _BadPayload names the key of a node whose
+        feature is not an int in [0, width), or whose threshold or leaf p is
+        not a finite number."""
         if "p" in data:
+            if not _finite(data["p"]):
+                raise _BadPayload(f"'{key}.p' must be a finite number, got {data['p']!r}")
             return cls(p_pos=data["p"])
-        return cls(feature=data["f"], threshold=data["t"],
-                   left=cls.from_dict(data["l"]), right=cls.from_dict(data["r"]))
+        f = data["f"]
+        if type(f) is not int or f < 0 or width is not None and f >= width:
+            below = "" if width is None else f" below {width}"
+            raise _BadPayload(f"'{key}.f' must be a feature index, an int from 0{below}, "
+                              f"got {f!r}")
+        if not _finite(data["t"]):
+            raise _BadPayload(f"'{key}.t' must be a finite number, got {data['t']!r}")
+        return cls(feature=f, threshold=data["t"],
+                   left=cls.from_dict(data["l"], key + ".l", width),
+                   right=cls.from_dict(data["r"], key + ".r", width))
 
 
 def _weighted_gini(w, pos):
@@ -680,23 +697,33 @@ def _payload(model: TrainedModel) -> dict:
     return {"X": encode_floats(inner.X), "y": inner.y.tolist()}
 
 
-def _restore(kind: str, payload: dict, hp, floats) -> object:
+def _restore(kind: str, payload: dict, hp, floats, width: Optional[int]) -> object:
     """The classifier of a stored payload; floats(key, value, ndim) reads
-    its arrays."""
+    its arrays, and tree nodes split on features below width (when known).
+    _BadPayload names the key of a tree node _Node.from_dict rejects, and of
+    k-NN labels that are not one 0 or 1 per row."""
     if kind == "linear_svm":
         return LinearSvm(floats("payload.w", payload["w"]), payload["b"], hp,
                          payload["objective_history"], payload["converged"])
     if kind == "decision_tree":
-        return DecisionTree(_Node.from_dict(payload["tree"]), hp)
+        return DecisionTree(_Node.from_dict(payload["tree"], "payload.tree", width), hp)
     if kind == "random_forest":
         sub_hp = TreeHyperparams(max_depth=hp.max_depth, min_leaf=hp.min_leaf)
-        return RandomForest([DecisionTree(_Node.from_dict(t), sub_hp)
-                             for t in payload["trees"]], hp)
+        return RandomForest([DecisionTree(_Node.from_dict(t, f"payload.trees[{i}]", width),
+                                          sub_hp)
+                             for i, t in enumerate(payload["trees"])], hp)
     if kind == "adaboost":
         stump_hp = TreeHyperparams(max_depth=1, min_leaf=1)
-        return AdaBoost([(alpha, DecisionTree(_Node.from_dict(t), stump_hp))
-                         for alpha, t in payload["stumps"]], hp)
-    return KNearest(floats("payload.X", payload["X"], 2), payload["y"], hp)
+        return AdaBoost([(alpha, DecisionTree(
+            _Node.from_dict(t, f"payload.stumps[{i}][1]", width), stump_hp))
+                         for i, (alpha, t) in enumerate(payload["stumps"])], hp)
+    X, y = floats("payload.X", payload["X"], 2), payload["y"]
+    if not isinstance(y, list) or len(y) != len(X):
+        raise _BadPayload(f"'payload.y' must be a list of one label per row of 'payload.X' "
+                          f"({len(X)}), got {len(y) if isinstance(y, list) else y!r}")
+    if not all(type(label) is int and label in (0, 1) for label in y):
+        raise _BadPayload("'payload.y' must hold only the labels 0 and 1")
+    return KNearest(X, y, hp)
 
 
 def _finite(value) -> bool:
@@ -728,8 +755,11 @@ def load_model(path, registry_hash: Optional[str] = None,
     its arrays as JSON lists. A ValueError names the file and the key for a
     registry hash other than registry_hash (when given), an array that is
     not finite float64, arrays whose lengths differ from each other, from
-    the stored registry or from width (when given), and a bias or
-    calibration that is not finite numbers."""
+    the stored registry or from width (when given), a bias or calibration
+    that is not finite numbers, a tree node whose feature is not an index
+    below the width (width, else the standardizer's or the registry's
+    length) or whose threshold or leaf p is not finite, and k-NN labels
+    that are not one 0 or 1 per row."""
     data = read_json(path, (MODEL_FORMAT, MODEL_FORMAT_V1))
     kind = data["kind"]
     try:
@@ -748,7 +778,13 @@ def load_model(path, registry_hash: Optional[str] = None,
     std = data["standardizer"]
     scaler = Standardizer(floats("standardizer.mean", std["mean"]),
                           floats("standardizer.std", std["std"])) if std else None
-    inner = _restore(kind, data["payload"], hp, floats)
+    registry = tuple(data["registry"]) if data["registry"] else None
+    n_features = (width if width is not None else len(scaler.mean) if scaler
+                  else len(registry) if registry else None)
+    try:
+        inner = _restore(kind, data["payload"], hp, floats, n_features)
+    except _BadPayload as exc:
+        raise ValueError(f"{path}: {exc}") from None
     if kind == "linear_svm" and not _finite(inner.b):
         raise ValueError(f"{path}: 'payload.b' must be a finite number, got {inner.b!r}")
     calibration = data["calibration"]
@@ -758,7 +794,6 @@ def load_model(path, registry_hash: Optional[str] = None,
             raise ValueError(f"{path}: 'calibration' must be a pair of finite numbers, "
                              f"got {calibration!r}")
         calibration = tuple(calibration)
-    registry = tuple(data["registry"]) if data["registry"] else None
     widths = {}
     if scaler:
         widths.update({"'standardizer.mean'": len(scaler.mean),

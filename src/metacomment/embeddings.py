@@ -8,7 +8,10 @@ comment vector while the word matrices stay frozen.
 
 One kernel, _batch_step, steps minibatches of TRAIN_BATCH examples, as
 word2vec does: updates inside a batch read the same matrices and are summed
-at its end. Training's batches run across comments; inference cuts each
+at its end. Training's batches run across comments, planned a chunk of
+batches at a time: a chunk draws its negatives in one rng call, the stream
+that per-batch draws give, and builds every array that reads no weights
+once, so each batch runs only the work that reads them. Inference cuts each
 comment's own examples into batches, so a comment's vector does not depend
 on the other comments inferred with it. Both are serial and deterministic:
 a seed gives byte-identical models.
@@ -22,7 +25,7 @@ import logging
 from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -37,7 +40,8 @@ NOISE_EXPONENT = 0.75
 TRAIN_BATCH = 64
 # bytes one slice may hold at once: at inference, the w_in and w_out rows one
 # kernel call gathers (_example_bytes per example) for a slice of at least one
-# comment; in training, the example arrays of a slice of at least one position
+# comment; in training, the plan of a chunk of at least one batch in a quarter
+# of it, and the example arrays of a slice of at least one position in the rest
 SLICE_BYTES = 3 << 19
 STORE_FORMAT = "metacomment-vector-store/1"
 
@@ -377,6 +381,72 @@ def _example_bytes(params: WordTrainingParams) -> int:
     return (2 * params.window + 1 + params.negative_samples + 1) * params.dim * 8
 
 
+class _Plan(NamedTuple):
+    """The arrays of a run of consecutive examples' steps that read no
+    weights; _plan builds them, _step runs one batch of them."""
+
+    inputs: np.ndarray       # w_in rows each example reads, padded with -1
+    weights: np.ndarray      # each row's share of the example's mean
+    tg: np.ndarray           # the target, then the negatives
+    keep: np.ndarray         # which of tg get a gradient and a loss
+    rate: np.ndarray         # -lr, one column
+    counts: np.ndarray       # w_in rows written per example
+    rows: np.ndarray         # the w_in rows written, example after example
+    row_weights: np.ndarray  # their weights, one column
+
+    def batch(self, batch: slice, ends: np.ndarray) -> "_Plan":
+        """The plan of the examples batch, given ends = np.cumsum(counts)."""
+        written = slice(ends[batch.start - 1] if batch.start else 0, ends[batch.stop - 1])
+        return _Plan(*(a[batch] for a in self[:6]), self.rows[written],
+                     self.row_weights[written])
+
+
+def _plan_bytes(width: int, k: int) -> int:
+    """Bytes per example, at most, that planning examples of width inputs and
+    k negatives holds besides the inputs themselves: the uniform draws and
+    the negatives drawn from them (8 + 8 B per negative), then the _Plan's
+    weights, rows and row_weights (8 + 4 + 8 B per input), tg and keep
+    (8 + 1 B per target or negative), rate and counts, and the ends of the
+    counts' running sum, which training slices batches by (8 B each)."""
+    return 20 * width + 9 * (k + 1) + 16 * k + 24
+
+
+def _plan(inputs, targets, negatives, lr, frozen: Optional[int] = None) -> _Plan:
+    """_batch_step's arrays for the examples given, as _batch_step documents
+    them; with frozen, only the w_in rows from frozen on are written."""
+    valid = inputs >= 0
+    m = valid.sum(axis=1)
+    weights = valid / np.maximum(m, 1)[:, None]
+    tg = np.concatenate((targets[:, None], negatives), axis=1)
+    live = (m > 0)[:, None]
+    keep = np.concatenate((live, negatives != targets[:, None]), axis=1) & live
+    if frozen is not None:  # valid and m count only the rows to write
+        valid = inputs >= frozen
+        m = valid.sum(axis=1)
+    return _Plan(inputs, weights, tg, keep, -lr[:, None], m, inputs[valid],
+                 weights[valid][:, None])
+
+
+def _step(w_in, w_out, plan: _Plan, frozen: Optional[int] = None) -> Optional[float]:
+    """_batch_step on the planned batch: all its examples read the matrices
+    as they are at its start."""
+    inputs, weights, tg, keep, rate, counts, rows, row_weights = plan
+    h = np.einsum("bc,bcd->bd", weights, w_in[inputs])
+    w = w_out[tg]
+    scores = np.einsum("bkd,bd->bk", w, h)
+    g = _sigmoid(scores)
+    g[:, 0] -= 1.0
+    g *= keep
+    grad_h = np.einsum("bk,bkd->bd", g, w)
+    loss = None
+    if frozen is None:
+        _scatter_add(w_out, tg, (rate * g)[:, :, None] * h[:, None, :])
+        scores[:, 0] = -scores[:, 0]
+        loss = float((np.logaddexp(0.0, scores) * keep).sum())
+    _scatter_add(w_in, rows, np.repeat(rate * grad_h, counts, axis=0) * row_weights)
+    return loss
+
+
 def _batch_step(w_in, w_out, inputs, targets, negatives, lr,
                 frozen: Optional[int] = None) -> Optional[float]:
     """One minibatch of negative-sampling steps; returns its summed loss, or
@@ -390,31 +460,10 @@ def _batch_step(w_in, w_out, inputs, targets, negatives, lr,
     A negative equal to its target gets no gradient or loss, as if it had
     not been drawn; an example without input rows changes nothing. With
     frozen (inference), w_out and the w_in rows below frozen stay unwritten.
+    Training plans many batches at once and runs each with _step, which
+    gives the same bits.
     """
-    valid = inputs >= 0
-    m = valid.sum(axis=1)
-    weights = valid / np.maximum(m, 1)[:, None]
-    h = np.einsum("bc,bcd->bd", weights, w_in[inputs])
-    tg = np.concatenate((targets[:, None], negatives), axis=1)
-    live = (m > 0)[:, None]
-    keep = np.concatenate((live, negatives != targets[:, None]), axis=1) & live
-    w = w_out[tg]
-    scores = np.einsum("bkd,bd->bk", w, h)
-    g = _sigmoid(scores)
-    g[:, 0] -= 1.0
-    g *= keep
-    grad_h = np.einsum("bk,bkd->bd", g, w)
-    if frozen is None:
-        _scatter_add(w_out, tg, (-lr[:, None] * g)[:, :, None] * h[:, None, :])
-        scores[:, 0] = -scores[:, 0]
-        loss = float((np.logaddexp(0.0, scores) * keep).sum())
-    else:  # inference reads no loss; valid and m count only the rows to write
-        valid = inputs >= frozen
-        m = valid.sum(axis=1)
-        loss = None
-    _scatter_add(w_in, inputs[valid], np.repeat(-lr[:, None] * grad_h, m, axis=0)
-                 * weights[valid][:, None])
-    return loss
+    return _step(w_in, w_out, _plan(inputs, targets, negatives, lr, frozen), frozen)
 
 
 def _scatter_add(matrix: np.ndarray, rows: np.ndarray, values: np.ndarray) -> None:
@@ -430,13 +479,19 @@ def _train(corpus: List[TokenStream], params: WordTrainingParams, with_docs: boo
     comment's positions); with_docs, one DM-trained row per comment, drawn from
     the rng right after the word rows and trained as extra w_in rows, else None.
 
-    Each epoch builds its examples one slice of positions at a time, the
-    slice's arrays within SLICE_BYTES, and steps them in batches of
-    TRAIN_BATCH; the partial batch a slice ends with runs at the head of the
-    next, so the batches are those of the whole epoch's examples in corpus
-    order. A batch draws all its negatives in one rng call: the stream that
-    drawing k per example gives. The learning rate decays linearly over all
-    epochs' positions; a skip-gram position's pairs share its rate."""
+    Each epoch builds its examples one slice of positions at a time and
+    steps them in batches of TRAIN_BATCH; the partial batch a slice ends with
+    runs at the head of the next, so the batches are those of the whole
+    epoch's examples in corpus order. A slice's batches are planned a chunk
+    of consecutive batches at a time (_plan), and each batch then runs only
+    the work that reads the weights (_step). The chunk's plan takes a
+    quarter of SLICE_BYTES, the slice's example arrays the rest: chunks of
+    that size already amortize a plan's fixed cost (training is no faster
+    with twice the share), and a larger plan only raises the peak memory.
+    A chunk draws all its
+    negatives in one rng call: the stream that drawing k per example gives.
+    The learning rate decays linearly over all epochs' positions; a
+    skip-gram position's pairs share its rate."""
     if not corpus:
         raise EmbeddingError("training corpus is empty")
     vocab, counts = _build_vocab(corpus, params.min_count)
@@ -448,15 +503,17 @@ def _train(corpus: List[TokenStream], params: WordTrainingParams, with_docs: boo
     noise_cdf = _noise_cdf(counts)
     padded, ends = _padded(_index_corpus(corpus, vocab), params.window)
     skipgram = params.method == "skipgram"
+    k, lr0, lr1 = params.negative_samples, params.initial_lr, params.final_lr
     # a position's examples: one with 2 window (+1 DM) int32 inputs, or in
     # skip-gram up to 2 window with one; each has an int32 target and an
     # int64 position
     width, per_position = ((1, 2 * params.window) if skipgram
                            else (2 * params.window + with_docs, 1))
-    step = max(SLICE_BYTES // (per_position * (4 * width + 12)), 1)
+    plan_budget = SLICE_BYTES // 4
+    step = max((SLICE_BYTES - plan_budget) // (per_position * (4 * width + 12)), 1)
+    chunk = max(plan_budget // (TRAIN_BATCH * _plan_bytes(width, k)), 1) * TRAIN_BATCH
     per_epoch = int(ends[-1])
     total = max(per_epoch * params.epochs, 1)
-    k, lr0, lr1 = params.negative_samples, params.initial_lr, params.final_lr
     epoch_losses = []
     for epoch in range(params.epochs):
         loss = 0.0
@@ -469,13 +526,19 @@ def _train(corpus: List[TokenStream], params: WordTrainingParams, with_docs: boo
                 inputs, targets, position = (np.concatenate(pair) for pair in
                                              zip(carry, (inputs, targets, position)))
             end = len(targets) - (len(targets) % TRAIN_BATCH if stop < per_epoch else 0)
-            for start in range(0, end, TRAIN_BATCH):
-                batch = slice(start, start + TRAIN_BATCH)
-                draws = rng.random(len(targets[batch]) * k)
-                negatives = np.searchsorted(noise_cdf, draws, side="right").reshape(-1, k)
-                lr = np.maximum(lr0 - (lr0 - lr1) * ((epoch * per_epoch + position[batch])
+            for start in range(0, end, chunk):
+                part = slice(start, min(start + chunk, end))
+                n = part.stop - start
+                negatives = np.searchsorted(noise_cdf, rng.random(n * k), side="right")
+                lr = np.maximum(lr0 - (lr0 - lr1) * ((epoch * per_epoch + position[part])
                                                      / total), lr1)
-                loss += _batch_step(w_in, w_out, inputs[batch], targets[batch], negatives, lr)
+                plan = _plan(inputs[part], targets[part], negatives.reshape(-1, k), lr)
+                del negatives, lr  # the plan keeps what it needs
+                row_ends = np.cumsum(plan.counts)
+                for at in range(0, n, TRAIN_BATCH):
+                    loss += _step(w_in, w_out,
+                                  plan.batch(slice(at, min(at + TRAIN_BATCH, n)), row_ends))
+                del plan, row_ends  # freed before the next chunk is planned
             carry = inputs[end:].copy(), targets[end:].copy(), position[end:].copy()
             del inputs, targets, position  # freed before the next slice is built
         epoch_losses.append(loss)

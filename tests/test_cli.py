@@ -321,6 +321,17 @@ def models_dir(workspace, tmp_path_factory):
 
 
 @pytest.fixture(scope="module")
+def payload_models(workspace, tmp_path_factory):
+    """Two-step directories of a decision tree and of k-NN."""
+    root = tmp_path_factory.mktemp("payloads")
+    for kind in ("decision_tree", "knn"):
+        assert main(["train", "--input", str(workspace["dataset"]), "--two-step",
+                     "--classifier", kind, "--word-model", str(workspace["word_model"]),
+                     "--out", str(root / kind)]) == 0
+    return root
+
+
+@pytest.fixture(scope="module")
 def semantic_models(workspace, tmp_path_factory):
     """A doc model, and a two-step directory trained with it."""
     root = tmp_path_factory.mktemp("semantic")
@@ -404,6 +415,27 @@ MODEL_REJECTIONS = [
      "'payload.w'"),
     ("byte count off the shape", _BOTH[1:], "addressee_media.json",
      _edit(("payload", "w", "shape"), lambda shape: [shape[0] + 1]), "'payload.w'"),
+]
+
+
+def _first_leaf(node):
+    while "p" not in node:
+        node = node["l"]
+    return node
+
+
+# (case, classifier, edit of its meta.json, key the error names)
+PAYLOAD_REJECTIONS = [
+    ("feature below 0", "decision_tree", _set(("payload", "tree", "f"), -1),
+     "'payload.tree.f'"),
+    ("feature past the width", "decision_tree", _set(("payload", "tree", "f"), 1_000_000),
+     "'payload.tree.f'"),
+    ("threshold not finite", "decision_tree", _set(("payload", "tree", "t"), float("nan")),
+     "'payload.tree.t'"),
+    ("leaf p is a string", "decision_tree",
+     lambda data: _first_leaf(data["payload"]["tree"]).update(p="0.5"), ".p' must be"),
+    ("a label short", "knn", _edit(("payload", "y"), lambda y: y[:-1]), "'payload.y'"),
+    ("a label of 2", "knn", _edit(("payload", "y"), lambda y: [2] + y[1:]), "'payload.y'"),
 ]
 
 
@@ -602,6 +634,19 @@ class TestTrainAndClassify:
         path = models / name
         data = json.loads(path.read_text(encoding="utf-8"))
         data = as_v1_model(data) if fmt == _BOTH[0] else data
+        edit(data)
+        path.write_text(json.dumps(data), encoding="utf-8")
+        _assert_classify_rejects(workspace, models, path, key, capsys)
+
+    @pytest.mark.parametrize("kind,edit,key", [
+        pytest.param(kind, edit, key, id=case)
+        for case, kind, edit, key in PAYLOAD_REJECTIONS])
+    def test_classify_rejects_model_payloads(self, workspace, payload_models, tmp_path,
+                                             capsys, kind, edit, key):
+        models = tmp_path / "models"
+        shutil.copytree(payload_models / kind, models)
+        path = models / "meta.json"
+        data = json.loads(path.read_text(encoding="utf-8"))
         edit(data)
         path.write_text(json.dumps(data), encoding="utf-8")
         _assert_classify_rejects(workspace, models, path, key, capsys)

@@ -323,6 +323,7 @@ class TestTrainingStep:
 
     @MODES
     def test_one_kernel_call_per_batch(self, method, with_docs, monkeypatch):
+        """Training runs each batch of its planned chunks with one _step call."""
         params = self._params(method)
         window = params.window
         if method == "skipgram":
@@ -331,47 +332,56 @@ class TestTrainingStep:
         else:
             examples = sum(len(ts.tokens) for ts in self.CORPUS)
         calls = []
-        kernel = embeddings._batch_step
+        kernel = embeddings._step
 
-        def spy(w_in, w_out, inputs, targets, negatives, lr):
-            calls.append(len(targets))
-            return kernel(w_in, w_out, inputs, targets, negatives, lr)
+        def spy(w_in, w_out, plan, frozen=None):
+            calls.append(len(plan.tg))
+            return kernel(w_in, w_out, plan, frozen)
 
         monkeypatch.setattr(embeddings, "TRAIN_BATCH", 4)
-        monkeypatch.setattr(embeddings, "_batch_step", spy)
+        monkeypatch.setattr(embeddings, "_step", spy)
         self._train(params, with_docs)
         assert len(calls) == math.ceil(examples / 4) * params.epochs
         assert sum(calls) == examples * params.epochs
 
     @MODES
     def test_negatives_drawn_per_batch(self, method, with_docs, monkeypatch):
-        """After the initial matrices, no draw is larger than one batch's
-        negatives, so memory does not grow with the corpus."""
-        sizes = []
-        default_rng = np.random.default_rng
-
-        class Recording:
-            def __init__(self, seed):
-                self._rng = default_rng(seed)
-
-            def random(self, size=None):
-                sizes.append(int(np.prod(size)))
-                return self._rng.random(size)
-
+        """After the initial matrices, no draw is larger than one chunk's
+        negatives, the chunk sized from the budget, so memory does not grow
+        with the corpus: a corpus twice as large draws no more at once."""
         params = WordTrainingParams(dim=4, window=2, min_count=1, epochs=2, method=method,
                                     negative_samples=3, seed=1)
-        corpus = synonym_word_corpus(1, n_sentences=30)
-        monkeypatch.setattr(np.random, "default_rng", Recording)
-        if with_docs:
-            model = train_doc_embeddings(corpus, params).word_model
-        else:
-            model = train_word_embeddings(corpus, params)
-        initial = [len(model.vocab) * params.dim] + ([len(corpus) * params.dim]
-                                                     if with_docs else [])
-        assert sizes[:len(initial)] == initial
-        draws = sizes[len(initial):]
-        assert max(draws) == embeddings.TRAIN_BATCH * params.negative_samples
-        assert len(draws) > params.epochs
+        width = 1 if method == "skipgram" else 2 * params.window + with_docs
+        # two batches' plans in the quarter of the budget that plans take
+        monkeypatch.setattr(embeddings, "SLICE_BYTES", 4 * 2 * embeddings.TRAIN_BATCH
+                            * embeddings._plan_bytes(width, params.negative_samples))
+        largest = []
+        for n_sentences in (30, 60):
+            sizes = []
+            default_rng = np.random.default_rng
+
+            class Recording:
+                def __init__(self, seed):
+                    self._rng = default_rng(seed)
+
+                def random(self, size=None):
+                    sizes.append(int(np.prod(size)))
+                    return self._rng.random(size)
+
+            corpus = synonym_word_corpus(1, n_sentences=n_sentences)
+            monkeypatch.setattr(np.random, "default_rng", Recording)
+            if with_docs:
+                model = train_doc_embeddings(corpus, params).word_model
+            else:
+                model = train_word_embeddings(corpus, params)
+            monkeypatch.setattr(np.random, "default_rng", default_rng)
+            initial = [len(model.vocab) * params.dim] + ([len(corpus) * params.dim]
+                                                         if with_docs else [])
+            assert sizes[:len(initial)] == initial
+            draws = sizes[len(initial):]
+            assert len(draws) > params.epochs
+            largest.append(max(draws))
+        assert largest[0] == largest[1] == 2 * embeddings.TRAIN_BATCH * params.negative_samples
 
 
 class TestMostSimilar:

@@ -9,10 +9,11 @@ call's peak stays within 3x the larger of the budget and one comment's
 batch: 3 x 64 x 17 x 300 x 8 B = 7.8 MB at dim 300, window 5, k = 5, where
 slices of 64 comments read 120.2 MB.
 
-Training: a slice's example arrays stay within the budget, so the peak is
-3x the budget plus what grows with the corpus anyway (12 B per position: the
-padded int32 id array, 4 B, and while it is built the index lists it is built
-from, 8 B; 1 KiB per comment for its row, digest and dict entries).
+Training: a slice's example arrays and the plan of one chunk of its batches
+stay within the budget together, so the peak is 3x the budget plus what
+grows with the corpus anyway (12 B per position: the padded int32 id array,
+4 B, and while it is built the index lists it is built from, 8 B; 1 KiB per
+comment for its row, digest and dict entries).
 """
 
 import numpy as np
@@ -127,25 +128,79 @@ def test_trained_models_do_not_depend_on_the_budget(method, with_docs, monkeypat
         assert not with_docs or np.array_equal(docs, runs[0][1])
 
 
+def _structure(corpus, method, with_docs, monkeypatch):
+    """Trains as _train does; returns the run's model, its doc vectors and the
+    number of examples of each _examples call and of each planned chunk."""
+    slices, chunks = [], []
+    examples, plan = embeddings._examples, embeddings._plan
+
+    def examples_spy(*args, **kwargs):
+        arrays = examples(*args, **kwargs)
+        slices.append(len(arrays[1]))
+        return arrays
+
+    def plan_spy(inputs, targets, *args):
+        chunks.append(len(targets))
+        return plan(inputs, targets, *args)
+
+    monkeypatch.setattr(embeddings, "_examples", examples_spy)
+    monkeypatch.setattr(embeddings, "_plan", plan_spy)
+    model, docs = _train(corpus, method, with_docs)
+    monkeypatch.setattr(embeddings, "_examples", examples)
+    monkeypatch.setattr(embeddings, "_plan", plan)
+    return model, docs, slices, chunks
+
+
+@MODES
+def test_trained_models_do_not_depend_on_the_chunks(method, with_docs, monkeypatch):
+    """Chunks of several batches that end inside a slice, with slices that
+    end inside a batch, give the bits of one batch per chunk (budget 0)."""
+    corpus = synonym_word_corpus(1, n_sentences=120)
+    monkeypatch.setattr(embeddings, "TRAIN_BATCH", 4)
+    monkeypatch.setattr(embeddings, "SLICE_BYTES", 0)
+    single, single_docs, _, chunks = _structure(corpus, method, with_docs, monkeypatch)
+    assert max(chunks) == 4
+    monkeypatch.setattr(embeddings, "SLICE_BYTES", 8_000)
+    model, docs, slices, chunks = _structure(corpus, method, with_docs, monkeypatch)
+    assert max(chunks) > 4 and len(chunks) > len(slices) > 2
+    assert any(end % 4 for end in np.cumsum(slices)[:-1])
+    assert np.array_equal(model.vectors, single.vectors)
+    assert np.array_equal(model.out_vectors, single.out_vectors)
+    assert np.array_equal(model.epoch_losses, single.epoch_losses)
+    assert not with_docs or np.array_equal(docs, single_docs)
+
+
 @pytest.mark.parametrize("method, with_docs, n_comments", [("cbow", True, 1000),
                                                            ("skipgram", False, 300)])
 def test_training_holds_no_epoch_sized_example_array(method, with_docs, n_comments,
                                                      monkeypatch):
+    """A slice's example arrays and a chunk's plan, with the draws and the
+    negatives it is planned from, stay within the budget together."""
     corpus = random_streams(n_comments, 200)
     params = WordTrainingParams(dim=8, window=5, min_count=1, epochs=1, method=method,
                                 negative_samples=5)
-    sizes = []
-    examples = embeddings._examples
+    sizes, plans = [], []
+    examples, plan = embeddings._examples, embeddings._plan
 
     def spy(*args, **kwargs):
         arrays = examples(*args, **kwargs)
         sizes.append(sum(a.nbytes for a in arrays))
         return arrays
 
+    def plan_spy(inputs, targets, negatives, lr, frozen=None):
+        planned = plan(inputs, targets, negatives, lr, frozen)
+        # the inputs are the slice's; the draws are float64s, one per negative;
+        # training slices the plan's batches by the running sum of its counts
+        plans.append(2 * negatives.nbytes + sum(a.nbytes for a in planned[1:])
+                     + np.cumsum(planned.counts).nbytes)
+        return planned
+
     monkeypatch.setattr(embeddings, "_examples", spy)
+    monkeypatch.setattr(embeddings, "_plan", plan_spy)
     train = train_doc_embeddings if with_docs else train_word_embeddings
     _, peak = traced_peak(train, corpus, params)
-    assert len(sizes) > 1 and max(sizes) <= embeddings.SLICE_BYTES
+    assert len(sizes) > 1 and len(plans) > len(sizes)
+    assert max(sizes) + max(plans) <= embeddings.SLICE_BYTES
     positions = 200 * n_comments
     assert peak < 3 * embeddings.SLICE_BYTES + 12 * positions + 1024 * n_comments
 
