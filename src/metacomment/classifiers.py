@@ -2,7 +2,9 @@
 
 Five classifier kinds: a linear SVM trained by dual coordinate descent,
 a Gini decision tree, a bootstrap random forest, AdaBoost over depth-1
-stumps, and k-nearest-neighbors. SVM and k-NN standardize features (fit on
+stumps, and k-nearest-neighbors. The forest and AdaBoost are one class,
+TreeVote: a weighted sign vote of decision trees, weight 1 per forest tree
+and the SAMME alpha per stump. SVM and k-NN standardize features (fit on
 training data only); the tree ensembles consume raw features. Calibration
 fits a sigmoid over decision values so thresholded confidence scores are
 available for the two-step classification.
@@ -25,7 +27,8 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .files import encode_floats, float_array, read_fields, read_json, write_json
+from .files import (encode_floats, float_array, json_typed, read_fields, read_json,
+                    write_json)
 from .sparse import CsrMatrix, as_csr
 
 logger = logging.getLogger(__name__)
@@ -255,7 +258,8 @@ def _train_svm(X: CsrMatrix, y: np.ndarray, hp: SvmHyperparams,
 # -- decision tree (Gini) -----------------------------------------------------
 
 class _BadPayload(ValueError):
-    """A stored payload value that load_model rejects, naming its key."""
+    """A stored value that load_model rejects; the message names its key and
+    load_model adds the file."""
 
 
 @dataclass
@@ -278,10 +282,11 @@ class _Node:
 
     @classmethod
     def from_dict(cls, data: dict, key: str, width: Optional[int]) -> "_Node":
-        """The tree stored at key. _BadPayload names the key of a node whose
-        feature is not an int in [0, width), or whose threshold or leaf p is
-        not a finite number."""
-        if "p" in data:
+        """The tree stored at key. TypeError names the key of a node that is
+        not an object, and _BadPayload that of a node whose feature is not an
+        int in [0, width), or whose threshold or leaf p is not a finite
+        number."""
+        if "p" in json_typed(key, data, dict):
             if not _finite(data["p"]):
                 raise _BadPayload(f"'{key}.p' must be a finite number, got {data['p']!r}")
             return cls(p_pos=data["p"])
@@ -363,9 +368,8 @@ def _grow_tree(X, y, w, depth, hp: TreeHyperparams, max_features: Optional[int],
 class DecisionTree:
     """Reads dense rows: train and decision_values densify CsrMatrix input."""
 
-    def __init__(self, root: _Node, hyperparams: TreeHyperparams):
+    def __init__(self, root: _Node):
         self.root = root
-        self.hyperparams = hyperparams
 
     def leaf_p_pos(self, X: np.ndarray) -> np.ndarray:
         out = np.empty(len(X))
@@ -383,25 +387,29 @@ class DecisionTree:
 def _train_tree(X, y, hp: TreeHyperparams, sample_weight=None,
                 max_features=None, rng=None) -> DecisionTree:
     w = np.full(len(y), 1.0 / len(y)) if sample_weight is None else sample_weight
-    root = _grow_tree(X, y, w, 0, hp, max_features, rng)
-    return DecisionTree(root, hp)
+    return DecisionTree(_grow_tree(X, y, w, 0, hp, max_features, rng))
 
 
-class RandomForest:
-    """Reads dense rows: train and decision_values densify CsrMatrix input."""
+class TreeVote:
+    """The weighted sign vote of (weight, DecisionTree) pairs, weight 1.0
+    for each tree of a random forest and the SAMME alpha for each AdaBoost
+    stump: sum w*sign(2p - 1) / sum w, or the vote sum when the weights do
+    not sum above 0.
 
-    def __init__(self, trees: List[DecisionTree], hyperparams: ForestHyperparams):
-        self.trees = trees
-        self.hyperparams = hyperparams
+    Reads dense rows: train and decision_values densify CsrMatrix input."""
+
+    def __init__(self, members: List[Tuple[float, DecisionTree]]):
+        self.members = members
 
     def decision_values(self, X: np.ndarray) -> np.ndarray:
+        total = sum(weight for weight, _ in self.members)
         votes = np.zeros(len(X))
-        for tree in self.trees:
-            votes += np.where(tree.leaf_p_pos(X) >= 0.5, 1.0, -1.0)
-        return votes / len(self.trees)
+        for weight, tree in self.members:
+            votes += weight * np.where(tree.leaf_p_pos(X) >= 0.5, 1.0, -1.0)
+        return votes / total if total > 0 else votes
 
 
-def _train_forest(X, y, hp: ForestHyperparams) -> RandomForest:
+def _train_forest(X, y, hp: ForestHyperparams) -> TreeVote:
     n = len(y)
     max_features = max(1, int(round(math.sqrt(X.shape[1]))))
     seeds = np.random.SeedSequence(hp.seed).spawn(hp.n_trees)
@@ -410,35 +418,16 @@ def _train_forest(X, y, hp: ForestHyperparams) -> RandomForest:
     def build(i):
         rng = np.random.default_rng(seeds[i])
         idx = rng.integers(0, n, size=n)
-        return _train_tree(X[idx], y[idx], tree_hp, max_features=max_features, rng=rng)
+        return 1.0, _train_tree(X[idx], y[idx], tree_hp, max_features=max_features, rng=rng)
 
     if hp.jobs > 1:
         with ThreadPoolExecutor(max_workers=hp.jobs) as pool:
-            trees = list(pool.map(build, range(hp.n_trees)))
-    else:
-        trees = [build(i) for i in range(hp.n_trees)]
-    return RandomForest(trees, hp)
+            return TreeVote(list(pool.map(build, range(hp.n_trees))))
+    return TreeVote([build(i) for i in range(hp.n_trees)])
 
 
-class AdaBoost:
-    """SAMME over depth-1 stumps; decision value is the normalized vote sum.
-
-    Reads dense rows: train and decision_values densify CsrMatrix input."""
-
-    def __init__(self, stumps: List[Tuple[float, DecisionTree]],
-                 hyperparams: BoostHyperparams):
-        self.stumps = stumps
-        self.hyperparams = hyperparams
-
-    def decision_values(self, X: np.ndarray) -> np.ndarray:
-        total = sum(alpha for alpha, _ in self.stumps)
-        votes = np.zeros(len(X))
-        for alpha, stump in self.stumps:
-            votes += alpha * np.where(stump.leaf_p_pos(X) >= 0.5, 1.0, -1.0)
-        return votes / total if total > 0 else votes
-
-
-def _train_adaboost(X, y, hp: BoostHyperparams) -> AdaBoost:
+def _train_adaboost(X, y, hp: BoostHyperparams) -> TreeVote:
+    """SAMME over depth-1 stumps."""
     n = len(y)
     w = np.full(n, 1.0 / n)
     stump_hp = TreeHyperparams(max_depth=1, min_leaf=1)
@@ -458,7 +447,7 @@ def _train_adaboost(X, y, hp: BoostHyperparams) -> AdaBoost:
             break
         w = w * np.exp(alpha * (pred != y))
         w /= w.sum()
-    return AdaBoost(stumps, hp)
+    return TreeVote(stumps)
 
 
 class KNearest:
@@ -691,32 +680,40 @@ def _payload(model: TrainedModel) -> dict:
     if model.kind == "decision_tree":
         return {"tree": inner.root.to_dict()}
     if model.kind == "random_forest":
-        return {"trees": [t.root.to_dict() for t in inner.trees]}
+        return {"trees": [tree.root.to_dict() for _, tree in inner.members]}
     if model.kind == "adaboost":
-        return {"stumps": [[alpha, s.root.to_dict()] for alpha, s in inner.stumps]}
+        return {"stumps": [[weight, tree.root.to_dict()] for weight, tree in inner.members]}
     return {"X": encode_floats(inner.X), "y": inner.y.tolist()}
 
 
 def _restore(kind: str, payload: dict, hp, floats, width: Optional[int]) -> object:
     """The classifier of a stored payload; floats(key, value, ndim) reads
     its arrays, and tree nodes split on features below width (when known).
-    _BadPayload names the key of a tree node _Node.from_dict rejects, and of
-    k-NN labels that are not one 0 or 1 per row."""
+    _BadPayload or TypeError names the key of a value load_model rejects."""
     if kind == "linear_svm":
         return LinearSvm(floats("payload.w", payload["w"]), payload["b"], hp,
-                         payload["objective_history"], payload["converged"])
+                         json_typed("payload.objective_history",
+                                    payload["objective_history"], list),
+                         payload["converged"])
     if kind == "decision_tree":
-        return DecisionTree(_Node.from_dict(payload["tree"], "payload.tree", width), hp)
-    if kind == "random_forest":
-        sub_hp = TreeHyperparams(max_depth=hp.max_depth, min_leaf=hp.min_leaf)
-        return RandomForest([DecisionTree(_Node.from_dict(t, f"payload.trees[{i}]", width),
-                                          sub_hp)
-                             for i, t in enumerate(payload["trees"])], hp)
-    if kind == "adaboost":
-        stump_hp = TreeHyperparams(max_depth=1, min_leaf=1)
-        return AdaBoost([(alpha, DecisionTree(
-            _Node.from_dict(t, f"payload.stumps[{i}][1]", width), stump_hp))
-                         for i, (alpha, t) in enumerate(payload["stumps"])], hp)
+        return DecisionTree(_Node.from_dict(payload["tree"], "payload.tree", width))
+    if kind in ("random_forest", "adaboost"):
+        name = "trees" if kind == "random_forest" else "stumps"
+        stored = json_typed(f"payload.{name}", payload[name], list)
+        if not stored:
+            raise _BadPayload(f"'payload.{name}' must not be empty")
+        members = []
+        for i, tree in enumerate(stored):
+            at, weight = f"payload.{name}[{i}]", 1.0
+            if name == "stumps":
+                if not (isinstance(tree, list) and len(tree) == 2):
+                    raise _BadPayload(f"'{at}' must be a [weight, tree] pair")
+                weight, tree = tree
+                if not _finite(weight):
+                    raise _BadPayload(f"'{at}[0]' must be a finite number, got {weight!r}")
+                at += "[1]"
+            members.append((weight, DecisionTree(_Node.from_dict(tree, at, width))))
+        return TreeVote(members)
     X, y = floats("payload.X", payload["X"], 2), payload["y"]
     if not isinstance(y, list) or len(y) != len(X):
         raise _BadPayload(f"'payload.y' must be a list of one label per row of 'payload.X' "
@@ -753,17 +750,27 @@ def load_model(path, registry_hash: Optional[str] = None,
                width: Optional[int] = None) -> TrainedModel:
     """Load a model file of MODEL_FORMAT, or of MODEL_FORMAT_V1, which holds
     its arrays as JSON lists. A ValueError names the file and the key for a
-    registry hash other than registry_hash (when given), an array that is
-    not finite float64, arrays whose lengths differ from each other, from
-    the stored registry or from width (when given), a bias or calibration
-    that is not finite numbers, a tree node whose feature is not an index
-    below the width (width, else the standardizer's or the registry's
-    length) or whose threshold or leaf p is not finite, and k-NN labels
-    that are not one 0 or 1 per row."""
+    registry hash other than registry_hash (when given), a value of another
+    JSON type than the reader expects, an array that is not finite float64,
+    arrays whose lengths differ from each other, from the stored registry or
+    from width (when given), a bias or calibration that is not finite
+    numbers, a tree node whose feature is not an index below the width
+    (width, else the standardizer's or the registry's length) or whose
+    threshold or leaf p is not finite, forest trees or AdaBoost stumps that
+    are not a non-empty list, a stump weight that is not a finite number,
+    and k-NN labels that are not one 0 or 1 per row."""
     data = read_json(path, (MODEL_FORMAT, MODEL_FORMAT_V1))
+    try:
+        return _read_model(path, data, registry_hash, width)
+    except (_BadPayload, TypeError) as exc:  # TypeError: a value of another JSON type
+        raise ValueError(f"{path}: {exc}") from None
+
+
+def _read_model(path, data, registry_hash: Optional[str], width: Optional[int]
+                ) -> TrainedModel:
     kind = data["kind"]
     try:
-        hp = read_fields(_kind(kind)[0], data["hyperparams"])
+        hp = read_fields(_kind(kind)[0], json_typed("hyperparams", data["hyperparams"], dict))
     except TrainingError as exc:
         raise TrainingError(f"{path}: {exc}") from None
     if registry_hash is not None and data["registry_hash"] != registry_hash:
@@ -775,24 +782,23 @@ def load_model(path, registry_hash: Optional[str] = None,
     def floats(key, value, ndim=1):
         return float_array(path, key, value, ndim, encoded=encoded)
 
-    std = data["standardizer"]
+    std = json_typed("standardizer", data["standardizer"], dict, nullable=True)
     scaler = Standardizer(floats("standardizer.mean", std["mean"]),
                           floats("standardizer.std", std["std"])) if std else None
-    registry = tuple(data["registry"]) if data["registry"] else None
+    registry = json_typed("registry", data["registry"], list, nullable=True)
+    registry = tuple(registry) if registry else None
     n_features = (width if width is not None else len(scaler.mean) if scaler
                   else len(registry) if registry else None)
-    try:
-        inner = _restore(kind, data["payload"], hp, floats, n_features)
-    except _BadPayload as exc:
-        raise ValueError(f"{path}: {exc}") from None
+    inner = _restore(kind, json_typed("payload", data["payload"], dict), hp, floats,
+                     n_features)
     if kind == "linear_svm" and not _finite(inner.b):
-        raise ValueError(f"{path}: 'payload.b' must be a finite number, got {inner.b!r}")
+        raise _BadPayload(f"'payload.b' must be a finite number, got {inner.b!r}")
     calibration = data["calibration"]
     if calibration is not None:
         if not (isinstance(calibration, list) and len(calibration) == 2
                 and all(map(_finite, calibration))):
-            raise ValueError(f"{path}: 'calibration' must be a pair of finite numbers, "
-                             f"got {calibration!r}")
+            raise _BadPayload(f"'calibration' must be a pair of finite numbers, "
+                              f"got {calibration!r}")
         calibration = tuple(calibration)
     widths = {}
     if scaler:
@@ -807,8 +813,8 @@ def load_model(path, registry_hash: Optional[str] = None,
     if widths and width is not None:
         widths["the extractor's registry"] = width
     if len(set(widths.values())) > 1:
-        raise ValueError(f"{path}: lengths differ: "
-                         + ", ".join(f"{key} {n}" for key, n in widths.items()))
+        raise _BadPayload("lengths differ: "
+                          + ", ".join(f"{key} {n}" for key, n in widths.items()))
     return TrainedModel(kind=kind, inner=inner, hyperparams=hp, standardizer=scaler,
                         registry=registry, registry_hash=data["registry_hash"],
                         calibration=calibration)

@@ -8,6 +8,8 @@ from datetime import datetime
 from pathlib import Path
 from typing import Iterator, Optional
 
+from .files import utf8_error
+
 LABEL_MEDIA = "Media"
 LABEL_JOURNALIST = "Journalist"
 LABEL_MODERATOR = "Moderator"
@@ -191,24 +193,27 @@ def load_dataset(path, source_tag: Optional[str] = None) -> LabeledDataset:
     """Load and validate a comments-jsonl file (one JSON object per line).
 
     Raises DatasetError naming the offending line for any malformed record,
-    wrongly typed field, duplicate id, or label-invariant violation. An
-    empty file is an error.
+    wrongly typed field, byte that is not UTF-8, duplicate id, or
+    label-invariant violation. An empty file is an error.
     """
     path = Path(path)
     entries = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise DatasetError(f"{path}: line {lineno}: invalid JSON: {exc}") from None
-            try:
-                entries.append(_record_to_entry(record))
-            except DatasetError as exc:
-                raise DatasetError(f"{path}: line {lineno}: {exc}") from None
+    try:
+        with open(path, encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                line = line.strip()
+                if not line:
+                    continue
+                try:
+                    record = json.loads(line)
+                except json.JSONDecodeError as exc:
+                    raise DatasetError(f"{path}: line {lineno}: invalid JSON: {exc}") from None
+                try:
+                    entries.append(_record_to_entry(record))
+                except DatasetError as exc:
+                    raise DatasetError(f"{path}: line {lineno}: {exc}") from None
+    except UnicodeDecodeError:
+        raise DatasetError(f"{path}: {utf8_error(path)}") from None
     if not entries:
         raise DatasetError(f"{path}: empty dataset")
     try:

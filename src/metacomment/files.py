@@ -45,6 +45,23 @@ def read_json(path, fmt: Union[str, Sequence[str], None] = None):
     return data
 
 
+# bool before int: the first type a value is an instance of names it
+_JSON_NAMES = {dict: "an object", list: "a list", str: "a string", bool: "a boolean",
+               int: "a number", float: "a number", type(None): "null"}
+
+
+def json_typed(key: str, value, kind: type, nullable: bool = False):
+    """value, if it is a kind (dict or list), or None where nullable.
+    Otherwise TypeError names the key and the JSON type found; the reader
+    of the file turns it into a ValueError naming the file."""
+    if isinstance(value, kind) or nullable and value is None:
+        return value
+    found = next((name for t, name in _JSON_NAMES.items() if isinstance(value, t)),
+                 type(value).__name__)
+    raise TypeError(f"{key!r} must be {_JSON_NAMES[kind]}{' or null' if nullable else ''}, "
+                    f"got {found}")
+
+
 def encode_floats(a) -> dict:
     """a as {"dtype": "<f8", "shape": [...], "base64": ...}: its little-endian
     float64 bytes in C order, written without formatting a decimal."""
@@ -114,9 +131,24 @@ def read_lines(path) -> List[str]:
     """The stripped lines of a UTF-8 word list, but blank lines and '#' comments."""
     try:
         lines = Path(path).read_text(encoding="utf-8").split("\n")
-    except UnicodeDecodeError as exc:
-        raise ValueError(f"{path}: {exc}") from None
+    except UnicodeDecodeError:
+        raise ValueError(f"{path}: {utf8_error(path)}") from None
     return [line for line in map(str.strip, lines) if line and not line.startswith("#")]
+
+
+def utf8_error(path) -> str:
+    """Where the file at path first breaks UTF-8, as "line N, byte M: ...",
+    for a reader whose decoding failed: a text-mode file decodes a buffered
+    chunk at a time, so its error tells neither the line nor the offset."""
+    raw = Path(path).read_bytes()
+    try:
+        raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line_start = raw.rfind(b"\n", 0, exc.start) + 1
+        line = raw.count(b"\n", 0, line_start) + 1
+        return (f"line {line}, byte {exc.start - line_start + 1}: 0x{raw[exc.start]:02x} "
+                f"is not UTF-8 ({exc.reason})")
+    return "not UTF-8"  # the file changed since the failed read
 
 
 def hash_file(path) -> str:

@@ -41,7 +41,7 @@ from .features import (
     enrich_keywords,
     select_k_best,
 )
-from .files import float_array, read_json, write_json
+from .files import float_array, json_typed, read_json, write_json
 from .neural import CnnConfig, build as build_cnn, forward, train as train_cnn
 from .sparse import CsrMatrix
 from .textprep import preprocess
@@ -334,9 +334,11 @@ def load_extractor(path, doc_model: Optional[DocEmbeddingModel] = None) -> Featu
     """Read a file written by save_extractor().
 
     The feature groups follow from the stored fitted pieces. An error names
-    the file, and the key for stored numbers: n_docs must be an integer
-    >= 1, the document frequencies one integer from 0 to n_docs per
-    vocabulary entry, and class vectors lists of finite float64 numbers.
+    the file, and the key for stored numbers and JSON types: keyword_sets
+    must be an object, tfidf an object or null, class_vectors a list,
+    n_docs an integer >= 1, the document frequencies one integer from 0 to
+    n_docs per vocabulary entry, and class vectors lists of finite float64
+    numbers. A value of another JSON type elsewhere names the file alone.
     Older files carry keys that are not read: "departments" and
     "sentiment_lexicon" (the shipped lists), "tfidf.fitted_ids" (a copy of
     "fitted_ids") and the "config" object of group toggles. Where that had
@@ -348,10 +350,11 @@ def load_extractor(path, doc_model: Optional[DocEmbeddingModel] = None) -> Featu
         keyword_sets = {
             label: KeywordSet(label=label, seeds=tuple(ks["seeds"]),
                               enriched=tuple(ks["enriched"]), missing=tuple(ks["missing"]))
-            for label, ks in data["keyword_sets"].items()} or None
+            for label, ks in json_typed("keyword_sets", data["keyword_sets"], dict).items()
+        } or None
         tfidf = None
-        if data["tfidf"] is not None:
-            raw = data["tfidf"]
+        raw = json_typed("tfidf", data["tfidf"], dict, nullable=True)
+        if raw is not None:
             frequencies, vocabulary = raw["document_frequencies"], raw["vocabulary"]
             n_docs = raw["n_docs"]
             if not (type(n_docs) is int and n_docs >= 1):
@@ -366,13 +369,14 @@ def load_extractor(path, doc_model: Optional[DocEmbeddingModel] = None) -> Featu
             tfidf = TfidfModel(
                 vocabulary={gram: i for i, gram in enumerate(vocabulary)},
                 document_frequencies=np.array(frequencies, dtype=np.int64), n_docs=n_docs)
+        stored = json_typed("class_vectors", data["class_vectors"], list)
         class_vecs = [ClassVector(cv["label"], float_array(
                           path, f"class_vectors[{i}].vector", cv["vector"], encoded=False))
-                      for i, cv in enumerate(data["class_vectors"])] or None
+                      for i, cv in enumerate(stored)] or None
         return FeatureExtractor(
             keyword_sets=keyword_sets, tfidf=tfidf, doc_model=doc_model,
             class_vecs=class_vecs,
             stopwords=frozenset(data["stopwords"]) if data["stopwords"] else None,
             fitted_ids=data["fitted_ids"])
-    except FeatureError as exc:
+    except (FeatureError, TypeError) as exc:  # TypeError: a value of another JSON type
         raise FeatureError(f"{path}: {exc}") from None

@@ -23,6 +23,7 @@ from .features import (
     compile_keyword_pattern,
     count_pattern_matches,
 )
+from .files import utf8_error
 
 logger = logging.getLogger(__name__)
 
@@ -140,17 +141,33 @@ def export_batch(batch: AnnotationBatch, path) -> None:
 
 
 def load_coded_csv(path) -> List[Tuple[str, LabelSet]]:
-    """Read a returned batch file; labels are ';'-separated in the label column."""
+    """Read a returned batch file; labels are ';'-separated in the label column.
+
+    An error names the file and the line for a file that is not UTF-8, a
+    header without a comment_id column, and a row with an unknown label
+    or a label set that breaks the label rules."""
     coded = []
-    with open(Path(path), encoding="utf-8", newline="") as fh:
-        first = fh.readline()
-        if not first.startswith("#"):
-            fh.seek(0)
-        reader = csv.DictReader(fh)
-        for row in reader:
-            raw = (row.get("label") or "").strip()
-            labels = frozenset(part.strip() for part in raw.split(";") if part.strip())
-            coded.append((row["comment_id"], LabelSet(labels)))
+    try:
+        with open(Path(path), encoding="utf-8", newline="") as fh:
+            skipped = 1 if fh.readline().startswith("#") else 0
+            if not skipped:
+                fh.seek(0)
+            reader = csv.DictReader(fh)
+            if "comment_id" not in (reader.fieldnames or ()):
+                raise SamplingError(f"{path}: line {skipped + 1}: the header has no "
+                                    f"'comment_id' column")
+            line = skipped + reader.line_num  # the last line read
+            for row in reader:
+                start, line = line + 1, skipped + reader.line_num
+                raw = (row.get("label") or "").strip()
+                try:
+                    labels = LabelSet(frozenset(part.strip() for part in raw.split(";")
+                                                if part.strip()))
+                except DatasetError as exc:
+                    raise DatasetError(f"{path}: line {start}: {exc}") from None
+                coded.append((row["comment_id"], labels))
+    except UnicodeDecodeError:
+        raise SamplingError(f"{path}: {utf8_error(path)}") from None
     return coded
 
 

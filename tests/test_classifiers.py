@@ -7,7 +7,6 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from metacomment.classifiers import (
-    AdaBoost,
     BoostHyperparams,
     ForestHyperparams,
     KnnHyperparams,
@@ -286,7 +285,7 @@ class TestRandomForest:
     def test_unanimous_trees_predict_that_label(self):
         X, y = blob_data(5, gap=6.0)  # trivially separable: all trees agree
         model = train("random_forest", X, y, ForestHyperparams(n_trees=9))
-        votes = [np.where(t.leaf_p_pos(X) >= 0.5, 1, 0) for t in model.inner.trees]
+        votes = [np.where(t.leaf_p_pos(X) >= 0.5, 1, 0) for _, t in model.inner.members]
         assert np.array_equal(np.min(votes, axis=0), np.max(votes, axis=0))
         assert np.array_equal(model.predict_many(X), y)
 
@@ -295,15 +294,15 @@ class TestRandomForest:
         hp = ForestHyperparams(n_trees=12, seed=99)
         m1 = train("random_forest", X, y, hp)
         m2 = train("random_forest", X, y, hp)
-        assert [t.root.to_dict() for t in m1.inner.trees] \
-            == [t.root.to_dict() for t in m2.inner.trees]
+        assert [t.root.to_dict() for _, t in m1.inner.members] \
+            == [t.root.to_dict() for _, t in m2.inner.members]
 
     def test_parallel_training_matches_serial(self):
         X, y = blob_data(7, gap=1.0)
         serial = train("random_forest", X, y, ForestHyperparams(n_trees=8, seed=3, jobs=1))
         threaded = train("random_forest", X, y, ForestHyperparams(n_trees=8, seed=3, jobs=4))
-        assert [t.root.to_dict() for t in serial.inner.trees] \
-            == [t.root.to_dict() for t in threaded.inner.trees]
+        assert [t.root.to_dict() for _, t in serial.inner.members] \
+            == [t.root.to_dict() for _, t in threaded.inner.members]
 
 
 class TestAdaBoost:
@@ -481,6 +480,10 @@ class TestPersistence:
         probe = np.random.default_rng(1).normal(size=(30, 3))
         assert np.array_equal(model.predict_many(probe), loaded.predict_many(probe))
         assert np.allclose(model.confidences(probe), loaded.confidences(probe))
+        assert model.decision_values(probe).tobytes() == loaded.decision_values(probe).tobytes()
+        resaved = tmp_path / f"{kind}.resaved.json"
+        save_model(loaded, resaved)
+        assert resaved.read_bytes() == path.read_bytes()
 
     def test_write_json_bytes_equal_json_dump(self, tmp_path):
         data = {"z": [0.1, -0.0, 1e-300, 2.5e17, 1 / 3, np.float64(0.7)],

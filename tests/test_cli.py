@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import metacomment
-from metacomment import cli, features, textprep
+from metacomment import cli, features, sampling, textprep
 from metacomment.cli import main
 from metacomment.corpus import LabeledDataset, load_dataset, save_dataset
 from metacomment.embeddings import DocEmbeddingModel
@@ -69,6 +69,16 @@ class TestIngestAndStats:
         assert main(["stats", "--input", str(bad)]) == 2
         err = capsys.readouterr().err
         assert "line 2" in err and "Traceback" not in err
+
+    def test_stats_rejects_bytes_that_are_not_utf8(self, tmp_path, capsys):
+        bad = tmp_path / "latin1.jsonl"
+        bad.write_bytes('{"id": "a", "text": "ok.", "timestamp": "2020-01-01T00:00"}\n'
+                        '{"id": "b", "text": "Grüße.", "timestamp": "2020-01-01T00:00"}\n'
+                        .encode("latin-1"))
+        assert main(["stats", "--input", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert f"{bad}: line 2, byte 24: 0xfc is not UTF-8" in err, err
+        assert "Traceback" not in err
 
     def test_stats_prints_counts(self, workspace, capsys):
         rc = main(["stats", "--input", str(workspace["dataset"])])
@@ -322,11 +332,13 @@ def models_dir(workspace, tmp_path_factory):
 
 @pytest.fixture(scope="module")
 def payload_models(workspace, tmp_path_factory):
-    """Two-step directories of a decision tree and of k-NN."""
+    """Two-step directories of a decision tree, a random forest, AdaBoost and k-NN."""
     root = tmp_path_factory.mktemp("payloads")
-    for kind in ("decision_tree", "knn"):
+    for kind, params in (("decision_tree", ""), ("random_forest", "n_trees=5"),
+                         ("adaboost", "n_rounds=5"), ("knn", "")):
         assert main(["train", "--input", str(workspace["dataset"]), "--two-step",
-                     "--classifier", kind, "--word-model", str(workspace["word_model"]),
+                     "--classifier", kind, "--params", params,
+                     "--word-model", str(workspace["word_model"]),
                      "--out", str(root / kind)]) == 0
     return root
 
@@ -415,6 +427,14 @@ MODEL_REJECTIONS = [
      "'payload.w'"),
     ("byte count off the shape", _BOTH[1:], "addressee_media.json",
      _edit(("payload", "w", "shape"), lambda shape: [shape[0] + 1]), "'payload.w'"),
+    ("payload is a list", _BOTH, "meta.json", _set(("payload",), [1]), "'payload'"),
+    ("standardizer is a list", _BOTH, "meta.json", _set(("standardizer",), [1]),
+     "'standardizer'"),
+    ("hyperparams is a list", _BOTH, "meta.json", _set(("hyperparams",), [1]),
+     "'hyperparams'"),
+    ("registry is a number", _BOTH, "meta.json", _set(("registry",), 7), "'registry'"),
+    ("objective history is a number", _BOTH, "meta.json",
+     _set(("payload", "objective_history"), 5), "'payload.objective_history'"),
 ]
 
 
@@ -434,6 +454,20 @@ PAYLOAD_REJECTIONS = [
      "'payload.tree.t'"),
     ("leaf p is a string", "decision_tree",
      lambda data: _first_leaf(data["payload"]["tree"]).update(p="0.5"), ".p' must be"),
+    ("tree is a number", "decision_tree", _set(("payload", "tree"), 3), "'payload.tree'"),
+    ("node is a list", "decision_tree", _set(("payload", "tree", "l"), [1]),
+     "'payload.tree.l'"),
+    ("no trees", "random_forest", _set(("payload", "trees"), []), "'payload.trees'"),
+    ("trees is a number", "random_forest", _set(("payload", "trees"), 5), "'payload.trees'"),
+    ("no stumps", "adaboost", _set(("payload", "stumps"), []), "'payload.stumps'"),
+    ("alpha is NaN", "adaboost", _set(("payload", "stumps", 0, 0), float("nan")),
+     "'payload.stumps[0][0]'"),
+    ("alpha is a string", "adaboost", _set(("payload", "stumps", 0, 0), "x"),
+     "'payload.stumps[0][0]'"),
+    ("alpha is a bool", "adaboost", _set(("payload", "stumps", 0, 0), True),
+     "'payload.stumps[0][0]'"),
+    ("stump without a tree", "adaboost", _set(("payload", "stumps", 0), [1.0]),
+     "'payload.stumps[0]'"),
     ("a label short", "knn", _edit(("payload", "y"), lambda y: y[:-1]), "'payload.y'"),
     ("a label of 2", "knn", _edit(("payload", "y"), lambda y: [2] + y[1:]), "'payload.y'"),
 ]
@@ -658,8 +692,12 @@ class TestTrainAndClassify:
         (_set(("tfidf", "document_frequencies", 2), 2 ** 70), "'tfidf.document_frequencies'"),
         (_set(("tfidf", "n_docs"), "150"), "'tfidf.n_docs'"),
         (_set(("class_vectors", 1, "vector", 2), "0.5"), "'class_vectors[1].vector'"),
+        (_set(("keyword_sets",), [1]), "'keyword_sets'"),
+        (_set(("tfidf",), [1]), "'tfidf'"),
+        (_set(("class_vectors",), {"a": 1}), "'class_vectors'"),
     ], ids=["frequencies one short", "frequency is a string", "frequency above n_docs",
-            "n_docs is a string", "vector holds a string"])
+            "n_docs is a string", "vector holds a string", "keyword sets is a list",
+            "tfidf is a list", "class vectors is an object"])
     def test_classify_rejects_extractor_numbers(self, workspace, semantic_models, tmp_path,
                                                 capsys, edit, key):
         models = tmp_path / "models"
@@ -1138,3 +1176,30 @@ class TestSampleAndMerge:
         assert rc == 0
         assert (merge_out / "dataset.jsonl").is_file()
         assert json.loads((merge_out / "flagged.json").read_text()) == []
+
+    @pytest.mark.parametrize("header,label,encoding,where", [
+        ("batch_id,id,title,text,provenance,score,label", "Meta", "utf-8",
+         "line 2: the header has no 'comment_id' column"),
+        (",".join(sampling._CSV_COLUMNS), "Bogus", "utf-8",
+         "line 6: unknown labels: ['Bogus']"),
+        (",".join(sampling._CSV_COLUMNS), "Meta", "latin-1",
+         "line 6, byte {byte}: 0xfc is not UTF-8"),
+    ], ids=["no comment_id column", "unknown label", "not UTF-8"])
+    def test_merge_rejects_coded_file(self, workspace, tmp_path, capsys, header, label,
+                                      encoding, where):
+        ids = [comment.id for comment in load_dataset(workspace["dataset"]).comments()]
+        coded = tmp_path / "coded.csv"
+        # the fourth row spans lines 4 and 5, so the sixth line holds the fifth row
+        coded.write_bytes(f"# labels: Meta\n{header}\n"
+                          f"b,{ids[0]},,eins,random,,Meta\n"
+                          f'b,{ids[1]},,"zwei\nZeilen",random,,Meta\n'
+                          f"b,{ids[2]},,grüße,random,,{label}\n".encode(encoding))
+        out = tmp_path / "merged"
+        rc = main(["merge", "--input", str(workspace["dataset"]), "--coded", str(coded),
+                   "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 2, err
+        byte = len(f"b,{ids[2]},,gr") + 1  # the ü
+        assert f"{coded}: {where.format(byte=byte)}" in err, err
+        assert "Traceback" not in err
+        assert not (out / "dataset.jsonl").exists()
