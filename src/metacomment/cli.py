@@ -76,8 +76,8 @@ logger = logging.getLogger("metacomment")
 
 KNOWN_ERRORS = (DatasetError, ValueError, OSError)
 
-# comments per feature matrix in `classify`: memory stays at this many rows
-# of registry columns however long the input is
+# comments per feature matrix in `classify`: memory stays at one CSR matrix
+# of this many rows however long the input is
 CLASSIFY_CHUNK = 256
 
 
@@ -142,13 +142,10 @@ def _embedding_params(args, purpose: str) -> WordTrainingParams:
         seed=derive_seed(args.seed, purpose))
 
 
-def _pipeline_from_args(args, features, seed, params=None,
-                        select_k=None) -> FeaturePipeline:
+def _pipeline_from_args(args, features, seed) -> FeaturePipeline:
     return FeaturePipeline(
         features, classifier=args.classifier,
-        classifier_params=params if params is not None
-        else _parse_kv_params(getattr(args, "params", "")),
-        select_k=select_k if select_k is not None else _select_k(args),
+        classifier_params=_parse_kv_params(args.params), select_k=_select_k(args),
         with_calibration=getattr(args, "calibrate", False), seed=seed)
 
 
@@ -226,8 +223,8 @@ def cmd_train_embeddings(args) -> int:
     ds = load_dataset(args.input)
     streams = [preprocess(c, remove_stopwords=True, stopwords=_stopwords(args))
                for c in ds.comments()]
-    out = _out_dir(args)
     params = _embedding_params(args, f"embeddings:{args.kind}")
+    out = _out_dir(args)
     if args.kind == "word":
         model = train_word_embeddings(streams, params)
         model.save(out / "model")
@@ -291,7 +288,7 @@ def cmd_train(args) -> int:
     # each route fits before --out is made, so a failed fit writes nothing
     if args.two_step:
         # rejects --select-k and --calibrate
-        classifier = TwoStepClassifier.fit(pipeline, entries, threshold=args.threshold)
+        classifier = TwoStepClassifier.fit(pipeline, entries)
         out = _out_dir(args)
         classifier.save(out)
         print(f"trained two-step classifier on {len(entries)} comments")
@@ -359,8 +356,9 @@ def cmd_grid_search(args) -> int:
 
     def factory(combo, seed):
         params = {k: v for k, v in combo.items() if k != "select_k"}
-        return _pipeline_from_args(args, features, seed,
-                                   params=params, select_k=combo["select_k"])
+        return FeaturePipeline(features, classifier=args.classifier,
+                               classifier_params=params, select_k=combo["select_k"],
+                               seed=seed)
 
     for combo in grid.combinations():
         factory(combo, args.seed)  # a bad value fails before any fold is fit
@@ -405,15 +403,15 @@ def cmd_classify(args) -> int:
     ds = load_dataset(args.input)
     models_dir = Path(args.models)
     doc_model = DocEmbeddingModel.load(args.doc_model) if args.doc_model else None
-    classifier = TwoStepClassifier.load(models_dir, doc_model=doc_model,
-                                        threshold=args.threshold)
+    classifier = TwoStepClassifier.load(models_dir, doc_model=doc_model)
     out = _out_dir(args)
     results_path = out / "classified.jsonl"
     comments = list(ds.comments())
     with open(results_path, "w", encoding="utf-8", newline="\n") as fh:
         for start in range(0, len(comments), CLASSIFY_CHUNK):
             chunk = comments[start:start + CLASSIFY_CHUNK]
-            for comment, result in zip(chunk, classifier.classify_many(chunk)):
+            results = classifier.classify_many(chunk, args.threshold)
+            for comment, result in zip(chunk, results):
                 fh.write(json.dumps({
                     "id": comment.id,
                     "is_meta": result.is_meta,
@@ -487,9 +485,10 @@ def cmd_sample(args) -> int:
 
 def cmd_merge(args) -> int:
     ds = load_dataset(args.input)
+    known_ids = ds.ids()
     coded = []
     for path in args.coded:
-        coded.extend(load_coded_csv(path))
+        coded.extend(load_coded_csv(path, known_ids))
     merged, flagged = merge_annotations(ds, coded, policy=args.policy)
     out = _out_dir(args)
     save_dataset(merged, out / "dataset.jsonl")
@@ -562,7 +561,6 @@ def _add_classifier_flags(parser):
 
 
 def _add_scoring_flags(parser, out_required=False):
-    _add_classifier_flags(parser)
     parser.add_argument("--beta", type=float, default=0.5,
                         help="F_beta weighting (default 0.5, precision-heavy)")
     _add_model_flags(parser)
@@ -648,6 +646,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True)
     p.add_argument("--target", default="Meta", choices=CLASS_ORDER)
     p.add_argument("-k", type=int, default=10)
+    _add_classifier_flags(p)
     _add_scoring_flags(p)
     p.set_defaults(func=cmd_evaluate)
 
@@ -656,6 +655,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--target", default="Meta", choices=CLASS_ORDER)
     p.add_argument("--grid", required=True, help="JSON grid specification")
     p.add_argument("-k", type=int, default=3)
+    # the grid file sets the hyperparameters and feature counts
+    p.add_argument("--classifier", default="linear_svm", choices=KINDS)
     _add_scoring_flags(p, out_required=True)
     p.set_defaults(func=cmd_grid_search)
 
@@ -663,6 +664,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--train", required=True)
     p.add_argument("--test", required=True)
     p.add_argument("--classes", default=None, help="comma-separated label list")
+    _add_classifier_flags(p)
     _add_scoring_flags(p)
     p.set_defaults(func=cmd_cross_eval)
 

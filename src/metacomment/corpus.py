@@ -194,12 +194,13 @@ def load_dataset(path, source_tag: Optional[str] = None) -> LabeledDataset:
 
     Raises DatasetError naming the offending line for any malformed record,
     wrongly typed field, byte that is not UTF-8, duplicate id, or
-    label-invariant violation. An empty file is an error.
+    label-invariant violation. An empty file is an error. A leading UTF-8
+    byte-order mark is skipped.
     """
     path = Path(path)
     entries = []
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             for lineno, line in enumerate(fh, start=1):
                 line = line.strip()
                 if not line:

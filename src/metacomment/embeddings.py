@@ -6,14 +6,16 @@ distributed-memory variant where the comment vector is averaged into the
 context. Inference for unseen comments runs the same DM steps on a fresh
 comment vector while the word matrices stay frozen.
 
-One kernel, _batch_step, steps minibatches of TRAIN_BATCH examples, as
-word2vec does: updates inside a batch read the same matrices and are summed
-at its end. Training's batches run across comments, planned a chunk of
-batches at a time: a chunk draws its negatives in one rng call, the stream
-that per-batch draws give, and builds every array that reads no weights
-once, so each batch runs only the work that reads them. Inference cuts each
-comment's own examples into batches, so a comment's vector does not depend
-on the other comments inferred with it. Both are serial and deterministic:
+One kernel steps minibatches of TRAIN_BATCH examples, as word2vec does:
+updates inside a batch read the same matrices and are summed at its end.
+_plan builds a run of examples' arrays that read no weights, and _step runs
+one batch of them. Training's batches run across comments, planned a chunk
+of batches at a time: a chunk draws its negatives in one rng call, the
+stream that per-batch draws give, and _plan builds its arrays once, so each
+_step runs only the work that reads the weights. Inference cuts each
+comment's own examples into batches and steps each with _batch_step (one
+_plan, one _step), so a comment's vector does not depend on the other
+comments inferred with it. Both are serial and deterministic:
 a seed gives byte-identical models.
 """
 
@@ -71,8 +73,11 @@ class WordTrainingParams:
                                  "must all be >= 1")
         if self.method not in ("cbow", "skipgram"):
             raise EmbeddingError(f"unknown training method {self.method!r}")
-        if not 0 < self.final_lr <= self.initial_lr:
-            raise EmbeddingError("need 0 < final_lr <= initial_lr")
+        if not self.final_lr > 0:
+            raise EmbeddingError(f"final_lr must be above 0, got {self.final_lr}")
+        if not self.initial_lr >= self.final_lr:
+            raise EmbeddingError(f"initial_lr (--lr) must be at least the floor "
+                                 f"final_lr = {self.final_lr}, got {self.initial_lr}")
 
 
 @dataclass(frozen=True)

@@ -407,16 +407,16 @@ def default_departments() -> tuple:
     return load_keywords(_DATA_DIR / "departments_spon.txt")
 
 
-def metadata_features(comment: Comment, known_departments: Sequence[str]) -> dict:
+def metadata_features(comment: Comment) -> dict:
     """Department/day/hour one-hots, list position, and quote indicator.
 
     Absent metadata contributes nothing (all-zero one-hots, no entry).
-    Unknown departments map to the 'other' slot.
+    Departments outside the shipped list map to the 'other' slot.
     """
     values: Dict[str, float] = {}
     if comment.department is not None:
         dept = comment.department.lower()
-        values[f"department_{dept}" if dept in known_departments
+        values[f"department_{dept}" if dept in default_departments()
                else "department_other"] = 1.0
     if comment.position is not None:
         values["position"] = float(comment.position)
@@ -629,7 +629,7 @@ class FeatureCache:
                     row[col] += 1.0
         stats = text_stats_features(comment, tokens=tokens)
         row[self._stats_at:self._stats_at + len(stats)] = list(stats.values())
-        for name, value in metadata_features(comment, default_departments()).items():
+        for name, value in metadata_features(comment).items():
             row[self._column[name]] = value
         stream = TokenStream(without_stopwords(tokens, self.stopwords), comment.id)
         columns = np.flatnonzero(row)

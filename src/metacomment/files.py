@@ -23,15 +23,15 @@ def write_json(path, data, indent: Optional[int] = None) -> None:
 
 def read_json(path, fmt: Union[str, Sequence[str], None] = None):
     """The JSON object in path, tagged "format": fmt (or one of the formats
-    fmt lists) if fmt is given. ValueError names the file for invalid JSON, a
-    top-level value that is not an object, another format and a missing key
-    at any depth."""
+    fmt lists) if fmt is given; a leading UTF-8 byte-order mark is skipped.
+    ValueError names the file for invalid JSON, a top-level value that is not
+    an object, another format and a missing key at any depth."""
     class Record(dict):
         def __missing__(self, key):
             raise ValueError(f"{path}: missing key {key!r}")
 
     try:
-        with open(Path(path), encoding="utf-8") as fh:
+        with open(Path(path), encoding="utf-8-sig") as fh:
             data = json.load(fh, object_pairs_hook=Record)
     except ValueError as exc:
         raise ValueError(f"{path}: invalid JSON: {exc}") from None
@@ -128,9 +128,10 @@ def read_fields(cls, record):
 
 
 def read_lines(path) -> List[str]:
-    """The stripped lines of a UTF-8 word list, but blank lines and '#' comments."""
+    """The stripped lines of a UTF-8 word list, but blank lines and '#'
+    comments; a leading byte-order mark is skipped."""
     try:
-        lines = Path(path).read_text(encoding="utf-8").split("\n")
+        lines = Path(path).read_text(encoding="utf-8-sig").split("\n")
     except UnicodeDecodeError:
         raise ValueError(f"{path}: {utf8_error(path)}") from None
     return [line for line in map(str.strip, lines) if line and not line.startswith("#")]

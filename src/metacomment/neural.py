@@ -13,8 +13,8 @@ padding only, whose steps all tie.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -40,11 +40,9 @@ class NeuralError(ValueError):
 @dataclass(frozen=True)
 class CnnConfig:
     max_len: int = 1000
-    embed_dim: Optional[int] = None  # filled in from the word model at build
     n_filters: int = 128
     kernel_size: int = 5
     dense_units: int = 64
-    n_classes: int = 2
     batch_size: int = 32
     epochs: int = 5
     learning_rate: float = 1e-3
@@ -52,7 +50,7 @@ class CnnConfig:
 
     def __post_init__(self):
         sizes = (self.max_len, self.n_filters, self.kernel_size, self.dense_units,
-                 self.n_classes, self.batch_size, self.epochs)
+                 self.batch_size, self.epochs)
         if min(sizes) < 1:
             raise NeuralError("all CNN sizes must be >= 1")
         if self.kernel_size > self.max_len:
@@ -99,10 +97,6 @@ def build(word_model: WordEmbeddingModel, config: CnnConfig) -> CnnModel:
     Rows for padding and out-of-vocabulary tokens are zero; the remaining
     parameters are uniform in [-0.05, 0.05] drawn from the seed.
     """
-    if config.embed_dim is not None and config.embed_dim != word_model.dim:
-        raise NeuralError(f"config embed_dim {config.embed_dim} does not match "
-                          f"word model dimension {word_model.dim}")
-    config = replace(config, embed_dim=word_model.dim)
     d = word_model.dim
     vocab = {token: idx + 2 for token, idx in word_model.vocab.items()}
     embedding = np.zeros((len(vocab) + 2, d))
@@ -119,8 +113,8 @@ def build(word_model: WordEmbeddingModel, config: CnnConfig) -> CnnModel:
         conv_b=init(config.n_filters),
         dense_w=init(config.dense_units, config.n_filters),
         dense_b=init(config.dense_units),
-        out_w=init(config.n_classes, config.dense_units),
-        out_b=init(config.n_classes),
+        out_w=init(2, config.dense_units),  # binary: the target or not
+        out_b=init(2),
     )
 
 

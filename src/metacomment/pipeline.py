@@ -236,11 +236,9 @@ class TwoStepClassifier:
     extractor: FeatureExtractor
     meta_model: TrainedModel
     addressee_models: Dict[str, TrainedModel]
-    threshold: float = 0.8
 
     @classmethod
-    def fit(cls, pipeline: FeaturePipeline, entries: Sequence[Entry],
-            threshold: float = 0.8) -> "TwoStepClassifier":
+    def fit(cls, pipeline: FeaturePipeline, entries: Sequence[Entry]) -> "TwoStepClassifier":
         """Fit pipeline on entries as the meta gate, then one model per
         addressee with examples over the gate's matrix, calibrated on a
         holdout drawn from the pipeline's seed. So the pipeline must keep
@@ -260,20 +258,18 @@ class TwoStepClassifier:
                 continue
             with labelled(label):
                 addressee_models[label] = pipeline._train(X, y, calibrated=True)
-        return cls(pipeline.extractor, pipeline.model, addressee_models, threshold)
+        return cls(pipeline.extractor, pipeline.model, addressee_models)
 
-    def classify(self, entry) -> TwoStepResult:
-        return self.classify_many([entry])[0]
-
-    def classify_many(self, entries: Sequence) -> List[TwoStepResult]:
-        """One result per entry, from one feature matrix for all of them.
+    def classify_many(self, entries: Sequence, threshold: float) -> List[TwoStepResult]:
+        """One result per entry at the addressee threshold, from one feature
+        matrix for all of them.
 
         Each row is decided on its own 1 x n slice, so a result does not
         depend on which other entries share the batch.
         """
         X = self.extractor.matrix(_comments(entries))
         return [two_step_classify(self.meta_model, self.addressee_models, X[i:i + 1],
-                                  threshold=self.threshold)
+                                  threshold=threshold)
                 for i in range(X.shape[0])]
 
     @staticmethod
@@ -292,8 +288,7 @@ class TwoStepClassifier:
             save_model(model, files[role])
 
     @classmethod
-    def load(cls, directory, doc_model: Optional[DocEmbeddingModel],
-             threshold: float) -> "TwoStepClassifier":
+    def load(cls, directory, doc_model: Optional[DocEmbeddingModel]) -> "TwoStepClassifier":
         """Read a directory written by save().
 
         Every model must carry the registry hash of the saved extractor
@@ -305,7 +300,7 @@ class TwoStepClassifier:
         models = {role: load_model(path, registry_hash=extractor.registry_hash,
                                    width=len(extractor.registry))
                   for role, path in files.items() if role == "meta" or path.is_file()}
-        return cls(extractor, models.pop("meta"), models, threshold)
+        return cls(extractor, models.pop("meta"), models)
 
 
 # -- extractor persistence ----------------------------------------------------

@@ -140,15 +140,17 @@ def export_batch(batch: AnnotationBatch, path) -> None:
                              "" if item.score is None else repr(item.score), ""])
 
 
-def load_coded_csv(path) -> List[Tuple[str, LabelSet]]:
+def load_coded_csv(path, known_ids=None) -> List[Tuple[str, LabelSet]]:
     """Read a returned batch file; labels are ';'-separated in the label column.
+    A leading UTF-8 byte-order mark is skipped.
 
     An error names the file and the line for a file that is not UTF-8, a
-    header without a comment_id column, and a row with an unknown label
-    or a label set that breaks the label rules."""
+    header without a comment_id column, a row that ends before it, a
+    comment id not in known_ids (when given), and a row with an unknown
+    label or a label set that breaks the label rules."""
     coded = []
     try:
-        with open(Path(path), encoding="utf-8", newline="") as fh:
+        with open(Path(path), encoding="utf-8-sig", newline="") as fh:
             skipped = 1 if fh.readline().startswith("#") else 0
             if not skipped:
                 fh.seek(0)
@@ -159,13 +161,20 @@ def load_coded_csv(path) -> List[Tuple[str, LabelSet]]:
             line = skipped + reader.line_num  # the last line read
             for row in reader:
                 start, line = line + 1, skipped + reader.line_num
+                comment_id = row["comment_id"]
+                if comment_id is None:
+                    raise SamplingError(f"{path}: line {start}: 'comment_id' is missing, "
+                                        f"the row ends before that column")
+                if known_ids is not None and comment_id not in known_ids:
+                    raise SamplingError(f"{path}: line {start}: unknown comment id "
+                                        f"{comment_id!r}")
                 raw = (row.get("label") or "").strip()
                 try:
                     labels = LabelSet(frozenset(part.strip() for part in raw.split(";")
                                                 if part.strip()))
                 except DatasetError as exc:
                     raise DatasetError(f"{path}: line {start}: {exc}") from None
-                coded.append((row["comment_id"], labels))
+                coded.append((comment_id, labels))
     except UnicodeDecodeError:
         raise SamplingError(f"{path}: {utf8_error(path)}") from None
     return coded

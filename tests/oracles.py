@@ -54,10 +54,10 @@ def reference_semantic(cvs, vec):
 # For one (context, center) pair with mean input vector h and negative draws
 # n_1..n_K the loss is  -log s(u_c . h) - sum_k log s(-u_{n_k} . h)  where s
 # is the logistic function. These two functions are the reference definition.
-# Training and inference apply exactly these gradients through
-# embeddings._batch_step; test_embeddings.py's TestTrainingStep and
-# TestBatchedInference tie each mode to them, one example per batch and in
-# larger batches.
+# Training and inference apply exactly these gradients through embeddings._plan
+# and embeddings._step (inference by way of embeddings._batch_step);
+# test_embeddings.py's TestTrainingStep and TestBatchedInference tie each mode
+# to them, one example per batch and in larger batches.
 
 def negative_sampling_loss(w_in: np.ndarray, w_out: np.ndarray,
                            context: Sequence[int], center: int,

@@ -174,6 +174,16 @@ class TestEmbeddingCommands:
         assert "sysop" in out
         assert "no-embedding" in out
 
+    def test_lr_below_the_floor_names_the_flag(self, workspace, tmp_path, capsys):
+        out = tmp_path / "emb"
+        rc = main(["train-embeddings", "--input", str(workspace["dataset"]),
+                   "--min-count", "2", "--lr", "0.00005", "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "initial_lr (--lr) must be at least the floor final_lr = 0.0001, " \
+               "got 5e-05" in err, err
+        assert not out.exists()
+
 
 class TestJobsFlag:
     def _train_args(self, workspace, out, jobs):
@@ -193,6 +203,65 @@ class TestJobsFlag:
         out = tmp_path / "emb"
         assert main(self._train_args(workspace, out, "1")) == 0
         assert (out / "model.vec").is_file()
+
+
+class TestByteOrderMark:
+    """A leading UTF-8 byte-order mark, as spreadsheets and some editors
+    write one, reads as nothing: a command gives the plain file's outputs."""
+
+    @staticmethod
+    def _same_outputs(tmp_path, capsys, name, text, argv, outputs=()):
+        """argv(file, out) run once on text in a plain file and once with a
+        byte-order mark; both exit 0 with the same stdout and outputs files."""
+        runs = []
+        for encoding in ("utf-8", "utf-8-sig"):
+            directory = tmp_path / encoding
+            directory.mkdir()
+            (directory / name).write_text(text, encoding=encoding)
+            out = directory / "out"
+            assert main(argv(str(directory / name), str(out))) == 0
+            runs.append((capsys.readouterr().out.replace(str(directory), ""),
+                         [(out / output).read_bytes() for output in outputs]))
+        assert runs[0] == runs[1]
+
+    def test_stopwords(self, workspace, tmp_path, capsys):
+        # sysop, a Moderator keyword of the synthetic set, drops out of tf-idf
+        self._same_outputs(tmp_path, capsys, "stop.txt", "sysop\nder\n",
+                           lambda path, out: ["features", "--input",
+                                              str(workspace["dataset"]),
+                                              "--stopwords", path, "--out", out],
+                           ["features.txt", "features.txt.names"])
+
+    def test_keyword_seeds(self, workspace, tmp_path, capsys):
+        self._same_outputs(tmp_path, capsys, "seeds.txt", "sysop\nfehltoken\n",
+                           lambda path, out: ["enrich-keywords", "--model",
+                                              str(workspace["word_model"]),
+                                              "--seeds", path, "--top-n", "3",
+                                              "--min-sim", "0.1"])
+
+    def test_dataset(self, workspace, tmp_path, capsys):
+        self._same_outputs(tmp_path, capsys, "dataset.jsonl",
+                           workspace["dataset"].read_text(encoding="utf-8"),
+                           lambda path, out: ["stats", "--input", path, "--out", out],
+                           ["stats.json"])
+
+    def test_coded_batch(self, workspace, tmp_path, capsys):
+        ids = [comment.id for comment in load_dataset(workspace["dataset"]).comments()]
+        text = "# labels: Meta\n" + ",".join(sampling._CSV_COLUMNS) + "\n" + "".join(
+            f"b,{comment_id},,text,random,,Meta\n" for comment_id in ids[:3])
+        self._same_outputs(tmp_path, capsys, "coded.csv", text,
+                           lambda path, out: ["merge", "--input",
+                                              str(workspace["dataset"]),
+                                              "--coded", path, "--out", out],
+                           ["dataset.jsonl", "flagged.json"])
+
+    def test_grid_file(self, workspace, tmp_path, capsys):
+        grid = {"params": {"C": [0.5], "max_epochs": [60]}, "feature_counts": [5, "all"]}
+        self._same_outputs(tmp_path, capsys, "grid.json", json.dumps(grid),
+                           lambda path, out: ["grid-search", "--input",
+                                              str(workspace["dataset"]),
+                                              "--grid", path, "-k", "3", "--out", out],
+                           ["scores.csv", "best.json"])
 
 
 def _args_read_by_function():
@@ -263,6 +332,38 @@ class TestUnreadFlags:
             unread[command] = sorted(
                 defined - reads[parser.get_default("func").__name__] - kept)
         assert not any(unread.values()), unread
+
+    @pytest.mark.parametrize("flags", [["--classifier", "knn"], ["--params", "C=0.0001"],
+                                       ["--select-k", "5"]])
+    def test_classifier_flags_change_evaluate_scores(self, workspace, tmp_path, flags):
+        # a flag that is read but overridden passes the syntax check above
+        def scores(name, *extra):
+            out = tmp_path / name
+            assert main(["evaluate", "--input", str(workspace["dataset"]), "-k", "3",
+                         *extra, "--out", str(out)]) == 0
+            return (out / "scores.csv").read_bytes()
+
+        assert scores("flagged", *flags) != scores("default")
+
+    @pytest.mark.parametrize("flag", [["--params", "C=1"], ["--select-k", "5"]])
+    def test_grid_search_takes_no_tuning_flag(self, workspace, tmp_path, capsys, flag):
+        # the grid file's params and feature_counts set both
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps({"params": {"C": [1.0]}}), encoding="utf-8")
+        out = tmp_path / "grid_out"
+        with pytest.raises(SystemExit) as exc:
+            main(["grid-search", "--input", str(workspace["dataset"]), "--grid", str(grid),
+                  *flag, "--out", str(out)])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [["train", "--input", "d", "--out", "o"],
+                                      ["evaluate", "--input", "d"],
+                                      ["cross-eval", "--train", "d", "--test", "t"]])
+    def test_tuning_flags_still_parse(self, argv):
+        args = cli.build_parser().parse_args([*argv, "--params", "C=1", "--select-k", "5"])
+        assert (args.params, args.select_k) == ("C=1", "5")
 
     @pytest.mark.parametrize("argv,flag", [
         # an old command line's --seed is not read as --seeds
@@ -524,12 +625,12 @@ class TestTrainAndClassify:
         assert main(["classify", "--input", str(workspace["dataset"]),
                      "--models", str(models_dir), "--threshold", "0.7",
                      "--out", str(out)]) == 0
-        classifier = TwoStepClassifier.load(models_dir, None, 0.7)
+        classifier = TwoStepClassifier.load(models_dir, None)
         comments = list(load_dataset(workspace["dataset"]).comments())
         lines = (out / "classified.jsonl").read_text(encoding="utf-8").splitlines()
         assert len(lines) == len(comments)
-        for line, comment in zip(lines, comments):
-            result = classifier.classify(comment)
+        for line, comment, result in zip(lines, comments,
+                                         classifier.classify_many(comments, 0.7)):
             assert line == json.dumps({
                 "id": comment.id,
                 "is_meta": result.is_meta,
@@ -717,8 +818,8 @@ class TestTrainAndClassify:
             data = json.loads((old / name).read_text(encoding="utf-8"))
             assert data["format"] == "metacomment-model/2"
             write_json(old / name, as_v1_model(data))
-        new_clf = TwoStepClassifier.load(models_dir, None, 0.8)
-        old_clf = TwoStepClassifier.load(old, None, 0.8)
+        new_clf = TwoStepClassifier.load(models_dir, None)
+        old_clf = TwoStepClassifier.load(old, None)
         for new_m, old_m in zip([new_clf.meta_model, *new_clf.addressee_models.values()],
                                 [old_clf.meta_model, *old_clf.addressee_models.values()]):
             for new_a, old_a in ((new_m.standardizer.mean, old_m.standardizer.mean),
@@ -1177,15 +1278,20 @@ class TestSampleAndMerge:
         assert (merge_out / "dataset.jsonl").is_file()
         assert json.loads((merge_out / "flagged.json").read_text()) == []
 
-    @pytest.mark.parametrize("header,label,encoding,where", [
-        ("batch_id,id,title,text,provenance,score,label", "Meta", "utf-8",
-         "line 2: the header has no 'comment_id' column"),
-        (",".join(sampling._CSV_COLUMNS), "Bogus", "utf-8",
+    @pytest.mark.parametrize("header,row,encoding,where", [
+        ("batch_id,id,title,text,provenance,score,label", "b,{id},,grüße,random,,Meta",
+         "utf-8", "line 2: the header has no 'comment_id' column"),
+        (",".join(sampling._CSV_COLUMNS), "b,{id},,grüße,random,,Bogus", "utf-8",
          "line 6: unknown labels: ['Bogus']"),
-        (",".join(sampling._CSV_COLUMNS), "Meta", "latin-1",
+        (",".join(sampling._CSV_COLUMNS), "b,{id},,grüße,random,,Meta", "latin-1",
          "line 6, byte {byte}: 0xfc is not UTF-8"),
-    ], ids=["no comment_id column", "unknown label", "not UTF-8"])
-    def test_merge_rejects_coded_file(self, workspace, tmp_path, capsys, header, label,
+        (",".join(sampling._CSV_COLUMNS), "b,ghost,,grüße,random,,Meta", "utf-8",
+         "line 6: unknown comment id 'ghost'"),
+        (",".join(sampling._CSV_COLUMNS), "b", "utf-8",
+         "line 6: 'comment_id' is missing, the row ends before that column"),
+    ], ids=["no comment_id column", "unknown label", "not UTF-8", "unknown id",
+            "row cut short"])
+    def test_merge_rejects_coded_file(self, workspace, tmp_path, capsys, header, row,
                                       encoding, where):
         ids = [comment.id for comment in load_dataset(workspace["dataset"]).comments()]
         coded = tmp_path / "coded.csv"
@@ -1193,7 +1299,7 @@ class TestSampleAndMerge:
         coded.write_bytes(f"# labels: Meta\n{header}\n"
                           f"b,{ids[0]},,eins,random,,Meta\n"
                           f'b,{ids[1]},,"zwei\nZeilen",random,,Meta\n'
-                          f"b,{ids[2]},,grüße,random,,{label}\n".encode(encoding))
+                          f"{row.format(id=ids[2])}\n".encode(encoding))
         out = tmp_path / "merged"
         rc = main(["merge", "--input", str(workspace["dataset"]), "--coded", str(coded),
                    "--out", str(out)])
@@ -1202,4 +1308,4 @@ class TestSampleAndMerge:
         byte = len(f"b,{ids[2]},,gr") + 1  # the ü
         assert f"{coded}: {where.format(byte=byte)}" in err, err
         assert "Traceback" not in err
-        assert not (out / "dataset.jsonl").exists()
+        assert not out.exists()

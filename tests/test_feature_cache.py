@@ -35,7 +35,6 @@ from metacomment.features import (
     class_vectors,
     compile_keyword_pattern,
     count_pattern_matches,
-    default_departments,
     default_sentiment_lexicon,
     metadata_features,
     text_stats_features,
@@ -114,7 +113,7 @@ def reference_matrix(extractor, comments):
         values.update(text_stats_features(comment, default_sentiment_lexicon()))
         vector = extractor.doc_model.vectors_for([ts])[0]
         values.update(zip(*reference_semantic(extractor.class_vecs, vector)))
-        values.update(metadata_features(comment, default_departments()))
+        values.update(metadata_features(comment))
         rows.append({k: v for k, v in values.items() if v != 0.0})
     return build_matrix(rows, extractor.registry)
 

@@ -499,29 +499,27 @@ class TestSemanticOracle:
 
 
 class TestMetadataFeatures:
-    DEPARTMENTS = ("politik", "wirtschaft")
-
     def test_calendar_mapping(self):
         from datetime import datetime
         c = make_comment(timestamp=datetime(2016, 5, 2, 9, 0))  # a Monday
-        values = metadata_features(c, self.DEPARTMENTS)
+        values = metadata_features(c)
         assert values["dow_0"] == 1.0
         assert values["hour_9"] == 1.0
 
     def test_absent_department_gives_no_department_features(self):
-        values = metadata_features(make_comment(), self.DEPARTMENTS)
+        values = metadata_features(make_comment())
         assert not any(k.startswith("department_") for k in values)
 
     def test_unknown_department_maps_to_other(self):
-        values = metadata_features(make_comment(department="satire"), self.DEPARTMENTS)
+        values = metadata_features(make_comment(department="satire"))
         assert values["department_other"] == 1.0
 
     def test_quote_flag(self):
-        values = metadata_features(make_comment(has_quote=True), self.DEPARTMENTS)
+        values = metadata_features(make_comment(has_quote=True))
         assert values["has_quote"] == 1.0
 
     def test_position_feature(self):
-        values = metadata_features(make_comment(position=17), self.DEPARTMENTS)
+        values = metadata_features(make_comment(position=17))
         assert values["position"] == 17.0
 
 

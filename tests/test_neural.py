@@ -81,10 +81,6 @@ class TestBuild:
         with pytest.raises(NeuralError, match="kernel_size"):
             CnnConfig(max_len=4, kernel_size=5)
 
-    def test_dim_mismatch_rejected(self, word_model):
-        with pytest.raises(NeuralError, match="embed_dim"):
-            build(word_model, CnnConfig(max_len=16, embed_dim=300))
-
 
 class TestForward:
     def test_paper_scale_shape_chain(self, word_model):

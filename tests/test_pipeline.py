@@ -148,7 +148,7 @@ class TestCnnPipeline:
 
 @pytest.fixture(scope="module")
 def fitted(dataset, cache):
-    return TwoStepClassifier.fit(make_pipeline(cache), list(dataset), threshold=0.8)
+    return TwoStepClassifier.fit(make_pipeline(cache), list(dataset))
 
 
 class TestTwoStepClassifier:
@@ -158,7 +158,7 @@ class TestTwoStepClassifier:
         for entry in dataset:
             if "Moderator" in entry[1]:
                 total += 1
-                result = fitted.classify(entry)
+                result = fitted.classify_many([entry], 0.8)[0]
                 if result.is_meta and "Moderator" in result.addressees:
                     hits += 1
         assert total > 0
@@ -167,7 +167,7 @@ class TestTwoStepClassifier:
     def test_nonmeta_comment_gated(self, fitted, dataset):
         for entry in dataset:
             if "NonMeta" in entry[1]:
-                result = fitted.classify(entry)
+                result = fitted.classify_many([entry], 0.8)[0]
                 if not result.is_meta:
                     assert result.addressees == ()
                     assert result.confidences == {}
@@ -209,10 +209,10 @@ class TestTwoStepClassifier:
         assert sorted(p.name for p in tmp_path.iterdir()) == [
             "addressee_journalist.json", "addressee_media.json",
             "addressee_moderator.json", "extractor.json", "meta.json"]
-        loaded = TwoStepClassifier.load(tmp_path, None, fitted.threshold)
+        loaded = TwoStepClassifier.load(tmp_path, None)
         assert loaded.extractor.registry == fitted.extractor.registry
-        for entry in dataset:
-            assert loaded.classify(entry) == fitted.classify(entry)
+        entries = list(dataset)
+        assert loaded.classify_many(entries, 0.8) == fitted.classify_many(entries, 0.8)
 
     def test_saved_models_store_registry_hash_only(self, fitted, tmp_path):
         fitted.save(tmp_path)
@@ -234,9 +234,9 @@ class TestTwoStepClassifier:
             save_model(replace(model, registry=registry), tmp_path / name)
             stored = json.loads((tmp_path / name).read_text(encoding="utf-8"))
             assert len(stored["registry"]) == len(registry)
-        loaded = TwoStepClassifier.load(tmp_path, None, fitted.threshold)
-        for entry in dataset:
-            assert loaded.classify(entry) == fitted.classify(entry)
+        loaded = TwoStepClassifier.load(tmp_path, None)
+        entries = list(dataset)
+        assert loaded.classify_many(entries, 0.8) == fitted.classify_many(entries, 0.8)
 
     def test_extractor_with_config_object_still_loads(self, fitted, dataset, tmp_path):
         # extractor.json as earlier versions wrote it: with a "config" object
@@ -274,14 +274,13 @@ class TestTwoStepClassifier:
         assert "fitted_ids" not in data["tfidf"]
         text = (tmp_path / "extractor.json").read_text(encoding="utf-8")
         assert text.count('"fitted_ids"') == 1
-        loaded = TwoStepClassifier.load(tmp_path, None, fitted.threshold)
+        loaded = TwoStepClassifier.load(tmp_path, None)
         assert loaded.extractor.fitted_ids() == frozenset(data["fitted_ids"])
 
     def test_threshold_one_never_assigns(self, dataset, cache):
-        classifier = TwoStepClassifier.fit(make_pipeline(cache), list(dataset)[:150],
-                                           threshold=1.0)
-        for entry in list(dataset)[150:170]:
-            assert classifier.classify(entry).addressees == ()
+        classifier = TwoStepClassifier.fit(make_pipeline(cache), list(dataset)[:150])
+        for result in classifier.classify_many(list(dataset)[150:170], 1.0):
+            assert result.addressees == ()
 
 
 def _saved_extractor(classifier, directory) -> dict:
@@ -295,10 +294,10 @@ def _assert_loads_as_fitted(fitted, dataset, directory, data) -> TwoStepClassifi
     with open(directory / "extractor.json", "w", encoding="utf-8", newline="\n") as fh:
         json.dump(data, fh, ensure_ascii=False, sort_keys=True)
         fh.write("\n")
-    loaded = TwoStepClassifier.load(directory, None, fitted.threshold)
+    loaded = TwoStepClassifier.load(directory, None)
     assert loaded.extractor.registry_hash == fitted.extractor.registry_hash
-    for entry in dataset:
-        assert loaded.classify(entry) == fitted.classify(entry)
+    entries = list(dataset)
+    assert loaded.classify_many(entries, 0.8) == fitted.classify_many(entries, 0.8)
     return loaded
 
 
@@ -308,8 +307,8 @@ N_UNSEEN = 12
 @pytest.fixture(scope="module")
 def semantic_two_step(word_model, tmp_path_factory):
     """Two-step classifier with the semantic group, saved and loaded as
-    `classify` loads it, unseen entries and each entry's classify() result
-    on its own."""
+    `classify` loads it, unseen entries and each entry's result classified
+    on its own at threshold 0.8."""
     ds = generate_comment_dataset(5, n_per_class=12, n_nonmeta=36)
     streams = [preprocess(c, remove_stopwords=True) for c in ds.comments()]
     dm = train_doc_embeddings(
@@ -318,11 +317,12 @@ def semantic_two_step(word_model, tmp_path_factory):
     directory = tmp_path_factory.mktemp("semantic_two_step")
     TwoStepClassifier.fit(make_pipeline(feature_cache(word_model, dm, CLASS_KEYWORDS)),
                           list(ds)).save(directory)
-    classifier = TwoStepClassifier.load(directory, dm, threshold=0.8)
+    classifier = TwoStepClassifier.load(directory, dm)
     unseen = list(generate_comment_dataset(6, n_per_class=3, n_nonmeta=3,
                                            source_tag="unseen"))
     assert len(unseen) == N_UNSEEN
-    return classifier, unseen, [classifier.classify(entry) for entry in unseen]
+    return classifier, unseen, [classifier.classify_many([entry], 0.8)[0]
+                                for entry in unseen]
 
 
 class TestClassifyMany:
@@ -332,7 +332,7 @@ class TestClassifyMany:
         assert any(r.is_meta for r in singles) and any(not r.is_meta for r in singles)
 
     def test_empty_batch(self, semantic_two_step):
-        assert semantic_two_step[0].classify_many([]) == []
+        assert semantic_two_step[0].classify_many([], 0.8) == []
 
     @settings(max_examples=25, deadline=None, derandomize=True)
     @given(order=st.permutations(range(N_UNSEEN)),
@@ -343,7 +343,7 @@ class TestClassifyMany:
         ordered = [unseen[i] for i in order]
         bounds = [0, *sorted(cuts), N_UNSEEN]
         results = [result for start, end in zip(bounds, bounds[1:])
-                   for result in classifier.classify_many(ordered[start:end])]
+                   for result in classifier.classify_many(ordered[start:end], 0.8)]
         assert results == [singles[i] for i in order]
 
 
